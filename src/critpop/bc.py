@@ -23,7 +23,7 @@ from .core import (
     wronskian_rhs,
 )
 from .errors import ConstructionFailed, NotFertile, SquareRootMissing
-from .fundamental import PolySpace, fundamental_space
+from .fundamental import PolySpace, fundamental_space, generating_morphism
 from .poly import poly_sqrt, wronskian
 from .reproduction import (
     PopulationAtlas,
@@ -42,9 +42,8 @@ from .roots import (
     root_data,
 )
 from .selfduality import (
-    Framing,
+    SelfdualSpace,
     framing_of,
-    gram,
     is_isotropic,
     is_selfdual,
     isotropic_generators,
@@ -199,9 +198,9 @@ def _sample_bridge(pi: ProblemInstance, y: TupleY):
     raise ConstructionFailed("no generic bridge parameter found")
 
 
-def bc_fundamental_space(pi: ProblemInstance, y: TupleY):
-    """Fundamental space of the folded population, with its selfduality
-    certificate.  Returns (space, framing)."""
+def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
+    """Fundamental space of the folded population, certified selfdual, with
+    its framing and canonical form."""
     kind = pi.rd.kind
     if not bc_critical_test(pi, y):
         raise NotFertile("tuple is not a B/C critical point")
@@ -217,15 +216,15 @@ def bc_fundamental_space(pi: ProblemInstance, y: TupleY):
     expected_dim = 2 * pi.rd.rank if kind == "B" else 2 * pi.rd.rank + 1
     if space.dim != expected_dim:
         raise ConstructionFailed("folded fundamental space has wrong dimension")
-    framing = framing_of(space)
+    framing = framing_of(space, pia.points)
     if not is_selfdual(space, framing):
         raise ConstructionFailed("folded fundamental space is not selfdual")
-    gm = gram(space, framing)
-    if expected_dim % 2 == 0 and not gm.is_skew():
+    sd = SelfdualSpace(space, framing)
+    if expected_dim % 2 == 0 and not sd.gm.is_skew():
         raise ConstructionFailed("B-type form must be skew")
-    if expected_dim % 2 == 1 and not gm.is_symmetric():
+    if expected_dim % 2 == 1 and not sd.gm.is_symmetric():
         raise ConstructionFailed("C-type form must be symmetric")
-    return space, framing
+    return sd
 
 
 @dataclass
@@ -239,8 +238,7 @@ class IsotropicSampleReport:
 
 def bc_population_as_isotropic_flags(
     pi: ProblemInstance,
-    space: PolySpace,
-    framing: Framing,
+    sd: SelfdualSpace,
     samples: int,
     seed: int,
 ) -> IsotropicSampleReport:
@@ -249,10 +247,10 @@ def bc_population_as_isotropic_flags(
     kernel equality on at least three samples."""
     rng = random.Random(seed)
     kind = pi.rd.kind
-    qw = quasi_witt_basis(space, framing)
-    if not is_isotropic(space, framing, qw.flag):
+    qw = quasi_witt_basis(sd)
+    if not is_isotropic(sd, qw.flag):
         raise ConstructionFailed("quasi-Witt flag is not isotropic")
-    k = space.dim // 2
+    k = sd.dim // 2
     hits = 0
     op_checks = 0
     all_symmetric = True
@@ -265,13 +263,11 @@ def bc_population_as_isotropic_flags(
         for r in range(k):
             for direction in range(1, k + 1):
                 c = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 4))
-                fam = isotropic_generators(space, framing, flag, direction)
+                fam = isotropic_generators(sd, flag, direction)
                 flag = fam.flag_at(c)
-        if not is_isotropic(space, framing, flag):
+        if not is_isotropic(sd, flag):
             raise ConstructionFailed("generator left the isotropic variety")
-        from .fundamental import generating_morphism
-
-        tup = generating_morphism(space, flag, framing.ts)
+        tup = generating_morphism(sd.space, flag, sd.framing.ts)
         m = len(tup)
         if any(tup[i] != tup[m - 1 - i] for i in range(m)):
             all_symmetric = False
@@ -287,7 +283,7 @@ def bc_population_as_isotropic_flags(
         if not bc_critical_test(pi, native):
             all_critical = False
         if op_checks < 3:
-            if not _bc_operator_annihilates(pi, native, space):
+            if not _bc_operator_annihilates(pi, native, sd.space):
                 raise ConstructionFailed("B/C operator does not annihilate the space")
             op_checks += 1
     if hits < samples:

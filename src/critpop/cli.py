@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bc as bcmod
 from .core import (
@@ -49,7 +48,7 @@ from .reproduction import (
 )
 from .roots import dominant_representative
 from .schubert import multiplicity_bound, population_count_report
-from .selfduality import framing_of, gram, is_isotropic, is_selfdual, quasi_witt_basis
+from .selfduality import SelfdualSpace, framing_of, is_isotropic, is_selfdual, quasi_witt_basis
 
 
 class Report:
@@ -150,8 +149,7 @@ def cmd_populate(args) -> int:
             )
         return is_fertile(pi, m.tuple_y)
 
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as ex:
-        results = list(ex.map(_check, atlas.degree_vectors()))
+    results = [_check(l) for l in atlas.degree_vectors()]
     rep.add("duplicate-thm", "every stored member is critical/fertile", all(results))
     lvec = degree_vector(y0)
     rep.add(
@@ -212,31 +210,29 @@ def cmd_selfdual(args) -> int:
             rep.add("deg-2-lem", f"{_fmt_tuple(y)} is not critical", False)
             return rep.emit()
         space = fundamental_space(pi, y)
-        framing = framing_of(space)
-        sd = is_selfdual(space, framing)
-        rep.add("selfdual", f"dim {space.dim} space selfdual: {sd}")
-        if not sd:
+        framing = framing_of(space, pi.points)
+        selfdual = is_selfdual(space, framing)
+        rep.add("selfdual", f"dim {space.dim} space selfdual: {selfdual}")
+        if not selfdual:
             return rep.emit()
+        sd = SelfdualSpace(space, framing)
     else:
-        space, framing = bcmod.bc_fundamental_space(pi, y)
+        sd = bcmod.bc_fundamental_space(pi, y)
         rep.add("so-self" if pi.rd.kind == "B" else "sp-self",
-                f"folded fundamental space selfdual, dim {space.dim}")
-    gm = gram(space, framing)
-    parity = "skew" if space.dim % 2 == 0 else "symmetric"
-    ok = gm.is_skew() if space.dim % 2 == 0 else gm.is_symmetric()
+                f"folded fundamental space selfdual, dim {sd.dim}")
+    gm = sd.gm
+    parity = "skew" if sd.dim % 2 == 0 else "symmetric"
+    ok = gm.is_skew() if sd.dim % 2 == 0 else gm.is_symmetric()
     rep.add("symm", f"canonical form is {parity}", ok)
     rep.add("gram", "rows " + "; ".join(
         "[" + " ".join(str(v) for v in row) + "]" for row in gm.entries
     ))
-    qw = quasi_witt_basis(space, framing)
+    qw = quasi_witt_basis(sd)
     rep.add("dar-1", f"quasi-Witt ratios {[str(a) for a in qw.ratios]}")
     rep.add("witt", f"normalization status: {qw.status}")
-    rep.add("isotropic", "quasi-Witt flag is isotropic",
-            is_isotropic(space, framing, qw.flag))
+    rep.add("isotropic", "quasi-Witt flag is isotropic", is_isotropic(sd, qw.flag))
     if pi.rd.kind in "BC":
-        report = bcmod.bc_population_as_isotropic_flags(
-            pi, space, framing, args.samples, args.seed
-        )
+        report = bcmod.bc_population_as_isotropic_flags(pi, sd, args.samples, args.seed)
         rep.add("cor-so" if pi.rd.kind == "B" else "cor-sp",
                 f"{report.generic_hits} isotropic flag samples unfold to critical tuples",
                 report.all_critical and report.all_symmetric)
@@ -289,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-degree", type=int, default=8)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--output", default=None)
         p.add_argument("--format", choices=("table", "json"), default="table")
 

@@ -2,7 +2,10 @@
 
 A `PolySpace` is kept in a canonical reduced echelon form (monic basis of
 strictly decreasing degrees, each fully reduced against the others), so
-space equality is plain basis equality.  The fundamental space of a
+space equality is plain basis equality.  One routine, `_reduce`, clears
+the pivot-degree coefficients of a polynomial against echelon rows; span
+construction, membership, coordinates, flag canonicalization and
+completion, and the Bruhat walk all use it.  The fundamental space of a
 critical tuple is built by the sibling recursion; the factored operator
 whose kernel it is gets verified symbolically over exact rational
 functions in `verify_dp`.
@@ -26,19 +29,13 @@ from .reproduction import immediate_descendants, _sample_generic
 from .roots import WeylElement, dominant_representative, generator, identity_element
 
 
-def _reduce_against(p: Poly, table: dict[int, Poly]) -> Poly:
-    while not p.is_zero() and int(p.degree) in table:
-        q = table[int(p.degree)]
-        p = p - p.leading() / q.leading() * q
-    return p
-
-
-def _full_reduce(p: Poly, table: dict[int, Poly]) -> Poly:
-    """Normal form with zero coefficient at every pivot degree."""
-    for d in sorted(table, reverse=True):
-        c = p[d]
+def _reduce(p: Poly, rows) -> Poly:
+    """Normal form of p against rows of distinct degrees: the coefficient at
+    every row's degree is cleared, highest first.  Zero iff p lies in the
+    span of the rows."""
+    for q in sorted(rows, key=lambda q: q.degree, reverse=True):
+        c = p[int(q.degree)]
         if c:
-            q = table[d]
             p = p - c / q.leading() * q
     return p
 
@@ -57,27 +54,16 @@ class PolySpace:
         """Realized degrees, increasing."""
         return sorted(int(p.degree) for p in self.basis)
 
-    def reduce(self, p: Poly) -> Poly:
-        """Remainder of p modulo the space (zero iff p is a member)."""
-        table = {int(b.degree): b for b in self.basis}
-        return _reduce_against(p, table)
-
     def contains(self, p: Poly) -> bool:
-        return self.reduce(p).is_zero()
+        return _reduce(p, self.basis).is_zero()
 
     def coords(self, p: Poly) -> tuple[Fraction, ...] | None:
-        """Coordinates of p in the echelon basis, or None."""
-        cs = [Fraction(0)] * self.dim
-        table = {int(b.degree): k for k, b in enumerate(self.basis)}
-        while not p.is_zero():
-            d = int(p.degree)
-            if d not in table:
-                return None
-            k = table[d]
-            c = p.leading()  # basis is monic
-            cs[k] = c
-            p = p - c * self.basis[k]
-        return tuple(cs)
+        """Coordinates of p in the echelon basis, or None.
+
+        The basis is monic and reduced, so a member's coordinates are its
+        coefficients at the pivot degrees."""
+        cs = tuple(p[int(b.degree)] for b in self.basis)
+        return cs if self.member(cs) == p else None
 
     def member(self, coords) -> Poly:
         out = Poly()
@@ -88,20 +74,14 @@ class PolySpace:
 
 def span(polys) -> PolySpace:
     """Canonical reduced span of the given polynomials."""
-    table: dict[int, Poly] = {}
+    rows: list[Poly] = []
     for p in polys:
-        p = _reduce_against(p, table)
+        p = _reduce(p, rows)
         if not p.is_zero():
-            table[int(p.degree)] = p.monic()
-    # back-reduce lower pivots out of higher rows, lowest pivot first
-    degs = sorted(table)
-    for d in degs:
-        p = table[d]
-        for e in degs:
-            if e < d and p[e]:
-                p = p - p[e] * table[e]
-        table[d] = p
-    return PolySpace(tuple(table[d] for d in sorted(table, reverse=True)))
+            rows.append(p.monic())
+    # clear each row's coefficients at the lower pivots
+    rows.sort(key=lambda q: q.degree, reverse=True)
+    return PolySpace(tuple(_reduce(q, rows[k + 1:]) for k, q in enumerate(rows)))
 
 
 @dataclass(frozen=True)
@@ -117,16 +97,14 @@ class Flag:
 
     @staticmethod
     def from_basis(space: PolySpace, basis) -> "Flag":
-        table: dict[int, Poly] = {}
-        canon = []
+        canon: list[Poly] = []
         for u in basis:
             if not space.contains(u):
                 raise ValueError("flag basis element outside the space")
-            red = _full_reduce(u, table)
+            red = _reduce(u, canon)
             if red.is_zero():
                 raise ValueError("flag basis is dependent")
             canon.append(red.monic())
-            table[int(red.degree)] = red.monic()
         return Flag(space, tuple(canon))
 
     def prefix(self, i: int) -> list[Poly]:
@@ -318,20 +296,8 @@ def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
         v = space.member([a / pick[-1] for a in pick[:-1]])
         us.append(v)
     # complete to a full basis with the leftover echelon element
-    table: dict[int, Poly] = {}
-    for u in us:
-        p = u
-        while not p.is_zero():
-            d = int(p.degree)
-            if d in table:
-                p = p - p.leading() / table[d].leading() * table[d]
-            else:
-                table[d] = p
-                break
-    for b in space.basis:
-        if not _reduce_against(b, table).is_zero():
-            us.append(b)
-            break
+    part = span(us)
+    us += [b for b in space.basis if not part.contains(b)][:1]
     if len(us) != space.dim:
         raise NotInImage("flag reconstruction did not complete")
     flag = Flag.from_basis(space, us)
@@ -351,27 +317,15 @@ def bruhat_index(space: PolySpace, flag: Flag) -> tuple[tuple[int, ...], tuple[i
     level of the degree flag first containing the j-th flag step, and
     degs[j] the matching realized degree.
     """
-    degs_sorted = space.degrees()
-    pos_of_degree = {d: k + 1 for k, d in enumerate(degs_sorted)}
-    used: dict[int, Poly] = {}
-    w = []
-    levels = []
+    pos_of_degree = {d: k + 1 for k, d in enumerate(space.degrees())}
+    rows: list[Poly] = []
     for u in flag.basis:
-        p = u
-        while True:
-            d = int(p.degree)
-            k = pos_of_degree[d]
-            if k in used:
-                q = used[k]
-                p = p - p.leading() / q.leading() * q
-                if p.is_zero():
-                    raise ConstructionFailed("flag basis degenerated in Bruhat walk")
-            else:
-                used[k] = p
-                w.append(k)
-                levels.append(d)
-                break
-    return tuple(w), tuple(levels)
+        p = _reduce(u, rows)
+        if p.is_zero():
+            raise ConstructionFailed("flag basis degenerated in Bruhat walk")
+        rows.append(p)
+    levels = tuple(int(p.degree) for p in rows)
+    return tuple(pos_of_degree[d] for d in levels), levels
 
 
 def perm_to_weyl(rd, perm: tuple[int, ...]) -> WeylElement:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .poly import solve_linear
+
 Weight = tuple[int, ...]
 
 
@@ -66,20 +68,11 @@ class RootData:
     def root_combination_of(self, lam: Weight) -> tuple[Fraction, ...] | None:
         """Solve sum_i c_i alpha_i = lam in coroot coordinates, if possible."""
         r = self.rank
-        rows = [[Fraction(self.cartan[j][i]) for i in range(r)] for j in range(r)]
-        aug = [row + [Fraction(lam[j])] for j, row in enumerate(rows)]
-        for c in range(r):
-            piv = next((k for k in range(c, r) if aug[k][c]), None)
-            if piv is None:
-                return None
-            aug[c], aug[piv] = aug[piv], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [v * inv for v in aug[c]]
-            for k in range(r):
-                if k != c and aug[k][c]:
-                    f = aug[k][c]
-                    aug[k] = [vk - f * vc for vk, vc in zip(aug[k], aug[c])]
-        return tuple(aug[j][r] for j in range(r))
+        rows = [[self.cartan[j][i] for i in range(r)] for j in range(r)]
+        solved = solve_linear(rows, list(lam))
+        if solved is None or solved[1]:
+            return None
+        return tuple(solved[0])
 
 
 @lru_cache(maxsize=None)

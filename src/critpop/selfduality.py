@@ -4,19 +4,22 @@ The divided Wronskian here is taken with respect to a framing: the tuple
 T_1..T_N built from the exponent gaps of the space at its finite
 ramification points, with prod_j T_j^(N+1-j) matching the Wronskian of a
 basis.  For a selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
-v = W+(w_1..w_N), is evaluated exactly.  Witt normalization is attempted
-over Q and over a single quadratic extension; otherwise the basis is
-reported as quasi-Witt together with its mirror ratios.
+v = W+(w_1..w_N), is evaluated exactly.  A `SelfdualSpace` holds the space,
+its framing and its Gram matrix, computed once when it is built; the
+isotropy test, the anti-diagonal and quasi-Witt bases and the isotropic
+generator families all read the form from it.  Witt normalization is
+attempted over Q and over a single quadratic extension; otherwise the basis
+is reported as quasi-Witt together with its mirror ratios.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
 from .errors import ConstructionFailed, NotConstant, NotDivisible, SquareRootMissing
-from .fundamental import Flag, PolySpace, exponents, generating_morphism, span
+from .fundamental import Flag, PolySpace, degree_flag, exponents, generating_morphism, span
 from .poly import ONE, Poly, divided_wronskian, poly_sqrt, solve_linear, wronskian
 
 
@@ -92,19 +95,22 @@ def nth_root_scalar(q: Fraction, e: int) -> Fraction | None:
             return None
         sign, q = -1, -q
 
-    def iroot(m: int) -> int | None:
-        if m == 0:
-            return 0
-        r = max(1, round(m ** (1.0 / e)))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c**e == m:
-                return c
-        return None
-
-    rn, rd = iroot(q.numerator), iroot(q.denominator)
-    if rn is None or rd is None:
+    rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
+    if rn**e != q.numerator or rd**e != q.denominator:
         return None
     return sign * Fraction(rn, rd)
+
+
+def _iroot(m: int, e: int) -> int:
+    """floor(m^(1/e)) for m >= 0 by integer Newton steps, as math.isqrt does."""
+    if m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // e)  # 2^ceil(bits/e) exceeds the root
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 # -- framings ------------------------------------------------------------------
@@ -122,66 +128,28 @@ class Framing:
         return all(self.ts[i] == self.ts[n - 1 - i] for i in range(n))
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def framing_of(space: PolySpace, points) -> Framing:
+    """Framing of a space from its exponent gaps at the given finite points.
 
-
-def _divisors(n: int):
-    n = abs(n)
-    out, k = [], 1
-    while k * k <= n:
-        if n % k == 0:
-            out.extend([k, n // k])
-        k += 1
-    return sorted(set(out))
-
-
-def _rational_root(p: Poly) -> Fraction | None:
-    if p[0] == 0:
-        return Fraction(0)
-    scale = 1
-    for c in p.coeffs:
-        scale = scale * c.denominator // _gcd_int(scale, c.denominator)
-    ip = [int(c * scale) for c in p.coeffs]
-    for r in _divisors(ip[0]):
-        for s in _divisors(ip[-1]):
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if p.eval(cand) == 0:
-                    return cand
-    return None
-
-
-def framing_of(space: PolySpace) -> Framing:
-    """Derive the framing of a space from its Wronskian and exponent gaps.
-
-    The Wronskian of the basis must split into rational linear factors;
-    this holds for every space framed over rational marked points.
+    Only the points where some gap is nonzero are kept.  The framing must
+    reproduce the Wronskian of the basis, so a point list that misses a
+    ramification point is rejected.
     """
     w = wronskian(list(space.basis))
     if w.is_zero():
         raise ConstructionFailed("degenerate space")
-    points = []
-    rest = w.monic()
-    while rest.degree > 0:
-        root = _rational_root(rest)
-        if root is None:
-            raise ConstructionFailed("Wronskian does not split over Q")
-        points.append(root)
-        lin = Poly([-root, 1])
-        while (rest % lin).is_zero():
-            rest = rest.exact_div(lin)
-    points = sorted(set(points))
     n = space.dim - 1
     ts = [ONE] * n
-    for z in points:
+    kept = []
+    for z in sorted(points):
         e = exponents(space, z)
-        for i in range(n):
-            gap = e[i + 1] - e[i] - 1
+        gaps = [e[i + 1] - e[i] - 1 for i in range(n)]
+        if any(gaps):
+            kept.append(z)
+        for i, gap in enumerate(gaps):
             if gap:
                 ts[i] = ts[i] * Poly([-z, 1]) ** gap
-    fr = Framing(tuple(ts), tuple(points))
+    fr = Framing(tuple(ts), tuple(kept))
     check = ONE
     for j, t in enumerate(fr.ts):
         check = check * t ** (n - j)
@@ -309,25 +277,44 @@ def gram(space: PolySpace, framing: Framing) -> GramMatrix:
     return gm
 
 
-def form_value(space: PolySpace, gm: GramMatrix, u: Poly, v: Poly) -> Fraction:
-    a, b = space.coords(u), space.coords(v)
-    assert a is not None and b is not None
-    total = Fraction(0)
-    for i in range(space.dim):
-        if a[i]:
-            for k in range(space.dim):
-                if b[k]:
-                    total += a[i] * b[k] * gm.entries[i][k]
-    return total
+@dataclass(frozen=True)
+class SelfdualSpace:
+    """A selfdual space with its framing and canonical form.
+
+    The Gram matrix is computed once, when the object is built; every
+    pairing, isotropy test and anti-diagonalization reads it from here.
+    """
+
+    space: PolySpace
+    framing: Framing
+    gm: GramMatrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "gm", gram(self.space, self.framing))
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def pair(self, u: Poly, v: Poly) -> Fraction:
+        """The canonical form (u, v) of two members of the space."""
+        a, b = self.space.coords(u), self.space.coords(v)
+        assert a is not None and b is not None
+        total = Fraction(0)
+        for i in range(self.dim):
+            if a[i]:
+                for k in range(self.dim):
+                    if b[k]:
+                        total += a[i] * b[k] * self.gm.entries[i][k]
+        return total
 
 
-def is_isotropic(space: PolySpace, framing: Framing, flag: Flag) -> bool:
+def is_isotropic(sd: SelfdualSpace, flag: Flag) -> bool:
     """F_i orthogonal to F_{N+1-i}: the adjusted basis pairs to zero
     whenever the 1-based indices sum to at most N+1 = dim V."""
-    gm = gram(space, framing)
-    n1 = space.dim
+    n1 = sd.dim
     return all(
-        not form_value(space, gm, flag.basis[i], flag.basis[j])
+        not sd.pair(flag.basis[i], flag.basis[j])
         for i in range(n1)
         for j in range(i, n1)
         if (i + 1) + (j + 1) <= n1
@@ -355,18 +342,19 @@ class QuasiWittResult:
         return "witt"
 
 
-def quasi_witt_basis(space: PolySpace, framing: Framing) -> QuasiWittResult:
+def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     """Decreasing-degree basis satisfying the mirrored relation
     W+(q_1..q_i) = a_i W+(q_1..q_{N+1-i}), plus opportunistic exact Witt
     normalization over Q or one quadratic extension.
 
-    The basis is anti-diagonalized from the echelon basis: every element
-    pairs to zero with everything except its mirror partner, so its flag is
-    isotropic, the mirrored relation holds exactly, and every omitted
-    divided Wronskian is an exact multiple of the partner element.
+    The basis is the anti-diagonalized degree flag, highest degree first:
+    every element pairs to zero with everything except its mirror partner,
+    so its flag is isotropic, the mirrored relation holds exactly, and
+    every omitted divided Wronskian is an exact multiple of the partner
+    element.
     """
-    n1 = space.dim
-    q = _antidiagonalize_echelon(space, framing)
+    n1, framing = sd.dim, sd.framing
+    q = antidiagonal_basis(sd, degree_flag(sd.space))[::-1]
     ratios = []
     for i in range(1, n1):
         num = dual_wronskian(framing, q[:i])
@@ -393,58 +381,7 @@ def quasi_witt_basis(space: PolySpace, framing: Framing) -> QuasiWittResult:
         witt_polys, witt_scalars = None, None
     else:
         witt_polys, witt_scalars = tuple(q), tuple(scalars)
-    return QuasiWittResult(Flag.from_basis(space, q), tuple(ratios), witt_polys, witt_scalars)
-
-
-def _antidiagonalize_echelon(space: PolySpace, framing: Framing) -> list[Poly]:
-    """Degree-preserving basis with (u_a, u_b) = 0 unless a + b = N + 2.
-
-    Built from the bottom degree up; each element gets corrections from the
-    already-built lower-degree tail, one explicit scalar per condition.
-    """
-    gm = gram(space, framing)
-    n1 = space.dim
-    p = list(space.basis)
-    u: list[Poly | None] = [None] * n1
-
-    def val(x: Poly, y: Poly) -> Fraction:
-        return form_value(space, gm, x, y)
-
-    for a in range(n1 - 1, -1, -1):
-        cand = p[a]
-        for b in range(n1 - 1, a, -1):
-            if (a + 1) + (b + 1) == n1 + 1:
-                continue  # partner entry stays nonzero
-            m = n1 - 1 - b  # partner of b pairs nontrivially with u_b
-            v = val(cand, u[b])
-            if m <= a:
-                if v:
-                    raise ConstructionFailed("unexpected pairing above the mirror")
-                continue
-            if v:
-                g = val(u[m], u[b])
-                if not g:
-                    raise ConstructionFailed("degenerate mirror pairing")
-                cand = cand - v / g * u[m]
-        partner = n1 - 1 - a
-        if partner > a:
-            dv = val(cand, cand)
-            if dv:
-                g = val(cand, u[partner])
-                if not g:
-                    raise ConstructionFailed("degenerate mirror pairing")
-                cand = cand - dv / (2 * g) * u[partner]
-        u[a] = cand
-    basis = [x for x in u if x is not None]
-    for a in range(n1):
-        for b in range(a, n1):
-            on_pair = a + b == n1 - 1
-            v = val(basis[a], basis[b])
-            if on_pair and not v:
-                raise ConstructionFailed("vanishing anti-diagonal entry")
-            if not on_pair and v:
-                raise ConstructionFailed("anti-diagonalization failed")
-    return basis
+    return QuasiWittResult(Flag.from_basis(sd.space, q), tuple(ratios), witt_polys, witt_scalars)
 
 
 def _witt_scalars(gammas: list[Fraction]):
@@ -518,15 +455,14 @@ def verify_witt(framing: Framing, result: QuasiWittResult) -> bool:
 # -- isotropic one-parameter generators -----------------------------------------
 
 
-def antidiagonal_basis(space: PolySpace, framing: Framing, flag: Flag) -> list[Poly]:
+def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list[Poly]:
     """Adjust the flag basis within its flag so the form is anti-diagonal:
     (u_a, u_b) = 0 unless the 1-based indices satisfy a + b = N + 2."""
-    gm = gram(space, framing)
-    n1 = space.dim
+    n1 = sd.dim
     u = list(flag.basis)
 
     def val(a: int, b: int) -> Fraction:
-        return form_value(space, gm, u[a], u[b])
+        return sd.pair(u[a], u[b])
 
     for b in range(n1 - 1, 0, -1):
         for j in range(n1 - b, b):
@@ -559,14 +495,12 @@ class IsotropicFamily:
 
     direction: int  # 1-based, <= k
     base: list[Poly]  # anti-diagonal adjusted basis
-    space: PolySpace
-    framing: Framing
-    gm: GramMatrix
+    sd: SelfdualSpace
 
     def _g(self, j: int) -> Fraction:
         """Anti-diagonal value (u_j, u_{N+2-j}), 1-based j."""
         n1 = len(self.base)
-        return form_value(self.space, self.gm, self.base[j - 1], self.base[n1 - j])
+        return self.sd.pair(self.base[j - 1], self.base[n1 - j])
 
     def deformed_basis(self, c: Fraction) -> list[Poly]:
         u = list(self.base)
@@ -589,22 +523,18 @@ class IsotropicFamily:
         return u
 
     def flag_at(self, c: Fraction) -> Flag:
-        return Flag.from_basis(self.space, self.deformed_basis(c))
+        return Flag.from_basis(self.sd.space, self.deformed_basis(c))
 
     def tuple_at(self, c: Fraction):
-        return generating_morphism(self.space, self.flag_at(c), self.framing.ts)
+        return generating_morphism(self.sd.space, self.flag_at(c), self.sd.framing.ts)
 
 
-def isotropic_generators(
-    space: PolySpace, framing: Framing, flag: Flag, direction: int
-) -> IsotropicFamily:
+def isotropic_generators(sd: SelfdualSpace, flag: Flag, direction: int) -> IsotropicFamily:
     """Build the degree-`direction` generator family through an isotropic flag."""
-    n1 = space.dim
-    k = n1 // 2
+    k = sd.dim // 2
     if not 1 <= direction <= k:
         raise ValueError(f"direction must be in 1..{k}")
-    basis = antidiagonal_basis(space, framing, flag)
-    return IsotropicFamily(direction, basis, space, framing, gram(space, framing))
+    return IsotropicFamily(direction, antidiagonal_basis(sd, flag), sd)
 
 
 def middle_square_data(fam: IsotropicFamily):
@@ -614,7 +544,7 @@ def middle_square_data(fam: IsotropicFamily):
     Returns (p, q, wron) with p monic and wron = W(p, q); raises
     SquareRootMissing when the square structure is absent.
     """
-    n1 = fam.space.dim
+    n1 = fam.sd.dim
     k = n1 // 2
     assert n1 % 2 == 1 and fam.direction == k
     mid = k - 1  # 0-based middle tuple slot (the tuple has 2k coordinates)

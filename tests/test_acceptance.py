@@ -34,7 +34,7 @@ from critpop.poly import ONE, Poly, identity_suite, poly_sqrt
 from critpop.reproduction import explore_population, is_fertile, predicted_degree_vectors
 from critpop.roots import dominant_representative, shifted_action
 from critpop.schubert import hook_content_dim, lr_expand, population_count_report
-from critpop.selfduality import framing_of, gram, is_isotropic, is_selfdual, quasi_witt_basis
+from critpop.selfduality import is_isotropic, is_selfdual, quasi_witt_basis
 from conftest import instance, random_generic_tuple, seeded_points
 
 
@@ -233,18 +233,18 @@ def test_08_bc_selfduality():
             atlas = explore_population(pi, y0, 4, seed=rng.randint(0, 99))
             generics = [m.tuple_y for m in atlas.members.values() if m.generic]
             y = generics[rng.randrange(len(generics))]
-            space, framing = bc_fundamental_space(pi, y)
+            sd = bc_fundamental_space(pi, y)
             expected_dim = 4 if kind == "B" else 5
-            ok = ok and space.dim == expected_dim
-            ok = ok and is_selfdual(space, framing)
-            gm = gram(space, framing)
+            ok = ok and sd.dim == expected_dim
+            ok = ok and is_selfdual(sd.space, sd.framing)
+            gm = sd.gm
             ok = ok and (gm.is_skew() if kind == "B" else gm.is_symmetric())
-            qw = quasi_witt_basis(space, framing)
+            qw = quasi_witt_basis(sd)
             ok = ok and all(a != 0 for a in qw.ratios)
-            ok = ok and is_isotropic(space, framing, qw.flag)
+            ok = ok and is_isotropic(sd, qw.flag)
             if kind == "C":
                 rep = bc_population_as_isotropic_flags(
-                    pi, space, framing, samples=2, seed=rng.randint(0, 99)
+                    pi, sd, samples=2, seed=rng.randint(0, 99)
                 )
                 ok = ok and rep.all_symmetric and rep.all_critical
             done += 1

@@ -19,7 +19,7 @@ from critpop.errors import ConstructionFailed, NotFertile
 from critpop.fundamental import fundamental_space
 from critpop.poly import ONE, X, Poly
 from critpop.reproduction import explore_population, is_fertile, param_candidates
-from critpop.selfduality import gram, is_isotropic, is_selfdual, quasi_witt_basis
+from critpop.selfduality import is_isotropic, is_selfdual, quasi_witt_basis
 from conftest import instance
 
 B2 = instance("B2")
@@ -106,23 +106,23 @@ class TestBridge:
 
 class TestFundamentalSpaces:
     def test_b2_selfdual_skew(self):
-        space, framing = bc_fundamental_space(B2, (ONE, ONE))
-        assert space.dim == 4
-        assert is_selfdual(space, framing)
-        assert gram(space, framing).is_skew()
+        sd = bc_fundamental_space(B2, (ONE, ONE))
+        assert sd.dim == 4
+        assert is_selfdual(sd.space, sd.framing)
+        assert sd.gm.is_skew()
 
     def test_c2_selfdual_symmetric(self):
-        space, framing = bc_fundamental_space(C2, (ONE, ONE))
-        assert space.dim == 5
-        assert is_selfdual(space, framing)
-        assert gram(space, framing).is_symmetric()
+        sd = bc_fundamental_space(C2, (ONE, ONE))
+        assert sd.dim == 5
+        assert is_selfdual(sd.space, sd.framing)
+        assert sd.gm.is_symmetric()
 
     def test_member_independence(self):
         atlas = explore_population(B2, (ONE, ONE), 8, seed=0)
         spaces = []
         for member in list(atlas.members.values())[:4]:
             if member.generic:
-                spaces.append(bc_fundamental_space(B2, member.tuple_y)[0])
+                spaces.append(bc_fundamental_space(B2, member.tuple_y).space)
         assert len(spaces) >= 2
         assert all(sp == spaces[0] for sp in spaces)
 
@@ -133,14 +133,14 @@ class TestFundamentalSpaces:
 
 class TestIsotropicSampling:
     def test_b2(self):
-        space, framing = bc_fundamental_space(B2, (ONE, ONE))
-        rep = bc_population_as_isotropic_flags(B2, space, framing, samples=4, seed=3)
+        sd = bc_fundamental_space(B2, (ONE, ONE))
+        rep = bc_population_as_isotropic_flags(B2, sd, samples=4, seed=3)
         assert rep.all_symmetric and rep.all_critical
         assert rep.operator_checks >= 3
 
     def test_c2_middle_squares(self):
-        space, framing = bc_fundamental_space(C2, (ONE, ONE))
-        rep = bc_population_as_isotropic_flags(C2, space, framing, samples=4, seed=3)
+        sd = bc_fundamental_space(C2, (ONE, ONE))
+        rep = bc_population_as_isotropic_flags(C2, sd, samples=4, seed=3)
         assert rep.all_symmetric and rep.all_critical
 
 

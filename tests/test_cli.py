@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from critpop import selfduality
 from critpop.cli import main
 
 
@@ -71,15 +72,6 @@ class TestPopulate:
              "--output", p2])
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_jobs_flag_deterministic(self, sl3_cfg, tmp_path, capsys):
-        p1, p2 = str(tmp_path / "j1.json"), str(tmp_path / "j2.json")
-        run(["populate", "--config", sl3_cfg, "--seed", "3", "--max-degree", "2",
-             "--jobs", "1", "--output", p1])
-        capsys.readouterr()
-        run(["populate", "--config", sl3_cfg, "--seed", "3", "--max-degree", "2",
-             "--jobs", "4", "--output", p2])
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-
 
 class TestFundamental:
     def test_report(self, sl2_cfg, capsys):
@@ -107,6 +99,19 @@ class TestSelfdual:
         assert run(["selfdual", "--config", cfg, "--seed", "5", "--samples", "3"]) == 0
         out = capsys.readouterr().out
         assert "[symm] canonical form is symmetric : PASS" in out
+
+    def test_gram_computed_once(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": []})
+        calls = []
+        gram = selfduality.gram
+
+        def counting_gram(*args):
+            calls.append(args)
+            return gram(*args)
+
+        monkeypatch.setattr(selfduality, "gram", counting_gram)
+        assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
+        assert len(calls) == 1
 
 
 class TestCount:

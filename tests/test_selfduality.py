@@ -7,12 +7,13 @@ from critpop.core import t_polys
 from critpop.fundamental import Flag, degree_flag, fundamental_space, generating_morphism, span
 from critpop.poly import ONE, X, Poly, divided_wronskian, poly_sqrt, wronskian
 from critpop.reproduction import explore_population
+from critpop.errors import ConstructionFailed
 from critpop.selfduality import (
     Framing,
     QuadExt,
+    SelfdualSpace,
     antidiagonal_basis,
     dual_space,
-    form_value,
     framing_of,
     gram,
     is_isotropic,
@@ -50,20 +51,32 @@ class TestScalars:
         assert nth_root_scalar(Fraction(5), 3) is None
         assert nth_root_scalar(Fraction(-4), 2) is None
 
+    def test_nth_root_beyond_float_range(self):
+        assert nth_root_scalar(Fraction(3**699), 3) == 3**233
+        assert nth_root_scalar(Fraction(3**700), 3) is None
+
 
 class TestFraming:
     def test_monomials(self):
-        fr = framing_of(monomial_space(4))
+        fr = framing_of(monomial_space(4), ())
         assert all(t == ONE for t in fr.ts)
 
     def test_sl2_space(self):
-        fr = framing_of(V2)
+        fr = framing_of(V2, SL2.points)
         assert fr.ts == (Poly([0, -2, 1]),)
         assert fr.points == (Fraction(0), Fraction(2))
 
+    def test_unramified_points_dropped(self):
+        fr = framing_of(V2, (Fraction(5), Fraction(2), Fraction(0)))
+        assert fr == framing_of(V2, SL2.points)
+
+    def test_missing_point_rejected(self):
+        with pytest.raises(ConstructionFailed, match="does not reproduce the Wronskian"):
+            framing_of(V2, (Fraction(0),))
+
     def test_matches_instance_ts(self):
         V = fundamental_space(SL2, (Poly([-1, 1]),))
-        fr = framing_of(V)
+        fr = framing_of(V, SL2.points)
         assert list(fr.ts) == t_polys(SL2)
 
 
@@ -71,18 +84,18 @@ class TestDualSpace:
     def test_monomials_selfdual(self):
         for n1 in (2, 3, 4, 5):
             V = monomial_space(n1)
-            fr = framing_of(V)
+            fr = framing_of(V, ())
             assert dual_space(V, fr) == V
             assert is_selfdual(V, fr)
 
     def test_dim2_selfdual(self):
-        fr = framing_of(V2)
+        fr = framing_of(V2, SL2.points)
         assert dual_space(V2, fr) == V2
         assert is_selfdual(V2, fr)
 
     def test_degree_gap_reject(self):
         V = span([ONE, X, Poly([0, 0, 0, 1])])
-        assert not is_selfdual(V, framing_of(V))
+        assert not is_selfdual(V, framing_of(V, (Fraction(0),)))
 
     def test_double_dual_on_population_spaces(self):
         # duals of fundamental spaces of seeded rank-2 instances
@@ -96,7 +109,7 @@ class TestDualSpace:
             atlas = explore_population(pi, (ONE, ONE), 3, seed=rng.randint(0, 99))
             member = next(m for m in atlas.members.values() if m.generic)
             V = fundamental_space(pi, member.tuple_y)
-            fr = framing_of(V)
+            fr = framing_of(V, pi.points)
             dual_space(V, fr)  # asserts V++ == V internally
             count += 1
             if count >= 20:
@@ -106,20 +119,20 @@ class TestDualSpace:
 
 class TestGram:
     def test_dim2_skew(self):
-        gm = gram(V2, framing_of(V2))
+        gm = gram(V2, framing_of(V2, SL2.points))
         assert gm.entries == ((0, -1), (1, 0))
         assert gm.is_skew() and gm.is_nondegenerate()
 
     def test_dim3_antidiagonal(self):
         V = monomial_space(3)
-        gm = gram(V, framing_of(V))
+        gm = gram(V, framing_of(V, ()))
         assert gm.is_symmetric()
         assert gm.entries[0][2] != 0 and gm.entries[0][0] == 0
 
     def test_parity_battery(self):
         for n1 in (2, 3, 4, 5, 6):
             V = monomial_space(n1)
-            gm = gram(V, framing_of(V))
+            gm = gram(V, framing_of(V, ()))
             assert gm.is_skew() if n1 % 2 == 0 else gm.is_symmetric()
 
 
@@ -127,21 +140,21 @@ class TestQuasiWitt:
     def test_monomial_ratios(self):
         for n1 in (2, 3, 4, 5):
             V = monomial_space(n1)
-            fr = framing_of(V)
-            qw = quasi_witt_basis(V, fr)
+            sd = SelfdualSpace(V, framing_of(V, ()))
+            qw = quasi_witt_basis(sd)
             assert all(a != 0 for a in qw.ratios)
-            assert is_isotropic(V, fr, qw.flag)
+            assert is_isotropic(sd, qw.flag)
 
     def test_dim2_any_flag_isotropic(self):
-        fr = framing_of(V2)
+        sd = SelfdualSpace(V2, framing_of(V2, SL2.points))
         fl = Flag.from_basis(V2, [Poly([-1, 1, 1]), Poly([0, 0, 1])])
-        assert is_isotropic(V2, fr, fl)
+        assert is_isotropic(sd, fl)
 
     def test_witt_normalization_exact(self):
         for n1 in (2, 3, 4, 5):
             V = monomial_space(n1)
-            fr = framing_of(V)
-            qw = quasi_witt_basis(V, fr)
+            fr = framing_of(V, ())
+            qw = quasi_witt_basis(SelfdualSpace(V, fr))
             assert qw.status in ("witt", "witt-quadratic", "quasi")
             if qw.status == "witt":
                 assert verify_witt(fr, qw)
@@ -150,7 +163,7 @@ class TestQuasiWitt:
         # a basis with the mirrored relation spans the predicted omitted
         # Wronskian ladder
         V = monomial_space(4)
-        fr = framing_of(V)
+        fr = framing_of(V, ())
         q = list(V.basis)
         n1 = 4
         ws = [
@@ -165,8 +178,8 @@ class TestQuasiWitt:
 class TestIsotropy:
     def test_symmetric_iff_isotropic(self):
         V = monomial_space(4)
-        fr = framing_of(V)
-        ts = fr.ts
+        sd = SelfdualSpace(V, framing_of(V, ()))
+        ts = sd.framing.ts
         rng = random.Random(6)
         seen_symmetric = seen_asymmetric = 0
         for _ in range(40):
@@ -180,7 +193,7 @@ class TestIsotropy:
                 continue
             tup = generating_morphism(V, flag, ts)
             sym = all(tup[i] == tup[len(tup) - 1 - i] for i in range(len(tup)))
-            iso = is_isotropic(V, fr, flag)
+            iso = is_isotropic(sd, flag)
             assert sym == iso
             seen_symmetric += iso
             seen_asymmetric += not iso
@@ -188,13 +201,12 @@ class TestIsotropy:
 
     def test_antidiagonal_basis_structure(self):
         V = monomial_space(5)
-        fr = framing_of(V)
-        qw = quasi_witt_basis(V, fr)
-        u = antidiagonal_basis(V, fr, qw.flag)
-        gm = gram(V, fr)
+        sd = SelfdualSpace(V, framing_of(V, ()))
+        qw = quasi_witt_basis(sd)
+        u = antidiagonal_basis(sd, qw.flag)
         for a in range(5):
             for b in range(5):
-                v = form_value(V, gm, u[a], u[b])
+                v = sd.pair(u[a], u[b])
                 assert (v != 0) == (a + b == 4)
 
 
@@ -202,13 +214,13 @@ class TestGenerators:
     @pytest.mark.parametrize("n1", [4, 5])
     def test_families_stay_isotropic_and_symmetric(self, n1):
         V = monomial_space(n1)
-        fr = framing_of(V)
-        qw = quasi_witt_basis(V, fr)
+        sd = SelfdualSpace(V, framing_of(V, ()))
+        qw = quasi_witt_basis(sd)
         k = n1 // 2
         for direction in range(1, k + 1):
-            fam = isotropic_generators(V, fr, qw.flag, direction)
+            fam = isotropic_generators(sd, qw.flag, direction)
             for c in (Fraction(1), Fraction(-2), Fraction(1, 3)):
-                assert is_isotropic(V, fr, fam.flag_at(c))
+                assert is_isotropic(sd, fam.flag_at(c))
                 tup = fam.tuple_at(c)
                 m = len(tup)
                 assert all(tup[i] == tup[m - 1 - i] for i in range(m))
@@ -216,9 +228,10 @@ class TestGenerators:
     def test_wronskian_identity_side_directions(self):
         # W(y_i(x,c), dy_i/dc) proportional to T_i y_{i-1} y_{i+1}
         V = monomial_space(4)
-        fr = framing_of(V)
-        qw = quasi_witt_basis(V, fr)
-        fam = isotropic_generators(V, fr, qw.flag, 1)
+        sd = SelfdualSpace(V, framing_of(V, ()))
+        fr = sd.framing
+        qw = quasi_witt_basis(sd)
+        fam = isotropic_generators(sd, qw.flag, 1)
         u = fam.base
         y1 = lambda c: divided_wronskian([u[0] + c * u[1]], list(fr.ts))
         dy = divided_wronskian([u[1]], list(fr.ts))
@@ -231,9 +244,10 @@ class TestGenerators:
     def test_middle_direction_square_rhs(self):
         # dim 2N at i = k: the right-hand side involves (y_{k-1})^2
         V = monomial_space(4)
-        fr = framing_of(V)
-        qw = quasi_witt_basis(V, fr)
-        fam = isotropic_generators(V, fr, qw.flag, 2)
+        sd = SelfdualSpace(V, framing_of(V, ()))
+        fr = sd.framing
+        qw = quasi_witt_basis(sd)
+        fam = isotropic_generators(sd, qw.flag, 2)
         u = fam.base
         yk = lambda c: divided_wronskian([u[0], u[1] + c * u[2]], list(fr.ts))
         dy = divided_wronskian([u[0], u[2]], list(fr.ts))
@@ -245,9 +259,10 @@ class TestGenerators:
 
     def test_middle_square_odd(self):
         V = monomial_space(5)
-        fr = framing_of(V)
-        qw = quasi_witt_basis(V, fr)
-        fam = isotropic_generators(V, fr, qw.flag, 2)
+        sd = SelfdualSpace(V, framing_of(V, ()))
+        fr = sd.framing
+        qw = quasi_witt_basis(sd)
+        fam = isotropic_generators(sd, qw.flag, 2)
         p, q, wr = middle_square_data(fam)
         assert p.leading() > 0
         # W(p, q) proportional to T_k y_{k-1}
@@ -255,14 +270,14 @@ class TestGenerators:
         rhs = fr.ts[1] * y1
         assert wr.monic() == rhs.monic()
         # exact factor 2 after true Witt normalization
-        qw5 = quasi_witt_basis(V, fr)
+        qw5 = quasi_witt_basis(sd)
         if qw5.status == "witt":
             polys = [
                 (s if isinstance(s, Fraction) else s.a) * b
                 for s, b in zip(qw5.witt_scalars, qw5.witt_polys)
             ]
             wfl = Flag.from_basis(V, polys)
-            fam_w = isotropic_generators(V, fr, wfl, 2)
+            fam_w = isotropic_generators(sd, wfl, 2)
             u = fam_w.base
             ydot = lambda c: divided_wronskian(
                 [u[0], u[1] + c * u[2] + c * c * Fraction(1, 2) * u[3]], list(fr.ts)
