@@ -18,7 +18,6 @@ from .core import (
     heine_stieltjes_test,
     is_generic,
     monic_tuple,
-    t_polys,
     weight_at_infinity,
     wronskian_rhs,
 )
@@ -158,7 +157,7 @@ def c_bridge_tuples(pi: ProblemInstance, y: TupleY, c: Fraction,
         if fam is None:
             raise NotFertile("direction N is infertile")
         ytil = fam.base
-    ts = t_polys(pi)
+    ts = pi.ts
     yn = y[n - 1]
     if wronskian([yn * yn, yn * ytil]) != ts[n - 1] * y[n - 2] * yn * yn:
         raise ConstructionFailed("first bridge identity failed")

@@ -23,10 +23,9 @@ from .core import (
     is_generic,
     monic_tuple,
     ones_tuple,
-    t_polys,
     weight_at_infinity,
 )
-from .errors import CritpopError
+from .errors import CritpopError, InvalidInstance
 from .fundamental import (
     exponents,
     expected_exponents_finite,
@@ -72,8 +71,11 @@ class Report:
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidInstance(f"cannot load config: {exc}") from exc
 
 
 def _instance(cfg: dict) -> ProblemInstance:
@@ -81,9 +83,18 @@ def _instance(cfg: dict) -> ProblemInstance:
 
 
 def _tuple_from_config(cfg: dict, pi: ProblemInstance):
-    if "tuple" in cfg:
-        return monic_tuple(Poly.from_text(t) for t in cfg["tuple"])
-    return ones_tuple(pi.rd)
+    if "tuple" not in cfg:
+        return ones_tuple(pi.rd)
+    texts = cfg["tuple"]
+    if not isinstance(texts, list) or len(texts) != pi.rd.rank:
+        raise InvalidInstance(f"tuple must list {pi.rd.rank} polynomial texts")
+    try:
+        polys = [Poly.from_text(t) for t in texts]
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInstance(f"bad polynomial text: {exc}") from exc
+    if any(p.is_zero() for p in polys):
+        raise InvalidInstance("tuple has a zero polynomial")
+    return monic_tuple(polys)
 
 
 def _fmt_tuple(y) -> str:
@@ -190,10 +201,9 @@ def cmd_fundamental(args) -> int:
     rep.add("ram-a", f"a(inf) = {schubert_index_infinity(space, d)}")
     rep.add("pluecker", "sum of ramification codimensions",
             pluecker_check(space, pi.points, d))
-    ts = t_polys(pi)
-    flag = flag_from_tuple(space, y, ts)
+    flag = flag_from_tuple(space, y, pi.ts)
     rep.add("pol-crit", "generating morphism round trip",
-            generating_morphism(space, flag, ts) == y)
+            generating_morphism(space, flag, pi.ts) == y)
     rep.add("ind-thm", "factored operator annihilates the space",
             verify_dp(pi, [space], y))
     rep.add("first-coor", "y_1 lies in the space", space.contains(y[0]))

@@ -13,11 +13,10 @@ floating-point cross-check directly on the defining equations.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CoincidentCoordinates, NotGeneric
+from .errors import CoincidentCoordinates, InvalidInstance, NotGeneric
 from .poly import ONE, Poly, from_roots, gcd, is_squarefree
 from .roots import RootData, Weight, root_data
 
@@ -26,16 +25,25 @@ TupleY = tuple[Poly, ...]
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """Dominant weights at distinct marked points, with T_1..T_N in `ts`."""
+
     rd: RootData
     weights: tuple[Weight, ...]
     points: tuple[Fraction, ...]
+    ts: tuple[Poly, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assert len(self.weights) == len(self.points)
-        assert len(set(self.points)) == len(self.points), "marked points must be distinct"
+        if len(self.weights) != len(self.points):
+            raise InvalidInstance(
+                f"{len(self.weights)} weights for {len(self.points)} marked points")
+        if len(set(self.points)) != len(self.points):
+            raise InvalidInstance("marked points must be distinct")
         for lam in self.weights:
-            assert len(lam) == self.rd.rank
-            assert self.rd.is_dominant(lam), "weights must be dominant integral"
+            if len(lam) != self.rd.rank:
+                raise InvalidInstance(f"weight {lam} does not have rank {self.rd.rank}")
+            if not self.rd.is_dominant(lam):
+                raise InvalidInstance(f"weight {lam} is not dominant")
+        object.__setattr__(self, "ts", tuple(t_polys(self)))
 
     @property
     def n(self) -> int:
@@ -43,14 +51,20 @@ class ProblemInstance:
 
     @staticmethod
     def from_config(cfg: dict) -> "ProblemInstance":
-        rd = root_data(cfg["root_system"])
-        weights = tuple(tuple(int(c) for c in w) for w in cfg.get("weights", []))
-        points = tuple(Fraction(str(z)) for z in cfg.get("points", []))
-        return ProblemInstance(rd, weights, points)
-
-    @staticmethod
-    def from_json(text: str) -> "ProblemInstance":
-        return ProblemInstance.from_config(json.loads(text))
+        try:
+            rd = root_data(cfg["root_system"])
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidInstance(f"bad root_system: {exc}") from exc
+        weights = cfg.get("weights", [])
+        if not isinstance(weights, list) or not all(
+            isinstance(w, list) and all(type(c) is int for c in w) for w in weights
+        ):
+            raise InvalidInstance("weights must be lists of integers")
+        try:
+            points = tuple(Fraction(str(z)) for z in cfg.get("points", []))
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidInstance(f"bad marked point: {exc}") from exc
+        return ProblemInstance(rd, tuple(tuple(w) for w in weights), points)
 
 
 def monic_tuple(polys) -> TupleY:
@@ -104,8 +118,7 @@ def is_generic(pi: ProblemInstance, y: TupleY) -> tuple[bool, str]:
 def wronskian_rhs(pi: ProblemInstance, y: TupleY, i: int) -> Poly:
     """Right-hand side T_i prod_{j != i} y_j^(-a_ij) of the Wronskian
     equation in direction i (0-based)."""
-    ts = t_polys(pi)
-    rhs = ts[i]
+    rhs = pi.ts[i]
     for j in range(pi.rd.rank):
         if j != i:
             e = -pi.rd.cartan[i][j]

@@ -5,6 +5,10 @@ class CritpopError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidInstance(CritpopError):
+    """A configuration does not describe a valid problem instance or tuple."""
+
+
 class NotDivisible(CritpopError):
     """An exact polynomial division left a nonzero remainder."""
 

@@ -5,10 +5,10 @@ strictly decreasing degrees, each fully reduced against the others), so
 space equality is plain basis equality.  One routine, `_reduce`, clears
 the pivot-degree coefficients of a polynomial against echelon rows; span
 construction, membership, coordinates, flag canonicalization and
-completion, and the Bruhat walk all use it.  The fundamental space of a
-critical tuple is built by the sibling recursion; the factored operator
-whose kernel it is gets verified symbolically over exact rational
-functions in `verify_dp`.
+completion use it, and exponents and Bruhat data are echelon degrees.  The
+fundamental space of a critical tuple is built by the sibling recursion;
+the factored operator whose kernel it is gets verified symbolically over
+exact rational functions in `verify_dp`.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from .core import (
     ProblemInstance,
     TupleY,
     monic_tuple,
-    t_polys,
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotDivisible, NotInImage
-from .poly import ONE, Poly, divided_wronskian, gcd, solve_linear, wronskian
+from .poly import ONE, Poly, divided_wronskian, gcd, solve_combination, wronskian
 from .reproduction import immediate_descendants, _sample_generic
 from .roots import WeylElement, dominant_representative, generator, identity_element
 
@@ -144,7 +143,7 @@ def fundamental_space(pi: ProblemInstance, y: TupleY) -> PolySpace:
         raise ValueError("fundamental_space expects type-A data")
     y = monic_tuple(y)
     n = pi.rd.rank
-    ts = t_polys(pi)
+    ts = pi.ts
     us = [_basis_vector(pi, y, k) for k in range(1, n + 2)]
     for i in range(1, n + 2):
         w = wronskian(us[:i])
@@ -167,33 +166,21 @@ def fundamental_space(pi: ProblemInstance, y: TupleY) -> PolySpace:
 # -- exponents and ramification ----------------------------------------------
 
 
-def exponents(space: PolySpace, at, ts=None) -> list[int]:
+def exponents(space: PolySpace, at) -> list[int]:
     """Exponents of the space at a finite point or at infinity.
 
     At a finite z these are the orders of vanishing realized by members;
-    at infinity ("inf") the realized degrees.
+    at infinity ("inf") the realized degrees.  x^d p(z + 1/x) has degree
+    d - v when p vanishes to order v at z.
     """
     if at == "inf":
         return space.degrees()
-    z = Fraction(at)
-    rows = [p.shift(z) for p in space.basis]
-    vals: list[int] = []
-    work = [r for r in rows]
-    while work:
-        v, idx = min((r.valuation_at(Fraction(0)), k) for k, r in enumerate(work))
-        pivot = work.pop(idx)
-        vals.append(v)
-        lead = pivot[v]
-        nxt = []
-        for r in work:
-            if r[v]:
-                r = r - r[v] / lead * pivot
-            if not r.is_zero():
-                nxt.append(r)
-        if len(nxt) != len(work):
-            raise ConstructionFailed("dependent basis in exponent computation")
-        work = nxt
-    return sorted(vals)
+    z, d = Fraction(at), max(space.degrees(), default=0)
+    rev = span(Poly((0,) * (d - int(p.degree)) + p.shift(z).coeffs[::-1])
+               for p in space.basis)
+    if rev.dim != space.dim:
+        raise ConstructionFailed("dependent basis in exponent computation")
+    return sorted(d - e for e in rev.degrees())
 
 
 def expected_exponents_finite(pi: ProblemInstance, s: int) -> list[int]:
@@ -276,14 +263,7 @@ def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
             cols = [divided_wronskian(us + [b], list(ts)) for b in space.basis]
         except NotDivisible as exc:
             raise NotInImage(str(exc)) from exc
-        deg_cap = max(
-            [int(p.degree) for p in cols if not p.is_zero()]
-            + [int(y[i].degree), 0]
-        )
-        rows = []
-        for k in range(deg_cap + 1):
-            rows.append([col[k] for col in cols] + [-y[i][k]])
-        solved = solve_linear(rows, [Fraction(0)] * len(rows))
+        solved = solve_combination(cols + [-y[i]], Poly())
         assert solved is not None
         _, kernel = solved
         pick = None
@@ -315,16 +295,10 @@ def bruhat_index(space: PolySpace, flag: Flag) -> tuple[tuple[int, ...], tuple[i
 
     Returns (w, degs) where w is 1-based one-line notation: w_j is the
     level of the degree flag first containing the j-th flag step, and
-    degs[j] the matching realized degree.
+    degs[j] the matching realized degree (a `Flag` basis is reduced).
     """
     pos_of_degree = {d: k + 1 for k, d in enumerate(space.degrees())}
-    rows: list[Poly] = []
-    for u in flag.basis:
-        p = _reduce(u, rows)
-        if p.is_zero():
-            raise ConstructionFailed("flag basis degenerated in Bruhat walk")
-        rows.append(p)
-    levels = tuple(int(p.degree) for p in rows)
+    levels = tuple(int(p.degree) for p in flag.basis)
     return tuple(pos_of_degree[d] for d in levels), levels
 
 
@@ -375,7 +349,7 @@ def _apply_factored_operator(pi: ProblemInstance, y: TupleY, u: Poly) -> Poly:
     numerator (zero iff the operator annihilates u).
     """
     n = pi.rd.rank
-    ts = t_polys(pi)
+    ts = pi.ts
     yy = [ONE] + [y[i] for i in range(n)] + [ONE]
 
     def factor_arg(i: int) -> tuple[Poly, Poly]:

@@ -4,7 +4,7 @@ A polynomial is a tuple of `Fraction` coefficients ordered from degree 0
 upward with no trailing zeros; the zero polynomial is the empty tuple.
 This module is the arithmetic substrate for everything else: Wronskians,
 divided Wronskians, exact division, gcd, square roots and the linear
-solver used by the Wronskian-equation machinery.
+solver that every solve over polynomial coefficients goes through.
 """
 
 from __future__ import annotations
@@ -332,6 +332,13 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
             vec[c] = -a[i][f]
         kernel.append(vec)
     return sol, kernel
+
+
+def solve_combination(gens: list[Poly], target: Poly):
+    """`solve_linear` for sum_j x_j gens[j] = target, one row per degree."""
+    cap = max([int(p.degree) for p in [*gens, target] if p] + [0])
+    rows = [[g[k] for g in gens] for k in range(cap + 1)]
+    return solve_linear(rows, [target[k] for k in range(cap + 1)])
 
 
 # -- Wronskians -------------------------------------------------------------

@@ -23,7 +23,7 @@ from .core import (
     wronskian_rhs,
 )
 from .errors import ConstructionFailed, NonGenericExhausted, NotFertile
-from .poly import Poly, solve_linear
+from .poly import Poly, solve_combination
 from .roots import enumerate_weyl, shifted_action
 
 RETRY_CAP = 64
@@ -76,16 +76,12 @@ def solve_wronskian_equation(y: Poly, rhs: Poly) -> DescendantFamily | None:
     dy = int(y.degree)
     bound = max(int(rhs.degree) + 1 - dy, dy) + 1
     yp = y.deriv()
-    # coefficient k of y*u' - y'*u for u = x^j:
-    #   sum over splits; build columns by direct polynomial arithmetic.
+    # column j is y*u' - y'*u for u = x^j
     cols = []
     for j in range(bound + 1):
         xj = Poly([0] * j + [1])
         cols.append(y * xj.deriv() - yp * xj)
-    nrows = max([int(c.degree) for c in cols if not c.is_zero()] + [int(rhs.degree)]) + 1
-    rows = [[cols[j][k] for j in range(bound + 1)] for k in range(nrows)]
-    target = [rhs[k] for k in range(nrows)]
-    solved = solve_linear(rows, target)
+    solved = solve_combination(cols, rhs)
     if solved is None:
         return None
     sol, kernel = solved

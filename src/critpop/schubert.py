@@ -191,11 +191,6 @@ def weight_to_partition(lam: Weight) -> Partition:
     return tuple(sum(lam[i:]) for i in range(r)) + (0,)
 
 
-def partition_to_weight(p: Partition, n1: int) -> Weight:
-    p = _pad(p, n1)
-    return tuple(p[i] - p[i + 1] for i in range(n1 - 1))
-
-
 def multiplicity_bound(pi_a: ProblemInstance, lam_inf: Weight) -> int:
     """Multiplicity of the module of highest weight lam_inf in the tensor
     product of the instance's weight modules (iterated LR expansion)."""
@@ -374,7 +369,7 @@ def _shape_count(system, coeffs, bad, lam: int) -> int | None:
     bad_t = sympy.rem(bad_t, elim, t)
     elim_sf = sympy.quo(elim, sympy.gcd(elim, sympy.diff(elim, t)), t)
     overlap = sympy.gcd(elim_sf, bad_t)
-    return sympy.degree(elim_sf, t) - sympy.degree(overlap, t)
+    return int(sympy.degree(elim_sf, t) - sympy.degree(overlap, t))
 
 
 def population_count_report(pi: ProblemInstance, l: int):

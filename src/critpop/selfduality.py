@@ -5,11 +5,12 @@ T_1..T_N built from the exponent gaps of the space at its finite
 ramification points, with prod_j T_j^(N+1-j) matching the Wronskian of a
 basis.  For a selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
 v = W+(w_1..w_N), is evaluated exactly.  A `SelfdualSpace` holds the space,
-its framing and its Gram matrix, computed once when it is built; the
-isotropy test, the anti-diagonal and quasi-Witt bases and the isotropic
-generator families all read the form from it.  Witt normalization is
-attempted over Q and over a single quadratic extension; otherwise the basis
-is reported as quasi-Witt together with its mirror ratios.
+its framing and its Gram matrix, computed once when it is built; its
+`form` evaluates it on coordinate vectors in the echelon basis.  The
+isotropy test, the anti-diagonal basis (adjusted on coordinates), the
+quasi-Witt bases and the isotropic generator families all use it.  Witt
+normalization is attempted over Q and over a single quadratic extension;
+otherwise the basis is reported as quasi-Witt with its mirror ratios.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from math import isqrt
 
 from .errors import ConstructionFailed, NotConstant, NotDivisible, SquareRootMissing
 from .fundamental import Flag, PolySpace, degree_flag, exponents, generating_morphism, span
-from .poly import ONE, Poly, divided_wronskian, poly_sqrt, solve_linear, wronskian
+from .poly import (ONE, Poly, divided_wronskian, poly_sqrt, solve_combination, solve_linear,
+                   wronskian)
 
 
 # -- scalars in a quadratic extension -----------------------------------------
@@ -28,7 +30,7 @@ from .poly import ONE, Poly, divided_wronskian, poly_sqrt, solve_linear, wronski
 
 @dataclass(frozen=True)
 class QuadExt:
-    """a + b*sqrt(d) with rational a, b and squarefree integer d (d != 0, 1)."""
+    """a + b*sqrt(d) with rational a, b and integer d not a perfect square."""
 
     a: Fraction
     b: Fraction
@@ -67,20 +69,8 @@ def sqrt_scalar(q: Fraction):
     sn, sd = isqrt(n), isqrt(d)
     if sign == 1 and sn * sn == n and sd * sd == d:
         return Fraction(sn, sd)
-    # sqrt(q) = sqrt(sign * n * d) / d; split n*d into r^2 * s, s squarefree
-    m = n * d
-    r, s = 1, 1
-    k = 2
-    while k * k <= m:
-        while m % (k * k) == 0:
-            m //= k * k
-            r *= k
-        if m % k == 0:
-            m //= k
-            s *= k
-        k += 1
-    s *= m
-    return QuadExt(Fraction(0), Fraction(r, d), sign * s)
+    # sqrt(q) = sqrt(sign * n * d) / d
+    return QuadExt(Fraction(0), Fraction(1, d), sign * n * d)
 
 
 def nth_root_scalar(q: Fraction, e: int) -> Fraction | None:
@@ -226,17 +216,6 @@ class GramMatrix:
         return sol is not None and not sol[1]
 
 
-def _coords_in(gens: list[Poly], target: Poly):
-    degs = [int(p.degree) for p in gens if not p.is_zero()]
-    if not target.is_zero():
-        degs.append(int(target.degree))
-    cap = max(degs) if degs else 0
-    rows = [[g[k] for g in gens] for k in range(cap + 1)]
-    rhs = [target[k] for k in range(cap + 1)]
-    solved = solve_linear(rows, rhs)
-    return None if solved is None else tuple(solved[0])
-
-
 def _constant_of(p: Poly, what: str) -> Fraction:
     if p.is_zero():
         return Fraction(0)
@@ -260,10 +239,10 @@ def gram(space: PolySpace, framing: Framing) -> GramMatrix:
     wjs = [dual_wronskian(framing, _omit(space.basis, j)) for j in range(n1)]
     coords = []
     for u in space.basis:
-        cs = _coords_in(wjs, u)
-        if cs is None:
+        solved = solve_combination(wjs, u)
+        if solved is None:
             raise ConstructionFailed("space is not selfdual; Gram undefined")
-        coords.append(cs)
+        coords.append(solved[0])
     entries = tuple(
         tuple(coords[k][i] * (-1) ** i * c for k in range(n1)) for i in range(n1)
     )
@@ -296,17 +275,16 @@ class SelfdualSpace:
     def dim(self) -> int:
         return self.space.dim
 
+    def form(self, a, b) -> Fraction:
+        """The canonical form on coordinate vectors in the echelon basis."""
+        return sum((ai * bk * g for ai, row in zip(a, self.gm.entries) if ai
+                    for bk, g in zip(b, row) if bk), Fraction(0))
+
     def pair(self, u: Poly, v: Poly) -> Fraction:
         """The canonical form (u, v) of two members of the space."""
         a, b = self.space.coords(u), self.space.coords(v)
         assert a is not None and b is not None
-        total = Fraction(0)
-        for i in range(self.dim):
-            if a[i]:
-                for k in range(self.dim):
-                    if b[k]:
-                        total += a[i] * b[k] * self.gm.entries[i][k]
-        return total
+        return self.form(a, b)
 
 
 def is_isotropic(sd: SelfdualSpace, flag: Flag) -> bool:
@@ -457,12 +435,13 @@ def verify_witt(framing: Framing, result: QuasiWittResult) -> bool:
 
 def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list[Poly]:
     """Adjust the flag basis within its flag so the form is anti-diagonal:
-    (u_a, u_b) = 0 unless the 1-based indices satisfy a + b = N + 2."""
+    (u_a, u_b) = 0 unless the 1-based indices satisfy a + b = N + 2.
+    Works on coordinate vectors in the echelon basis."""
     n1 = sd.dim
-    u = list(flag.basis)
+    u = [sd.space.coords(p) for p in flag.basis]
 
     def val(a: int, b: int) -> Fraction:
-        return sd.pair(u[a], u[b])
+        return sd.form(u[a], u[b])
 
     for b in range(n1 - 1, 0, -1):
         for j in range(n1 - b, b):
@@ -472,12 +451,12 @@ def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list[Poly]:
                 raise ConstructionFailed("vanishing anti-diagonal entry")
             c = val(j, b)
             if c:
-                u[b] = u[b] - c / gj * u[m]
+                u[b] = [x - c / gj * y for x, y in zip(u[b], u[m])]
         if 2 * (b + 1) > n1 + 1:
             m = n1 - 1 - b
             c = val(b, b)
             if c:
-                u[b] = u[b] - c / (2 * val(b, m)) * u[m]
+                u[b] = [x - c / (2 * val(b, m)) * y for x, y in zip(u[b], u[m])]
     for a in range(n1):
         for b in range(a, n1):
             on_pair = a + b == n1 - 1
@@ -486,7 +465,7 @@ def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list[Poly]:
                 raise ConstructionFailed("anti-diagonal entry vanished")
             if not on_pair and v:
                 raise ConstructionFailed("anti-diagonalization failed")
-    return u
+    return [sd.space.member(v) for v in u]
 
 
 @dataclass
@@ -559,12 +538,10 @@ def middle_square_data(fam: IsotropicFamily):
     p = root_at(0)
     p1, p2 = root_at(1), root_at(2)
     # solve 2*l1*P1 - l2*P2 = p for the joint normalization of the line
-    cap = max(int(q.degree) for q in (p, p1, p2))
-    rows = [[2 * p1[j], -p2[j]] for j in range(cap + 1)]
-    solved = solve_linear(rows, [p[j] for j in range(cap + 1)])
+    solved = solve_combination([2 * p1, -p2], p)
     if solved is None:
         raise SquareRootMissing("square roots are not collinear")
-    (l1, l2), _ = solved[0], solved[1]
+    l1, _ = solved[0]
     q = l1 * p1 - p
     for c in (1, 2, 3):
         lhs = p + c * q

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from critpop import selfduality
+import critpop
+from critpop import core, selfduality
 from critpop.cli import main
 
 
@@ -72,6 +77,20 @@ class TestPopulate:
              "--output", p2])
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_t_polys_computed_once(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, "a2w.json",
+                        {"root_system": "A2", "weights": [[1, 0], [0, 1]], "points": ["0", "1"]})
+        calls = []
+        t_polys = core.t_polys
+
+        def counting_t_polys(pi):
+            calls.append(pi)
+            return t_polys(pi)
+
+        monkeypatch.setattr(core, "t_polys", counting_t_polys)
+        assert run(["populate", "--config", cfg, "--max-degree", "3"]) == 0
+        assert len(calls) == 1
+
 
 class TestFundamental:
     def test_report(self, sl2_cfg, capsys):
@@ -115,15 +134,63 @@ class TestSelfdual:
 
 
 class TestCount:
-    def test_sl2_exact(self, tmp_path, capsys):
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_sl2_exact(self, tmp_path, capsys, fmt):
         cfg = write_cfg(
             tmp_path,
             "count.json",
             {"root_system": "A1", "weights": [[1], [1], [1]], "points": ["0", "1", "3"]},
         )
-        assert run(["count", "--config", cfg, "--max-degree", "1"]) == 0
+        assert run(["count", "--config", cfg, "--max-degree", "1", "--format", fmt]) == 0
         out = capsys.readouterr().out
-        assert "l=1: exact 2 <= bound 2 : PASS" in out
+        if fmt == "table":
+            assert "l=1: exact 2 <= bound 2 : PASS" in out
+        else:
+            payload = json.loads(out)
+            assert payload["ok"] is True
+            line = {"tag": "estimate", "text": "l=1: exact 2 <= bound 2", "pass": True}
+            assert line in payload["lines"]
+
+
+A1 = {"root_system": "A1", "weights": [[1], [1]], "points": ["0", "2"]}
+BAD_CONFIGS = {
+    "missing-root-system": {"weights": [], "points": []},
+    "unknown-root-system": {"root_system": "D4"},
+    "non-integer-weight": dict(A1, weights=[[1.5], [1]]),
+    "unparsable-point": dict(A1, points=["0", "two"]),
+    "weight-point-count": dict(A1, points=["0"]),
+    "repeated-point": dict(A1, points=["0", "0"]),
+    "weight-length": dict(A1, weights=[[1, 0], [1]]),
+    "non-dominant-weight": dict(A1, weights=[[-1], [1]]),
+    "bad-polynomial-text": dict(A1, tuple=["-1 x"]),
+    "zero-polynomial": dict(A1, tuple=["0"]),
+    "tuple-length": dict(A1, tuple=["-1 1", "1"]),
+}
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("name", [*BAD_CONFIGS, "missing-file", "invalid-json"])
+    def test_one_line_error(self, tmp_path, capsys, name):
+        path = tmp_path / "cfg.json"
+        if name == "invalid-json":
+            path.write_text("{not json")
+        elif name != "missing-file":
+            path.write_text(json.dumps(BAD_CONFIGS[name]))
+        assert run(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")
+
+    def test_checked_without_assert(self, tmp_path):
+        """Validation must survive `python -O`, which strips asserts."""
+        cfg = write_cfg(tmp_path, "bad.json", BAD_CONFIGS["non-dominant-weight"])
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "critpop.cli", "verify", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("[error] InvalidInstance")
 
 
 class TestIdentities:

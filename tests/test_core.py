@@ -11,7 +11,7 @@ from critpop.core import (
     t_polys,
     weight_at_infinity,
 )
-from critpop.errors import CoincidentCoordinates, NotGeneric
+from critpop.errors import CoincidentCoordinates, InvalidInstance, NotGeneric
 from critpop.poly import ONE, X, Poly
 from conftest import instance
 
@@ -22,9 +22,9 @@ SL3_TRIVIAL = instance("A2")
 
 class TestInstances:
     def test_validation(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInstance):
             instance("A1", [(1,), (1,)], ["0", "0"])
-        with pytest.raises(AssertionError):
+        with pytest.raises(InvalidInstance):
             instance("A1", [(-1,)], ["0"])
 
     def test_from_config(self):

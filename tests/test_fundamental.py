@@ -22,6 +22,7 @@ from critpop.fundamental import (
     schubert_index_infinity,
     span,
     verify_dp,
+    _apply_factored_operator,
 )
 from critpop.poly import ONE, X, Poly
 from critpop.reproduction import explore_population
@@ -94,6 +95,17 @@ class TestDPInvariance:
 
     def test_single_space(self):
         assert verify_dp(SL2, [fundamental_space(SL2, (Poly([-1, 1]),))])
+
+    def test_operator_rejects_outsiders(self):
+        atlas = explore_population(SL3, (ONE, ONE), 2, seed=0)
+        y = atlas.members[(2, 2)].tuple_y
+        V = fundamental_space(SL3, y)
+        d = max(V.degrees())
+        assert not _apply_factored_operator(SL3, y, X ** (d + 1)).is_zero()
+        pi = instance("A2", [(1, 0), (0, 1)], ["0", "1"])
+        other = (ONE, ONE)
+        assert verify_dp(pi, [fundamental_space(pi, other)], other)
+        assert not verify_dp(pi, [V], other)
 
 
 class TestExponents:

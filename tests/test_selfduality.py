@@ -45,6 +45,10 @@ class TestScalars:
         assert isinstance(r, QuadExt) and r.square() == -4
         assert sqrt_scalar(Fraction(8, 3)).square() == Fraction(8, 3)
 
+    def test_sqrt_of_large_prime(self):
+        p = 2**127 - 1  # prime: a squarefree split by trial division needs ~2^63 steps
+        assert sqrt_scalar(Fraction(p)).square() == p
+
     def test_nth_root(self):
         assert nth_root_scalar(Fraction(27, 8), 3) == Fraction(3, 2)
         assert nth_root_scalar(Fraction(-27), 3) == -3
