@@ -2,8 +2,10 @@
 
 Reproduction runs natively on the rank-N data; all flag-variety structure
 is computed on the folded A side, where the type-A machinery applies
-verbatim.  The folded tuple is (y_1..y_{N-1}, y_N, y_{N-1}..y_1) for B_N
-and (y_1..y_{N-1}, y_N^2, y_N^2, y_{N-1}..y_1) for C_N.
+verbatim and is called directly.  `fold` returns the folded tuple
+(y_1..y_{N-1}, y_N, y_{N-1}..y_1) for B_N and (y_1..y_{N-1}, y_N^2, y_N^2,
+y_{N-1}..y_1) for C_N; `folded_instance` builds the matching A-series
+instance, and so its T-polynomials, once per B/C instance.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     ProblemInstance,
@@ -19,18 +22,17 @@ from .core import (
     is_generic,
     monic_tuple,
     weight_at_infinity,
-    wronskian_rhs,
 )
 from .errors import ConstructionFailed, NotFertile, SquareRootMissing
-from .fundamental import PolySpace, fundamental_space, generating_morphism
-from .poly import poly_sqrt, wronskian
+from .fundamental import fundamental_space, generating_morphism, verify_dp
+from .poly import Poly, poly_sqrt, wronskian
 from .reproduction import (
     PopulationAtlas,
     degree_vector_to_weyl,
+    immediate_descendants,
     is_fertile,
     param_candidates,
     predicted_degree_vectors,
-    solve_wronskian_equation,
 )
 from .roots import (
     dominant_representative,
@@ -50,14 +52,7 @@ from .selfduality import (
 )
 
 
-@dataclass(frozen=True)
-class FoldedTuple:
-    original: TupleY
-    folded: TupleY
-    kind: str
-
-
-def fold(y: TupleY, kind: str) -> FoldedTuple:
+def fold(y: TupleY, kind: str) -> TupleY:
     y = monic_tuple(y)
     n = len(y)
     if kind == "B":
@@ -67,7 +62,7 @@ def fold(y: TupleY, kind: str) -> FoldedTuple:
         folded = y[: n - 1] + (sq, sq) + y[: n - 1][::-1]
     else:
         raise ValueError("kind must be B or C")
-    return FoldedTuple(y, monic_tuple(folded), kind)
+    return monic_tuple(folded)
 
 
 def unfold(folded: TupleY, kind: str) -> TupleY:
@@ -91,8 +86,9 @@ def unfold(folded: TupleY, kind: str) -> TupleY:
     return folded[: n - 1] + (root.monic(),)
 
 
+@lru_cache(maxsize=None)
 def folded_instance(pi: ProblemInstance) -> ProblemInstance:
-    """The symmetric A-series instance matching a B/C instance."""
+    """The symmetric A-series instance matching a B/C instance, built once."""
     if pi.rd.kind == "B":
         weights = tuple(fold_weight_B(w) for w in pi.weights)
         code = f"A{2 * pi.rd.rank - 1}"
@@ -126,16 +122,16 @@ def fold_equivalence(pi: ProblemInstance, y: TupleY) -> bool:
     """
     y = monic_tuple(y)
     pia = folded_instance(pi)
-    ft = fold(y, pi.rd.kind)
+    folded = fold(y, pi.rd.kind)
     native = bc_critical_test(pi, y)
     if pi.rd.kind == "B":
-        ok, _ = is_generic(pia, ft.folded)
+        ok, _ = is_generic(pia, folded)
         if not ok:
             return False
-        return native == heine_stieltjes_test(pia, ft.folded)
+        return native == heine_stieltjes_test(pia, folded)
     if not native:
         return True  # nothing to transfer
-    return is_fertile(pia, ft.folded)
+    return is_fertile(pia, folded)
 
 
 def c_bridge_tuples(pi: ProblemInstance, y: TupleY, c: Fraction,
@@ -153,10 +149,7 @@ def c_bridge_tuples(pi: ProblemInstance, y: TupleY, c: Fraction,
     y = monic_tuple(y)
     n = pi.rd.rank
     if ytil is None:
-        fam = solve_wronskian_equation(y[n - 1], wronskian_rhs(pi, y, n - 1))
-        if fam is None:
-            raise NotFertile("direction N is infertile")
-        ytil = fam.base
+        ytil = immediate_descendants(pi, y, n - 1).base
     ts = pi.ts
     yn = y[n - 1]
     if wronskian([yn * yn, yn * ytil]) != ts[n - 1] * y[n - 2] * yn * yn:
@@ -181,9 +174,7 @@ def _sample_bridge(pi: ProblemInstance, y: TupleY):
     pia = folded_instance(pi)
     n = pi.rd.rank
     y = monic_tuple(y)
-    fam = solve_wronskian_equation(y[n - 1], wronskian_rhs(pi, y, n - 1))
-    if fam is None:
-        raise NotFertile("direction N is infertile")
+    fam = immediate_descendants(pi, y, n - 1)
     sib_params = [t for _, t in zip(range(8), param_candidates())]
     for t in sib_params:
         ytil = fam.member(t)
@@ -205,7 +196,7 @@ def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
         raise NotFertile("tuple is not a B/C critical point")
     pia = folded_instance(pi)
     if kind == "B":
-        folded = fold(y, "B").folded
+        folded = fold(y, "B")
         if not heine_stieltjes_test(pia, folded):
             raise ConstructionFailed("folded tuple fails the A-side criterion")
         space = fundamental_space(pia, folded)
@@ -218,12 +209,8 @@ def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
     framing = framing_of(space, pia.points)
     if not is_selfdual(space, framing):
         raise ConstructionFailed("folded fundamental space is not selfdual")
-    sd = SelfdualSpace(space, framing)
-    if expected_dim % 2 == 0 and not sd.gm.is_skew():
-        raise ConstructionFailed("B-type form must be skew")
-    if expected_dim % 2 == 1 and not sd.gm.is_symmetric():
-        raise ConstructionFailed("C-type form must be symmetric")
-    return sd
+    # gram rejects a form that is not skew (B, even dim) or symmetric (C, odd)
+    return SelfdualSpace(space, framing)
 
 
 @dataclass
@@ -266,12 +253,9 @@ def bc_population_as_isotropic_flags(
                 flag = fam.flag_at(c)
         if not is_isotropic(sd, flag):
             raise ConstructionFailed("generator left the isotropic variety")
-        tup = generating_morphism(sd.space, flag, sd.framing.ts)
-        m = len(tup)
-        if any(tup[i] != tup[m - 1 - i] for i in range(m)):
-            all_symmetric = False
+        tup = generating_morphism(sd.space, flag, sd.framing)
         try:
-            native = unfold(tup, kind)
+            native = unfold(tup, kind)  # rejects an asymmetric tuple
         except (ConstructionFailed, SquareRootMissing):
             all_symmetric = False
             continue
@@ -282,26 +266,13 @@ def bc_population_as_isotropic_flags(
         if not bc_critical_test(pi, native):
             all_critical = False
         if op_checks < 3:
-            if not _bc_operator_annihilates(pi, native, sd.space):
+            # the B/C operator displays are the type-A operator of the folded tuple
+            if not verify_dp(folded_instance(pi), [sd.space], fold(native, kind)):
                 raise ConstructionFailed("B/C operator does not annihilate the space")
             op_checks += 1
     if hits < samples:
         raise ConstructionFailed("could not sample enough generic isotropic flags")
     return IsotropicSampleReport(samples, hits, op_checks, all_symmetric, all_critical)
-
-
-def _bc_operator_annihilates(pi: ProblemInstance, y: TupleY, space: PolySpace) -> bool:
-    """Kernel test for the displayed B/C factored operator.
-
-    The B/C operator displays coincide with the type-A operator of the
-    folded tuple against the folded T-polynomials, so the check runs the
-    factored application on the folded side.
-    """
-    from .fundamental import _apply_factored_operator
-
-    pia = folded_instance(pi)
-    folded = fold(y, pi.rd.kind).folded
-    return all(_apply_factored_operator(pia, folded, u).is_zero() for u in space.basis)
 
 
 def bc_degree_law(pi: ProblemInstance, atlas: PopulationAtlas, max_degree: int) -> bool:

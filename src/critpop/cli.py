@@ -78,10 +78,6 @@ def _load_config(path: str) -> dict:
         raise InvalidInstance(f"cannot load config: {exc}") from exc
 
 
-def _instance(cfg: dict) -> ProblemInstance:
-    return ProblemInstance.from_config(cfg)
-
-
 def _tuple_from_config(cfg: dict, pi: ProblemInstance):
     if "tuple" not in cfg:
         return ones_tuple(pi.rd)
@@ -103,7 +99,7 @@ def _fmt_tuple(y) -> str:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    pi = _instance(cfg)
+    pi = ProblemInstance.from_config(cfg)
     y = _tuple_from_config(cfg, pi)
     rep = Report(args.format)
     ok, reason = is_generic(pi, y)
@@ -127,7 +123,7 @@ def cmd_verify(args) -> int:
 
 def cmd_populate(args) -> int:
     cfg = _load_config(args.config)
-    pi = _instance(cfg)
+    pi = ProblemInstance.from_config(cfg)
     y0 = _tuple_from_config(cfg, pi)
     rep = Report(args.format)
     atlas = explore_population(pi, y0, args.max_degree, args.seed)
@@ -178,7 +174,7 @@ def cmd_populate(args) -> int:
 
 def cmd_fundamental(args) -> int:
     cfg = _load_config(args.config)
-    pi = _instance(cfg)
+    pi = ProblemInstance.from_config(cfg)
     y = _tuple_from_config(cfg, pi)
     rep = Report(args.format)
     if pi.rd.kind != "A":
@@ -212,7 +208,7 @@ def cmd_fundamental(args) -> int:
 
 def cmd_selfdual(args) -> int:
     cfg = _load_config(args.config)
-    pi = _instance(cfg)
+    pi = ProblemInstance.from_config(cfg)
     y = _tuple_from_config(cfg, pi)
     rep = Report(args.format)
     if pi.rd.kind == "A":
@@ -251,7 +247,7 @@ def cmd_selfdual(args) -> int:
 
 def cmd_count(args) -> int:
     cfg = _load_config(args.config)
-    pi = _instance(cfg)
+    pi = ProblemInstance.from_config(cfg)
     rep = Report(args.format)
     if pi.rd.kind != "A":
         rep.add("usage", "count expects a type-A instance", False)
@@ -289,35 +285,36 @@ def cmd_identities(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="critpop")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, need_config=True):
-        if need_config:
-            p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-degree", type=int, default=8)
-        p.add_argument("--output", default=None)
+    options = {
+        "--config": dict(required=True),
+        "--seed": dict(type=int, default=0),
+        "--max-degree": dict(type=int, default=8),
+        "--output": dict(default=None),
+        "--samples": dict(type=int, default=5),
+        "--trials": dict(type=int, default=100),
+    }
+    # each subcommand declares only the options it reads, plus --format;
+    # fundamental and count accept --seed so one seed can go to every job
+    commands = [
+        ("verify", cmd_verify, "genericity + criterion on a supplied tuple",
+         ("--config",)),
+        ("populate", cmd_populate, "explore a population and write the atlas",
+         ("--config", "--seed", "--max-degree", "--output")),
+        ("fundamental", cmd_fundamental, "fundamental space, exponents, ramification",
+         ("--config", "--seed")),
+        ("selfdual", cmd_selfdual, "dual space, Gram matrix, isotropic flags",
+         ("--config", "--seed", "--samples")),
+        ("count", cmd_count, "multiplicity bounds and rank-one exact counts",
+         ("--config", "--seed", "--max-degree")),
+        ("identities", cmd_identities, "appendix Wronskian identity suite",
+         ("--seed", "--trials")),
+    ]
+    for name, func, help_text, opts in commands:
+        p = sub.add_parser(name, help=help_text)
+        for opt in opts:
+            p.add_argument(opt, **options[opt])
         p.add_argument("--format", choices=("table", "json"), default="table")
-
-    p = sub.add_parser("verify", help="genericity + criterion on a supplied tuple")
-    common(p)
-    p.set_defaults(func=cmd_verify)
-    p = sub.add_parser("populate", help="explore a population and write the atlas")
-    common(p)
-    p.set_defaults(func=cmd_populate)
-    p = sub.add_parser("fundamental", help="fundamental space, exponents, ramification")
-    common(p)
-    p.set_defaults(func=cmd_fundamental)
-    p = sub.add_parser("selfdual", help="dual space, Gram matrix, isotropic flags")
-    common(p)
-    p.add_argument("--samples", type=int, default=5)
-    p.set_defaults(func=cmd_selfdual)
-    p = sub.add_parser("count", help="multiplicity bounds and rank-one exact counts")
-    common(p)
-    p.set_defaults(func=cmd_count)
-    p = sub.add_parser("identities", help="appendix Wronskian identity suite")
-    common(p, need_config=False)
-    p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(func=cmd_identities)
+        p.set_defaults(func=func)
     return ap
 
 

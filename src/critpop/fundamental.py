@@ -106,9 +106,6 @@ class Flag:
             canon.append(red.monic())
         return Flag(space, tuple(canon))
 
-    def prefix(self, i: int) -> list[Poly]:
-        return list(self.basis[:i])
-
 
 def degree_flag(space: PolySpace) -> Flag:
     """The distinguished flag by increasing degree."""
@@ -244,7 +241,7 @@ def generating_morphism(space: PolySpace, flag: Flag, ts) -> TupleY:
     n = space.dim - 1
     out = []
     for i in range(1, n + 1):
-        out.append(divided_wronskian(flag.prefix(i), list(ts)).monic())
+        out.append(divided_wronskian(flag.basis[:i], ts).monic())
     return tuple(out)
 
 
@@ -260,7 +257,7 @@ def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
     for i in range(1, n):
         # solve W+(u_1..u_i, v) = c * y_{i+1} for (v, c), v in the space
         try:
-            cols = [divided_wronskian(us + [b], list(ts)) for b in space.basis]
+            cols = [divided_wronskian(us + [b], ts) for b in space.basis]
         except NotDivisible as exc:
             raise NotInImage(str(exc)) from exc
         solved = solve_combination(cols + [-y[i]], Poly())

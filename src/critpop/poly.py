@@ -10,6 +10,7 @@ solver that every solve over polynomial coefficients goes through.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -174,17 +175,6 @@ class Poly:
             acc = nxt
         return Poly(result)
 
-    def valuation_at(self, z: Fraction) -> int:
-        """Order of vanishing at z (0 if p(z) != 0); zero poly not allowed."""
-        if self.is_zero():
-            raise ValueError("valuation of the zero polynomial")
-        p, v = self, 0
-        lin = Poly([-z, 1])
-        while p.eval(z) == 0:
-            p = p.exact_div(lin)
-            v += 1
-        return v
-
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
@@ -344,7 +334,7 @@ def solve_combination(gens: list[Poly], target: Poly):
 # -- Wronskians -------------------------------------------------------------
 
 
-def wronskian(gs: list[Poly]) -> Poly:
+def wronskian(gs: Sequence[Poly]) -> Poly:
     """W(g_1,...,g_s) = det(g_i^{(j-1)}), rows by function, columns by order.
 
     The empty list returns 1 by convention.
@@ -378,7 +368,7 @@ def wronskian(gs: list[Poly]) -> Poly:
     return minor(tuple(range(s)))
 
 
-def divided_wronskian(us: list[Poly], ts: list[Poly]) -> Poly:
+def divided_wronskian(us: Sequence[Poly], ts: Sequence[Poly]) -> Poly:
     """Wronskian of us divided exactly by prod_{j<i} T_j^(i-j), i = len(us)."""
     i = len(us)
     w = wronskian(us)

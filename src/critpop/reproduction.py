@@ -56,7 +56,6 @@ def param_candidates():
 class DescendantFamily:
     """The solution line {base + c * fiber} of one Wronskian equation."""
 
-    direction: int  # 0-based; -1 when produced by the bare solver
     base: Poly
     fiber: Poly
 
@@ -93,7 +92,7 @@ def solve_wronskian_equation(y: Poly, rhs: Poly) -> DescendantFamily | None:
         base = base - (base.leading() / y.leading()) * y
     if base.is_zero():
         raise ConstructionFailed("degenerate base solution")
-    return DescendantFamily(-1, base, y)
+    return DescendantFamily(base, y)
 
 
 def immediate_descendants(pi: ProblemInstance, y: TupleY, i: int) -> DescendantFamily:
@@ -101,7 +100,7 @@ def immediate_descendants(pi: ProblemInstance, y: TupleY, i: int) -> DescendantF
     fam = solve_wronskian_equation(y[i], wronskian_rhs(pi, y, i))
     if fam is None:
         raise NotFertile(f"tuple is not fertile in direction {i + 1}")
-    return DescendantFamily(i, fam.base, fam.fiber)
+    return fam
 
 
 def is_fertile(pi: ProblemInstance, y: TupleY) -> bool:

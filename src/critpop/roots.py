@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ConstructionFailed
 from .poly import solve_linear
 
 Weight = tuple[int, ...]
@@ -164,11 +165,14 @@ def dominant_representative(rd: RootData, lam: Weight):
     """Walk lambda + rho into the dominant chamber.
 
     Returns (dominant_weight, w) with w . lambda dominant, or None when
-    lambda + rho lies on a reflection wall of the shifted action.
+    lambda + rho lies on a reflection wall of the shifted action.  Each
+    reflection lengthens w, so the walk takes at most l(w0) steps, the
+    number of positive roots.
     """
+    longest = rd.rank * (rd.rank + 1) // 2 if rd.kind == "A" else rd.rank**2
     cur = tuple(c + 1 for c in lam)
     w = identity_element(rd)
-    for _ in range(10000):
+    for _ in range(longest + 1):
         if any(c == 0 for c in cur):
             return None
         neg = next((i for i, c in enumerate(cur) if c < 0), None)
@@ -176,7 +180,7 @@ def dominant_representative(rd: RootData, lam: Weight):
             return tuple(c - 1 for c in cur), w
         cur = reflect(rd, neg, cur)
         w = generator(rd, neg) * w
-    raise RuntimeError("dominant walk did not terminate")
+    raise ConstructionFailed(f"dominant walk exceeded l(w0) = {longest} steps")
 
 
 _ENUM_RANK_CAP = 6

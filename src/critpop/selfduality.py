@@ -1,9 +1,10 @@
 """Dual spaces, selfduality, the canonical bilinear form and isotropic flags.
 
-The divided Wronskian here is taken with respect to a framing: the tuple
-T_1..T_N built from the exponent gaps of the space at its finite
-ramification points, with prod_j T_j^(N+1-j) matching the Wronskian of a
-basis.  For a selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
+A framing is the tuple T_1..T_N built from the exponent gaps of the space
+at its finite ramification points, with prod_j T_j^(N+1-j) matching the
+Wronskian of a basis; it has the type of `ProblemInstance.ts` and is
+passed to `divided_wronskian` and `generating_morphism` as it is.  For a
+selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
 v = W+(w_1..w_N), is evaluated exactly.  A `SelfdualSpace` holds the space,
 its framing and its Gram matrix, computed once when it is built; its
 `form` evaluates it on coordinate vectors in the echelon basis.  The
@@ -106,22 +107,10 @@ def _iroot(m: int, e: int) -> int:
 # -- framings ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Framing:
-    """T_1..T_N for a space of dimension N+1, plus its finite points."""
+def framing_of(space: PolySpace, points) -> tuple[Poly, ...]:
+    """T_1..T_N of a space from its exponent gaps at the given finite points.
 
-    ts: tuple[Poly, ...]
-    points: tuple[Fraction, ...]
-
-    def is_symmetric(self) -> bool:
-        n = len(self.ts)
-        return all(self.ts[i] == self.ts[n - 1 - i] for i in range(n))
-
-
-def framing_of(space: PolySpace, points) -> Framing:
-    """Framing of a space from its exponent gaps at the given finite points.
-
-    Only the points where some gap is nonzero are kept.  The framing must
+    Points where every gap is zero contribute nothing.  The framing must
     reproduce the Wronskian of the basis, so a point list that misses a
     ramification point is rejected.
     """
@@ -130,53 +119,45 @@ def framing_of(space: PolySpace, points) -> Framing:
         raise ConstructionFailed("degenerate space")
     n = space.dim - 1
     ts = [ONE] * n
-    kept = []
     for z in sorted(points):
         e = exponents(space, z)
-        gaps = [e[i + 1] - e[i] - 1 for i in range(n)]
-        if any(gaps):
-            kept.append(z)
-        for i, gap in enumerate(gaps):
+        for i in range(n):
+            gap = e[i + 1] - e[i] - 1
             if gap:
                 ts[i] = ts[i] * Poly([-z, 1]) ** gap
-    fr = Framing(tuple(ts), tuple(kept))
     check = ONE
-    for j, t in enumerate(fr.ts):
+    for j, t in enumerate(ts):
         check = check * t ** (n - j)
     if check.monic() != w.monic():
         raise ConstructionFailed("framing does not reproduce the Wronskian")
-    return fr
-
-
-def dual_wronskian(framing: Framing, us) -> Poly:
-    return divided_wronskian(list(us), list(framing.ts))
+    return tuple(ts)
 
 
 def _omit(items, i):
     return [items[k] for k in range(len(items)) if k != i]
 
 
-def dual_space(space: PolySpace, framing: Framing) -> PolySpace:
+def dual_space(space: PolySpace, framing: tuple[Poly, ...]) -> PolySpace:
     """V+ = span of the omitted divided Wronskians; asserts V++ = V.
 
     The dual space has reversed exponent gaps, so the second application
     divides by the reversed framing.
     """
     n1 = space.dim
-    dual = span(dual_wronskian(framing, _omit(space.basis, i)) for i in range(n1))
+    dual = span(divided_wronskian(_omit(space.basis, i), framing) for i in range(n1))
     if dual.dim != n1:
         raise ConstructionFailed("dual space has wrong dimension")
-    rev = Framing(framing.ts[::-1], framing.points)
-    ddual = span(dual_wronskian(rev, _omit(dual.basis, i)) for i in range(n1))
+    rev = framing[::-1]
+    ddual = span(divided_wronskian(_omit(dual.basis, i), rev) for i in range(n1))
     if ddual != space:
         raise ConstructionFailed("double dual differs from the original space")
     return dual
 
 
-def is_selfdual(space: PolySpace, framing: Framing) -> bool:
+def is_selfdual(space: PolySpace, framing: tuple[Poly, ...]) -> bool:
     """V = V+ test with the exponent-symmetry fast reject."""
     n = space.dim - 1
-    if not framing.is_symmetric():
+    if framing != framing[::-1]:
         return False
     degs = space.degrees()
     gaps = [degs[i + 1] - degs[i] - 1 for i in range(n)]
@@ -196,7 +177,6 @@ class GramMatrix:
     """Canonical bilinear form in the echelon basis of the space."""
 
     entries: tuple[tuple[Fraction, ...], ...]
-    mixed_constant: Fraction  # W+(u_1..u_{N+1})
 
     @property
     def dim(self) -> int:
@@ -224,7 +204,7 @@ def _constant_of(p: Poly, what: str) -> Fraction:
     return p[0]
 
 
-def gram(space: PolySpace, framing: Framing) -> GramMatrix:
+def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
     """(u_i, u_k) on the echelon basis, through the dual pairing.
 
     Writing u_k = sum_j g_j W_j with W_j the j-omitted divided Wronskian,
@@ -233,10 +213,10 @@ def gram(space: PolySpace, framing: Framing) -> GramMatrix:
     and symmetric in odd.
     """
     n1 = space.dim
-    c = _constant_of(dual_wronskian(framing, list(space.basis)), "full divided Wronskian")
+    c = _constant_of(divided_wronskian(space.basis, framing), "full divided Wronskian")
     if c == 0:
         raise ConstructionFailed("degenerate basis")
-    wjs = [dual_wronskian(framing, _omit(space.basis, j)) for j in range(n1)]
+    wjs = [divided_wronskian(_omit(space.basis, j), framing) for j in range(n1)]
     coords = []
     for u in space.basis:
         solved = solve_combination(wjs, u)
@@ -246,7 +226,7 @@ def gram(space: PolySpace, framing: Framing) -> GramMatrix:
     entries = tuple(
         tuple(coords[k][i] * (-1) ** i * c for k in range(n1)) for i in range(n1)
     )
-    gm = GramMatrix(entries, c)
+    gm = GramMatrix(entries)
     if not gm.is_nondegenerate():
         raise ConstructionFailed("canonical form is degenerate")
     if n1 % 2 == 1 and not gm.is_symmetric():
@@ -265,7 +245,7 @@ class SelfdualSpace:
     """
 
     space: PolySpace
-    framing: Framing
+    framing: tuple[Poly, ...]
     gm: GramMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -335,8 +315,8 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     q = antidiagonal_basis(sd, degree_flag(sd.space))[::-1]
     ratios = []
     for i in range(1, n1):
-        num = dual_wronskian(framing, q[:i])
-        den = dual_wronskian(framing, q[: n1 - i])
+        num = divided_wronskian(q[:i], framing)
+        den = divided_wronskian(q[: n1 - i], framing)
         if num.is_zero() or den.is_zero():
             raise ConstructionFailed("vanishing flag Wronskian")
         ratio = num.leading() / den.leading()
@@ -345,7 +325,7 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
         ratios.append(ratio)
     gammas = []
     for i in range(1, n1 + 1):
-        w = dual_wronskian(framing, _omit(q, i - 1))
+        w = divided_wronskian(_omit(q, i - 1), framing)
         partner = q[n1 - i]
         ratio = w.leading() / partner.leading()
         if w != ratio * partner:
@@ -412,7 +392,7 @@ def _witt_scalars(gammas: list[Fraction]):
     return betas
 
 
-def verify_witt(framing: Framing, result: QuasiWittResult) -> bool:
+def verify_witt(framing: tuple[Poly, ...], result: QuasiWittResult) -> bool:
     """Exact dar-2 check for rational Witt scalars; quadratic scalars were
     already verified at the scalar level during construction."""
     if result.witt_polys is None or result.witt_scalars is None:
@@ -425,7 +405,7 @@ def verify_witt(framing: Framing, result: QuasiWittResult) -> bool:
     ]
     n1 = len(polys)
     return all(
-        dual_wronskian(framing, _omit(polys, n1 - i)) == polys[i - 1]
+        divided_wronskian(_omit(polys, n1 - i), framing) == polys[i - 1]
         for i in range(1, n1 + 1)
     )
 
@@ -505,7 +485,7 @@ class IsotropicFamily:
         return Flag.from_basis(self.sd.space, self.deformed_basis(c))
 
     def tuple_at(self, c: Fraction):
-        return generating_morphism(self.sd.space, self.flag_at(c), self.sd.framing.ts)
+        return generating_morphism(self.sd.space, self.flag_at(c), self.sd.framing)
 
 
 def isotropic_generators(sd: SelfdualSpace, flag: Flag, direction: int) -> IsotropicFamily:

@@ -1,10 +1,14 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import critpop
 from critpop import core, selfduality
@@ -132,6 +136,20 @@ class TestSelfdual:
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
         assert len(calls) == 1
 
+    def test_folded_instance_built_once(self, tmp_path, monkeypatch, capsys):
+        # the folded instance is cached across runs, so only repeats are counted
+        cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": []})
+        calls = []
+        t_polys = core.t_polys
+
+        def counting_t_polys(pi):
+            calls.append(pi)
+            return t_polys(pi)
+
+        monkeypatch.setattr(core, "t_polys", counting_t_polys)
+        assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
+        assert calls and len(calls) == len(set(calls))
+
 
 class TestCount:
     @pytest.mark.parametrize("fmt", ["table", "json"])
@@ -197,3 +215,69 @@ class TestIdentities:
     def test_runs(self, capsys):
         assert run(["identities", "--seed", "3", "--trials", "10"]) == 0
         assert "wronskian-identities" in capsys.readouterr().out
+
+
+UNREAD_OPTIONS = [
+    ("verify", "--seed"), ("verify", "--max-degree"), ("verify", "--output"),
+    ("fundamental", "--max-degree"), ("fundamental", "--output"),
+    ("selfdual", "--max-degree"), ("selfdual", "--output"),
+    ("count", "--output"),
+    ("identities", "--max-degree"), ("identities", "--output"),
+]
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS)
+def test_unread_option_rejected(sl2_cfg, tmp_path, command, option):
+    value = str(tmp_path / "out.json") if option == "--output" else "1"
+    config = [] if command == "identities" else ["--config", sl2_cfg]
+    with pytest.raises(SystemExit) as exc:
+        run([command, *config, option, value])
+    assert exc.value.code == 2
+
+
+POINTS = ["0", "1", "-1", "1/2"]
+COEFFS = st.sampled_from([-1, 0, 1, 2])
+
+
+@st.composite
+def fuzz_configs(draw):
+    code = draw(st.sampled_from(["A1", "A2", "B2", "C2"]))
+    rank = int(code[1])
+    n = draw(st.integers(0, 2))
+    cfg = {
+        "root_system": code,
+        "weights": [draw(st.lists(COEFFS, min_size=rank, max_size=rank)) for _ in range(n)],
+        "points": draw(st.lists(st.sampled_from(POINTS), min_size=n, max_size=n)),
+    }
+    if draw(st.booleans()):
+        cfg["tuple"] = [" ".join(map(str, draw(st.lists(COEFFS, min_size=1, max_size=3))))
+                        for _ in range(rank)]
+    return cfg
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(fuzz_configs())
+def test_fuzz_main_never_raises(cfg):
+    """Any small config ends in exit 0, 1 or 2: never an uncaught exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        for args in (["verify"], ["populate", "--max-degree", "1"], ["fundamental"]):
+            assert main([*args, "--config", path]) in (0, 1, 2)
+
+
+def test_bench_layers_resolve():
+    """Every function the benchmark traces still exists under its name."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, fns in spans.LAYERS.items():
+        mod = importlib.import_module(f"critpop.{mod_name}")
+        for fn_name in fns:
+            if "." in fn_name:
+                cls_name, attr = fn_name.split(".")
+                assert attr in vars(getattr(mod, cls_name)), f"{mod_name}.{fn_name}"
+            else:
+                assert callable(getattr(mod, fn_name, None)), f"{mod_name}.{fn_name}"

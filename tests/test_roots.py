@@ -90,6 +90,19 @@ def test_dominant_representative():
                 assert shifted_action(rd, w, lam) == dom
 
 
+@pytest.mark.parametrize("code, longest", [
+    ("A3", 6), ("B3", 9), ("C3", 9), ("A5", 15), ("B4", 16), ("C4", 16),
+])
+@pytest.mark.parametrize("k", [0, 10**30])
+def test_dominant_walk_takes_longest_word(code, longest, k):
+    # the antidominant weight needs w0, whatever the size of its entries
+    rd = root_data(code)
+    lam = (-k - 2,) * rd.rank
+    dom, w = dominant_representative(rd, lam)
+    assert w.length == longest
+    assert shifted_action(rd, w, lam) == dom
+
+
 def test_weyl_group_sizes():
     assert len(enumerate_weyl("A2")) == math.factorial(3)
     assert len(enumerate_weyl("A3")) == math.factorial(4)
