@@ -24,7 +24,7 @@ from .core import (
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotFertile, SquareRootMissing
-from .fundamental import fundamental_space, generating_morphism, verify_dp
+from .fundamental import Flag, fundamental_space, generating_morphism, verify_dp
 from .poly import Poly, poly_sqrt, wronskian
 from .reproduction import (
     PopulationAtlas,
@@ -42,14 +42,7 @@ from .roots import (
     is_centro_symmetric,
     root_data,
 )
-from .selfduality import (
-    SelfdualSpace,
-    framing_of,
-    is_isotropic,
-    is_selfdual,
-    isotropic_generators,
-    quasi_witt_basis,
-)
+from .selfduality import SelfdualSpace, framing_of, is_isotropic, isotropic_generators
 
 
 def fold(y: TupleY, kind: str) -> TupleY:
@@ -189,8 +182,8 @@ def _sample_bridge(pi: ProblemInstance, y: TupleY):
 
 
 def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
-    """Fundamental space of the folded population, certified selfdual, with
-    its framing and canonical form."""
+    """Fundamental space of the folded population with its framing and
+    canonical form; building the `SelfdualSpace` certifies it selfdual."""
     kind = pi.rd.kind
     if not bc_critical_test(pi, y):
         raise NotFertile("tuple is not a B/C critical point")
@@ -206,11 +199,8 @@ def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
     expected_dim = 2 * pi.rd.rank if kind == "B" else 2 * pi.rd.rank + 1
     if space.dim != expected_dim:
         raise ConstructionFailed("folded fundamental space has wrong dimension")
-    framing = framing_of(space, pia.points)
-    if not is_selfdual(space, framing):
-        raise ConstructionFailed("folded fundamental space is not selfdual")
-    # gram rejects a form that is not skew (B, even dim) or symmetric (C, odd)
-    return SelfdualSpace(space, framing)
+    # gram raises NotSelfdual unless V = V+, and rejects a form of the wrong parity
+    return SelfdualSpace(space, framing_of(space, pia.points))
 
 
 @dataclass
@@ -225,17 +215,17 @@ class IsotropicSampleReport:
 def bc_population_as_isotropic_flags(
     pi: ProblemInstance,
     sd: SelfdualSpace,
+    start: Flag,
     samples: int,
     seed: int,
 ) -> IsotropicSampleReport:
-    """Sample isotropic flags, push through the generating morphism, unfold
-    and re-test criticality; also verify the displayed B/C operator by
-    kernel equality on at least three samples."""
+    """Sample isotropic flags by sweeps of generator moves from the isotropic
+    flag `start`, push them through the generating morphism, unfold and
+    re-test criticality; also verify the displayed B/C operator by kernel
+    equality on at least three samples.  A `start` that is not isotropic
+    fails in `antidiagonal_basis`."""
     rng = random.Random(seed)
     kind = pi.rd.kind
-    qw = quasi_witt_basis(sd)
-    if not is_isotropic(sd, qw.flag):
-        raise ConstructionFailed("quasi-Witt flag is not isotropic")
     k = sd.dim // 2
     hits = 0
     op_checks = 0
@@ -244,7 +234,7 @@ def bc_population_as_isotropic_flags(
     attempts = 0
     while hits < samples and attempts < 20 * samples:
         attempts += 1
-        flag = qw.flag
+        flag = start
         # a longest-word sweep of one-parameter moves lands in the open cell
         for r in range(k):
             for direction in range(1, k + 1):

@@ -25,7 +25,7 @@ from .core import (
     ones_tuple,
     weight_at_infinity,
 )
-from .errors import CritpopError, InvalidInstance
+from .errors import CritpopError, IdentityViolated, InvalidInstance, NotSelfdual
 from .fundamental import (
     exponents,
     expected_exponents_finite,
@@ -47,7 +47,7 @@ from .reproduction import (
 )
 from .roots import dominant_representative
 from .schubert import multiplicity_bound, population_count_report
-from .selfduality import SelfdualSpace, framing_of, is_isotropic, is_selfdual, quasi_witt_basis
+from .selfduality import SelfdualSpace, framing_of, is_isotropic, quasi_witt_basis
 
 
 class Report:
@@ -140,24 +140,13 @@ def cmd_populate(args) -> int:
         f"reached {len(reached)} degree vectors == predicted {len(predicted)}",
         reached == predicted,
     )
-    rows = []
     for l in atlas.degree_vectors():
         w = degree_vector_to_weyl(pi, lam_dom, l)
         word = "s" + " s".join(str(i + 1) for i in w.word) if w and w.word else "e"
-        rows.append((l, word))
-        member = atlas.members[l]
-        rep.add("member", f"l={l} w={word} tuple={_fmt_tuple(member.tuple_y)}")
-
-    def _check(l):
-        m = atlas.members[l]
-        if m.generic:
-            return heine_stieltjes_test(pi, m.tuple_y) if pi.rd.kind == "A" else (
-                bcmod.bc_critical_test(pi, m.tuple_y)
-            )
-        return is_fertile(pi, m.tuple_y)
-
-    results = [_check(l) for l in atlas.degree_vectors()]
-    rep.add("duplicate-thm", "every stored member is critical/fertile", all(results))
+        rep.add("member", f"l={l} w={word} tuple={_fmt_tuple(atlas.members[l].tuple_y)}")
+    # explore_population raises unless every generic member passes the
+    # criterion and every member is fertile in every direction
+    rep.add("duplicate-thm", "every stored member is critical/fertile")
     lvec = degree_vector(y0)
     rep.add(
         "separating",
@@ -211,34 +200,36 @@ def cmd_selfdual(args) -> int:
     pi = ProblemInstance.from_config(cfg)
     y = _tuple_from_config(cfg, pi)
     rep = Report(args.format)
+    if args.samples < 1:
+        raise InvalidInstance("--samples must be at least 1")
     if pi.rd.kind == "A":
         if not heine_stieltjes_test(pi, y):
             rep.add("deg-2-lem", f"{_fmt_tuple(y)} is not critical", False)
             return rep.emit()
         space = fundamental_space(pi, y)
-        framing = framing_of(space, pi.points)
-        selfdual = is_selfdual(space, framing)
-        rep.add("selfdual", f"dim {space.dim} space selfdual: {selfdual}")
-        if not selfdual:
+        try:
+            sd = SelfdualSpace(space, framing_of(space, pi.points))
+        except NotSelfdual:
+            rep.add("selfdual", f"dim {space.dim} space selfdual: False")
             return rep.emit()
-        sd = SelfdualSpace(space, framing)
+        rep.add("selfdual", f"dim {space.dim} space selfdual: True")
     else:
         sd = bcmod.bc_fundamental_space(pi, y)
         rep.add("so-self" if pi.rd.kind == "B" else "sp-self",
                 f"folded fundamental space selfdual, dim {sd.dim}")
-    gm = sd.gm
+    # gram raises unless the form is skew in even and symmetric in odd dimension
     parity = "skew" if sd.dim % 2 == 0 else "symmetric"
-    ok = gm.is_skew() if sd.dim % 2 == 0 else gm.is_symmetric()
-    rep.add("symm", f"canonical form is {parity}", ok)
+    rep.add("symm", f"canonical form is {parity}")
     rep.add("gram", "rows " + "; ".join(
-        "[" + " ".join(str(v) for v in row) + "]" for row in gm.entries
+        "[" + " ".join(str(v) for v in row) + "]" for row in sd.gm.entries
     ))
     qw = quasi_witt_basis(sd)
     rep.add("dar-1", f"quasi-Witt ratios {[str(a) for a in qw.ratios]}")
     rep.add("witt", f"normalization status: {qw.status}")
     rep.add("isotropic", "quasi-Witt flag is isotropic", is_isotropic(sd, qw.flag))
     if pi.rd.kind in "BC":
-        report = bcmod.bc_population_as_isotropic_flags(pi, sd, args.samples, args.seed)
+        report = bcmod.bc_population_as_isotropic_flags(pi, sd, qw.flag, args.samples,
+                                                        args.seed)
         rep.add("cor-so" if pi.rd.kind == "B" else "cor-sp",
                 f"{report.generic_hits} isotropic flag samples unfold to critical tuples",
                 report.all_critical and report.all_symmetric)
@@ -277,7 +268,7 @@ def cmd_identities(args) -> int:
         result = identity_suite(args.seed, args.trials)
         rep.add("wronskian-identities",
                 f"{result.trials} trials, checks {result.checks}", result.passed)
-    except CritpopError as exc:
+    except IdentityViolated as exc:
         rep.add("wronskian-identities", str(exc), False)
     return rep.emit()
 

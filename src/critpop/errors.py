@@ -33,6 +33,10 @@ class ConstructionFailed(CritpopError):
     """An internal construction invariant was violated (implementation bug)."""
 
 
+class NotSelfdual(CritpopError):
+    """A space differs from its dual space, so it has no canonical form."""
+
+
 class NotInImage(CritpopError):
     """A tuple is not in the image of the generating morphism of the space."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import IdentityViolated, NotDivisible
+from .errors import IdentityViolated, InvalidInstance, NotDivisible
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -407,7 +407,7 @@ def identity_suite(seed: int, trials: int) -> IdentityReport:
     `wronskian` itself.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidInstance("trials must be >= 1")
     rng = random.Random(seed)
     checks = {"one-in-front": 0, "common-factor": 0, "two-generators": 0,
               "wr-id-2": 0, "wr-id-1": 0}

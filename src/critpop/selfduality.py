@@ -6,9 +6,13 @@ Wronskian of a basis; it has the type of `ProblemInstance.ts` and is
 passed to `divided_wronskian` and `generating_morphism` as it is.  For a
 selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
 v = W+(w_1..w_N), is evaluated exactly.  A `SelfdualSpace` holds the space,
-its framing and its Gram matrix, computed once when it is built; its
-`form` evaluates it on coordinate vectors in the echelon basis.  The
-isotropy test, the anti-diagonal basis (adjusted on coordinates), the
+its framing and its Gram matrix, computed once when it is built.  `gram`
+is the one selfduality certificate: it raises `NotSelfdual` unless the
+space equals its dual.  `dual_space` and `is_selfdual` compute V+ on
+their own, with the V++ = V check; no library path calls them, and they
+stay as an independent reference.  The `form` of a `SelfdualSpace`
+evaluates its Gram matrix on coordinate vectors in the echelon basis.
+The isotropy test, the anti-diagonal basis (adjusted on coordinates), the
 quasi-Witt bases and the isotropic generator families all use it.  Witt
 normalization is attempted over Q and over a single quadratic extension;
 otherwise the basis is reported as quasi-Witt with its mirror ratios.
@@ -20,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .errors import ConstructionFailed, NotConstant, NotDivisible, SquareRootMissing
+from .errors import (ConstructionFailed, NotConstant, NotDivisible, NotSelfdual,
+                     SquareRootMissing)
 from .fundamental import Flag, PolySpace, degree_flag, exponents, generating_morphism, span
 from .poly import (ONE, Poly, divided_wronskian, poly_sqrt, solve_combination, solve_linear,
                    wronskian)
@@ -205,12 +210,15 @@ def _constant_of(p: Poly, what: str) -> Fraction:
 
 
 def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
-    """(u_i, u_k) on the echelon basis, through the dual pairing.
+    """(u_i, u_k) on the echelon basis, through the dual pairing; the
+    selfduality certificate.
 
     Writing u_k = sum_j g_j W_j with W_j the j-omitted divided Wronskian,
     the pairing gives (u_i, u_k) = g_i (-1)^i W+(u_1..u_{N+1}) (0-based i).
-    The entries must form a nondegenerate matrix, skew in even dimension
-    and symmetric in odd.
+    Every u_k has such coordinates exactly when V lies in V+ = span(W_j),
+    that is V = V+ (both have dimension N+1); otherwise `NotSelfdual` is
+    raised.  The entries must form a nondegenerate matrix, skew in even
+    dimension and symmetric in odd.
     """
     n1 = space.dim
     c = _constant_of(divided_wronskian(space.basis, framing), "full divided Wronskian")
@@ -221,7 +229,7 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
     for u in space.basis:
         solved = solve_combination(wjs, u)
         if solved is None:
-            raise ConstructionFailed("space is not selfdual; Gram undefined")
+            raise NotSelfdual("space is not selfdual; Gram undefined")
         coords.append(solved[0])
     entries = tuple(
         tuple(coords[k][i] * (-1) ** i * c for k in range(n1)) for i in range(n1)
@@ -240,8 +248,9 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
 class SelfdualSpace:
     """A selfdual space with its framing and canonical form.
 
-    The Gram matrix is computed once, when the object is built; every
-    pairing, isotropy test and anti-diagonalization reads it from here.
+    The Gram matrix is computed once, when the object is built, and so
+    certifies the space selfdual; every pairing, isotropy test and
+    anti-diagonalization reads it from here.
     """
 
     space: PolySpace
@@ -313,19 +322,19 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     """
     n1, framing = sd.dim, sd.framing
     q = antidiagonal_basis(sd, degree_flag(sd.space))[::-1]
+    prefix = [divided_wronskian(q[:i], framing) for i in range(n1)]  # W+(q_1..q_i)
+    if any(w.is_zero() for w in prefix):
+        raise ConstructionFailed("vanishing flag Wronskian")
     ratios = []
     for i in range(1, n1):
-        num = divided_wronskian(q[:i], framing)
-        den = divided_wronskian(q[: n1 - i], framing)
-        if num.is_zero() or den.is_zero():
-            raise ConstructionFailed("vanishing flag Wronskian")
+        num, den = prefix[i], prefix[n1 - i]
         ratio = num.leading() / den.leading()
         if num != ratio * den:
             raise ConstructionFailed("mirrored Wronskian relation failed")
         ratios.append(ratio)
     gammas = []
     for i in range(1, n1 + 1):
-        w = divided_wronskian(_omit(q, i - 1), framing)
+        w = prefix[n1 - 1] if i == n1 else divided_wronskian(_omit(q, i - 1), framing)
         partner = q[n1 - i]
         ratio = w.leading() / partner.leading()
         if w != ratio * partner:

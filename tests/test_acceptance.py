@@ -244,7 +244,7 @@ def test_08_bc_selfduality():
             ok = ok and is_isotropic(sd, qw.flag)
             if kind == "C":
                 rep = bc_population_as_isotropic_flags(
-                    pi, sd, samples=2, seed=rng.randint(0, 99)
+                    pi, sd, qw.flag, samples=2, seed=rng.randint(0, 99)
                 )
                 ok = ok and rep.all_symmetric and rep.all_critical
             done += 1

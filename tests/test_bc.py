@@ -134,13 +134,15 @@ class TestFundamentalSpaces:
 class TestIsotropicSampling:
     def test_b2(self):
         sd = bc_fundamental_space(B2, (ONE, ONE))
-        rep = bc_population_as_isotropic_flags(B2, sd, samples=4, seed=3)
+        rep = bc_population_as_isotropic_flags(B2, sd, quasi_witt_basis(sd).flag,
+                                               samples=4, seed=3)
         assert rep.all_symmetric and rep.all_critical
         assert rep.operator_checks >= 3
 
     def test_c2_middle_squares(self):
         sd = bc_fundamental_space(C2, (ONE, ONE))
-        rep = bc_population_as_isotropic_flags(C2, sd, samples=4, seed=3)
+        rep = bc_population_as_isotropic_flags(C2, sd, quasi_witt_basis(sd).flag,
+                                               samples=4, seed=3)
         assert rep.all_symmetric and rep.all_critical
 
 

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpop
-from critpop import core, selfduality
+from critpop import bc, cli, core, reproduction, selfduality
 from critpop.cli import main
+from critpop.poly import ONE
 
 
 def write_cfg(tmp_path, name, payload):
@@ -37,6 +38,22 @@ def sl2_cfg(tmp_path):
 
 def run(args):
     return main(args)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to module.name, wherever a critpop
+    module has bound that function by import."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for mod in (bc, cli, core, reproduction, selfduality):
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 class TestVerify:
@@ -84,16 +101,28 @@ class TestPopulate:
     def test_t_polys_computed_once(self, tmp_path, monkeypatch, capsys):
         cfg = write_cfg(tmp_path, "a2w.json",
                         {"root_system": "A2", "weights": [[1, 0], [0, 1]], "points": ["0", "1"]})
-        calls = []
-        t_polys = core.t_polys
-
-        def counting_t_polys(pi):
-            calls.append(pi)
-            return t_polys(pi)
-
-        monkeypatch.setattr(core, "t_polys", counting_t_polys)
+        calls = count_calls(monkeypatch, core, "t_polys")
         assert run(["populate", "--config", cfg, "--max-degree", "3"]) == 0
         assert len(calls) == 1
+
+    def test_members_certified_once(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": []})
+        calls = count_calls(monkeypatch, core, "heine_stieltjes_test")
+        assert run(["populate", "--config", cfg, "--max-degree", "3"]) == 0
+        assert "[duplicate-thm] every stored member is critical/fertile : PASS" in (
+            capsys.readouterr().out)
+        assert calls and len(calls) == len(set(calls))
+
+    def test_walk_is_the_certificate(self, sl3_cfg, monkeypatch, capsys):
+        """A member the walk cannot certify stops the run; nothing after the
+        walk re-checks it into a report line."""
+        test = reproduction.heine_stieltjes_test
+        y0 = (ONE, ONE)
+        monkeypatch.setattr(reproduction, "heine_stieltjes_test",
+                            lambda pi, y: y == y0 and test(pi, y))
+        assert run(["populate", "--config", sl3_cfg, "--max-degree", "2"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("[error] ConstructionFailed")
 
 
 class TestFundamental:
@@ -123,30 +152,32 @@ class TestSelfdual:
         out = capsys.readouterr().out
         assert "[symm] canonical form is symmetric : PASS" in out
 
-    def test_gram_computed_once(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("name", ["gram", "quasi_witt_basis"])
+    def test_computed_once(self, tmp_path, monkeypatch, capsys, name):
         cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": []})
-        calls = []
-        gram = selfduality.gram
-
-        def counting_gram(*args):
-            calls.append(args)
-            return gram(*args)
-
-        monkeypatch.setattr(selfduality, "gram", counting_gram)
+        calls = count_calls(monkeypatch, selfduality, name)
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
         assert len(calls) == 1
+
+    def test_type_a_selfdual(self, sl3_cfg, capsys):
+        assert run(["selfdual", "--config", sl3_cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        for line in ("[selfdual] dim 3 space selfdual: True : PASS",
+                     "[symm] canonical form is symmetric : PASS",
+                     "[gram] rows [0 0 2]; [0 -1 0]; [2 0 0] : PASS"):
+            assert line in out
+
+    def test_type_a_not_selfdual(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "a2w.json",
+                        {"root_system": "A2", "weights": [[1, 0]], "points": ["0"]})
+        assert run(["selfdual", "--config", cfg]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "[selfdual] dim 3 space selfdual: False : PASS"]
 
     def test_folded_instance_built_once(self, tmp_path, monkeypatch, capsys):
         # the folded instance is cached across runs, so only repeats are counted
         cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": []})
-        calls = []
-        t_polys = core.t_polys
-
-        def counting_t_polys(pi):
-            calls.append(pi)
-            return t_polys(pi)
-
-        monkeypatch.setattr(core, "t_polys", counting_t_polys)
+        calls = count_calls(monkeypatch, core, "t_polys")
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
         assert calls and len(calls) == len(set(calls))
 
@@ -209,6 +240,19 @@ class TestInvalidInput:
         )
         assert proc.returncode == 2
         assert proc.stderr.startswith("[error] InvalidInstance")
+
+    @pytest.mark.parametrize("args", [
+        ["identities", "--trials", "0"],
+        ["selfdual", "--samples", "0"],
+        ["selfdual", "--samples", "-3"],
+    ], ids=["trials-0", "samples-0", "samples-negative"])
+    def test_count_below_one(self, tmp_path, capsys, args):
+        if args[0] == "selfdual":
+            cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": []})
+            args = [*args, "--config", cfg]
+        assert run(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")
 
 
 class TestIdentities:

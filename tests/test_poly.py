@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critpop.errors import NotDivisible
+from critpop.errors import InvalidInstance, NotDivisible
 from critpop.poly import (
     ONE,
     X,
@@ -164,5 +164,5 @@ class TestIdentitySuite:
         assert all(v == 25 for v in rep.checks.values())
 
     def test_rejects_bad_trials(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidInstance):
             identity_suite(seed=1, trials=0)

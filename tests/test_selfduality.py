@@ -7,7 +7,7 @@ from critpop.core import t_polys
 from critpop.fundamental import Flag, degree_flag, fundamental_space, generating_morphism, span
 from critpop.poly import ONE, X, Poly, divided_wronskian, poly_sqrt, wronskian
 from critpop.reproduction import explore_population
-from critpop.errors import ConstructionFailed
+from critpop.errors import ConstructionFailed, NotSelfdual
 from critpop.selfduality import (
     QuadExt,
     SelfdualSpace,
@@ -136,6 +136,29 @@ class TestGram:
             V = monomial_space(n1)
             gm = gram(V, framing_of(V, ()))
             assert gm.is_skew() if n1 % 2 == 0 else gm.is_symmetric()
+
+    def test_certificate_matches_reference(self):
+        """Building a SelfdualSpace raises NotSelfdual exactly where the
+        independent V = V+ computation finds the space not selfdual."""
+        spaces = [(monomial_space(n1), ()) for n1 in (2, 3, 4)]
+        spaces.append((span([ONE, X, Poly([0, 0, 0, 1])]), (Fraction(0),)))
+        for code, weights, points in [
+            ("A2", [], []), ("A2", [(1, 0)], ["0"]), ("A2", [(1, 0), (0, 1)], ["0", "1"]),
+            ("A3", [(0, 1, 0)], ["0"]), ("A3", [(1, 0, 0), (0, 0, 1)], ["0", "1"]),
+        ]:
+            pi = instance(code, weights, points)
+            spaces.append((fundamental_space(pi, (ONE,) * pi.rd.rank), pi.points))
+        verdicts = []
+        for V, points in spaces:
+            fr = framing_of(V, points)
+            try:
+                SelfdualSpace(V, fr)
+                certified = True
+            except NotSelfdual:
+                certified = False
+            assert certified == is_selfdual(V, fr)
+            verdicts.append(certified)
+        assert set(verdicts) == {True, False}
 
 
 class TestQuasiWitt:
