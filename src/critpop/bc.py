@@ -222,8 +222,8 @@ def bc_population_as_isotropic_flags(
     """Sample isotropic flags by sweeps of generator moves from the isotropic
     flag `start`, push them through the generating morphism, unfold and
     re-test criticality; also verify the displayed B/C operator by kernel
-    equality on at least three samples.  A `start` that is not isotropic
-    fails in `antidiagonal_basis`."""
+    equality on at least three samples.  `antidiagonal_basis` raises unless
+    `start` and every move of a sweep but the last are isotropic."""
     rng = random.Random(seed)
     kind = pi.rd.kind
     k = sd.dim // 2
@@ -241,6 +241,7 @@ def bc_population_as_isotropic_flags(
                 c = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 4))
                 fam = isotropic_generators(sd, flag, direction)
                 flag = fam.flag_at(c)
+        # the one check of the sweep's last move
         if not is_isotropic(sd, flag):
             raise ConstructionFailed("generator left the isotropic variety")
         tup = generating_morphism(sd.space, flag, sd.framing)

@@ -47,7 +47,7 @@ from .reproduction import (
 )
 from .roots import dominant_representative
 from .schubert import multiplicity_bound, population_count_report
-from .selfduality import SelfdualSpace, framing_of, is_isotropic, quasi_witt_basis
+from .selfduality import SelfdualSpace, framing_of, quasi_witt_basis
 
 
 class Report:
@@ -226,7 +226,8 @@ def cmd_selfdual(args) -> int:
     qw = quasi_witt_basis(sd)
     rep.add("dar-1", f"quasi-Witt ratios {[str(a) for a in qw.ratios]}")
     rep.add("witt", f"normalization status: {qw.status}")
-    rep.add("isotropic", "quasi-Witt flag is isotropic", is_isotropic(sd, qw.flag))
+    # antidiagonal_basis raises unless the quasi-Witt flag is isotropic
+    rep.add("isotropic", "quasi-Witt flag is isotropic")
     if pi.rd.kind in "BC":
         report = bcmod.bc_population_as_isotropic_flags(pi, sd, qw.flag, args.samples,
                                                         args.seed)
@@ -243,6 +244,8 @@ def cmd_count(args) -> int:
     if pi.rd.kind != "A":
         rep.add("usage", "count expects a type-A instance", False)
         return rep.emit()
+    if args.max_degree < 0:
+        raise InvalidInstance("--max-degree must be at least 0")
     if pi.rd.rank == 1:
         for l in range(args.max_degree + 1):
             lam = sum(w[0] for w in pi.weights) - 2 * l

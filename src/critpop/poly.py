@@ -147,10 +147,10 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, x):
-        """Evaluate by Horner; exact for Fraction inputs, float for floats."""
-        acc = 0 if not isinstance(x, float) else 0.0
+        """Evaluate by Horner, exactly for int and Fraction inputs."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + (float(c) if isinstance(x, float) else c)
+            acc = acc * x + c
         return acc
 
     def monic(self) -> "Poly":

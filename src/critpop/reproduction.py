@@ -23,7 +23,7 @@ from .core import (
     monic_tuple,
     wronskian_rhs,
 )
-from .errors import ConstructionFailed, NonGenericExhausted, NotFertile
+from .errors import ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile
 from .poly import Poly, solve_combination
 from .roots import enumerate_weyl, shifted_action
 
@@ -189,10 +189,12 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
     randomness.
     """
     y0 = monic_tuple(y0)
+    l0 = degree_vector(y0)
+    if max_degree < max(l0):
+        raise InvalidInstance(f"max degree {max_degree} is below the starting degrees {l0}")
     if not heine_stieltjes_test(pi, y0):
         raise NotFertile("starting tuple does not represent a critical point")
     atlas = PopulationAtlas(pi)
-    l0 = degree_vector(y0)
     atlas.members[l0] = AtlasMember(y0, (), True)
     frontier = [l0]
     while frontier:

@@ -277,7 +277,6 @@ def multiplicity_oracle(pi_a: ProblemInstance, lam_inf: Weight) -> int:
     for perm in permutations(range(n1)):
         sign = _perm_sign(perm)
         shifted = [0] * n1
-        ok = True
         tr = [target[i] + rho[i] for i in range(n1)]
         for pos, src in enumerate(perm):
             shifted[pos] = tr[src] - rho[pos]
@@ -350,6 +349,8 @@ def _shape_count(system, coeffs, bad, lam: int) -> int | None:
     )
     gens = list(coeffs) + [t]
     gb = sympy.groebner(system + [t - sep], *gens, order="lex")
+    if gb.exprs == [1]:
+        return 0  # inconsistent system: no critical polynomial of this degree
     univ = [p for p in gb.exprs if p.free_symbols <= {t}]
     if len(univ) != 1:
         return None

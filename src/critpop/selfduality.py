@@ -12,8 +12,8 @@ space equals its dual.  `dual_space` and `is_selfdual` compute V+ on
 their own, with the V++ = V check; no library path calls them, and they
 stay as an independent reference.  The `form` of a `SelfdualSpace`
 evaluates its Gram matrix on coordinate vectors in the echelon basis.
-The isotropy test, the anti-diagonal basis (adjusted on coordinates), the
-quasi-Witt bases and the isotropic generator families all use it.  Witt
+The isotropic layer works on these vectors; `space.member` makes
+polynomials only where a `Flag` or a Wronskian needs them.  Witt
 normalization is attempted over Q and over a single quadratic extension;
 otherwise the basis is reported as quasi-Witt with its mirror ratios.
 """
@@ -249,8 +249,8 @@ class SelfdualSpace:
     """A selfdual space with its framing and canonical form.
 
     The Gram matrix is computed once, when the object is built, and so
-    certifies the space selfdual; every pairing, isotropy test and
-    anti-diagonalization reads it from here.
+    certifies the space selfdual; every isotropy test, anti-diagonalization
+    and generator family reads it through `form`, on coordinate vectors.
     """
 
     space: PolySpace
@@ -269,19 +269,14 @@ class SelfdualSpace:
         return sum((ai * bk * g for ai, row in zip(a, self.gm.entries) if ai
                     for bk, g in zip(b, row) if bk), Fraction(0))
 
-    def pair(self, u: Poly, v: Poly) -> Fraction:
-        """The canonical form (u, v) of two members of the space."""
-        a, b = self.space.coords(u), self.space.coords(v)
-        assert a is not None and b is not None
-        return self.form(a, b)
-
 
 def is_isotropic(sd: SelfdualSpace, flag: Flag) -> bool:
     """F_i orthogonal to F_{N+1-i}: the adjusted basis pairs to zero
     whenever the 1-based indices sum to at most N+1 = dim V."""
     n1 = sd.dim
+    u = [sd.space.coords(p) for p in flag.basis]
     return all(
-        not sd.pair(flag.basis[i], flag.basis[j])
+        not sd.form(u[i], u[j])
         for i in range(n1)
         for j in range(i, n1)
         if (i + 1) + (j + 1) <= n1
@@ -321,7 +316,7 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     element.
     """
     n1, framing = sd.dim, sd.framing
-    q = antidiagonal_basis(sd, degree_flag(sd.space))[::-1]
+    q = [sd.space.member(v) for v in antidiagonal_basis(sd, degree_flag(sd.space))][::-1]
     prefix = [divided_wronskian(q[:i], framing) for i in range(n1)]  # W+(q_1..q_i)
     if any(w.is_zero() for w in prefix):
         raise ConstructionFailed("vanishing flag Wronskian")
@@ -422,10 +417,11 @@ def verify_witt(framing: tuple[Poly, ...], result: QuasiWittResult) -> bool:
 # -- isotropic one-parameter generators -----------------------------------------
 
 
-def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list[Poly]:
+def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list:
     """Adjust the flag basis within its flag so the form is anti-diagonal:
     (u_a, u_b) = 0 unless the 1-based indices satisfy a + b = N + 2.
-    Works on coordinate vectors in the echelon basis."""
+    Returns coordinate vectors in the echelon basis; raises unless the
+    result is anti-diagonal, which makes the flag isotropic."""
     n1 = sd.dim
     u = [sd.space.coords(p) for p in flag.basis]
 
@@ -454,7 +450,7 @@ def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list[Poly]:
                 raise ConstructionFailed("anti-diagonal entry vanished")
             if not on_pair and v:
                 raise ConstructionFailed("anti-diagonalization failed")
-    return [sd.space.member(v) for v in u]
+    return u
 
 
 @dataclass
@@ -462,16 +458,16 @@ class IsotropicFamily:
     """The one-parameter family of isotropic flags moving one level."""
 
     direction: int  # 1-based, <= k
-    base: list[Poly]  # anti-diagonal adjusted basis
+    base: list  # anti-diagonal adjusted basis, as coordinate vectors
     sd: SelfdualSpace
 
     def _g(self, j: int) -> Fraction:
         """Anti-diagonal value (u_j, u_{N+2-j}), 1-based j."""
         n1 = len(self.base)
-        return self.sd.pair(self.base[j - 1], self.base[n1 - j])
+        return self.sd.form(self.base[j - 1], self.base[n1 - j])
 
     def deformed_basis(self, c: Fraction) -> list[Poly]:
-        u = list(self.base)
+        u = [self.sd.space.member(v) for v in self.base]
         n1 = len(u)
         k = n1 // 2
         i0 = self.direction

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpop
-from critpop import bc, cli, core, reproduction, selfduality
+from critpop import bc, cli, core, fundamental, reproduction, selfduality
 from critpop.cli import main
 from critpop.poly import ONE
 
@@ -159,13 +159,30 @@ class TestSelfdual:
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
         assert len(calls) == 1
 
-    def test_type_a_selfdual(self, sl3_cfg, capsys):
+    def test_coordinates_solved_once_per_flag_element(self, tmp_path, monkeypatch, capsys):
+        """The isotropic layer solves for each flag element's coordinates once
+        per anti-diagonalization or isotropy test, and never per pairing."""
+        cfg = write_cfg(tmp_path, "b2.json", B2)
+        solves = []
+        coords = fundamental.PolySpace.coords
+        monkeypatch.setattr(fundamental.PolySpace, "coords",
+                            lambda space, p: solves.append(p) or coords(space, p))
+        adjusted = count_calls(monkeypatch, selfduality, "antidiagonal_basis")
+        tested = count_calls(monkeypatch, selfduality, "is_isotropic")
+        assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
+        assert len(solves) == 4 * (len(adjusted) + len(tested)) == 104
+
+    def test_type_a_selfdual(self, sl3_cfg, monkeypatch, capsys):
+        # antidiagonal_basis certifies the quasi-Witt flag; nothing re-tests it
+        calls = count_calls(monkeypatch, selfduality, "is_isotropic")
         assert run(["selfdual", "--config", sl3_cfg]) == 0
         out = capsys.readouterr().out.splitlines()
         for line in ("[selfdual] dim 3 space selfdual: True : PASS",
                      "[symm] canonical form is symmetric : PASS",
-                     "[gram] rows [0 0 2]; [0 -1 0]; [2 0 0] : PASS"):
+                     "[gram] rows [0 0 2]; [0 -1 0]; [2 0 0] : PASS",
+                     "[isotropic] quasi-Witt flag is isotropic : PASS"):
             assert line in out
+        assert not calls
 
     def test_type_a_not_selfdual(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "a2w.json",
@@ -200,6 +217,14 @@ class TestCount:
             line = {"tag": "estimate", "text": "l=1: exact 2 <= bound 2", "pass": True}
             assert line in payload["lines"]
 
+    @pytest.mark.parametrize("weight", [2, 3])
+    def test_sl2_inconsistent_system(self, tmp_path, capsys, weight):
+        # at l = 1 the criterion system has Groebner basis [1]: no critical point
+        cfg = write_cfg(tmp_path, "count.json",
+                        {"root_system": "A1", "weights": [[weight]], "points": ["0"]})
+        assert run(["count", "--config", cfg, "--max-degree", "3"]) == 0
+        assert "[estimate] l=1: exact 0 <= bound 0 : PASS" in capsys.readouterr().out.splitlines()
+
 
 A1 = {"root_system": "A1", "weights": [[1], [1]], "points": ["0", "2"]}
 BAD_CONFIGS = {
@@ -215,6 +240,9 @@ BAD_CONFIGS = {
     "zero-polynomial": dict(A1, tuple=["0"]),
     "tuple-length": dict(A1, tuple=["-1 1", "1"]),
 }
+B2 = {"root_system": "B2", "weights": [], "points": []}
+# a critical start tuple of degree 3
+A1_CUBIC = {"root_system": "A1", "weights": [[2]], "points": ["0"], "tuple": ["3 0 0 1"]}
 
 
 class TestInvalidInput:
@@ -241,15 +269,18 @@ class TestInvalidInput:
         assert proc.returncode == 2
         assert proc.stderr.startswith("[error] InvalidInstance")
 
-    @pytest.mark.parametrize("args", [
-        ["identities", "--trials", "0"],
-        ["selfdual", "--samples", "0"],
-        ["selfdual", "--samples", "-3"],
-    ], ids=["trials-0", "samples-0", "samples-negative"])
-    def test_count_below_one(self, tmp_path, capsys, args):
-        if args[0] == "selfdual":
-            cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": []})
-            args = [*args, "--config", cfg]
+    @pytest.mark.parametrize("args, cfg", [
+        (["identities", "--trials", "0"], None),
+        (["selfdual", "--samples", "0"], B2),
+        (["selfdual", "--samples", "-3"], B2),
+        (["count", "--max-degree", "-1"], A1),
+        (["populate", "--max-degree", "-1"], A1),
+        (["populate", "--max-degree", "2"], A1_CUBIC),
+    ], ids=["trials-0", "samples-0", "samples-negative", "count-max-degree-negative",
+            "populate-max-degree-negative", "populate-max-degree-below-start"])
+    def test_count_below_one(self, tmp_path, capsys, args, cfg):
+        if cfg is not None:
+            args = [*args, "--config", write_cfg(tmp_path, "cfg.json", cfg)]
         assert run(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")

@@ -231,7 +231,7 @@ class TestIsotropy:
         u = antidiagonal_basis(sd, qw.flag)
         for a in range(5):
             for b in range(5):
-                v = sd.pair(u[a], u[b])
+                v = sd.form(u[a], u[b])
                 assert (v != 0) == (a + b == 4)
 
 
@@ -257,7 +257,7 @@ class TestGenerators:
         fr = sd.framing
         qw = quasi_witt_basis(sd)
         fam = isotropic_generators(sd, qw.flag, 1)
-        u = fam.base
+        u = [V.member(v) for v in fam.base]
         y1 = lambda c: divided_wronskian([u[0] + c * u[1]], list(fr))
         dy = divided_wronskian([u[1]], list(fr))
         y2 = divided_wronskian(u[:2], list(fr))
@@ -273,7 +273,7 @@ class TestGenerators:
         fr = sd.framing
         qw = quasi_witt_basis(sd)
         fam = isotropic_generators(sd, qw.flag, 2)
-        u = fam.base
+        u = [V.member(v) for v in fam.base]
         yk = lambda c: divided_wronskian([u[0], u[1] + c * u[2]], list(fr))
         dy = divided_wronskian([u[0], u[2]], list(fr))
         y1 = divided_wronskian([u[0]], list(fr))
@@ -303,7 +303,7 @@ class TestGenerators:
             ]
             wfl = Flag.from_basis(V, polys)
             fam_w = isotropic_generators(sd, wfl, 2)
-            u = fam_w.base
+            u = [V.member(v) for v in fam_w.base]
             ydot = lambda c: divided_wronskian(
                 [u[0], u[1] + c * u[2] + c * c * Fraction(1, 2) * u[3]], list(fr)
             )
