@@ -244,10 +244,10 @@ def cmd_count(args) -> int:
     if pi.rd.kind != "A":
         rep.add("usage", "count expects a type-A instance", False)
         return rep.emit()
-    if args.max_degree < 0:
-        raise InvalidInstance("--max-degree must be at least 0")
+    if args.max_degree is not None and (args.max_degree < 0 or pi.rd.rank > 1):
+        raise InvalidInstance("--max-degree must be at least 0 and is read at rank 1 only")
     if pi.rd.rank == 1:
-        for l in range(args.max_degree + 1):
+        for l in range((8 if args.max_degree is None else args.max_degree) + 1):
             lam = sum(w[0] for w in pi.weights) - 2 * l
             if lam < 0:
                 continue
@@ -309,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(opt, **options[opt])
         p.add_argument("--format", choices=("table", "json"), default="table")
         p.set_defaults(func=func)
+    sub.choices["count"].set_defaults(max_degree=None)  # read at rank 1 only, default 8
     return ap
 
 

@@ -1,11 +1,11 @@
 """Reproduction procedure and population exploration.
 
-`solve_wronskian_equation` solves W(y, ytilde) = R as an exact linear
-system; its solution set is a line {base + c*y}.  Replacing a coordinate
-by a member of that line is the simple reproduction step; the breadth-
-first closure of these steps over all directions, bookkept by degree
-vector, is a population atlas.  `explore_population` certifies each member
-as it stores it, so callers need not check the members again.
+`solve_wronskian_equation` solves W(y, ytilde) = R by back-substitution;
+its solution set is a line {base + c*y}.  Replacing a coordinate by a
+member of that line is the simple reproduction step; the breadth-first
+closure of these steps over all directions, bookkept by degree vector, is
+a population atlas.  `explore_population` certifies each member as it
+stores it, so callers need not check the members again.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from .core import (
     TupleY,
     degree_vector,
     heine_stieltjes_test,
-    is_generic,
     monic_tuple,
     wronskian_rhs,
 )
-from .errors import ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile
-from .poly import Poly, solve_combination
+from .errors import (ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile,
+                     NotGeneric)
+from .poly import Poly
 from .roots import enumerate_weyl, shifted_action
 
 RETRY_CAP = 64
@@ -65,32 +65,30 @@ class DescendantFamily:
 
 
 def solve_wronskian_equation(y: Poly, rhs: Poly) -> DescendantFamily | None:
-    """Solve y u' - y' u = rhs in polynomials u.
+    """Solve y u' - y' u = rhs in polynomials u by back-substitution.
 
-    Returns the full solution line or None when the linear system is
-    inconsistent (y is not fertile in this direction).  The kernel of the
-    homogeneous system is exactly span{y}; this is asserted.
+    With d = deg y, the x^(j+d-1) equation has pivot (j - d) lc(y) on u_j and
+    no other unknown below j; u_d, the zero pivot, stays 0 (the fiber is y).
+    The pivot-free equations x^k, k < d - 1 or k = 2d - 1, decide fertility:
+    a nonzero residual there returns None.
     """
     if y.is_zero() or rhs.is_zero():
         raise ValueError("y and rhs must be nonzero")
-    dy = int(y.degree)
-    bound = max(int(rhs.degree) + 1 - dy, dy) + 1
-    yp = y.deriv()
-    # column j is y*u' - y'*u for u = x^j
-    cols = []
-    for j in range(bound + 1):
-        xj = Poly([0] * j + [1])
-        cols.append(y * xj.deriv() - yp * xj)
-    solved = solve_combination(cols, rhs)
-    if solved is None:
+    d = int(y.degree)
+    n = max(int(rhs.degree) + 1 - d, d)
+    ys, u = y.coeffs, [Fraction(0)] * (n + 1)
+
+    def residual(k: int) -> Fraction:
+        """x^k coefficient of y u' - y' u - rhs: sum_{a+j=k+1} (j - a) y_a u_j."""
+        return sum(((k + 1 - 2 * a) * ys[a] * u[k + 1 - a]
+                    for a in range(max(0, k + 1 - n), min(d, k + 1) + 1)), -rhs[k])
+
+    for j in range(n, -1, -1):
+        if j != d:
+            u[j] = -residual(j + d - 1) / ((j - d) * ys[d])
+    if d and any(residual(k) for k in [*range(d - 1), 2 * d - 1]):
         return None
-    sol, kernel = solved
-    base = Poly(sol)
-    if len(kernel) != 1 or Poly(kernel[0]).monic() != y.monic():
-        raise ConstructionFailed("Wronskian equation kernel is not exactly span{y}")
-    # canonicalize: base degree different from deg y, reduced once
-    if base.degree == y.degree:
-        base = base - (base.leading() / y.leading()) * y
+    base = Poly(u)
     if base.is_zero():
         raise ConstructionFailed("degenerate base solution")
     return DescendantFamily(base, y)
@@ -154,21 +152,27 @@ class PopulationAtlas:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _certified(pi: ProblemInstance, cand: TupleY) -> bool:
+    """Genericity of cand from one run of the criterion, which raises
+    `NotGeneric`; a generic cand that is not critical is `ConstructionFailed`."""
+    try:
+        if heine_stieltjes_test(pi, cand):
+            return True
+    except NotGeneric:
+        return False
+    raise ConstructionFailed("generic descendant failed the criterion")
+
+
 def _sample_generic(pi: ProblemInstance, y: TupleY, i: int, fam: DescendantFamily,
-                    want_degree: int, forbid: set[Fraction] = frozenset()):
+                    want_degree: int):
     """First parameter along the canonical sequence giving a generic member
     of prescribed degree in direction i; checks the criterion on success."""
     for k, c in zip(range(RETRY_CAP), param_candidates()):
-        if c in forbid:
-            continue
         cand_poly = fam.member(c)
         if cand_poly.is_zero() or cand_poly.degree != want_degree:
             continue
         cand = monic_tuple(y[:i] + (cand_poly,) + y[i + 1 :])
-        ok, _ = is_generic(pi, cand)
-        if ok:
-            if not heine_stieltjes_test(pi, cand):
-                raise ConstructionFailed("generic descendant failed the criterion")
+        if _certified(pi, cand):
             return cand, c
     raise NonGenericExhausted(
         f"no generic member of degree {want_degree} in direction {i + 1} "
@@ -206,11 +210,9 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
                 fam = solve_wronskian_equation(y[i], wronskian_rhs(pi, y, i))
                 if fam is None:
                     raise ConstructionFailed("atlas member lost fertility")
-                deg_hi = max(int(fam.base.degree), int(fam.fiber.degree))
-                targets = {deg_hi}
-                if fam.base.degree < fam.fiber.degree:
-                    targets.add(int(fam.base.degree))
-                for want in sorted(targets):
+                # every member has degree max(deg base, deg y) but a lower-degree base
+                low = int(fam.base.degree)
+                for want in sorted({low, max(low, int(fam.fiber.degree))}):
                     l_new = l[:i] + (want,) + l[i + 1 :]
                     if want > max_degree:
                         continue
@@ -221,11 +223,8 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
                     if want < int(fam.fiber.degree):
                         # unique low-degree member of the line
                         cand = monic_tuple(y[:i] + (fam.base,) + y[i + 1 :])
-                        ok, _ = is_generic(pi, cand)
-                        if ok and not heine_stieltjes_test(pi, cand):
-                            raise ConstructionFailed("descendant failed the criterion")
                         atlas.members[l_new] = AtlasMember(
-                            cand, member.path + ((i, "base"),), ok
+                            cand, member.path + ((i, "base"),), _certified(pi, cand)
                         )
                     else:
                         cand, c = _sample_generic(pi, y, i, fam, want)

@@ -217,6 +217,16 @@ class TestCount:
             line = {"tag": "estimate", "text": "l=1: exact 2 <= bound 2", "pass": True}
             assert line in payload["lines"]
 
+    def test_max_degree_default(self, tmp_path, capsys):
+        """Without --max-degree, rank 1 reads 8 and rank 2 gives its bound."""
+        cfg = write_cfg(tmp_path, "a1.json", A1)
+        assert run(["count", "--config", cfg, "--max-degree", "8"]) == 0
+        out = capsys.readouterr().out
+        assert run(["count", "--config", cfg]) == 0
+        assert capsys.readouterr().out == out
+        assert run(["count", "--config", write_cfg(tmp_path, "a2.json", A2)]) == 0
+        assert capsys.readouterr().out == "[estimate] multiplicity bound 1 : PASS\n"
+
     @pytest.mark.parametrize("weight", [2, 3])
     def test_sl2_inconsistent_system(self, tmp_path, capsys, weight):
         # at l = 1 the criterion system has Groebner basis [1]: no critical point
@@ -240,6 +250,7 @@ BAD_CONFIGS = {
     "zero-polynomial": dict(A1, tuple=["0"]),
     "tuple-length": dict(A1, tuple=["-1 1", "1"]),
 }
+A2 = {"root_system": "A2", "weights": [], "points": []}
 B2 = {"root_system": "B2", "weights": [], "points": []}
 # a critical start tuple of degree 3
 A1_CUBIC = {"root_system": "A1", "weights": [[2]], "points": ["0"], "tuple": ["3 0 0 1"]}
@@ -274,9 +285,12 @@ class TestInvalidInput:
         (["selfdual", "--samples", "0"], B2),
         (["selfdual", "--samples", "-3"], B2),
         (["count", "--max-degree", "-1"], A1),
+        (["count", "--max-degree", "5"], A2),
+        (["count", "--max-degree", "0"], A2),
         (["populate", "--max-degree", "-1"], A1),
         (["populate", "--max-degree", "2"], A1_CUBIC),
     ], ids=["trials-0", "samples-0", "samples-negative", "count-max-degree-negative",
+            "count-max-degree-rank-2", "count-max-degree-0-rank-2",
             "populate-max-degree-negative", "populate-max-degree-below-start"])
     def test_count_below_one(self, tmp_path, capsys, args, cfg):
         if cfg is not None:

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from critpop.core import (
     degree_vector,
@@ -13,7 +15,7 @@ from critpop.core import (
     wronskian_rhs,
 )
 from critpop.errors import NotFertile
-from critpop.poly import ONE, X, Poly, wronskian
+from critpop.poly import ONE, X, Poly, solve_combination, wronskian
 from critpop.reproduction import (
     degree_vector_to_weyl,
     explore_population,
@@ -28,6 +30,36 @@ from conftest import instance
 
 SL3 = instance("A2")
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
+A3W = instance("A3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ["0", "1", "3"])
+# the (6,8,6) member of the A3W atlas
+A3W_686 = tuple(Poly.from_text(t) for t in (
+    "54 0 -12 48 0 -56/5 1", "48 -72 -108 96 0 -24 448/15 -48/5 1", "6 -72 84 -40 12 -26/5 1"))
+
+
+def reference_solve(y, rhs):
+    """The general solve of y u' - y' u = rhs, independent of the back-
+    substitution: columns W(y, x^j) through `solve_combination`, the kernel
+    checked to be span{y}, and a base of degree deg y reduced by y."""
+    d = int(y.degree)
+    monomials = [Poly([0] * j + [1]) for j in range(max(int(rhs.degree) + 1 - d, d) + 2)]
+    solved = solve_combination([y * m.deriv() - y.deriv() * m for m in monomials], rhs)
+    if solved is None:
+        return None
+    sol, kernel = solved
+    assert len(kernel) == 1 and Poly(kernel[0]).monic() == y.monic()
+    base = Poly(sol)
+    if base.degree == y.degree:
+        base = base - (base.leading() / y.leading()) * y
+    return base, y
+
+
+rationals = st.fractions(-5, 5, max_denominator=4)
+
+
+def polys(max_degree):
+    """Nonzero polynomials with rational coefficients, often not monic."""
+    return st.builds(lambda low, lead: Poly([*low, lead]),
+                     st.lists(rationals, max_size=max_degree), rationals.filter(bool))
 
 
 def test_param_sequence_prefix():
@@ -57,6 +89,25 @@ class TestSolver:
     def test_infertile(self):
         # W(x^2, u) = x^2 u' - 2x u is divisible by x, so it is never 1
         assert solve_wronskian_equation(Poly([0, 0, 1]), ONE) is None
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polys(4), polys(6), st.booleans())
+    def test_matches_general_solve(self, y, u, consistent):
+        """Same (base, fiber), or None, as the general solve: constant and
+        non-monic y, right-hand sides W(y, u) and arbitrary (mostly
+        infertile) ones."""
+        rhs = y * u.deriv() - y.deriv() * u if consistent else u
+        assume(not rhs.is_zero())
+        fam = solve_wronskian_equation(y, rhs)
+        assert (None if fam is None else (fam.base, fam.fiber)) == reference_solve(y, rhs)
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_workload_member(self, i):
+        y = A3W_686
+        rhs = wronskian_rhs(A3W, y, i)
+        fam = solve_wronskian_equation(y[i], rhs)
+        assert fam.fiber == y[i]
+        assert y[i] * fam.base.deriv() - y[i].deriv() * fam.base == rhs
 
 
 class TestDescendants:

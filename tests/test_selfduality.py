@@ -294,7 +294,6 @@ class TestGenerators:
         y1 = fam.tuple_at(Fraction(0))[0]
         rhs = fr[1] * y1
         assert wr.monic() == rhs.monic()
-        # exact factor 2 after true Witt normalization
         qw5 = quasi_witt_basis(sd)
         if qw5.status == "witt":
             polys = [
@@ -303,10 +302,8 @@ class TestGenerators:
             ]
             wfl = Flag.from_basis(V, polys)
             fam_w = isotropic_generators(sd, wfl, 2)
-            u = [V.member(v) for v in fam_w.base]
-            ydot = lambda c: divided_wronskian(
-                [u[0], u[1] + c * u[2] + c * c * Fraction(1, 2) * u[3]], list(fr)
-            )
-            # scalar-level identity checked through middle_square_data
             p2, q2, wr2 = middle_square_data(fam_w)
             assert wr2.monic() == (fr[1] * fam_w.tuple_at(Fraction(0))[0]).monic()
+            # middle_square_data verifies the square at c = 1, 2, 3 only
+            for c in (Fraction(1, 2), Fraction(-1)):
+                assert fam_w.tuple_at(c)[1] == (p2 + c * q2) ** 2
