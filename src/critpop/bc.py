@@ -19,11 +19,10 @@ from .core import (
     ProblemInstance,
     TupleY,
     heine_stieltjes_test,
-    is_generic,
     monic_tuple,
     weight_at_infinity,
 )
-from .errors import ConstructionFailed, NotFertile, SquareRootMissing
+from .errors import ConstructionFailed, NotFertile, NotGeneric, SquareRootMissing
 from .fundamental import Flag, fundamental_space, generating_morphism, verify_dp
 from .poly import Poly, poly_sqrt, wronskian
 from .reproduction import (
@@ -93,21 +92,27 @@ def folded_instance(pi: ProblemInstance) -> ProblemInstance:
     return ProblemInstance(root_data(code), weights, pi.points)
 
 
-def bc_critical_test(pi: ProblemInstance, y: TupleY) -> bool:
-    """Genericity plus direction-wise Wronskian solvability, cross-checked
-    against the divisibility criterion on the native Cartan data."""
-    y = monic_tuple(y)
-    ok, _ = is_generic(pi, y)
-    if not ok:
-        return False
-    fertile = is_fertile(pi, y)
-    if fertile != heine_stieltjes_test(pi, y):
+def bc_criterion(pi: ProblemInstance, y: TupleY) -> bool:
+    """Direction-wise Wronskian solvability, cross-checked against the
+    divisibility criterion on the native Cartan data, which raises
+    `NotGeneric` on a non-generic tuple (one genericity test per call)."""
+    crit = heine_stieltjes_test(pi, y)
+    if is_fertile(pi, y) != crit:
         raise ConstructionFailed("criterion disagreement on B/C data")
-    return fertile
+    return crit
 
 
-def fold_equivalence(pi: ProblemInstance, y: TupleY) -> bool:
-    """Criticality transfers through folding.
+def bc_critical_test(pi: ProblemInstance, y: TupleY) -> bool:
+    """`bc_criterion`, reading a non-generic tuple as not critical."""
+    try:
+        return bc_criterion(pi, monic_tuple(y))
+    except NotGeneric:
+        return False
+
+
+def fold_equivalence(pi: ProblemInstance, y: TupleY, native: bool) -> bool:
+    """Criticality transfers through folding; `native` is y's
+    `bc_critical_test`.
 
     For B the folded tuple must itself pass the A-side criterion; for C the
     folded tuple is non-generic (squared middle), so the A-side check is
@@ -116,12 +121,11 @@ def fold_equivalence(pi: ProblemInstance, y: TupleY) -> bool:
     y = monic_tuple(y)
     pia = folded_instance(pi)
     folded = fold(y, pi.rd.kind)
-    native = bc_critical_test(pi, y)
     if pi.rd.kind == "B":
-        ok, _ = is_generic(pia, folded)
-        if not ok:
+        try:
+            return native == heine_stieltjes_test(pia, folded)
+        except NotGeneric:
             return False
-        return native == heine_stieltjes_test(pia, folded)
     if not native:
         return True  # nothing to transfer
     return is_fertile(pia, folded)
@@ -175,9 +179,11 @@ def _sample_bridge(pi: ProblemInstance, y: TupleY):
             if c == 0:
                 continue
             _, y_a2 = c_bridge_tuples(pi, y, c, ytil)
-            ok, _ = is_generic(pia, y_a2)
-            if ok and heine_stieltjes_test(pia, y_a2):
-                return y_a2
+            try:
+                if heine_stieltjes_test(pia, y_a2):
+                    return y_a2
+            except NotGeneric:
+                pass
     raise ConstructionFailed("no generic bridge parameter found")
 
 
@@ -250,12 +256,12 @@ def bc_population_as_isotropic_flags(
         except (ConstructionFailed, SquareRootMissing):
             all_symmetric = False
             continue
-        ok, _ = is_generic(pi, native)
-        if not ok:
+        try:
+            crit = bc_criterion(pi, native)
+        except NotGeneric:
             continue
         hits += 1
-        if not bc_critical_test(pi, native):
-            all_critical = False
+        all_critical = all_critical and crit
         if op_checks < 3:
             # the B/C operator displays are the type-A operator of the folded tuple
             if not verify_dp(folded_instance(pi), [sd.space], fold(native, kind)):

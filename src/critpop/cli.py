@@ -20,12 +20,11 @@ from .core import (
     check_separating,
     degree_vector,
     heine_stieltjes_test,
-    is_generic,
     monic_tuple,
     ones_tuple,
     weight_at_infinity,
 )
-from .errors import CritpopError, IdentityViolated, InvalidInstance, NotSelfdual
+from .errors import CritpopError, IdentityViolated, InvalidInstance, NotGeneric, NotSelfdual
 from .fundamental import (
     exponents,
     expected_exponents_finite,
@@ -102,22 +101,24 @@ def cmd_verify(args) -> int:
     pi = ProblemInstance.from_config(cfg)
     y = _tuple_from_config(cfg, pi)
     rep = Report(args.format)
-    ok, reason = is_generic(pi, y)
-    rep.add("generic", f"tuple {_fmt_tuple(y)}: {reason}", ok)
-    if ok:
-        if pi.rd.kind == "A":
-            crit = heine_stieltjes_test(pi, y)
-            rep.add("deg-2-lem", f"divisibility criterion on {_fmt_tuple(y)}", crit)
-            rep.add(
-                "fertile-cor",
-                "criterion agrees with direction-wise solvability",
-                crit == is_fertile(pi, y),
-            )
-        else:
-            crit = bcmod.bc_critical_test(pi, y)
-            rep.add("bc-critical", f"B/C criterion on {_fmt_tuple(y)}", crit)
-            rep.add("fold-equiv", "criticality transfers through folding",
-                    bcmod.fold_equivalence(pi, y))
+    # one genericity test: the criterion raises NotGeneric with the reason
+    try:
+        crit = (heine_stieltjes_test if pi.rd.kind == "A" else bcmod.bc_criterion)(pi, y)
+    except NotGeneric as exc:
+        rep.add("generic", f"tuple {_fmt_tuple(y)}: {exc}", False)
+        return rep.emit()
+    rep.add("generic", f"tuple {_fmt_tuple(y)}: generic")
+    if pi.rd.kind == "A":
+        rep.add("deg-2-lem", f"divisibility criterion on {_fmt_tuple(y)}", crit)
+        rep.add(
+            "fertile-cor",
+            "criterion agrees with direction-wise solvability",
+            crit == is_fertile(pi, y),
+        )
+    else:
+        rep.add("bc-critical", f"B/C criterion on {_fmt_tuple(y)}", crit)
+        rep.add("fold-equiv", "criticality transfers through folding",
+                bcmod.fold_equivalence(pi, y, crit))
     return rep.emit()
 
 

@@ -7,8 +7,8 @@ the pivot-degree coefficients of a polynomial against echelon rows; span
 construction, membership, coordinates, flag canonicalization and
 completion use it, and exponents and Bruhat data are echelon degrees.  The
 fundamental space of a critical tuple is built by the sibling recursion;
-the factored operator whose kernel it is gets verified symbolically over
-exact rational functions in `verify_dp`.
+the factored operator whose kernel it is gets verified symbolically in
+`verify_dp`, over primitive integer polynomials up to nonzero scalars.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .core import (
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotDivisible, NotInImage
-from .poly import ONE, Poly, divided_wronskian, gcd, solve_combination, wronskian
+from .poly import (ONE, Poly, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo, _zsub,
+                   divided_wronskian, solve_combination, wronskian)
 from .reproduction import immediate_descendants, _sample_generic
 from .roots import WeylElement, dominant_representative, generator, identity_element
 
@@ -332,42 +333,45 @@ def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool
     if any(sp != first for sp in spaces[1:]):
         return False
     if member is not None:
-        for u in first.basis:
-            if not _apply_factored_operator(pi, member, u).is_zero():
-                return False
+        factors = _operator_factors(pi, member)
+        return all(_apply_factored_operator(factors, u).is_zero() for u in first.basis)
     return True
 
 
-def _apply_factored_operator(pi: ProblemInstance, y: TupleY, u: Poly) -> Poly:
-    """Apply the order-(N+1) factored operator of a critical tuple to u.
+def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[tuple[list[int], list[int]]]:
+    """(ab, a'b - ab') for each factor argument a/b of the order-(N+1)
+    operator of y, rightmost factor first, in primitive integer form.
 
-    Factors are applied right to left; each is f -> f' - logderiv(arg) f
-    over exact rational functions.  The result is returned as a polynomial
-    numerator (zero iff the operator annihilates u).
+    The k-th argument (k = 0..N) is y_{k+1} T_1...T_k / y_k with
+    y_0 = y_{N+1} = 1; logderiv(a/b) = (a'b - ab')/(ab).
     """
-    n = pi.rd.rank
-    ts = pi.ts
-    yy = [ONE] + [y[i] for i in range(n)] + [ONE]
+    zs = [[1], *(_zpoly(p) for p in y), [1]]
+    out, tprod = [], [1]
+    for b, c, t in zip(zs, zs[1:], [*pi.ts, ONE]):
+        a = _zmul(c, tprod)
+        out.append((_zmul(a, b), _zsub(_zmul(_zderiv(a), b), _zmul(a, _zderiv(b)))))
+        tprod = _zmul(tprod, _zpoly(t))
+    return out
 
-    def factor_arg(i: int) -> tuple[Poly, Poly]:
-        num = yy[n + 1 - i]
-        for s in range(0, n - i):
-            num = num * ts[s]
-        return num, yy[n - i]
 
-    num, den = u, ONE
-    for i in range(n, -1, -1):
-        a_num, a_den = factor_arg(i)
-        # logderiv(a_num/a_den) = a_num'/a_num - a_den'/a_den
-        new_num = (
-            num.deriv() * den - num * den.deriv()
-        ) * a_num * a_den - num * den * (
-            a_num.deriv() * a_den - a_num * a_den.deriv()
-        )
-        new_den = den * den * a_num * a_den
-        g = gcd(new_num, new_den)
-        if g.degree > 0:
-            new_num = new_num.exact_div(g)
-            new_den = new_den.exact_div(g)
-        num, den = new_num, new_den
-    return num
+def _apply_factored_operator(factors, u: Poly) -> Poly:
+    """Apply the factored operator of `_operator_factors` to u.
+
+    Factors are applied right to left; each is f -> f' - logderiv(a/b) f on
+    f = N/D.  The operator is linear and a logarithmic derivative ignores
+    scalars, so N, D and the factor arguments are kept as primitive integer
+    polynomials: each step forms (N'D - ND')ab - ND(a'b - ab') over D^2 ab
+    and divides out their gcd and contents.  The returned numerator is
+    the exact rational one up to a nonzero rational scalar, so it is zero
+    iff the operator annihilates u.
+    """
+    num, den = _zpoly(u), [1]
+    for ab, w in factors:
+        dnum = _zsub(_zmul(_zderiv(num), den), _zmul(num, _zderiv(den)))
+        num = _zsub(_zmul(dnum, ab), _zmul(_zmul(num, den), w))
+        den = _zmul(_zmul(den, den), ab)
+        if not num:
+            return Poly()
+        g = _zgcd(num, den)
+        num, den = _zprimitive(_zquo(num, g)), _zprimitive(_zquo(den, g))
+    return Poly(num)

@@ -5,6 +5,11 @@ upward with no trailing zeros; the zero polynomial is the empty tuple.
 This module is the arithmetic substrate for everything else: Wronskians,
 divided Wronskians, exact division, gcd, square roots and the linear
 solver that every solve over polynomial coefficients goes through.
+
+One private section works on primitive integer polynomials (int lists,
+lowest degree first) for results needed only up to a scalar: `gcd` runs a
+primitive remainder sequence there and returns the monic gcd, and the
+factored-operator check in `fundamental` runs on it end to end.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd as igcd
+from math import isqrt, lcm
 
 from .errors import IdentityViolated, InvalidInstance, NotDivisible
 
@@ -236,11 +242,98 @@ def from_roots(roots) -> Poly:
     return out
 
 
+# -- primitive integer polynomials ------------------------------------------
+# Lists of ints, lowest degree first, no trailing zeros; [] is zero.  A
+# result is wanted up to a nonzero rational scalar, so contents are divided
+# out as they appear and no Fraction enters the loop.
+
+
+def _zprimitive(a: list[int]) -> list[int]:
+    """a divided by its integer content, with a positive leading coefficient."""
+    if not a:
+        return a
+    g = igcd(*a)
+    return [c // g for c in a] if a[-1] > 0 else [-c // g for c in a]
+
+
+def _zpoly(p: Poly) -> list[int]:
+    """Primitive integer associate of p: denominators cleared, content out."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return _zprimitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+
+
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def _zsub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a))
+    for j, v in enumerate(b):
+        out[j] -= v
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zderiv(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _zprem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder: m a - q b of degree below deg b, for some nonzero
+    integer m.  Each step scales by lc(b)/g only, g = gcd(lc(r), lc(b))."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    while len(r) > db:
+        g = igcd(r[-1], lb)
+        m, c, k = lb // g, r[-1] // g, len(r) - 1 - db
+        if m != 1:
+            r = [m * v for v in r]
+        for j, v in enumerate(b):
+            r[j + k] -= c * v
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _zquo(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient a / b for a primitive divisor b of a; integral by
+    Gauss's lemma."""
+    if b == [1]:
+        return a
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + db] // lb
+        if c:
+            q[k] = c
+            for j, v in enumerate(b):
+                r[j + k] -= c * v
+    return q
+
+
+def _zgcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd by the primitive remainder sequence (Collins 1967;
+    Knuth, TAOCP vol. 2, 4.6.1, Algorithm E); [] for two zeros."""
+    a, b = _zprimitive(a), _zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _zprimitive(_zprem(a, b))
+    return a
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else ZERO
+    """Monic gcd; gcd(0, 0) = 0.  The monic gcd is unique, so taking it
+    from the primitive gcd over Z gives exactly Euclid's answer over Q."""
+    g = _zgcd(_zpoly(a), _zpoly(b))
+    return Poly(g).monic() if g else ZERO
 
 
 def is_squarefree(p: Poly) -> bool:

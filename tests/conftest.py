@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from critpop.core import ProblemInstance, is_generic, monic_tuple
-from critpop.poly import Poly
+from critpop.poly import ZERO, Poly
 from critpop.roots import root_data
 
 
@@ -14,6 +15,12 @@ def instance(code, weights=(), points=()):
         tuple(tuple(w) for w in weights),
         tuple(Fraction(z) for z in points),
     )
+
+
+A3W = instance("A3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ["0", "1", "3"])
+# the (6,8,6) member of the A3W atlas
+A3W_686 = tuple(Poly.from_text(t) for t in (
+    "54 0 -12 48 0 -56/5 1", "48 -72 -108 96 0 -24 448/15 -48/5 1", "6 -72 84 -40 12 -26/5 1"))
 
 
 def seeded_points(rng, n):
@@ -39,3 +46,27 @@ def random_generic_tuple(rng, pi, max_deg=3):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call to module.name, wherever a critpop
+    module binds that function: the defining module, whose own calls go
+    through its global, and every module that imported it."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "critpop" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def euclid_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over Q: the reference for `gcd`."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic() if not a.is_zero() else ZERO

@@ -73,8 +73,9 @@ class TestCriticalTest:
         for pi in (B2, C2):
             atlas = explore_population(pi, (ONE, ONE), 8, seed=0)
             for member in atlas.members.values():
+                y = member.tuple_y
                 if member.generic:
-                    assert fold_equivalence(pi, member.tuple_y)
+                    assert fold_equivalence(pi, y, bc_critical_test(pi, y))
 
     def test_fold_equivalence_random(self, rng):
         # random generic tuples; criticality on both sides (usually false)
@@ -83,7 +84,7 @@ class TestCriticalTest:
         for pi in (B2, C2):
             for _ in range(20):
                 y = random_generic_tuple(rng, pi, max_deg=2)
-                assert fold_equivalence(pi, y)
+                assert fold_equivalence(pi, y, bc_critical_test(pi, y))
 
 
 class TestBridge:

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpop
-from critpop import bc, cli, core, fundamental, reproduction, selfduality
+from critpop import core, fundamental, reproduction, selfduality
 from critpop.cli import main
 from critpop.poly import ONE
+from conftest import count_calls
 
 
 def write_cfg(tmp_path, name, payload):
@@ -40,22 +41,6 @@ def run(args):
     return main(args)
 
 
-def count_calls(monkeypatch, module, name):
-    """Record the arguments of every call to module.name, wherever a critpop
-    module has bound that function by import."""
-    calls = []
-    fn = getattr(module, name)
-
-    def counting(*args):
-        calls.append(args)
-        return fn(*args)
-
-    for mod in (bc, cli, core, reproduction, selfduality):
-        if getattr(mod, name, None) is fn:
-            monkeypatch.setattr(mod, name, counting)
-    return calls
-
-
 class TestVerify:
     def test_critical_tuple(self, sl2_cfg, capsys):
         assert run(["verify", "--config", sl2_cfg]) == 0
@@ -77,6 +62,20 @@ class TestVerify:
     def test_bc_tuple(self, tmp_path):
         cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": []})
         assert run(["verify", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("code", ["A2", "B2", "C2"])
+    def test_genericity_tested_once_per_tuple(self, tmp_path, monkeypatch, capsys, code):
+        cfg = write_cfg(tmp_path, "c.json", {"root_system": code, "weights": [], "points": []})
+        calls = count_calls(monkeypatch, core, "is_generic")
+        assert run(["verify", "--config", cfg]) == 0
+        assert calls and len(calls) == len(set(calls))
+
+    def test_non_generic_reason(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "b2.json", {"root_system": "B2", "weights": [], "points": [],
+                                              "tuple": ["0 1", "0 1"]})
+        assert run(["verify", "--config", cfg]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "[generic] tuple (x, x): y_1 and y_2 share a root (a_ij != 0) : FAIL"]
 
 
 class TestPopulate:
@@ -190,6 +189,14 @@ class TestSelfdual:
         assert run(["selfdual", "--config", cfg]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "[selfdual] dim 3 space selfdual: False : PASS"]
+
+    def test_genericity_tested_once_per_tuple(self, tmp_path, monkeypatch, capsys):
+        """The B/C criterion and the sampler read `NotGeneric` from one run
+        of the criterion instead of testing genericity first."""
+        cfg = write_cfg(tmp_path, "b2.json", B2)
+        calls = count_calls(monkeypatch, core, "is_generic")
+        assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
+        assert calls and len(calls) == len(set(calls))
 
     def test_folded_instance_built_once(self, tmp_path, monkeypatch, capsys):
         # the folded instance is cached across runs, so only repeats are counted

@@ -23,11 +23,14 @@ from critpop.fundamental import (
     span,
     verify_dp,
     _apply_factored_operator,
+    _operator_factors,
 )
+from critpop import poly
+from critpop.bc import bc_fundamental_space, fold, folded_instance
 from critpop.poly import ONE, X, Poly
 from critpop.reproduction import explore_population
 from critpop.roots import dominant_representative, shifted_action
-from conftest import instance
+from conftest import A3W, A3W_686, count_calls, euclid_gcd, instance, random_monic
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
 SL3 = instance("A2")
@@ -101,11 +104,68 @@ class TestDPInvariance:
         y = atlas.members[(2, 2)].tuple_y
         V = fundamental_space(SL3, y)
         d = max(V.degrees())
-        assert not _apply_factored_operator(SL3, y, X ** (d + 1)).is_zero()
+        assert not _apply_factored_operator(_operator_factors(SL3, y), X ** (d + 1)).is_zero()
         pi = instance("A2", [(1, 0), (0, 1)], ["0", "1"])
         other = (ONE, ONE)
         assert verify_dp(pi, [fundamental_space(pi, other)], other)
         assert not verify_dp(pi, [V], other)
+
+    @pytest.mark.parametrize("case", ["SL3", "A3W", "B2", "C2", "B3"])
+    def test_operator_matches_rational_reference(self, case):
+        """Same zero-ness, and the same numerator up to a scalar, as the
+        operator over Fraction coefficients, on the basis of each space and
+        on outsiders u + x^(d+1), u x and a random u."""
+        for pi, y, V in operator_cases(case):
+            d = max(V.degrees())
+            u = V.basis[0]
+            rng = random.Random(d)
+            outsiders = [u + X ** (d + 1), u * X, random_monic(rng, d + 1)]
+            factors = _operator_factors(pi, y)
+            for p in [*V.basis, *outsiders]:
+                got, want = _apply_factored_operator(factors, p), reference_operator(pi, y, p)
+                assert got.is_zero() == want.is_zero() == V.contains(p)
+                assert got.is_zero() or got.monic() == want.monic()
+
+    def test_no_rational_gcd(self, monkeypatch):
+        """The operator check runs on integer polynomials: no `poly.gcd`."""
+        V = fundamental_space(A3W, A3W_686)
+        calls = count_calls(monkeypatch, poly, "gcd")
+        assert verify_dp(A3W, [V], A3W_686)
+        assert not calls
+
+
+def reference_operator(pi, y, u):
+    """The factored operator on exact rational functions with Fraction
+    coefficients and Euclid's gcd: the reference for the integer one."""
+    ts, yy = pi.ts, [ONE, *y, ONE]
+    num, den = u, ONE
+    for k in range(pi.rd.rank + 1):
+        a, b = yy[k + 1], yy[k]
+        for t in ts[:k]:
+            a = a * t
+        num, den = ((num.deriv() * den - num * den.deriv()) * a * b
+                    - num * den * (a.deriv() * b - a * b.deriv())), den * den * a * b
+        g = euclid_gcd(num, den)
+        if g.degree > 0:
+            num, den = num.exact_div(g), den.exact_div(g)
+    return num
+
+
+def operator_cases(case):
+    """(instance, tuple, space) triples whose operator annihilates the space:
+    SL3 atlas members, the (6,8,6) A3W member, and folded B/C tuples."""
+    if case == "SL3":
+        atlas = explore_population(SL3, (ONE, ONE), 2, seed=0)
+        return [(SL3, m.tuple_y, fundamental_space(SL3, m.tuple_y))
+                for m in atlas.members.values() if m.generic]
+    if case == "A3W":
+        return [(A3W, A3W_686, fundamental_space(A3W, A3W_686))]
+    pi = instance(case)
+    ys = [(ONE,) * pi.rd.rank]
+    if case == "B2":
+        ys.append(explore_population(pi, ys[0], 4, seed=0).members[(3, 3)].tuple_y)
+    return [(folded_instance(pi), fold(y, pi.rd.kind), bc_fundamental_space(pi, y).space)
+            for y in ys]
 
 
 class TestExponents:

@@ -9,6 +9,7 @@ from critpop.errors import InvalidInstance, NotDivisible
 from critpop.poly import (
     ONE,
     X,
+    ZERO,
     Poly,
     divided_wronskian,
     from_roots,
@@ -19,8 +20,17 @@ from critpop.poly import (
     solve_linear,
     wronskian,
 )
+from conftest import euclid_gcd
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
+
+
+# rational coefficients, some with 30-digit numerators; often not monic
+rat_polys = st.lists(
+    st.builds(Fraction, st.one_of(st.integers(-6, 6), st.integers(-10**30, 10**30)),
+              st.integers(1, 12)),
+    max_size=5,
+).map(Poly)
 
 
 def poly_of(cs):
@@ -64,6 +74,16 @@ class TestArithmetic:
         assert gcd(p, p.deriv()) == Poly([-1, 1])
         assert not is_squarefree(p)
         assert is_squarefree(Poly([-2, 0, 1]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(rat_polys, min_size=3, max_size=3))
+    def test_gcd_matches_euclid(self, fgh):
+        """The integer remainder sequence returns Euclid's monic gcd: zero,
+        constants, pairs with a common factor f, non-monic rational and
+        large coefficients."""
+        f, g, h = fgh
+        for a, b in ((g, h), (f * g, f * h), (f * g, f), (g, ZERO), (ZERO, h)):
+            assert gcd(a, b) == gcd(b, a) == euclid_gcd(a, b)
 
 
 class TestWronskian:

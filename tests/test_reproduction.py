@@ -26,14 +26,10 @@ from critpop.reproduction import (
     solve_wronskian_equation,
 )
 from critpop.roots import dominant_representative, shifted_action
-from conftest import instance
+from conftest import A3W, A3W_686, instance
 
 SL3 = instance("A2")
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
-A3W = instance("A3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ["0", "1", "3"])
-# the (6,8,6) member of the A3W atlas
-A3W_686 = tuple(Poly.from_text(t) for t in (
-    "54 0 -12 48 0 -56/5 1", "48 -72 -108 96 0 -24 448/15 -48/5 1", "6 -72 84 -40 12 -26/5 1"))
 
 
 def reference_solve(y, rhs):
