@@ -41,7 +41,8 @@ from .roots import (
     is_centro_symmetric,
     root_data,
 )
-from .selfduality import SelfdualSpace, framing_of, is_isotropic, isotropic_generators
+from .selfduality import (IsotropicFamily, SelfdualSpace, antidiagonal_basis, framing_of,
+                          is_isotropic)
 
 
 def fold(y: TupleY, kind: str) -> TupleY:
@@ -228,11 +229,13 @@ def bc_population_as_isotropic_flags(
     """Sample isotropic flags by sweeps of generator moves from the isotropic
     flag `start`, push them through the generating morphism, unfold and
     re-test criticality; also verify the displayed B/C operator by kernel
-    equality on at least three samples.  `antidiagonal_basis` raises unless
-    `start` and every move of a sweep but the last are isotropic."""
+    equality on at least three samples.  `start` is anti-diagonalized once,
+    which raises unless it is isotropic; every sweep moves that basis as
+    coordinate vectors, and `is_isotropic` on its one `Flag` certifies it."""
     rng = random.Random(seed)
     kind = pi.rd.kind
     k = sd.dim // 2
+    base = antidiagonal_basis(sd, start)
     hits = 0
     op_checks = 0
     all_symmetric = True
@@ -240,14 +243,14 @@ def bc_population_as_isotropic_flags(
     attempts = 0
     while hits < samples and attempts < 20 * samples:
         attempts += 1
-        flag = start
+        u = base
         # a longest-word sweep of one-parameter moves lands in the open cell
         for r in range(k):
             for direction in range(1, k + 1):
                 c = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 4))
-                fam = isotropic_generators(sd, flag, direction)
-                flag = fam.flag_at(c)
-        # the one check of the sweep's last move
+                fam = IsotropicFamily(direction, u, sd)
+                u = fam.deformed_basis(c)
+        flag = fam.flag_at(c)
         if not is_isotropic(sd, flag):
             raise ConstructionFailed("generator left the isotropic variety")
         tup = generating_morphism(sd.space, flag, sd.framing)

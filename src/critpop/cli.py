@@ -156,8 +156,11 @@ def cmd_populate(args) -> int:
     )
     if args.output:
         text = atlas.to_json(args.seed, args.max_degree, cfg["root_system"])
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInstance(f"cannot write atlas: {exc}") from exc
         rep.add("atlas", f"wrote {args.output}")
     return rep.emit()
 
@@ -251,7 +254,7 @@ def cmd_count(args) -> int:
         for l in range((8 if args.max_degree is None else args.max_degree) + 1):
             lam = sum(w[0] for w in pi.weights) - 2 * l
             if lam < 0:
-                continue
+                break  # lam falls as l grows
             exact, bound = population_count_report(pi, l)
             rep.add("estimate", f"l={l}: exact {exact} <= bound {bound}", exact <= bound)
     else:

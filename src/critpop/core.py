@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CoincidentCoordinates, InvalidInstance, NotGeneric
-from .poly import ONE, Poly, from_roots, gcd, is_squarefree
+from .poly import ONE, Poly, from_roots, gcd, is_squarefree, parse_rational
 from .roots import RootData, Weight, root_data
 
 TupleY = tuple[Poly, ...]
@@ -61,7 +61,7 @@ class ProblemInstance:
         ):
             raise InvalidInstance("weights must be lists of integers")
         try:
-            points = tuple(Fraction(str(z)) for z in cfg.get("points", []))
+            points = tuple(parse_rational(str(z)) for z in cfg.get("points", []))
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidInstance(f"bad marked point: {exc}") from exc
         return ProblemInstance(rd, tuple(tuple(w) for w in weights), points)

@@ -30,6 +30,15 @@ def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def parse_rational(text: str) -> Fraction:
+    """An integer, decimal or a/b text as an exact rational.  Exponent
+    notation is refused with ValueError: a few characters such as 1e999999
+    would name an integer of arbitrary size."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"exponent notation in {text!r}")
+    return Fraction(text)
+
+
 class Poly:
     """Immutable dense polynomial with Fraction coefficients."""
 
@@ -197,7 +206,7 @@ class Poly:
         text = text.strip()
         if text == "0":
             return ZERO
-        return Poly([Fraction(tok) for tok in text.split()])
+        return Poly([parse_rational(tok) for tok in text.split()])
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r})"

@@ -12,8 +12,11 @@ space equals its dual.  `dual_space` and `is_selfdual` compute V+ on
 their own, with the V++ = V check; no library path calls them, and they
 stay as an independent reference.  The `form` of a `SelfdualSpace`
 evaluates its Gram matrix on coordinate vectors in the echelon basis.
-The isotropic layer works on these vectors; `space.member` makes
-polynomials only where a `Flag` or a Wronskian needs them.  Witt
+The isotropic layer works on these vectors: `antidiagonal_basis` adjusts
+a flag's basis, a generator move (`IsotropicFamily.deformed_basis`) keeps
+it anti-diagonal with the same anti-diagonal values, so moves compose on
+vectors, and `space.member` makes polynomials only where a `Flag`
+(`IsotropicFamily.flag_at`) or a Wronskian needs them.  Witt
 normalization is attempted over Q and over a single quadratic extension;
 otherwise the basis is reported as quasi-Witt with its mirror ratios.
 """
@@ -417,6 +420,11 @@ def verify_witt(framing: tuple[Poly, ...], result: QuasiWittResult) -> bool:
 # -- isotropic one-parameter generators -----------------------------------------
 
 
+def _axpy(x, c: Fraction, y) -> list:
+    """The coordinate vector x + c*y."""
+    return [a + c * b for a, b in zip(x, y)]
+
+
 def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list:
     """Adjust the flag basis within its flag so the form is anti-diagonal:
     (u_a, u_b) = 0 unless the 1-based indices satisfy a + b = N + 2.
@@ -436,12 +444,12 @@ def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list:
                 raise ConstructionFailed("vanishing anti-diagonal entry")
             c = val(j, b)
             if c:
-                u[b] = [x - c / gj * y for x, y in zip(u[b], u[m])]
+                u[b] = _axpy(u[b], -c / gj, u[m])
         if 2 * (b + 1) > n1 + 1:
             m = n1 - 1 - b
             c = val(b, b)
             if c:
-                u[b] = [x - c / (2 * val(b, m)) * y for x, y in zip(u[b], u[m])]
+                u[b] = _axpy(u[b], -c / (2 * val(b, m)), u[m])
     for a in range(n1):
         for b in range(a, n1):
             on_pair = a + b == n1 - 1
@@ -466,28 +474,31 @@ class IsotropicFamily:
         n1 = len(self.base)
         return self.sd.form(self.base[j - 1], self.base[n1 - j])
 
-    def deformed_basis(self, c: Fraction) -> list[Poly]:
-        u = [self.sd.space.member(v) for v in self.base]
+    def deformed_basis(self, c: Fraction) -> list:
+        """The moved basis as coordinate vectors, anti-diagonal with the
+        values g_j of `base`, so it can be moved again; for a side move,
+        (u_i + c u_{i+1}, u_{N+1-i} + c eps u_{N+2-i}) = c (eps g_i + g_{i+1}) = 0."""
+        u = list(self.base)
         n1 = len(u)
         k = n1 // 2
         i0 = self.direction
         a = i0 - 1
         if n1 % 2 == 0 and i0 == k:
-            u[a] = u[a] + c * u[a + 1]
+            u[a] = _axpy(u[a], c, u[a + 1])
             return u
         if n1 % 2 == 1 and i0 == k:
             bb = -self._g(k + 1) / self._g(k)
-            u[a] = u[a] + c * u[a + 1] + (c * c * bb / 2) * u[a + 2]
-            u[a + 1] = u[a + 1] + c * bb * u[a + 2]
+            u[a] = _axpy(_axpy(u[a], c, u[a + 1]), c * c * bb / 2, u[a + 2])
+            u[a + 1] = _axpy(u[a + 1], c * bb, u[a + 2])
             return u
         eps = -self._g(i0 + 1) / self._g(i0)
         b = n1 - i0 - 1  # 0-based mirror slot N+1-i0
-        u[a] = u[a] + c * u[a + 1]
-        u[b] = u[b] + c * eps * u[b + 1]
+        u[a] = _axpy(u[a], c, u[a + 1])
+        u[b] = _axpy(u[b], c * eps, u[b + 1])
         return u
 
     def flag_at(self, c: Fraction) -> Flag:
-        return Flag.from_basis(self.sd.space, self.deformed_basis(c))
+        return Flag.from_basis(self.sd.space, map(self.sd.space.member, self.deformed_basis(c)))
 
     def tuple_at(self, c: Fraction):
         return generating_morphism(self.sd.space, self.flag_at(c), self.sd.framing)

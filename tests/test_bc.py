@@ -19,7 +19,7 @@ from critpop.errors import ConstructionFailed, NotFertile
 from critpop.fundamental import fundamental_space
 from critpop.poly import ONE, X, Poly
 from critpop.reproduction import explore_population, is_fertile, param_candidates
-from critpop.selfduality import is_isotropic, is_selfdual, quasi_witt_basis
+from critpop.selfduality import IsotropicFamily, is_isotropic, is_selfdual, quasi_witt_basis
 from conftest import instance
 
 B2 = instance("B2")
@@ -145,6 +145,19 @@ class TestIsotropicSampling:
         rep = bc_population_as_isotropic_flags(C2, sd, quasi_witt_basis(sd).flag,
                                                samples=4, seed=3)
         assert rep.all_symmetric and rep.all_critical
+
+    @pytest.mark.parametrize("pi", [B2, C2], ids=["B2", "C2"])
+    def test_move_leaving_the_variety_is_caught(self, monkeypatch, pi):
+        """Sweeps carry one basis without re-anti-diagonalizing it, so the
+        one isotropy test per sweep must catch a broken move: flipping the
+        sign of every even anti-diagonal value flips eps and the middle bb."""
+        g = IsotropicFamily._g
+        monkeypatch.setattr(IsotropicFamily, "_g",
+                            lambda fam, j: -g(fam, j) if j % 2 == 0 else g(fam, j))
+        sd = bc_fundamental_space(pi, (ONE, ONE))
+        with pytest.raises(ConstructionFailed, match="left the isotropic variety"):
+            bc_population_as_isotropic_flags(pi, sd, quasi_witt_basis(sd).flag,
+                                             samples=4, seed=3)
 
 
 class TestDegreeLaw:

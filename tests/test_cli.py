@@ -160,7 +160,9 @@ class TestSelfdual:
 
     def test_coordinates_solved_once_per_flag_element(self, tmp_path, monkeypatch, capsys):
         """The isotropic layer solves for each flag element's coordinates once
-        per anti-diagonalization or isotropy test, and never per pairing."""
+        per anti-diagonalization or isotropy test, and never per pairing or
+        per move: one anti-diagonalization for the quasi-Witt basis and one
+        per sampling run, one isotropy test per sample."""
         cfg = write_cfg(tmp_path, "b2.json", B2)
         solves = []
         coords = fundamental.PolySpace.coords
@@ -169,7 +171,8 @@ class TestSelfdual:
         adjusted = count_calls(monkeypatch, selfduality, "antidiagonal_basis")
         tested = count_calls(monkeypatch, selfduality, "is_isotropic")
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
-        assert len(solves) == 4 * (len(adjusted) + len(tested)) == 104
+        assert len(adjusted) == 2
+        assert len(solves) == 4 * (len(adjusted) + len(tested)) == 28
 
     def test_type_a_selfdual(self, sl3_cfg, monkeypatch, capsys):
         # antidiagonal_basis certifies the quasi-Witt flag; nothing re-tests it
@@ -234,6 +237,18 @@ class TestCount:
         assert run(["count", "--config", write_cfg(tmp_path, "a2.json", A2)]) == 0
         assert capsys.readouterr().out == "[estimate] multiplicity bound 1 : PASS\n"
 
+    def test_huge_max_degree(self, tmp_path):
+        """The rank-1 loop stops at the first negative weight, so its time
+        does not grow with the digits of --max-degree."""
+        cfg = write_cfg(tmp_path, "count.json", A1_THREE)
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        outs = [subprocess.run(
+            [sys.executable, "-m", "critpop.cli", "count", "--config", cfg, "--max-degree", m],
+            capture_output=True, text=True, env=env, timeout=60,
+        ).stdout for m in ("8", str(10**18))]
+        assert outs[0] == outs[1] and "l=1: exact 2 <= bound 2" in outs[0]
+
     @pytest.mark.parametrize("weight", [2, 3])
     def test_sl2_inconsistent_system(self, tmp_path, capsys, weight):
         # at l = 1 the criterion system has Groebner basis [1]: no critical point
@@ -244,6 +259,7 @@ class TestCount:
 
 
 A1 = {"root_system": "A1", "weights": [[1], [1]], "points": ["0", "2"]}
+A1_THREE = {"root_system": "A1", "weights": [[1], [1], [1]], "points": ["0", "1", "3"]}
 BAD_CONFIGS = {
     "missing-root-system": {"weights": [], "points": []},
     "unknown-root-system": {"root_system": "D4"},
@@ -256,6 +272,8 @@ BAD_CONFIGS = {
     "bad-polynomial-text": dict(A1, tuple=["-1 x"]),
     "zero-polynomial": dict(A1, tuple=["0"]),
     "tuple-length": dict(A1, tuple=["-1 1", "1"]),
+    "exponent-point": dict(A1, points=["0", "1e5000"]),
+    "exponent-coefficient": dict(A1, tuple=["1e5000 1"]),
 }
 A2 = {"root_system": "A2", "weights": [], "points": []}
 B2 = {"root_system": "B2", "weights": [], "points": []}
@@ -303,6 +321,14 @@ class TestInvalidInput:
         if cfg is not None:
             args = [*args, "--config", write_cfg(tmp_path, "cfg.json", cfg)]
         assert run(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")
+
+    @pytest.mark.parametrize("target", ["missing_dir/a.json", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_output(self, tmp_path, capsys, target):
+        cfg = write_cfg(tmp_path, "cfg.json", A1)
+        out = str(tmp_path / target)
+        assert run(["populate", "--config", cfg, "--max-degree", "1", "--output", out]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")
 

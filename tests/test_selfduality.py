@@ -236,7 +236,7 @@ class TestIsotropy:
 
 
 class TestGenerators:
-    @pytest.mark.parametrize("n1", [4, 5])
+    @pytest.mark.parametrize("n1", [4, 5, 6])
     def test_families_stay_isotropic_and_symmetric(self, n1):
         V = monomial_space(n1)
         sd = SelfdualSpace(V, framing_of(V, ()))
@@ -244,7 +244,14 @@ class TestGenerators:
         k = n1 // 2
         for direction in range(1, k + 1):
             fam = isotropic_generators(sd, qw.flag, direction)
+            g = [sd.form(fam.base[a], fam.base[n1 - 1 - a]) for a in range(n1)]
             for c in (Fraction(1), Fraction(-2), Fraction(1, 3)):
+                # a moved basis can be moved again: anti-diagonal, same values
+                u = fam.deformed_basis(c)
+                for a in range(n1):
+                    for b in range(n1):
+                        want = g[a] if a + b == n1 - 1 else 0
+                        assert sd.form(u[a], u[b]) == want
                 assert is_isotropic(sd, fam.flag_at(c))
                 tup = fam.tuple_at(c)
                 m = len(tup)
