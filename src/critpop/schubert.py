@@ -4,8 +4,9 @@ multiplicity upper bound on population counts.
 LR coefficients are computed by explicit lattice-word tableau
 enumeration; a brute-force weight-multiplicity oracle (Kostka counts fed
 through an alternating Weyl sum) provides the independent cross-check,
-and a resultant/Groebner solver delivers exact critical-point counts at
-rank one.
+and a lex Groebner basis in shape position delivers exact critical-point
+counts at rank one.  That count evaluates the bad locus in QQ[t] modulo
+the eliminant; it is the only user of sympy, which it imports when called.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-
-import sympy
 
 from .core import ProblemInstance
 from .errors import Inconsistent
@@ -306,12 +305,16 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     every coordinate is then a polynomial in the last one, and distinct
     critical polynomials are counted by gcd arithmetic on the squarefree
     eliminant, discarding the locus where the candidate has a multiple
-    root or vanishes at a marked point.
+    root or vanishes at a marked point.  That bad locus is evaluated on
+    the coordinates in QQ[t] modulo the eliminant, one product at a time,
+    so it is never expanded.
     """
     if pi.rd.rank != 1:
         raise ValueError("exact counting is rank-one only")
     if l == 0:
         return 1
+    import sympy  # loaded here: only this count needs it, and it is most of a cold start
+
     x = sympy.Symbol("x")
     f = sympy.prod([x - sympy.Rational(z) for z in pi.points])
     g = sympy.S(0)
@@ -343,6 +346,8 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
 def _shape_count(system, coeffs, bad, lam: int) -> int | None:
     """Distinct good points of a zero-dimensional system via a shape-position
     eliminant in the separating form t = a_{l-1} + lam * (a_0 + ... )."""
+    import sympy
+
     t = sympy.Symbol("t_sep")
     sep = coeffs[-1] + lam * sum(
         (i + 1) * c for i, c in enumerate(coeffs[:-1])
@@ -366,11 +371,22 @@ def _shape_count(system, coeffs, bad, lam: int) -> int | None:
         subs[head[0]] = sympy.expand(-pp.nth(0) / pp.LC())
     if set(subs) != set(coeffs):
         return None
-    bad_t = sympy.expand(bad.subs(subs))
-    bad_t = sympy.rem(bad_t, elim, t)
-    elim_sf = sympy.quo(elim, sympy.gcd(elim, sympy.diff(elim, t)), t)
-    overlap = sympy.gcd(elim_sf, bad_t)
-    return int(sympy.degree(elim_sf, t) - sympy.degree(overlap, t))
+    # bad(subs) mod elim, reduced in QQ[t] after every product: no product
+    # reaches degree 2 deg(elim), where bad(subs) expanded has degree up
+    # to deg(bad) (deg(elim) - 1)
+    elim = sympy.Poly(elim, t, domain=sympy.QQ)
+    powers = [[elim.one, sympy.Poly(subs[c], t, domain=sympy.QQ).rem(elim)]
+              for c in coeffs]
+    bad_t = elim.zero
+    for monom, a in sympy.Poly(bad, *coeffs, domain=sympy.QQ).terms():
+        term = elim.one * a
+        for pw, e in zip(powers, monom):
+            while len(pw) <= e:
+                pw.append((pw[-1] * pw[1]).rem(elim))
+            term = (term * pw[e]).rem(elim)
+        bad_t += term
+    elim_sf = elim.sqf_part()
+    return elim_sf.degree() - elim_sf.gcd(bad_t).degree()
 
 
 def population_count_report(pi: ProblemInstance, l: int):

@@ -27,11 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .errors import (ConstructionFailed, NotConstant, NotDivisible, NotSelfdual,
-                     SquareRootMissing)
-from .fundamental import Flag, PolySpace, degree_flag, exponents, generating_morphism, span
-from .poly import (ONE, Poly, divided_wronskian, poly_sqrt, solve_combination, solve_linear,
-                   wronskian)
+from .errors import ConstructionFailed, NotConstant, NotDivisible, NotSelfdual
+from .fundamental import Flag, PolySpace, degree_flag, exponents, span
+from .poly import ONE, Poly, divided_wronskian, solve_combination, solve_linear, wronskian
 
 
 # -- scalars in a quadratic extension -----------------------------------------
@@ -500,9 +498,6 @@ class IsotropicFamily:
     def flag_at(self, c: Fraction) -> Flag:
         return Flag.from_basis(self.sd.space, map(self.sd.space.member, self.deformed_basis(c)))
 
-    def tuple_at(self, c: Fraction):
-        return generating_morphism(self.sd.space, self.flag_at(c), self.sd.framing)
-
 
 def isotropic_generators(sd: SelfdualSpace, flag: Flag, direction: int) -> IsotropicFamily:
     """Build the degree-`direction` generator family through an isotropic flag."""
@@ -510,37 +505,3 @@ def isotropic_generators(sd: SelfdualSpace, flag: Flag, direction: int) -> Isotr
     if not 1 <= direction <= k:
         raise ValueError(f"direction must be in 1..{k}")
     return IsotropicFamily(direction, antidiagonal_basis(sd, flag), sd)
-
-
-def middle_square_data(fam: IsotropicFamily):
-    """For odd dimension 2k+1 and direction k: the middle coordinate of the
-    family is a perfect square (p + c q)^2 projectively.
-
-    Returns (p, q, wron) with p monic and wron = W(p, q); raises
-    SquareRootMissing when the square structure is absent.
-    """
-    n1 = fam.sd.dim
-    k = n1 // 2
-    assert n1 % 2 == 1 and fam.direction == k
-    mid = k - 1  # 0-based middle tuple slot (the tuple has 2k coordinates)
-
-    def root_at(c) -> Poly:
-        y = fam.tuple_at(Fraction(c))[mid]
-        r = poly_sqrt(y)
-        if r is None:
-            raise SquareRootMissing(f"middle coordinate at c={c} is not a square")
-        return r
-
-    p = root_at(0)
-    p1, p2 = root_at(1), root_at(2)
-    # solve 2*l1*P1 - l2*P2 = p for the joint normalization of the line
-    solved = solve_combination([2 * p1, -p2], p)
-    if solved is None:
-        raise SquareRootMissing("square roots are not collinear")
-    l1, _ = solved[0]
-    q = l1 * p1 - p
-    for c in (1, 2, 3):
-        lhs = p + c * q
-        if lhs.is_zero() or (lhs.monic()) ** 2 != fam.tuple_at(Fraction(c))[mid]:
-            raise SquareRootMissing("square decomposition failed to verify")
-    return p, q, wronskian([p, q])

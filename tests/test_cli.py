@@ -249,6 +249,16 @@ class TestCount:
         ).stdout for m in ("8", str(10**18))]
         assert outs[0] == outs[1] and "l=1: exact 2 <= bound 2" in outs[0]
 
+    def test_import_leaves_sympy_unloaded(self):
+        """sympy is imported by the rank-one exact count only, not at start-up."""
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, critpop.cli; print('sympy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.stdout == "False\n"
+
     @pytest.mark.parametrize("weight", [2, 3])
     def test_sl2_inconsistent_system(self, tmp_path, capsys, weight):
         # at l = 1 the criterion system has Groebner basis [1]: no critical point

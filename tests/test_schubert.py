@@ -3,7 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from critpop import schubert
 from critpop.errors import Inconsistent
 from critpop.fundamental import fundamental_space, schubert_index_finite, schubert_index_infinity
 from critpop.poly import ONE, Poly
@@ -19,6 +21,55 @@ from critpop.schubert import (
     weight_to_partition,
 )
 from conftest import instance, seeded_points
+
+
+def expand_shape_count(system, coeffs, bad, lam):
+    """Reference for `schubert._shape_count`: the same Groebner basis and
+    branches, but the bad locus is expanded as a sympy expression in t
+    before it is reduced modulo the eliminant."""
+    t = sympy.Symbol("t_sep")
+    sep = coeffs[-1] + lam * sum((i + 1) * c for i, c in enumerate(coeffs[:-1]))
+    gens = list(coeffs) + [t]
+    gb = sympy.groebner(system + [t - sep], *gens, order="lex")
+    if gb.exprs == [1]:
+        return 0
+    univ = [p for p in gb.exprs if p.free_symbols <= {t}]
+    if len(univ) != 1:
+        return None
+    elim = univ[0]
+    subs = {}
+    for p in gb.exprs:
+        if p.free_symbols <= {t}:
+            continue
+        head = [c for c in coeffs if c in p.free_symbols]
+        pp = sympy.Poly(p, head[0]) if len(head) == 1 else None
+        if pp is None or pp.degree() != 1 or pp.LC().free_symbols:
+            return None
+        subs[head[0]] = sympy.expand(-pp.nth(0) / pp.LC())
+    if set(subs) != set(coeffs):
+        return None
+    bad_t = sympy.expand(bad.subs(subs))
+    bad_t = sympy.rem(bad_t, elim, t)
+    elim_sf = sympy.quo(elim, sympy.gcd(elim, sympy.diff(elim, t)), t)
+    overlap = sympy.gcd(elim_sf, bad_t)
+    return int(sympy.degree(elim_sf, t) - sympy.degree(overlap, t))
+
+
+@pytest.fixture
+def shape_log(monkeypatch):
+    """Runs `_shape_count` and the reference on every separating form the
+    count tries, asserts they agree, and logs (arguments, result)."""
+    log = []
+    new = schubert._shape_count
+
+    def both(system, coeffs, bad, lam):
+        got = new(system, coeffs, bad, lam)
+        assert got == expand_shape_count(system, coeffs, bad, lam), lam
+        log.append(((system, coeffs, bad, lam), got))
+        return got
+
+    monkeypatch.setattr(schubert, "_shape_count", both)
+    return log
 
 
 class TestLR:
@@ -167,6 +218,38 @@ class TestExactCounts:
     def test_negative_weight_zero(self):
         pi = instance("A1", [(1,)], ["0"])
         assert population_count_report(pi, 2) == (0, 0)
+
+    def test_matches_expand_reference(self, shape_log):
+        rng = random.Random(5)
+        for _ in range(8):
+            n = rng.randint(2, 4)
+            ws = [(rng.randint(1, 2),) for _ in range(n)]
+            pi = instance("A1", ws, [str(z) for z in seeded_points(rng, n)])
+            for l in (1, 2):
+                if sum(w[0] for w in ws) >= 2 * l:
+                    count_critical_sl2(pi, l)
+        # 17 separating forms tried, two of which did not separate
+        assert len(shape_log) == 17 and [got for _, got in shape_log].count(None) == 2
+
+    def test_repeated_eliminant_root(self, shape_log):
+        # the eliminant (t+2)^2 (t+4) is not squarefree, and the bad locus
+        # vanishes at both of its roots
+        pi = instance("A1", [(3,), (1,), (1,)], ["0", "1", "2"])
+        assert count_critical_sl2(pi, 2) == 0
+        assert [(args[3], got) for args, got in shape_log] == [(0, 0)]
+        # other bad loci on the same system: a root is counted once, and
+        # removed once it is bad (at lam = 0 the separating form is a1)
+        system, coeffs, _, _ = shape_log[0][0]
+        a1 = coeffs[1]
+        for bad, want in ((sympy.S(1), 2), (a1 + 2, 1), (a1 + 4, 1)):
+            assert schubert._shape_count(system, coeffs, bad, 0) == want
+
+    def test_separating_form_retry(self, shape_log):
+        # lam = 0, 1, 2 do not separate the points, so lam = 3 is used
+        pi = instance("A1", [(1,)] * 4, ["0", "1", "-1", "2"])
+        assert count_critical_sl2(pi, 2) == 2
+        assert [(args[3], got) for args, got in shape_log] == [
+            (0, None), (1, None), (2, None), (3, 2)]
 
     def test_degree_zero(self):
         pi = instance("A1", [(1,), (1,)], ["0", "2"])

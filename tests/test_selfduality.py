@@ -5,9 +5,9 @@ import pytest
 
 from critpop.core import t_polys
 from critpop.fundamental import Flag, degree_flag, fundamental_space, generating_morphism, span
-from critpop.poly import ONE, X, Poly, divided_wronskian, poly_sqrt, wronskian
+from critpop.poly import ONE, X, Poly, divided_wronskian, poly_sqrt, solve_combination, wronskian
 from critpop.reproduction import explore_population
-from critpop.errors import ConstructionFailed, NotSelfdual
+from critpop.errors import ConstructionFailed, NotSelfdual, SquareRootMissing
 from critpop.selfduality import (
     QuadExt,
     SelfdualSpace,
@@ -18,13 +18,50 @@ from critpop.selfduality import (
     is_isotropic,
     is_selfdual,
     isotropic_generators,
-    middle_square_data,
     nth_root_scalar,
     quasi_witt_basis,
     sqrt_scalar,
     verify_witt,
 )
 from conftest import instance
+
+
+def tuple_at(fam, c):
+    """The generating-morphism tuple of the family's flag at parameter c."""
+    return generating_morphism(fam.sd.space, fam.flag_at(c), fam.sd.framing)
+
+
+def middle_square_data(fam):
+    """For odd dimension 2k+1 and direction k: the middle coordinate of the
+    family is a perfect square (p + c q)^2 projectively.
+
+    Returns (p, q, wron) with p monic and wron = W(p, q); raises
+    SquareRootMissing when the square structure is absent.
+    """
+    n1 = fam.sd.dim
+    k = n1 // 2
+    assert n1 % 2 == 1 and fam.direction == k
+    mid = k - 1  # 0-based middle tuple slot (the tuple has 2k coordinates)
+
+    def root_at(c) -> Poly:
+        r = poly_sqrt(tuple_at(fam, Fraction(c))[mid])
+        if r is None:
+            raise SquareRootMissing(f"middle coordinate at c={c} is not a square")
+        return r
+
+    p = root_at(0)
+    p1, p2 = root_at(1), root_at(2)
+    # solve 2*l1*P1 - l2*P2 = p for the joint normalization of the line
+    solved = solve_combination([2 * p1, -p2], p)
+    if solved is None:
+        raise SquareRootMissing("square roots are not collinear")
+    l1, _ = solved[0]
+    q = l1 * p1 - p
+    for c in (1, 2, 3):
+        lhs = p + c * q
+        if lhs.is_zero() or (lhs.monic()) ** 2 != tuple_at(fam, Fraction(c))[mid]:
+            raise SquareRootMissing("square decomposition failed to verify")
+    return p, q, wronskian([p, q])
 
 
 def monomial_space(n1):
@@ -253,7 +290,7 @@ class TestGenerators:
                         want = g[a] if a + b == n1 - 1 else 0
                         assert sd.form(u[a], u[b]) == want
                 assert is_isotropic(sd, fam.flag_at(c))
-                tup = fam.tuple_at(c)
+                tup = tuple_at(fam, c)
                 m = len(tup)
                 assert all(tup[i] == tup[m - 1 - i] for i in range(m))
 
@@ -298,7 +335,7 @@ class TestGenerators:
         p, q, wr = middle_square_data(fam)
         assert p.leading() > 0
         # W(p, q) proportional to T_k y_{k-1}
-        y1 = fam.tuple_at(Fraction(0))[0]
+        y1 = tuple_at(fam, Fraction(0))[0]
         rhs = fr[1] * y1
         assert wr.monic() == rhs.monic()
         qw5 = quasi_witt_basis(sd)
@@ -310,7 +347,7 @@ class TestGenerators:
             wfl = Flag.from_basis(V, polys)
             fam_w = isotropic_generators(sd, wfl, 2)
             p2, q2, wr2 = middle_square_data(fam_w)
-            assert wr2.monic() == (fr[1] * fam_w.tuple_at(Fraction(0))[0]).monic()
+            assert wr2.monic() == (fr[1] * tuple_at(fam_w, Fraction(0))[0]).monic()
             # middle_square_data verifies the square at c = 1, 2, 3 only
             for c in (Fraction(1, 2), Fraction(-1)):
-                assert fam_w.tuple_at(c)[1] == (p2 + c * q2) ** 2
+                assert tuple_at(fam_w, c)[1] == (p2 + c * q2) ** 2
