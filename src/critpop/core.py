@@ -60,9 +60,14 @@ class ProblemInstance:
             isinstance(w, list) and all(type(c) is int for c in w) for w in weights
         ):
             raise InvalidInstance("weights must be lists of integers")
+        points = cfg.get("points", [])
+        if not isinstance(points, list) or not all(
+            isinstance(z, (str, int)) and not isinstance(z, bool) for z in points
+        ):
+            raise InvalidInstance("points must be a list of strings or integers")
         try:
-            points = tuple(parse_rational(str(z)) for z in cfg.get("points", []))
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            points = tuple(parse_rational(str(z)) for z in points)
+        except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInstance(f"bad marked point: {exc}") from exc
         return ProblemInstance(rd, tuple(tuple(w) for w in weights), points)
 

@@ -6,10 +6,12 @@ This module is the arithmetic substrate for everything else: Wronskians,
 divided Wronskians, exact division, gcd, square roots and the linear
 solver that every solve over polynomial coefficients goes through.
 
-One private section works on primitive integer polynomials (int lists,
-lowest degree first) for results needed only up to a scalar: `gcd` runs a
-primitive remainder sequence there and returns the monic gcd, and the
-factored-operator check in `fundamental` runs on it end to end.
+One private section works on integer polynomials (int lists, lowest
+degree first), so that no Fraction is made in an inner loop: `gcd` runs a
+primitive remainder sequence there and returns the monic gcd, the
+factored-operator check in `fundamental` runs on it end to end, and
+`wronskian` expands its determinant there on denominator-cleared rows and
+applies the one rational scale at the end.
 """
 
 from __future__ import annotations
@@ -251,10 +253,10 @@ def from_roots(roots) -> Poly:
     return out
 
 
-# -- primitive integer polynomials ------------------------------------------
-# Lists of ints, lowest degree first, no trailing zeros; [] is zero.  A
-# result is wanted up to a nonzero rational scalar, so contents are divided
-# out as they appear and no Fraction enters the loop.
+# -- integer polynomials ----------------------------------------------------
+# Lists of ints, lowest degree first, no trailing zeros; [] is zero.  No
+# Fraction enters a loop here.  Where a result is wanted up to a nonzero
+# rational scalar, contents are divided out as they appear.
 
 
 def _zprimitive(a: list[int]) -> list[int]:
@@ -265,10 +267,15 @@ def _zprimitive(a: list[int]) -> list[int]:
     return [c // g for c in a] if a[-1] > 0 else [-c // g for c in a]
 
 
+def _zclear(p: Poly) -> tuple[list[int], int]:
+    """(d p, d) for d the lcm of p's denominators: d p has int coefficients."""
+    d = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+
+
 def _zpoly(p: Poly) -> list[int]:
     """Primitive integer associate of p: denominators cleared, content out."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return _zprimitive([c.numerator * (den // c.denominator) for c in p.coeffs])
+    return _zprimitive(_zclear(p)[0])
 
 
 def _zmul(a: list[int], b: list[int]) -> list[int]:
@@ -439,35 +446,39 @@ def solve_combination(gens: list[Poly], target: Poly):
 def wronskian(gs: Sequence[Poly]) -> Poly:
     """W(g_1,...,g_s) = det(g_i^{(j-1)}), rows by function, columns by order.
 
-    The empty list returns 1 by convention.
+    The empty list returns 1 by convention.  W is linear in each row, so
+    W(c_1 g_1, ..., c_s g_s) = c_1...c_s W(g): row i is scaled by the lcm
+    d_i of its denominators, the determinant is expanded over Z[x], and
+    the result is that integer Wronskian times 1/(d_1...d_s).
     """
     s = len(gs)
     if s == 0:
         return ONE
-    table = []
+    table, den = [], 1
     for g in gs:
-        row, cur = [g], g
+        cur, d = _zclear(g)
+        row = [cur]
         for _ in range(s - 1):
-            cur = cur.deriv()
+            cur = _zderiv(cur)
             row.append(cur)
         table.append(row)
-    # Laplace expansion along columns with memoization on row subsets;
-    # cheap for the orders (s <= 6) used here.
-    memo: dict[tuple[int, ...], Poly] = {(): ONE}
+        den *= d
+    # Laplace expansion along columns, memoized on row subsets: the 2^s
+    # minors take s 2^(s-1) polynomial products in all.
+    memo: dict[tuple[int, ...], list[int]] = {(): [1]}
 
-    def minor(rows: tuple[int, ...]) -> Poly:
+    def minor(rows: tuple[int, ...]) -> list[int]:
         if rows in memo:
             return memo[rows]
         col = len(rows) - 1
-        acc = ZERO
+        acc: list[int] = []
+        # acc = term - acc alternates the signs so the last row enters with +
         for pos, ri in enumerate(rows):
-            sub = rows[:pos] + rows[pos + 1 :]
-            term = table[ri][col] * minor(sub)
-            acc = acc + term if (len(rows) - 1 - pos) % 2 == 0 else acc - term
+            acc = _zsub(_zmul(table[ri][col], minor(rows[:pos] + rows[pos + 1 :])), acc)
         memo[rows] = acc
         return acc
 
-    return minor(tuple(range(s)))
+    return Poly([Fraction(c, den) for c in minor(tuple(range(s)))])
 
 
 def divided_wronskian(us: Sequence[Poly], ts: Sequence[Poly]) -> Poly:

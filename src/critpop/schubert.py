@@ -1,7 +1,7 @@
-"""Ramification dictionaries, Littlewood-Richardson numbers, and the
-multiplicity upper bound on population counts.
+"""Littlewood-Richardson expansions and the multiplicity upper bound on
+population counts.
 
-LR coefficients are computed by explicit lattice-word tableau
+LR expansions are computed by explicit lattice-word tableau
 enumeration; a brute-force weight-multiplicity oracle (Kostka counts fed
 through an alternating Weyl sum) provides the independent cross-check,
 and a lex Groebner basis in shape position delivers exact critical-point
@@ -11,99 +11,13 @@ the eliminant; it is the only user of sympy, which it imports when called.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from .core import ProblemInstance
-from .errors import Inconsistent
 from .roots import Weight
 
 Partition = tuple[int, ...]
-
-
-def _is_partition(a) -> bool:
-    return all(a[i] >= a[i + 1] for i in range(len(a) - 1)) and all(x >= 0 for x in a)
-
-
-# -- ramification dictionaries --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RamificationTriple:
-    """Equivalent descriptions of the ramification of a space at one point.
-
-    a: Schubert index (length N+1, non-increasing);
-    m: exponent gaps (length N);
-    lam: the dominant weight, numerically equal to m in type A.
-    """
-
-    point_kind: str  # "finite" | "infinity"
-    d: int
-    a: tuple[int, ...]
-    m: tuple[int, ...]
-    lam: Weight
-
-
-def convert_ramification(
-    *,
-    d: int,
-    point_kind: str,
-    a: tuple[int, ...] | None = None,
-    m: tuple[int, ...] | None = None,
-    lam: Weight | None = None,
-    l1: int | None = None,
-) -> RamificationTriple:
-    """Complete a ramification triple from any one description.
-
-    At infinity the gap data determines the Schubert index only once the
-    minimal realized degree is fixed; `l1` defaults to the minimal
-    embedding convention a_{N+1} = 0.
-    """
-    if point_kind not in ("finite", "infinity"):
-        raise Inconsistent("point_kind must be finite or infinity")
-    if m is None and lam is not None:
-        m = tuple(lam)
-    if a is not None:
-        a = tuple(a)
-        n1 = len(a)
-        if not _is_partition(a) or a[0] > d - (n1 - 1):
-            raise Inconsistent(f"invalid Schubert index {a}")
-        if point_kind == "finite":
-            # exponents e_i = a_{N+2-i} + (i-1), gaps m_i = e_{i+1} - e_i - 1
-            e = [a[n1 - 1 - i] + i for i in range(n1)]
-        else:
-            # realized degrees d_i = d - N + i - 1 - a_i
-            e = [d - (n1 - 1) + i - a[i] for i in range(n1)]
-        gaps = tuple(e[i + 1] - e[i] - 1 for i in range(n1 - 1))
-        if any(g < 0 for g in gaps):
-            raise Inconsistent("Schubert index is not non-increasing enough")
-        return RamificationTriple(point_kind, d, a, gaps, gaps)
-    if m is None:
-        raise Inconsistent("need one of a, m, lam")
-    m = tuple(m)
-    if any(x < 0 for x in m):
-        raise Inconsistent("gaps must be non-negative")
-    n1 = len(m) + 1
-    if point_kind == "finite":
-        e = [0]
-        for g in m:
-            e.append(e[-1] + g + 1)
-        a = tuple(e[n1 - 1 - i] - (n1 - 1 - i) for i in range(n1))
-    else:
-        if l1 is None:
-            # minimal embedding: top realized degree equals d
-            span = sum(g + 1 for g in m)
-            l1 = d - span
-        e = [l1]
-        for g in m:
-            e.append(e[-1] + g + 1)
-        if e[0] < 0 or e[-1] > d:
-            raise Inconsistent("degrees fall outside the embedding")
-        a = tuple(d - (n1 - 1) + i - e[i] for i in range(n1))
-    if not _is_partition(a) or (a and a[0] > d - (n1 - 1)):
-        raise Inconsistent("derived Schubert index is invalid")
-    return RamificationTriple(point_kind, d, a, m, m)
 
 
 # -- Littlewood-Richardson ------------------------------------------------------
@@ -152,33 +66,6 @@ def lr_expand(mu: Partition, lam: Partition, max_rows: int) -> dict[Partition, i
 
     grow(_pad(mu, max_rows), [], 0)
     return out
-
-
-def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """c^nu_{lam mu} by lattice-word tableau enumeration."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    rows = max(len(lam), len(mu), len(nu), 1)
-    exp = lr_expand(lam, mu, rows)
-    return exp.get(tuple(x for x in nu if x), 0)
-
-
-def hook_content_dim(lam: Partition, k: int) -> int:
-    """Dimension of the gl_k module of highest weight lam (hook content)."""
-    lam = tuple(x for x in lam if x)
-    if len(lam) > k:
-        return 0
-    num, den = 1, 1
-    cols = lam[0] if lam else 0
-    conj = [sum(1 for r in lam if r > j) for j in range(cols)]
-    for i, row in enumerate(lam):
-        for j in range(row):
-            hook = (row - j) + (conj[j] - i) - 1
-            num *= k + j - i
-            den *= hook
-    assert num % den == 0
-    return num // den
 
 
 # -- multiplicities --------------------------------------------------------------

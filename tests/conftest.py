@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from critpop.core import ProblemInstance, is_generic, monic_tuple
-from critpop.poly import ZERO, Poly
+from critpop.poly import ONE, ZERO, Poly
 from critpop.roots import root_data
 
 
@@ -70,3 +70,44 @@ def euclid_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else ZERO
+
+
+def laplace_wronskian(gs):
+    """W(g_1,...,g_s) by a memoized Laplace expansion over Fraction
+    polynomials: the reference for `wronskian`."""
+    s = len(gs)
+    table = []
+    for g in gs:
+        row = [g]
+        for _ in range(s - 1):
+            row.append(row[-1].deriv())
+        table.append(row)
+    memo = {(): ONE}
+
+    def minor(rows):
+        if rows not in memo:
+            col, acc = len(rows) - 1, ZERO
+            for pos, ri in enumerate(rows):
+                term = table[ri][col] * minor(rows[:pos] + rows[pos + 1:])
+                acc = acc + term if (len(rows) - 1 - pos) % 2 == 0 else acc - term
+            memo[rows] = acc
+        return memo[rows]
+
+    return minor(tuple(range(s)))
+
+
+def hook_content_dim(lam, k: int) -> int:
+    """Dimension of the gl_k module of highest weight lam (hook content)."""
+    lam = tuple(x for x in lam if x)
+    if len(lam) > k:
+        return 0
+    num, den = 1, 1
+    cols = lam[0] if lam else 0
+    conj = [sum(1 for r in lam if r > j) for j in range(cols)]
+    for i, row in enumerate(lam):
+        for j in range(row):
+            hook = (row - j) + (conj[j] - i) - 1
+            num *= k + j - i
+            den *= hook
+    assert num % den == 0
+    return num // den

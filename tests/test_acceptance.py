@@ -33,9 +33,9 @@ from critpop.fundamental import (
 from critpop.poly import ONE, Poly, identity_suite, poly_sqrt
 from critpop.reproduction import explore_population, is_fertile, predicted_degree_vectors
 from critpop.roots import dominant_representative, shifted_action
-from critpop.schubert import hook_content_dim, lr_expand, population_count_report
+from critpop.schubert import lr_expand, population_count_report
 from critpop.selfduality import is_isotropic, is_selfdual, quasi_witt_basis
-from conftest import instance, random_generic_tuple, seeded_points
+from conftest import hook_content_dim, instance, random_generic_tuple, seeded_points
 
 
 def report(num, name, ok):

@@ -284,6 +284,10 @@ BAD_CONFIGS = {
     "tuple-length": dict(A1, tuple=["-1 1", "1"]),
     "exponent-point": dict(A1, points=["0", "1e5000"]),
     "exponent-coefficient": dict(A1, tuple=["1e5000 1"]),
+    "string-points": dict(A1, points="02"),
+    "null-point": dict(A1, points=["0", None]),
+    "bool-point": dict(A1, points=["0", True]),
+    "float-point": dict(A1, points=["0", 2.5]),
 }
 A2 = {"root_system": "A2", "weights": [], "points": []}
 B2 = {"root_system": "B2", "weights": [], "points": []}
@@ -302,6 +306,15 @@ class TestInvalidInput:
         assert run(["verify", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")
+
+    @pytest.mark.parametrize("name", ["string-points", "null-point", "bool-point", "float-point"])
+    def test_points_type(self, tmp_path, capsys, name):
+        """A string is not iterated into points, and None or True is not
+        reported as exponent notation."""
+        cfg = write_cfg(tmp_path, "bad.json", BAD_CONFIGS[name])
+        assert run(["populate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "[error] InvalidInstance: points must be a list of strings or integers\n")
 
     def test_checked_without_assert(self, tmp_path):
         """Validation must survive `python -O`, which strips asserts."""

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critpop.errors import InvalidInstance, NotDivisible
@@ -20,7 +20,7 @@ from critpop.poly import (
     solve_linear,
     wronskian,
 )
-from conftest import euclid_gcd
+from conftest import euclid_gcd, laplace_wronskian
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 
@@ -31,6 +31,14 @@ rat_polys = st.lists(
               st.integers(1, 12)),
     max_size=5,
 ).map(Poly)
+
+
+# Wronskian rows: numerators up to 10**20 over large coprime denominators
+# (two primes and 3**40)
+wr_coeffs = st.builds(Fraction, st.one_of(st.integers(-9, 9), st.integers(-10**20, 10**20)),
+                      st.sampled_from([1, 2, 3, 10**9 + 7, 2**61 - 1, 3**40]))
+wr_polys = st.lists(wr_coeffs, min_size=1, max_size=7).map(Poly)
+BIG = Poly([Fraction(1, 2**61 - 1), Fraction(-10**20, 3**40), Fraction(7, 10**9 + 7)])
 
 
 def poly_of(cs):
@@ -97,6 +105,28 @@ class TestWronskian:
 
     def test_empty_convention(self):
         assert wronskian([]) == ONE
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(wr_polys, max_size=5),
+           st.sampled_from(["", "zero", "constant", "dependent"]),
+           st.lists(wr_coeffs, min_size=5, max_size=5))
+    @example([], "", [0] * 5)
+    @example([BIG], "", [0] * 5)
+    @example([BIG], "zero", [0] * 5)
+    @example([BIG, X], "constant", [Fraction(5, 3**40)] * 5)
+    @example([BIG, X, BIG * BIG], "dependent", [Fraction(1, 3), Fraction(-2, 2**61 - 1), 9, 0, 0])
+    def test_matches_laplace_reference(self, gs, extra, mix):
+        """The integer expansion with one rational scale equals the Fraction
+        Laplace expansion, with one zero, constant or dependent row added;
+        a dependent row gives W = 0."""
+        row = {"zero": ZERO, "constant": Poly(mix[:1]),
+               "dependent": sum((c * g for c, g in zip(mix, gs)), ZERO)}.get(extra)
+        if row is not None:
+            gs = [*gs[:1], row, *gs[1:]]
+        w = wronskian(gs)
+        assert w == laplace_wronskian(gs)
+        if extra == "dependent":
+            assert w.is_zero()
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs, coeffs, coeffs)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -8,19 +9,115 @@ import sympy
 from critpop import schubert
 from critpop.errors import Inconsistent
 from critpop.fundamental import fundamental_space, schubert_index_finite, schubert_index_infinity
+from critpop.core import weight_at_infinity
 from critpop.poly import ONE, Poly
+from critpop.reproduction import explore_population
+from critpop.roots import dominant_representative
 from critpop.schubert import (
-    convert_ramification,
     count_critical_sl2,
-    hook_content_dim,
-    lr_coefficient,
     lr_expand,
     multiplicity_bound,
     multiplicity_oracle,
     population_count_report,
     weight_to_partition,
 )
-from conftest import instance, seeded_points
+from conftest import A3W, hook_content_dim, instance, seeded_points
+
+
+# Test-only entry points: the ramification dictionaries (checked against
+# the Schubert indices of fundamental spaces below) and single LR
+# coefficients.
+
+
+def _is_partition(a) -> bool:
+    return all(a[i] >= a[i + 1] for i in range(len(a) - 1)) and all(x >= 0 for x in a)
+
+
+@dataclass(frozen=True)
+class RamificationTriple:
+    """Equivalent descriptions of the ramification of a space at one point.
+
+    a: Schubert index (length N+1, non-increasing);
+    m: exponent gaps (length N);
+    lam: the dominant weight, numerically equal to m in type A.
+    """
+
+    point_kind: str  # "finite" | "infinity"
+    d: int
+    a: tuple[int, ...]
+    m: tuple[int, ...]
+    lam: tuple[int, ...]
+
+
+def convert_ramification(
+    *,
+    d: int,
+    point_kind: str,
+    a: tuple[int, ...] | None = None,
+    m: tuple[int, ...] | None = None,
+    lam: tuple[int, ...] | None = None,
+    l1: int | None = None,
+) -> RamificationTriple:
+    """Complete a ramification triple from any one description.
+
+    At infinity the gap data determines the Schubert index only once the
+    minimal realized degree is fixed; `l1` defaults to the minimal
+    embedding convention a_{N+1} = 0.
+    """
+    if point_kind not in ("finite", "infinity"):
+        raise Inconsistent("point_kind must be finite or infinity")
+    if m is None and lam is not None:
+        m = tuple(lam)
+    if a is not None:
+        a = tuple(a)
+        n1 = len(a)
+        if not _is_partition(a) or a[0] > d - (n1 - 1):
+            raise Inconsistent(f"invalid Schubert index {a}")
+        if point_kind == "finite":
+            # exponents e_i = a_{N+2-i} + (i-1), gaps m_i = e_{i+1} - e_i - 1
+            e = [a[n1 - 1 - i] + i for i in range(n1)]
+        else:
+            # realized degrees d_i = d - N + i - 1 - a_i
+            e = [d - (n1 - 1) + i - a[i] for i in range(n1)]
+        gaps = tuple(e[i + 1] - e[i] - 1 for i in range(n1 - 1))
+        if any(g < 0 for g in gaps):
+            raise Inconsistent("Schubert index is not non-increasing enough")
+        return RamificationTriple(point_kind, d, a, gaps, gaps)
+    if m is None:
+        raise Inconsistent("need one of a, m, lam")
+    m = tuple(m)
+    if any(x < 0 for x in m):
+        raise Inconsistent("gaps must be non-negative")
+    n1 = len(m) + 1
+    if point_kind == "finite":
+        e = [0]
+        for g in m:
+            e.append(e[-1] + g + 1)
+        a = tuple(e[n1 - 1 - i] - (n1 - 1 - i) for i in range(n1))
+    else:
+        if l1 is None:
+            # minimal embedding: top realized degree equals d
+            span = sum(g + 1 for g in m)
+            l1 = d - span
+        e = [l1]
+        for g in m:
+            e.append(e[-1] + g + 1)
+        if e[0] < 0 or e[-1] > d:
+            raise Inconsistent("degrees fall outside the embedding")
+        a = tuple(d - (n1 - 1) + i - e[i] for i in range(n1))
+    if not _is_partition(a) or (a and a[0] > d - (n1 - 1)):
+        raise Inconsistent("derived Schubert index is invalid")
+    return RamificationTriple(point_kind, d, a, m, m)
+
+
+def lr_coefficient(lam, mu, nu) -> int:
+    """c^nu_{lam mu} by lattice-word tableau enumeration."""
+    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    if sum(nu) != sum(lam) + sum(mu):
+        return 0
+    rows = max(len(lam), len(mu), len(nu), 1)
+    exp = lr_expand(lam, mu, rows)
+    return exp.get(tuple(x for x in nu if x), 0)
 
 
 def expand_shape_count(system, coeffs, bad, lam):
@@ -182,6 +279,30 @@ class TestRamification:
         ainf = schubert_index_infinity(V, d)
         total = sum(a0) + sum(schubert_index_finite(V, Fraction(2))) + sum(ainf)
         assert total == V.dim * (d - V.dim + 1)
+
+    def test_matches_fundamental_schubert_indices(self):
+        """The dictionary maps Lambda_s to the Schubert index that
+        `schubert_index_finite` reads off a fundamental space at z_s, and the
+        dominant weight at infinity, in the minimal embedding, to the one
+        `schubert_index_infinity` reads off at infinity."""
+        cases = [(instance("A1", [(1,), (1,), (1,)], ["0", "1", "3"]), (ONE,), 3),
+                 (instance("A2", [(1, 0), (0, 1)], ["0", "1"]), (ONE, ONE), 4),
+                 (A3W, (ONE,) * 3, 4)]
+        checked = 0
+        for pi, start, max_deg in cases:
+            for member in explore_population(pi, start, max_deg, seed=0).members.values():
+                dom = dominant_representative(pi.rd, weight_at_infinity(pi, member.tuple_y))
+                if not member.generic or dom is None:
+                    continue
+                V = fundamental_space(pi, member.tuple_y)
+                d = max(V.degrees())
+                for lam, z in zip(pi.weights, pi.points):
+                    t = convert_ramification(d=d, point_kind="finite", lam=lam)
+                    assert t.a == schubert_index_finite(V, z)
+                t = convert_ramification(d=d, point_kind="infinity", lam=dom[0])
+                assert t.a == schubert_index_infinity(V, d)
+                checked += 1
+        assert checked == 19
 
     def test_invalid(self):
         with pytest.raises(Inconsistent):
