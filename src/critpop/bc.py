@@ -25,14 +25,8 @@ from .core import (
 from .errors import ConstructionFailed, NotFertile, NotGeneric, SquareRootMissing
 from .fundamental import Flag, fundamental_space, generating_morphism, verify_dp
 from .poly import Poly, poly_sqrt, wronskian
-from .reproduction import (
-    PopulationAtlas,
-    degree_vector_to_weyl,
-    immediate_descendants,
-    is_fertile,
-    param_candidates,
-    predicted_degree_vectors,
-)
+from .reproduction import (PopulationAtlas, immediate_descendants, is_fertile, param_candidates,
+                           weyl_degree_map)
 from .roots import (
     dominant_representative,
     fold_weight_B,
@@ -286,16 +280,13 @@ def bc_degree_law(pi: ProblemInstance, atlas: PopulationAtlas, max_degree: int) 
     if dom is None:
         return False
     lam_dom, _ = dom
-    predicted = predicted_degree_vectors(pi, lam_dom, max_degree)
+    weyl = weyl_degree_map(pi, lam_dom, max_degree)
     reached = set(atlas.members)
-    if reached != predicted:
+    if reached != set(weyl):
         return False
     images = set()
     for l in sorted(reached):
-        w = degree_vector_to_weyl(pi, lam_dom, l)
-        if w is None:
-            return False
-        img = folded_weyl_embed(pi.rd.kind, pi.rd.rank, w)
+        img = folded_weyl_embed(pi.rd.kind, pi.rd.rank, weyl[l])
         if not is_centro_symmetric(img):
             return False
         images.add(img)

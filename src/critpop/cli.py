@@ -38,12 +38,7 @@ from .fundamental import (
     verify_dp,
 )
 from .poly import Poly, identity_suite
-from .reproduction import (
-    degree_vector_to_weyl,
-    explore_population,
-    is_fertile,
-    predicted_degree_vectors,
-)
+from .reproduction import explore_population, is_fertile, weyl_degree_map
 from .roots import dominant_representative
 from .schubert import multiplicity_bound, population_count_report
 from .selfduality import SelfdualSpace, framing_of, quasi_witt_basis
@@ -134,17 +129,18 @@ def cmd_populate(args) -> int:
         rep.add("on-wall", "weight at infinity lies on a shifted wall", False)
         return rep.emit()
     lam_dom, _ = dom
-    predicted = predicted_degree_vectors(pi, lam_dom, args.max_degree)
+    weyl = weyl_degree_map(pi, lam_dom, args.max_degree)
     reached = set(atlas.members)
     rep.add(
         "inf-weight",
-        f"reached {len(reached)} degree vectors == predicted {len(predicted)}",
-        reached == predicted,
+        f"reached {len(reached)} degree vectors == predicted {len(weyl)}",
+        reached == set(weyl),
     )
     for l in atlas.degree_vectors():
-        w = degree_vector_to_weyl(pi, lam_dom, l)
-        word = "s" + " s".join(str(i + 1) for i in w.word) if w and w.word else "e"
-        rep.add("member", f"l={l} w={word} tuple={_fmt_tuple(atlas.members[l].tuple_y)}")
+        w = weyl.get(l)
+        word = "none" if w is None else " ".join(f"s{i + 1}" for i in w.word) or "e"
+        rep.add("member", f"l={l} w={word} tuple={_fmt_tuple(atlas.members[l].tuple_y)}",
+                w is not None)
     # explore_population raises unless every generic member passes the
     # criterion and every member is fertile in every direction
     rep.add("duplicate-thm", "every stored member is critical/fertile")

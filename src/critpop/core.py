@@ -9,6 +9,11 @@ A candidate critical point is a tuple of monic polynomials; the
 divisibility criterion `heine_stieltjes_test` decides whether a generic
 tuple represents a critical point, and `bethe_residual` provides the
 floating-point cross-check directly on the defining equations.
+
+`is_generic`, `heine_stieltjes_test` and `wronskian_rhs` run over Z[x], in
+the integer section of `poly`: the first two decide properties that hold
+up to a scalar, so they make no rational at all, and `wronskian_rhs`
+applies one rational scale at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CoincidentCoordinates, InvalidInstance, NotGeneric
-from .poly import ONE, Poly, from_roots, gcd, is_squarefree, parse_rational
+from .poly import (ONE, Poly, _zclear, _zderiv, _zgcd, _zmul, _zpoly, _zprem, _zquo, _zsub,
+                   from_roots, parse_rational)
 from .roots import RootData, Weight, root_data
 
 TupleY = tuple[Poly, ...]
@@ -102,68 +108,89 @@ def is_generic(pi: ProblemInstance, y: TupleY) -> tuple[bool, str]:
     Coordinates must avoid every marked point, not only the roots of the
     matching T_i: critical points live where all coordinates and marked
     points are distinct, and the divisibility criterion needs that
-    exclusion to characterize them.
+    exclusion to characterize them.  The tests run on the primitive
+    integer associates of the coordinates: y_i(p/q) = 0 iff q x - p
+    divides y_i.
     """
     a = pi.rd.cartan
+    lins = [[-z.numerator, z.denominator] for z in pi.points]
+    zs = []
     for i, p in enumerate(y):
         if p.is_zero():
             return False, f"y_{i + 1} is zero"
-        if not is_squarefree(p):
+        zp = _zpoly(p)
+        if len(zp) > 2 and len(_zgcd(zp, _zderiv(zp))) > 1:
             return False, f"y_{i + 1} has a multiple root"
-        if any(p.eval(z) == 0 for z in pi.points):
+        if any(not _zprem(zp, lin) for lin in lins):
             return False, f"y_{i + 1} vanishes at a marked point"
+        zs.append(zp)
     r = pi.rd.rank
     for i in range(r):
         for j in range(i + 1, r):
-            if a[i][j] != 0 and gcd(y[i], y[j]).degree > 0:
+            if a[i][j] != 0 and len(_zgcd(zs[i], zs[j])) > 1:
                 return False, f"y_{i + 1} and y_{j + 1} share a root (a_ij != 0)"
     return True, "generic"
 
 
 def wronskian_rhs(pi: ProblemInstance, y: TupleY, i: int) -> Poly:
     """Right-hand side T_i prod_{j != i} y_j^(-a_ij) of the Wronskian
-    equation in direction i (0-based)."""
-    rhs = pi.ts[i]
-    for j in range(pi.rd.rank):
-        if j != i:
-            e = -pi.rd.cartan[i][j]
-            if e:
-                rhs = rhs * y[j] ** e
-    return rhs
+    equation in direction i (0-based).
 
-
-def _log_deriv_numerator(pi: ProblemInstance, y: TupleY, i: int):
-    """F_i and the exact polynomial G_i = F_i * logderiv(T_i prod y_j^-a_ij).
-
-    F_i = prod_s (x - z_s) * prod_{j != i, a_ij != 0} y_j clears every
-    denominator of the logarithmic derivative term by term.
+    T_i and each y_j are cleared of denominators (d_T, d_j), the product is
+    expanded over Z[x], and the one scale 1/(d_T prod d_j^e) is applied at
+    the end.
     """
-    f = from_roots(pi.points)
-    r = pi.rd.rank
-    linked = [j for j in range(r) if j != i and pi.rd.cartan[i][j] != 0]
-    for j in linked:
-        f = f * y[j]
-    g = Poly()
-    # sum_s m_i^(s) / (x - z_s)
-    for lam, z in zip(pi.weights, pi.points):
-        if lam[i]:
-            g = g + lam[i] * f.exact_div(Poly([-z, 1]))
-    # - sum_j a_ij y_j' / y_j
-    for j in linked:
-        g = g - pi.rd.cartan[i][j] * (f.exact_div(y[j]) * y[j].deriv())
-    return f, g
+    acc, den = _zclear(pi.ts[i])
+    for j in range(pi.rd.rank):
+        e = -pi.rd.cartan[i][j] if j != i else 0
+        if e:
+            zj, dj = _zclear(y[j])
+            for _ in range(e):
+                acc = _zmul(acc, zj)
+            den *= dj**e
+    return Poly([Fraction(c, den) for c in acc])
 
 
 def heine_stieltjes_test(pi: ProblemInstance, y: TupleY) -> bool:
     """Exact divisibility criterion: y represents a critical point iff
-    F_i y_i'' - G_i y_i' is divisible by y_i for every direction i."""
+    F_i y_i'' - G_i y_i' is divisible by y_i for every direction i, where
+    G_i / F_i is the logarithmic derivative of T_i prod_j y_j^(-a_ij).
+
+    It runs over Z[x], with Y_j the primitive integer associate of y_j and
+    q_s x - p_s that of x - z_s, z_s = p_s/q_s:
+
+        F_i = prod_s (q_s x - p_s) * prod_{j != i, a_ij != 0} Y_j,
+        G_i = sum_s m_i^(s) q_s F_i/(q_s x - p_s) - sum_j a_ij (F_i/Y_j) Y_j'.
+
+    Scaling a factor leaves the logarithmic derivative alone and scaling
+    y_i only scales the numerator, so a zero pseudo-remainder of
+    F_i Y_i'' - G_i Y_i' by Y_i decides divisibility.
+    """
     ok, reason = is_generic(pi, y)
     if not ok:
         raise NotGeneric(reason)
-    for i in range(pi.rd.rank):
-        f, g = _log_deriv_numerator(pi, y, i)
-        num = f * y[i].deriv().deriv() - g * y[i].deriv()
-        if not (num % y[i]).is_zero():
+    a, r = pi.rd.cartan, pi.rd.rank
+    lins = [[-z.numerator, z.denominator] for z in pi.points]
+    base = [1]
+    for lin in lins:
+        base = _zmul(base, lin)
+    zs = [_zpoly(p) for p in y]
+    for i, zi in enumerate(zs):
+        if len(zi) == 1:
+            continue  # a constant divides everything
+        linked = [j for j in range(r) if j != i and a[i][j] != 0]
+        f = base
+        for j in linked:
+            f = _zmul(f, zs[j])
+        terms = [(lam[i] * lin[1], _zquo(f, lin))
+                 for lam, lin in zip(pi.weights, lins) if lam[i]]
+        terms += [(-a[i][j], _zmul(_zquo(f, zs[j]), _zderiv(zs[j]))) for j in linked]
+        g = [0] * (len(f) - 1)
+        for c, t in terms:
+            for k, v in enumerate(t):
+                g[k] += c * v
+        d1 = _zderiv(zi)
+        if _zprem(_zsub(_zmul(f, _zderiv(d1)), _zmul(g, d1)), zi):
             return False
     return True
 

@@ -11,7 +11,12 @@ degree first), so that no Fraction is made in an inner loop: `gcd` runs a
 primitive remainder sequence there and returns the monic gcd, the
 factored-operator check in `fundamental` runs on it end to end, and
 `wronskian` expands its determinant there on denominator-cleared rows and
-applies the one rational scale at the end.
+applies the one rational scale at the end.  The population walk uses it
+too: `core.is_generic` and `core.heine_stieltjes_test` decide on primitive
+integer associates, which needs no scale at all; `core.wronskian_rhs`
+expands its product on cleared lists and applies one scale at the end;
+`reproduction.solve_wronskian_equation` back-substitutes fraction-free and
+makes its rationals only when it returns.
 """
 
 from __future__ import annotations
@@ -350,14 +355,6 @@ def gcd(a: Poly, b: Poly) -> Poly:
     from the primitive gcd over Z gives exactly Euclid's answer over Q."""
     g = _zgcd(_zpoly(a), _zpoly(b))
     return Poly(g).monic() if g else ZERO
-
-
-def is_squarefree(p: Poly) -> bool:
-    if p.is_zero():
-        return False
-    if p.degree == 0:
-        return True
-    return gcd(p, p.deriv()).degree == 0
 
 
 def poly_sqrt(p: Poly) -> Poly | None:

@@ -1,11 +1,14 @@
 """Reproduction procedure and population exploration.
 
-`solve_wronskian_equation` solves W(y, ytilde) = R by back-substitution;
-its solution set is a line {base + c*y}.  Replacing a coordinate by a
-member of that line is the simple reproduction step; the breadth-first
-closure of these steps over all directions, bookkept by degree vector, is
-a population atlas.  `explore_population` certifies each member as it
-stores it, so callers need not check the members again.
+`solve_wronskian_equation` solves W(y, ytilde) = R by a fraction-free
+back-substitution over Z[x] and makes the rational coefficients of its
+answer only at the end; the solution set is a line {base + c*y}.
+Replacing a coordinate by a member of that line is the simple reproduction
+step; the breadth-first closure of these steps over all directions,
+bookkept by degree vector, is a population atlas.  `explore_population`
+certifies each member as it stores it, so callers need not check the
+members again.  `weyl_degree_map` names the degree vectors that the
+shifted Weyl orbit predicts, each with its Weyl element, in one sweep.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd as igcd
+from math import lcm
 
 from .core import (
     ProblemInstance,
@@ -24,7 +29,7 @@ from .core import (
 )
 from .errors import (ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile,
                      NotGeneric)
-from .poly import Poly
+from .poly import Poly, _zclear
 from .roots import enumerate_weyl, shifted_action
 
 RETRY_CAP = 64
@@ -71,27 +76,39 @@ def solve_wronskian_equation(y: Poly, rhs: Poly) -> DescendantFamily | None:
     no other unknown below j; u_d, the zero pivot, stays 0 (the fiber is y).
     The pivot-free equations x^k, k < d - 1 or k = 2d - 1, decide fertility:
     a nonzero residual there returns None.
+
+    The substitution is fraction-free.  With y = Y/a and rhs = R/b over
+    Z[x], it solves Y U' - Y' U = S R for integer U and a scale S that
+    starts at 1: where a pivot does not divide its residual, U and S are
+    multiplied by pivot/gcd.  Then u = a U / (b S), made exact only once,
+    at the end.
     """
     if y.is_zero() or rhs.is_zero():
         raise ValueError("y and rhs must be nonzero")
-    d = int(y.degree)
-    n = max(int(rhs.degree) + 1 - d, d)
-    ys, u = y.coeffs, [Fraction(0)] * (n + 1)
+    ys, a = _zclear(y)
+    rs, b = _zclear(rhs)
+    d = len(ys) - 1
+    n = max(len(rs) - d, d)
+    u, scale = [0] * (n + 1), 1
 
-    def residual(k: int) -> Fraction:
-        """x^k coefficient of y u' - y' u - rhs: sum_{a+j=k+1} (j - a) y_a u_j."""
-        return sum(((k + 1 - 2 * a) * ys[a] * u[k + 1 - a]
-                    for a in range(max(0, k + 1 - n), min(d, k + 1) + 1)), -rhs[k])
+    def residual(k: int) -> int:
+        """x^k coefficient of Y U' - Y' U - S R: sum_{a+j=k+1} (j - a) Y_a U_j - S R_k."""
+        return sum(((k + 1 - 2 * i) * ys[i] * u[k + 1 - i]
+                    for i in range(max(0, k + 1 - n), min(d, k + 1) + 1)),
+                   -scale * rs[k] if k < len(rs) else 0)
 
     for j in range(n, -1, -1):
         if j != d:
-            u[j] = -residual(j + d - 1) / ((j - d) * ys[d])
+            res, piv = residual(j + d - 1), (d - j) * ys[d]
+            if res % piv:
+                m = abs(piv) // igcd(piv, res)
+                u, scale, res = [m * v for v in u], scale * m, res * m
+            u[j] = res // piv
     if d and any(residual(k) for k in [*range(d - 1), 2 * d - 1]):
         return None
-    base = Poly(u)
-    if base.is_zero():
+    if not any(u):
         raise ConstructionFailed("degenerate base solution")
-    return DescendantFamily(base, y)
+    return DescendantFamily(Poly([Fraction(a * v, b * scale) for v in u]), y)
 
 
 def immediate_descendants(pi: ProblemInstance, y: TupleY, i: int) -> DescendantFamily:
@@ -236,32 +253,22 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
     return atlas
 
 
-def degree_vector_to_weyl(pi: ProblemInstance, y0_weight, l: tuple[int, ...]):
-    """The Weyl element w with sum Lambda_s - sum l_i alpha_i = w . Lambda_inf,
-    or None if the vector is not in the predicted family."""
+def weyl_degree_map(pi: ProblemInstance, lam_inf, max_degree: int):
+    """{l: w} over the degree vectors 0 <= l <= cap with
+    sum Lambda_s - sum l_i alpha_i = w . lam_inf, from one sweep of W; the
+    first w in enumeration order (a shortest one) names each l."""
     rd = pi.rd
     r = rd.rank
     base = [sum(lam[i] for lam in pi.weights) for i in range(r)]
-    lcoords = rd.root_coroot_coords(l)
-    target = tuple(base[i] - lcoords[i] for i in range(r))
-    for w in enumerate_weyl(f"{rd.kind}{r}"):
-        if shifted_action(rd, w, y0_weight) == target:
-            return w
-    return None
-
-
-def predicted_degree_vectors(pi: ProblemInstance, lam_inf, max_degree: int):
-    """{l >= 0, l <= cap : sum Lambda_s - sum l_i alpha_i in W . Lambda_inf}."""
-    rd = pi.rd
-    r = rd.rank
-    base = [sum(lam[i] for lam in pi.weights) for i in range(r)]
-    out = set()
+    # l = (1/D) M (base - w . lam_inf): the inverse of the Cartan system,
+    # solved once per unit vector, scaled by its common denominator D
+    cols = [rd.root_combination_of(tuple(int(k == j) for k in range(r))) for j in range(r)]
+    den = lcm(*(c.denominator for col in cols for c in col))
+    inv = [[int(col[i] * den) for col in cols] for i in range(r)]
+    out = {}
     for w in enumerate_weyl(f"{rd.kind}{r}"):
         img = shifted_action(rd, w, lam_inf)
-        diff = tuple(base[i] - img[i] for i in range(r))
-        combo = rd.root_combination_of(diff)
-        if combo is None:
-            continue
-        if all(c.denominator == 1 and 0 <= c <= max_degree for c in combo):
-            out.add(tuple(int(c) for c in combo))
+        num = [sum(row[j] * (base[j] - img[j]) for j in range(r)) for row in inv]
+        if all(v % den == 0 and 0 <= v <= max_degree * den for v in num):
+            out.setdefault(tuple(v // den for v in num), w)
     return out

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from critpop.core import ProblemInstance, is_generic, monic_tuple
-from critpop.poly import ONE, ZERO, Poly
+from critpop.poly import ONE, ZERO, Poly, from_roots, gcd
 from critpop.roots import root_data
 
 
@@ -65,6 +65,13 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def is_squarefree(p):
+    """Squarefreeness over Q from the monic gcd of p and p'."""
+    if p.is_zero():
+        return False
+    return p.degree == 0 or gcd(p, p.deriv()).degree == 0
+
+
 def euclid_gcd(a, b):
     """Monic gcd by Euclid's algorithm over Q: the reference for `gcd`."""
     while not b.is_zero():
@@ -94,6 +101,33 @@ def laplace_wronskian(gs):
         return memo[rows]
 
     return minor(tuple(range(s)))
+
+
+def fraction_criterion(pi, y):
+    """The divisibility criterion over Fraction polynomials, without the
+    genericity test: the reference for `heine_stieltjes_test`.
+
+    F_i = prod_s (x - z_s) * prod_{j != i, a_ij != 0} y_j clears every
+    denominator of the logarithmic derivative of T_i prod_j y_j^(-a_ij);
+    G_i is F_i times it, and y is critical iff y_i divides
+    F_i y_i'' - G_i y_i' for every i.
+    """
+    a, r = pi.rd.cartan, pi.rd.rank
+    for i in range(r):
+        linked = [j for j in range(r) if j != i and a[i][j] != 0]
+        f = from_roots(pi.points)
+        for j in linked:
+            f = f * y[j]
+        g = ZERO
+        for lam, z in zip(pi.weights, pi.points):
+            if lam[i]:
+                g = g + lam[i] * f.exact_div(Poly([-z, 1]))
+        for j in linked:
+            g = g - a[i][j] * (f.exact_div(y[j]) * y[j].deriv())
+        num = f * y[i].deriv().deriv() - g * y[i].deriv()
+        if not (num % y[i]).is_zero():
+            return False
+    return True
 
 
 def hook_content_dim(lam, k: int) -> int:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpop
-from critpop import core, fundamental, reproduction, selfduality
+from critpop import cli, core, fundamental, reproduction, roots, selfduality
 from critpop.cli import main
 from critpop.poly import ONE
 from conftest import count_calls
@@ -111,6 +111,28 @@ class TestPopulate:
         assert "[duplicate-thm] every stored member is critical/fertile : PASS" in (
             capsys.readouterr().out)
         assert calls and len(calls) == len(set(calls))
+
+    def test_one_weyl_sweep(self, sl3_cfg, monkeypatch, capsys):
+        """The prediction and the six member labels come from one pass over
+        the six elements of W(A2)."""
+        calls = count_calls(monkeypatch, roots, "shifted_action")
+        assert run(["populate", "--config", sl3_cfg, "--max-degree", "2"]) == 0
+        assert len(calls) == 6
+        out = capsys.readouterr().out
+        assert "[member] l=(0, 0) w=e tuple=(1, 1) : PASS" in out
+        assert "[member] l=(2, 2) w=s1 s2 s1 " in out
+
+    def test_member_without_weyl_element(self, sl3_cfg, monkeypatch, capsys):
+        """A member that no Weyl element names is labelled none and fails,
+        never passed off as the identity."""
+        full = cli.weyl_degree_map
+        monkeypatch.setattr(cli, "weyl_degree_map", lambda pi, lam, cap: {
+            l: w for l, w in full(pi, lam, cap).items() if l != (0, 0)})
+        assert run(["populate", "--config", sl3_cfg, "--max-degree", "2"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "[member] l=(0, 0) w=none tuple=(1, 1) : FAIL" in lines
+        assert "[inf-weight] reached 6 degree vectors == predicted 5 : FAIL" in lines
+        assert sum(ln.endswith(": FAIL") for ln in lines) == 2
 
     def test_walk_is_the_certificate(self, sl3_cfg, monkeypatch, capsys):
         """A member the walk cannot certify stops the run; nothing after the

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,12 @@ from critpop.core import (
     is_generic,
     t_polys,
     weight_at_infinity,
+    wronskian_rhs,
 )
 from critpop.errors import CoincidentCoordinates, InvalidInstance, NotGeneric
-from critpop.poly import ONE, X, Poly
-from conftest import instance
+from critpop.poly import ONE, X, Poly, gcd
+from critpop.reproduction import explore_population
+from conftest import fraction_criterion, instance, is_squarefree
 
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
@@ -78,6 +81,83 @@ class TestCriterion:
     def test_requires_generic(self):
         with pytest.raises(NotGeneric):
             heine_stieltjes_test(SL2, (X,))
+
+
+def rational_genericity(pi, y):
+    """`is_generic` over Q: Poly gcds and evaluation at the marked points."""
+    for i, p in enumerate(y):
+        if p.is_zero():
+            return False, f"y_{i + 1} is zero"
+        if not is_squarefree(p):
+            return False, f"y_{i + 1} has a multiple root"
+        if any(p.eval(z) == 0 for z in pi.points):
+            return False, f"y_{i + 1} vanishes at a marked point"
+    a = pi.rd.cartan
+    for i in range(len(y)):
+        for j in range(i + 1, len(y)):
+            if a[i][j] != 0 and gcd(y[i], y[j]).degree > 0:
+                return False, f"y_{i + 1} and y_{j + 1} share a root (a_ij != 0)"
+    return True, "generic"
+
+
+class TestIntegerCriterion:
+    """`is_generic`, `heine_stieltjes_test` and `wronskian_rhs` run over
+    Z[x]; they must agree with the same computations over Q."""
+
+    DENOMINATORS = (1, 2, 10**9 + 7, 2**61 - 1)
+
+    def weighted(self, rng, code):
+        rank = int(code[1])
+        points = set()
+        while len(points) < rng.randint(1, 3):
+            points.add(Fraction(rng.randint(-9, 9), rng.choice(self.DENOMINATORS)))
+        weights = [tuple(rng.randint(0, 1) for _ in range(rank)) for _ in points]
+        return instance(code, weights, sorted(points))
+
+    def coordinate(self, rng, pi):
+        """Often non-monic, sometimes a constant, sometimes vanishing at a
+        marked point or with a double root."""
+        deg = rng.choice((0, 0, 1, 2, 3))
+        den = rng.choice(self.DENOMINATORS)
+        p = Poly([Fraction(rng.randint(-9 * den, 9 * den), den) for _ in range(deg)]
+                 + [Fraction(rng.choice((-3, 1, 2, 7)), rng.choice((1, 5)))])
+        roll = rng.random()
+        if roll < 0.1:
+            p = p * Poly([-rng.choice(pi.points), 1])
+        elif roll < 0.15 and deg:
+            p = p * p
+        return p
+
+    def check(self, pi, y):
+        assert is_generic(pi, y) == rational_genericity(pi, y)
+        if is_generic(pi, y)[0]:
+            assert heine_stieltjes_test(pi, y) == fraction_criterion(pi, y)
+        a = pi.rd.cartan
+        for i in range(pi.rd.rank):
+            rhs = pi.ts[i]
+            for j in range(pi.rd.rank):
+                if j != i and a[i][j]:
+                    rhs = rhs * y[j] ** -a[i][j]
+            assert wronskian_rhs(pi, y, i) == rhs
+
+    @pytest.mark.parametrize("code", ["A1", "A2", "A3", "B2", "B3", "C2", "C3"])
+    def test_matches_rational_reference(self, code):
+        rng = random.Random(f"criterion-{code}")
+        criticals = 0
+        for _ in range(3):
+            pi = self.weighted(rng, code)
+            atlas = explore_population(pi, (ONE,) * pi.rd.rank, 2)
+            for member in atlas.members.values():
+                # the criterion is blind to the scale of each coordinate
+                y = tuple(p * Fraction(rng.randint(1, 9), rng.choice(self.DENOMINATORS))
+                          for p in member.tuple_y)
+                if member.generic:
+                    assert fraction_criterion(pi, y) and heine_stieltjes_test(pi, y)
+                    criticals += 1
+                self.check(pi, y)
+            for _ in range(15):
+                self.check(pi, tuple(self.coordinate(rng, pi) for _ in range(pi.rd.rank)))
+        assert criticals >= 3
 
 
 class TestBethe:

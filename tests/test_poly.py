@@ -15,12 +15,11 @@ from critpop.poly import (
     from_roots,
     gcd,
     identity_suite,
-    is_squarefree,
     poly_sqrt,
     solve_linear,
     wronskian,
 )
-from conftest import euclid_gcd, laplace_wronskian
+from conftest import euclid_gcd, is_squarefree, laplace_wronskian
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 

@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from critpop.core import (
@@ -17,13 +17,12 @@ from critpop.core import (
 from critpop.errors import NotFertile
 from critpop.poly import ONE, X, Poly, solve_combination, wronskian
 from critpop.reproduction import (
-    degree_vector_to_weyl,
     explore_population,
     immediate_descendants,
     is_fertile,
     param_candidates,
-    predicted_degree_vectors,
     solve_wronskian_equation,
+    weyl_degree_map,
 )
 from critpop.roots import dominant_representative, shifted_action
 from conftest import A3W, A3W_686, instance
@@ -49,13 +48,27 @@ def reference_solve(y, rhs):
     return base, y
 
 
+def assert_matches_general_solve(y, u, consistent):
+    """The back-substitution against `reference_solve` on the right-hand
+    side W(y, u), or on u itself (mostly infertile)."""
+    rhs = y * u.deriv() - y.deriv() * u if consistent else u
+    assume(not rhs.is_zero())
+    fam = solve_wronskian_equation(y, rhs)
+    assert (None if fam is None else (fam.base, fam.fiber)) == reference_solve(y, rhs)
+
+
 rationals = st.fractions(-5, 5, max_denominator=4)
+# numerators and denominators far beyond a machine word, so that the
+# running scale of the fraction-free back-substitution grows
+large_rationals = st.builds(
+    Fraction, st.integers(-10**30, 10**30),
+    st.sampled_from([1, 2, 3**40, 10**9 + 7, 2**61 - 1]) | st.integers(1, 10**20))
 
 
-def polys(max_degree):
+def polys(max_degree, coefficients=rationals):
     """Nonzero polynomials with rational coefficients, often not monic."""
     return st.builds(lambda low, lead: Poly([*low, lead]),
-                     st.lists(rationals, max_size=max_degree), rationals.filter(bool))
+                     st.lists(coefficients, max_size=max_degree), coefficients.filter(bool))
 
 
 def test_param_sequence_prefix():
@@ -88,14 +101,27 @@ class TestSolver:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(polys(4), polys(6), st.booleans())
+    # lc(y) = 2**61 - 1: the pivots seldom divide their residuals, so U is rescaled
+    @example(Poly([3, -5, 1, 2**61 - 1]), Poly([1, 2, 0, 7, 1]), True)
+    @example(Poly([3, -5, 1, 2**61 - 1]), Poly([1, 2, 0, 7, 1, 0, 0, 5]), True)
+    # a right-hand side over 3**40
+    @example(Poly([Fraction(1, 3), 2, -1]),
+             Poly([Fraction(1, 3**40), 5, Fraction(-7, 3**40), 1]), False)
+    @example(Poly([Fraction(1, 3), 2, -1]), Poly([Fraction(2, 3**40), 0, 1, 4]), True)
+    # a constant y
+    @example(Poly([Fraction(-7, 3)]), Poly([1, Fraction(2, 5), 3]), False)
+    # an infertile right-hand side of degree below deg y - 1
+    @example(Poly([1, 0, -2, 0, 3]), Poly([1, 2]), False)
     def test_matches_general_solve(self, y, u, consistent):
         """Same (base, fiber), or None, as the general solve: constant and
         non-monic y, right-hand sides W(y, u) and arbitrary (mostly
         infertile) ones."""
-        rhs = y * u.deriv() - y.deriv() * u if consistent else u
-        assume(not rhs.is_zero())
-        fam = solve_wronskian_equation(y, rhs)
-        assert (None if fam is None else (fam.base, fam.fiber)) == reference_solve(y, rhs)
+        assert_matches_general_solve(y, u, consistent)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(polys(4, large_rationals), polys(6, large_rationals), st.booleans())
+    def test_matches_general_solve_large_coefficients(self, y, u, consistent):
+        assert_matches_general_solve(y, u, consistent)
 
     @pytest.mark.parametrize("i", range(3))
     def test_workload_member(self, i):
@@ -186,22 +212,22 @@ class TestExploration:
     def test_weyl_orbit_prediction(self):
         atlas = explore_population(SL3, (ONE, ONE), 2, seed=0)
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
-        assert predicted_degree_vectors(SL3, lam0, 2) == set(atlas.members)
+        assert set(weyl_degree_map(SL3, lam0, 2)) == set(atlas.members)
 
 
 class TestDegreeVectorToWeyl:
     def test_identity(self):
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
-        assert degree_vector_to_weyl(SL3, lam0, (0, 0)).word == ()
+        assert weyl_degree_map(SL3, lam0, 2)[(0, 0)].word == ()
 
     def test_longest(self):
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
-        w = degree_vector_to_weyl(SL3, lam0, (2, 2))
+        w = weyl_degree_map(SL3, lam0, 2).get((2, 2))
         assert w is not None and w.length == 3
 
     def test_cone_violation(self):
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
-        assert degree_vector_to_weyl(SL3, lam0, (7, 0)) is None
+        assert (7, 0) not in weyl_degree_map(SL3, lam0, 7)
 
 
 def test_atlas_json_deterministic():
