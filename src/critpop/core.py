@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CoincidentCoordinates, InvalidInstance, NotGeneric
-from .poly import (ONE, Poly, _zclear, _zderiv, _zgcd, _zmul, _zpoly, _zprem, _zquo, _zsub,
-                   from_roots, parse_rational)
+from .poly import (ONE, Poly, _zclear, _zderiv, _zgcd, _zmul, _zpoly, _zprem, _zquo, _zscaled,
+                   _zsub, from_roots, parse_rational)
 from .roots import RootData, Weight, root_data
 
 TupleY = tuple[Poly, ...]
@@ -148,7 +148,7 @@ def wronskian_rhs(pi: ProblemInstance, y: TupleY, i: int) -> Poly:
             for _ in range(e):
                 acc = _zmul(acc, zj)
             den *= dj**e
-    return Poly([Fraction(c, den) for c in acc])
+    return _zscaled(acc, den)
 
 
 def heine_stieltjes_test(pi: ProblemInstance, y: TupleY) -> bool:

@@ -7,7 +7,10 @@ divided Wronskians, exact division, gcd, square roots and the linear
 solver that every solve over polynomial coefficients goes through.
 
 One private section works on integer polynomials (int lists, lowest
-degree first), so that no Fraction is made in an inner loop: `gcd` runs a
+degree first), so that no Fraction is made in an inner loop.  `Poly`
+products and powers run there: each factor is scaled by the lcm d of its
+denominators, the integer lists are multiplied, and the one scale
+1/(d_a d_b), or 1/d^n for a power, is applied at the end.  `gcd` runs a
 primitive remainder sequence there and returns the monic gcd, the
 factored-operator check in `fundamental` runs on it end to end, and
 `wronskian` expands its determinant there on denominator-cleared rows and
@@ -112,28 +115,25 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly([c * other for c in self.coeffs])
-        other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
-            return ZERO
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        (a, da), (b, db) = _zclear(self), _zclear(_as_poly(other))
+        return _zscaled(_zmul(a, b), da * db)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
+        """Square-and-multiply on the cleared integer list; the last bit
+        forms no square, and d^n is applied once."""
         if n < 0:
             raise ValueError("negative power")
-        result, base = ONE, self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base, d = _zclear(self)
+        result, k = [1], n
+        while k:
+            if k & 1:
+                result = _zmul(result, base)
+            k >>= 1
+            if k:
+                base = _zmul(base, base)
+        return _zscaled(result, d**n)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         other = _as_poly(other)
@@ -276,6 +276,11 @@ def _zclear(p: Poly) -> tuple[list[int], int]:
     """(d p, d) for d the lcm of p's denominators: d p has int coefficients."""
     d = lcm(*(c.denominator for c in p.coeffs))
     return [c.numerator * (d // c.denominator) for c in p.coeffs], d
+
+
+def _zscaled(a: list[int], d: int) -> Poly:
+    """The Poly a / d, made of plain ints when d = 1."""
+    return Poly(a if d == 1 else [Fraction(c, d) for c in a])
 
 
 def _zpoly(p: Poly) -> list[int]:
@@ -475,7 +480,7 @@ def wronskian(gs: Sequence[Poly]) -> Poly:
         memo[rows] = acc
         return acc
 
-    return Poly([Fraction(c, den) for c in minor(tuple(range(s)))])
+    return _zscaled(minor(tuple(range(s))), den)
 
 
 def divided_wronskian(us: Sequence[Poly], ts: Sequence[Poly]) -> Poly:

@@ -5,14 +5,17 @@ LR expansions are computed by explicit lattice-word tableau
 enumeration; a brute-force weight-multiplicity oracle (Kostka counts fed
 through an alternating Weyl sum) provides the independent cross-check,
 and a lex Groebner basis in shape position delivers exact critical-point
-counts at rank one.  That count evaluates the bad locus in QQ[t] modulo
-the eliminant; it is the only user of sympy, which it imports when called.
+counts at rank one.  That count works on sympy's sparse polynomial rings
+over QQ (`sympy.polys.rings`, `groebnertools.groebner`), never on symbolic
+expressions, and evaluates the bad locus in QQ[t] modulo the eliminant; it
+is the only user of sympy, which it imports when called.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 
 from .core import ProblemInstance
 from .roots import Weight
@@ -195,82 +198,94 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     root or vanishes at a marked point.  That bad locus is evaluated on
     the coordinates in QQ[t] modulo the eliminant, one product at a time,
     so it is never expanded.
+
+    Everything is built on sympy's sparse polynomial rings over QQ, never
+    as symbolic expressions: y = x^l + a_{l-1} x^{l-1} + ... + a_0 lives in
+    QQ[x, a_0..a_{l-1}, t_sep], the system is read off the remainder of
+    f y'' - g y' by the monic y, and the bad locus is the discriminant of
+    y in x times y at each marked point.
     """
     if pi.rd.rank != 1:
         raise ValueError("exact counting is rank-one only")
     if l == 0:
         return 1
-    import sympy  # loaded here: only this count needs it, and it is most of a cold start
+    # loaded here: only this count needs sympy, and it is most of a cold start
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import ring
 
-    x = sympy.Symbol("x")
-    f = sympy.prod([x - sympy.Rational(z) for z in pi.points])
-    g = sympy.S(0)
-    for lam, z in zip(pi.weights, pi.points):
-        g += lam[0] * sympy.prod(
-            [x - sympy.Rational(w) for w in pi.points if w != z]
-        )
-    coeffs = list(sympy.symbols(f"a0:{l}"))
-    y = x**l + sum(coeffs[i] * x**i for i in range(l))
-    num = sympy.expand(f * sympy.diff(y, x, 2) - g * sympy.diff(y, x))
-    rem = sympy.rem(num, y, x)
-    system = [
-        e
-        for i in range(l)
-        if (e := sympy.expand(sympy.Poly(rem, x).coeff_monomial(x**i))) != 0
-    ]
+    R, x, *gens = ring(["x", *(f"a{i}" for i in range(l)), "t_sep"], QQ, lex)
+    zs = [QQ(z.numerator, z.denominator) for z in pi.points]
+    f = prod((x - z for z in zs), start=R.one)
+    g = R.zero
+    for lam, z in zip(pi.weights, zs):
+        g += lam[0] * prod((x - w for w in zs if w != z), start=R.one)
+    y = x**l + sum((c * x**i for i, c in enumerate(gens[:-1])), R.zero)
+    dy = y.diff(x)
+    rem = (f * dy.diff(x) - g * dy).rem(y)  # y is monic in x, the first generator
+    system = [e for i in range(l) if (e := rem.coeff_wrt(x, i).drop(x))]
     if not system:
         raise ValueError("degenerate criterion system")
-    bad = sympy.discriminant(sympy.Poly(y, x))
-    for z in pi.points:
-        bad = bad * y.subs(x, sympy.Rational(z))
+    bad = y.discriminant()
+    for z in zs:
+        bad *= y.evaluate(x, z)
     for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
-        got = _shape_count(system, coeffs, sympy.expand(bad), lam)
+        got = _shape_count(system, bad, lam)
         if got is not None:
             return got
     raise ValueError("no separating linear form found")
 
 
-def _shape_count(system, coeffs, bad, lam: int) -> int | None:
+def _shape_count(system, bad, lam: int) -> int | None:
     """Distinct good points of a zero-dimensional system via a shape-position
-    eliminant in the separating form t = a_{l-1} + lam * (a_0 + ... )."""
-    import sympy
+    eliminant in the separating form t = a_{l-1} + lam * (a_0 + 2 a_1 + ...).
 
-    t = sympy.Symbol("t_sep")
-    sep = coeffs[-1] + lam * sum(
-        (i + 1) * c for i, c in enumerate(coeffs[:-1])
-    )
-    gens = list(coeffs) + [t]
-    gb = sympy.groebner(system + [t - sep], *gens, order="lex")
-    if gb.exprs == [1]:
+    `system` and `bad` lie in the lex ring QQ[a_0..a_{l-1}, t_sep] and do not
+    involve t_sep; shape position is read off exponent vectors.
+    """
+    from sympy.polys.groebnertools import groebner
+
+    S = bad.ring
+    *coeffs, t = S.gens
+    l = len(coeffs)
+    sep = coeffs[-1] + lam * sum((i + 1) * c for i, c in enumerate(coeffs[:-1]))
+    gb = groebner([*system, t - sep], S)
+    if gb == [S.one]:
         return 0  # inconsistent system: no critical polynomial of this degree
-    univ = [p for p in gb.exprs if p.free_symbols <= {t}]
+    univ = [p for p in gb if not any(any(m[:l]) for m in p.itermonoms())]
     if len(univ) != 1:
         return None
-    elim = univ[0]
-    subs: dict = {}
-    for p in gb.exprs:
-        if p.free_symbols <= {t}:
+    T = S[l:]  # QQ[t_sep]
+    elim = univ[0].set_ring(T)
+    subs = {}
+    for p in gb:
+        if p is univ[0]:
             continue
-        head = [c for c in coeffs if c in p.free_symbols]
-        pp = sympy.Poly(p, head[0]) if len(head) == 1 else None
-        if pp is None or pp.degree() != 1 or pp.LC().free_symbols:
+        head = {i for m in p.itermonoms() for i in range(l) if m[i]}
+        if len(head) != 1:
             return None
-        subs[head[0]] = sympy.expand(-pp.nth(0) / pp.LC())
-    if set(subs) != set(coeffs):
+        (h,) = head
+        # linear in a_h with a constant coefficient: one term involves a_h,
+        # and it is c a_h
+        lin = [(m, c) for m, c in p.iterterms() if m[h]]
+        if len(lin) != 1 or sum(lin[0][0]) != 1:
+            return None
+        c = lin[0][1]
+        subs[h] = (c * coeffs[h] - p).set_ring(T).quo_ground(c)
+    if len(subs) != l:
         return None
     # bad(subs) mod elim, reduced in QQ[t] after every product: no product
     # reaches degree 2 deg(elim), where bad(subs) expanded has degree up
     # to deg(bad) (deg(elim) - 1)
-    elim = sympy.Poly(elim, t, domain=sympy.QQ)
-    powers = [[elim.one, sympy.Poly(subs[c], t, domain=sympy.QQ).rem(elim)]
-              for c in coeffs]
-    bad_t = elim.zero
-    for monom, a in sympy.Poly(bad, *coeffs, domain=sympy.QQ).terms():
-        term = elim.one * a
+    powers = [[T.one, subs[i].rem(elim)] for i in range(l)]
+    bad_t = T.zero
+    for monom, a in bad.iterterms():
+        term = T.one * a
         for pw, e in zip(powers, monom):
-            while len(pw) <= e:
-                pw.append((pw[-1] * pw[1]).rem(elim))
-            term = (term * pw[e]).rem(elim)
+            if e:
+                while len(pw) <= e:
+                    pw.append((pw[-1] * pw[1]).rem(elim))
+                term = (term * pw[e]).rem(elim)
         bad_t += term
     elim_sf = elim.sqf_part()
     return elim_sf.degree() - elim_sf.gcd(bad_t).degree()

@@ -79,6 +79,25 @@ def euclid_gcd(a, b):
     return a.monic() if not a.is_zero() else ZERO
 
 
+def schoolbook_mul(p, q):
+    """p q by the Fraction convolution of the coefficients: the reference
+    for `Poly.__mul__`."""
+    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+def schoolbook_pow(p, n):
+    """p**n as n products with `schoolbook_mul`: the reference for
+    `Poly.__pow__`."""
+    out = ONE
+    for _ in range(n):
+        out = schoolbook_mul(out, p)
+    return out
+
+
 def laplace_wronskian(gs):
     """W(g_1,...,g_s) by a memoized Laplace expansion over Fraction
     polynomials: the reference for `wronskian`."""

@@ -281,6 +281,23 @@ class TestCount:
         )
         assert proc.stdout == "False\n"
 
+    def test_count_builds_no_expressions(self):
+        """The count works in sympy's polynomial rings, not on expressions:
+        the first sum of two sympy expressions imports sympy.tensor.tensor
+        (in Add.flatten), and the l = 1, 2 counts on A1x5 leave it unloaded."""
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys\n"
+                "from critpop.core import ProblemInstance\n"
+                "from critpop.schubert import count_critical_sl2\n"
+                "pi = ProblemInstance.from_config({'root_system': 'A1', 'weights': [[1]] * 5,\n"
+                "                                  'points': ['0', '1', '3', '-2', '1/2']})\n"
+                "print([count_critical_sl2(pi, l) for l in (1, 2)], 'sympy' in sys.modules,\n"
+                "      'sympy.tensor.tensor' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout == "[4, 5] True False\n", proc.stderr
+
     @pytest.mark.parametrize("weight", [2, 3])
     def test_sl2_inconsistent_system(self, tmp_path, capsys, weight):
         # at l = 1 the criterion system has Groebner basis [1]: no critical point

@@ -19,7 +19,7 @@ from critpop.poly import (
     solve_linear,
     wronskian,
 )
-from conftest import euclid_gcd, is_squarefree, laplace_wronskian
+from conftest import euclid_gcd, is_squarefree, laplace_wronskian, schoolbook_mul, schoolbook_pow
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 
@@ -91,6 +91,31 @@ class TestArithmetic:
         f, g, h = fgh
         for a, b in ((g, h), (f * g, f * h), (f * g, f), (g, ZERO), (ZERO, h)):
             assert gcd(a, b) == gcd(b, a) == euclid_gcd(a, b)
+
+
+class TestProducts:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(wr_coeffs, max_size=6).map(Poly), st.lists(wr_coeffs, max_size=6).map(Poly),
+           st.integers(-10**20, 10**20), wr_coeffs, st.integers(0, 7))
+    @example(ZERO, BIG, 0, Fraction(0), 0)
+    @example(ZERO, ZERO, 5, Fraction(1, 3), 7)
+    @example(BIG, ZERO, -3, Fraction(5, 3**40), 1)
+    @example(BIG, BIG * X, 2**61 - 1, Fraction(-2, 10**9 + 7), 7)
+    @example(Poly([3, 0, -2]), Poly([1, 1]), 1, Fraction(1, 2), 7)
+    def test_matches_schoolbook_reference(self, p, q, k, c, n):
+        """Products and powers on the Z[x] kernel equal the Fraction
+        schoolbook ones, coefficient for coefficient: zero factors, int and
+        Fraction scalars on either side (`__rmul__`), and n = 0..7."""
+        assert p * q == q * p == schoolbook_mul(p, q)
+        assert p * k == k * p == schoolbook_mul(p, Poly([k]))
+        assert p * c == c * p == schoolbook_mul(p, Poly([c]))
+        assert p**n == schoolbook_pow(p, n)
+        assert all(type(v) is Fraction for v in (p * q).coeffs + (p**n).coeffs)
+
+    def test_power_edges(self):
+        assert ZERO**0 == ONE
+        with pytest.raises(ValueError):
+            BIG ** -1
 
 
 class TestWronskian:

@@ -120,10 +120,37 @@ def lr_coefficient(lam, mu, nu) -> int:
     return exp.get(tuple(x for x in nu if x), 0)
 
 
-def expand_shape_count(system, coeffs, bad, lam):
-    """Reference for `schubert._shape_count`: the same Groebner basis and
-    branches, but the bad locus is expanded as a sympy expression in t
-    before it is reduced modulo the eliminant."""
+def expr_count_critical_sl2(pi, l):
+    """Reference for `count_critical_sl2`: the same criterion system, bad
+    locus and separating forms, built as sympy expressions."""
+    if l == 0:
+        return 1
+    x = sympy.Symbol("x")
+    f = sympy.prod([x - sympy.Rational(z) for z in pi.points])
+    g = sympy.S(0)
+    for lam, z in zip(pi.weights, pi.points):
+        g += lam[0] * sympy.prod([x - sympy.Rational(w) for w in pi.points if w != z])
+    coeffs = list(sympy.symbols(f"a0:{l}"))
+    y = x**l + sum(coeffs[i] * x**i for i in range(l))
+    num = sympy.expand(f * sympy.diff(y, x, 2) - g * sympy.diff(y, x))
+    rem = sympy.rem(num, y, x)
+    system = [e for i in range(l)
+              if (e := sympy.expand(sympy.Poly(rem, x).coeff_monomial(x**i))) != 0]
+    bad = sympy.discriminant(sympy.Poly(y, x))
+    for z in pi.points:
+        bad = bad * y.subs(x, sympy.Rational(z))
+    for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
+        got = expr_shape_count(system, coeffs, sympy.expand(bad), lam)
+        if got is not None:
+            return got
+    raise ValueError("no separating linear form found")
+
+
+def expr_shape_count(system, coeffs, bad, lam, expand=False):
+    """Reference for `schubert._shape_count` on sympy expressions: the same
+    lex basis and branches.  The bad locus is evaluated in QQ[t] modulo the
+    eliminant one product at a time or, with `expand`, expanded as an
+    expression in t before it is reduced."""
     t = sympy.Symbol("t_sep")
     sep = coeffs[-1] + lam * sum((i + 1) * c for i, c in enumerate(coeffs[:-1]))
     gens = list(coeffs) + [t]
@@ -145,24 +172,39 @@ def expand_shape_count(system, coeffs, bad, lam):
         subs[head[0]] = sympy.expand(-pp.nth(0) / pp.LC())
     if set(subs) != set(coeffs):
         return None
-    bad_t = sympy.expand(bad.subs(subs))
-    bad_t = sympy.rem(bad_t, elim, t)
-    elim_sf = sympy.quo(elim, sympy.gcd(elim, sympy.diff(elim, t)), t)
-    overlap = sympy.gcd(elim_sf, bad_t)
-    return int(sympy.degree(elim_sf, t) - sympy.degree(overlap, t))
+    if expand:
+        bad_t = sympy.rem(sympy.expand(bad.subs(subs)), elim, t)
+        elim_sf = sympy.quo(elim, sympy.gcd(elim, sympy.diff(elim, t)), t)
+        return int(sympy.degree(elim_sf, t) - sympy.degree(sympy.gcd(elim_sf, bad_t), t))
+    elim = sympy.Poly(elim, t, domain=sympy.QQ)
+    powers = [[elim.one, sympy.Poly(subs[c], t, domain=sympy.QQ).rem(elim)]
+              for c in coeffs]
+    bad_t = elim.zero
+    for monom, a in sympy.Poly(bad, *coeffs, domain=sympy.QQ).terms():
+        term = elim.one * a
+        for pw, e in zip(powers, monom):
+            while len(pw) <= e:
+                pw.append((pw[-1] * pw[1]).rem(elim))
+            term = (term * pw[e]).rem(elim)
+        bad_t += term
+    elim_sf = elim.sqf_part()
+    return elim_sf.degree() - elim_sf.gcd(bad_t).degree()
 
 
 @pytest.fixture
 def shape_log(monkeypatch):
-    """Runs `_shape_count` and the reference on every separating form the
-    count tries, asserts they agree, and logs (arguments, result)."""
+    """Runs `_shape_count` and the expanding reference, on the expressions
+    of its ring arguments, on every separating form the count tries,
+    asserts they agree, and logs (arguments, result)."""
     log = []
     new = schubert._shape_count
 
-    def both(system, coeffs, bad, lam):
-        got = new(system, coeffs, bad, lam)
-        assert got == expand_shape_count(system, coeffs, bad, lam), lam
-        log.append(((system, coeffs, bad, lam), got))
+    def both(system, bad, lam):
+        got = new(system, bad, lam)
+        coeffs = list(bad.ring.symbols[:-1])
+        exprs = [p.as_expr() for p in system]
+        assert got == expr_shape_count(exprs, coeffs, bad.as_expr(), lam, expand=True), lam
+        log.append(((system, bad, lam), got))
         return got
 
     monkeypatch.setattr(schubert, "_shape_count", both)
@@ -352,24 +394,44 @@ class TestExactCounts:
         # 17 separating forms tried, two of which did not separate
         assert len(shape_log) == 17 and [got for _, got in shape_log].count(None) == 2
 
+    def test_matches_expr_reference(self):
+        """The ring count equals the count built on sympy expressions on a
+        seeded A1 battery: weights 1-3, 2-5 points with halves among them,
+        l <= 2, and l = 3 on up to 3 points."""
+        rng = random.Random(13)
+        checked, halves = [], 0  # the l of each count, instances with a half
+        for n in (2, 3, 4, 5) * 4:
+            pts = set()
+            while len(pts) < n:
+                pts.add(Fraction(rng.randint(-9, 9), rng.choice([1, 2])))
+            halves += any(z.denominator == 2 for z in pts)
+            ws = [(rng.randint(1, 3),) for _ in range(n)]
+            pi = instance("A1", ws, [str(z) for z in sorted(pts)])
+            for l in (1, 2, 3) if n <= 3 else (1, 2):
+                if sum(w[0] for w in ws) >= 2 * l:
+                    assert count_critical_sl2(pi, l) == expr_count_critical_sl2(pi, l), (pi, l)
+                    checked.append(l)
+        assert (len(checked), checked.count(3), halves) == (34, 3, 12)
+
     def test_repeated_eliminant_root(self, shape_log):
         # the eliminant (t+2)^2 (t+4) is not squarefree, and the bad locus
         # vanishes at both of its roots
         pi = instance("A1", [(3,), (1,), (1,)], ["0", "1", "2"])
         assert count_critical_sl2(pi, 2) == 0
-        assert [(args[3], got) for args, got in shape_log] == [(0, 0)]
+        assert [(args[2], got) for args, got in shape_log] == [(0, 0)]
         # other bad loci on the same system: a root is counted once, and
         # removed once it is bad (at lam = 0 the separating form is a1)
-        system, coeffs, _, _ = shape_log[0][0]
-        a1 = coeffs[1]
-        for bad, want in ((sympy.S(1), 2), (a1 + 2, 1), (a1 + 4, 1)):
-            assert schubert._shape_count(system, coeffs, bad, 0) == want
+        system, bad, _ = shape_log[0][0]
+        ring = bad.ring
+        a1 = ring.gens[1]
+        for bad, want in ((ring.one, 2), (a1 + 2, 1), (a1 + 4, 1)):
+            assert schubert._shape_count(system, bad, 0) == want
 
     def test_separating_form_retry(self, shape_log):
         # lam = 0, 1, 2 do not separate the points, so lam = 3 is used
         pi = instance("A1", [(1,)] * 4, ["0", "1", "-1", "2"])
         assert count_critical_sl2(pi, 2) == 2
-        assert [(args[3], got) for args, got in shape_log] == [
+        assert [(args[2], got) for args, got in shape_log] == [
             (0, None), (1, None), (2, None), (3, 2)]
 
     def test_degree_zero(self):
