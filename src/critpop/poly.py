@@ -20,6 +20,13 @@ integer associates, which needs no scale at all; `core.wronskian_rhs`
 expands its product on cleared lists and applies one scale at the end;
 `reproduction.solve_wronskian_equation` back-substitutes fraction-free and
 makes its rationals only when it returns.
+
+`wronskian` and `Poly.__pow__` use Kronecker substitution: they evaluate
+at x = 2^k (`_zpack`), compute on big ints and read the result back as
+signed base-2^k digits (`_zunpack`), exactly, since k comes from a bound on
+the result's 1-norm.  `_zmul` stays schoolbook: the population walk
+multiplies lists of 2-6 coefficients, where packing costs more than it
+saves (Kronecker products made the `populate` workload slower).
 """
 
 from __future__ import annotations
@@ -121,19 +128,15 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        """Square-and-multiply on the cleared integer list; the last bit
-        forms no square, and d^n is applied once."""
+        """One big-int power by Kronecker substitution: the cleared integer
+        list a is evaluated at 2^k, raised to the n-th power and read back,
+        and d^n is applied once.  Every coefficient of a^n is at most
+        ||a||_1^n in absolute value, which fixes k (see `_zunpack`)."""
         if n < 0:
             raise ValueError("negative power")
-        base, d = _zclear(self)
-        result, k = [1], n
-        while k:
-            if k & 1:
-                result = _zmul(result, base)
-            k >>= 1
-            if k:
-                base = _zmul(base, base)
-        return _zscaled(result, d**n)
+        a, d = _zclear(self)
+        k = (sum(map(abs, a)) ** n).bit_length() + 1
+        return _zscaled(_zunpack(_zpack(a, k) ** n, k), d**n)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
         other = _as_poly(other)
@@ -286,6 +289,29 @@ def _zscaled(a: list[int], d: int) -> Poly:
 def _zpoly(p: Poly) -> list[int]:
     """Primitive integer associate of p: denominators cleared, content out."""
     return _zprimitive(_zclear(p)[0])
+
+
+def _zpack(a: list[int], k: int) -> int:
+    """a(2^k), by a shift-Horner loop."""
+    v = 0
+    for c in reversed(a):
+        v = (v << k) + c
+    return v
+
+
+def _zunpack(v: int, k: int) -> list[int]:
+    """The int list a with a(2^k) = v, provided every coefficient of a has
+    absolute value below 2^(k-1): v is read as signed base-2^k digits, and a
+    digit of 2^(k-1) or more is negative and borrows one from the next."""
+    out, mask, half = [], (1 << k) - 1, 1 << (k - 1)
+    while v:
+        c = v & mask
+        v >>= k
+        if c >= half:
+            c -= 1 << k
+            v += 1
+        out.append(c)
+    return out
 
 
 def _zmul(a: list[int], b: list[int]) -> list[int]:
@@ -452,11 +478,18 @@ def wronskian(gs: Sequence[Poly]) -> Poly:
     W(c_1 g_1, ..., c_s g_s) = c_1...c_s W(g): row i is scaled by the lcm
     d_i of its denominators, the determinant is expanded over Z[x], and
     the result is that integer Wronskian times 1/(d_1...d_s).
+
+    The expansion runs at x = 2^k (Kronecker substitution): every entry
+    becomes one int, each polynomial product one big-int product, and the
+    integer Wronskian is read back from its value.  The 1-norm of a
+    determinant is at most the permanent of its entries' 1-norms, hence at
+    most B = prod_i sum_j ||g_i^(j)||_1, so 2^(k-1) > B makes the read-back
+    exact.
     """
     s = len(gs)
     if s == 0:
         return ONE
-    table, den = [], 1
+    table, den, bound = [], 1, 1
     for g in gs:
         cur, d = _zclear(g)
         row = [cur]
@@ -465,22 +498,21 @@ def wronskian(gs: Sequence[Poly]) -> Poly:
             row.append(cur)
         table.append(row)
         den *= d
-    # Laplace expansion along columns, memoized on row subsets: the 2^s
-    # minors take s 2^(s-1) polynomial products in all.
-    memo: dict[tuple[int, ...], list[int]] = {(): [1]}
-
-    def minor(rows: tuple[int, ...]) -> list[int]:
-        if rows in memo:
-            return memo[rows]
-        col = len(rows) - 1
-        acc: list[int] = []
+        bound *= sum(sum(map(abs, a)) for a in row)
+    k = bound.bit_length() + 1
+    vals = [[_zpack(a, k) for a in row] for row in table]
+    # Laplace expansion along columns, memoized on row subsets: minors[m] is
+    # the minor on the rows in bit mask m and the first popcount(m) columns,
+    # computed after its subsets.  The 2^s minors take s 2^(s-1) products.
+    minors = [1] * (1 << s)
+    for m in range(1, 1 << s):
+        col, acc = m.bit_count() - 1, 0
         # acc = term - acc alternates the signs so the last row enters with +
-        for pos, ri in enumerate(rows):
-            acc = _zsub(_zmul(table[ri][col], minor(rows[:pos] + rows[pos + 1 :])), acc)
-        memo[rows] = acc
-        return acc
-
-    return _zscaled(minor(tuple(range(s))), den)
+        for ri in range(s):
+            if m >> ri & 1:
+                acc = vals[ri][col] * minors[m ^ (1 << ri)] - acc
+        minors[m] = acc
+    return _zscaled(_zunpack(minors[-1], k), den)
 
 
 def divided_wronskian(us: Sequence[Poly], ts: Sequence[Poly]) -> Poly:

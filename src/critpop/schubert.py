@@ -7,8 +7,9 @@ through an alternating Weyl sum) provides the independent cross-check,
 and a lex Groebner basis in shape position delivers exact critical-point
 counts at rank one.  That count works on sympy's sparse polynomial rings
 over QQ (`sympy.polys.rings`, `groebnertools.groebner`), never on symbolic
-expressions, and evaluates the bad locus in QQ[t] modulo the eliminant; it
-is the only user of sympy, which it imports when called.
+expressions, and evaluates the bad locus (the discriminant times y at the
+marked points of weight 0) in QQ[t] modulo the eliminant; it is the only
+user of sympy, which it imports when called.
 """
 
 from __future__ import annotations
@@ -203,7 +204,11 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     as symbolic expressions: y = x^l + a_{l-1} x^{l-1} + ... + a_0 lives in
     QQ[x, a_0..a_{l-1}, t_sep], the system is read off the remainder of
     f y'' - g y' by the monic y, and the bad locus is the discriminant of
-    y in x times y at each marked point.
+    y in x times y at each marked point of weight 0.  At a marked point z_s
+    of weight m_s != 0, f y'' - g y' = q y with y(z_s) = 0 gives
+    g(z_s) y'(z_s) = 0, where f(z_s) = 0 and g(z_s) = m_s prod_{r != s}
+    (z_s - z_r) != 0; so y has a double root at z_s and the discriminant
+    already vanishes there.
     """
     if pi.rd.rank != 1:
         raise ValueError("exact counting is rank-one only")
@@ -227,8 +232,9 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     if not system:
         raise ValueError("degenerate criterion system")
     bad = y.discriminant()
-    for z in zs:
-        bad *= y.evaluate(x, z)
+    for lam, z in zip(pi.weights, zs):
+        if not lam[0]:
+            bad *= y.evaluate(x, z)
     for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
         got = _shape_count(system, bad, lam)
         if got is not None:

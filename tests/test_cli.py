@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -222,6 +223,20 @@ class TestSelfdual:
         calls = count_calls(monkeypatch, core, "is_generic")
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
         assert calls and len(calls) == len(set(calls))
+
+    def test_rank_four_stress_output(self, tmp_path):
+        """B4 `--samples 5` in a fresh interpreter prints the pinned output:
+        the largest Kronecker exponents and Wronskian orders of the suite."""
+        cfg = write_cfg(tmp_path, "b4.json", {"root_system": "B4", "weights": [], "points": []})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "critpop.cli", "selfdual", "--config", cfg,
+             "--samples", "5", "--seed", "0"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest()[:16] == "9c1f964ce61c49b5"
 
     def test_folded_instance_built_once(self, tmp_path, monkeypatch, capsys):
         # the folded instance is cached across runs, so only repeats are counted

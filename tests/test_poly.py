@@ -38,6 +38,11 @@ wr_coeffs = st.builds(Fraction, st.one_of(st.integers(-9, 9), st.integers(-10**2
                       st.sampled_from([1, 2, 3, 10**9 + 7, 2**61 - 1, 3**40]))
 wr_polys = st.lists(wr_coeffs, min_size=1, max_size=7).map(Poly)
 BIG = Poly([Fraction(1, 2**61 - 1), Fraction(-10**20, 3**40), Fraction(7, 10**9 + 7)])
+# Kronecker read-back edges: signs that borrow (x^5 - 1, (x - 1)^6), interior
+# zeros, and numerators over 3**40 and 2**61 - 1
+X5_1 = Poly([-1, 0, 0, 0, 0, 1])
+X_1_6 = Poly([1, -6, 15, -20, 15, -6, 1])
+SPARSE = Poly([Fraction(-10**20, 3**40), 0, 0, Fraction(10**20 - 1, 2**61 - 1)])
 
 
 def poly_of(cs):
@@ -102,10 +107,17 @@ class TestProducts:
     @example(BIG, ZERO, -3, Fraction(5, 3**40), 1)
     @example(BIG, BIG * X, 2**61 - 1, Fraction(-2, 10**9 + 7), 7)
     @example(Poly([3, 0, -2]), Poly([1, 1]), 1, Fraction(1, 2), 7)
+    @example(Poly([0, 0, 5]), X, 1, Fraction(1), 7)  # (5x^2)^7: ||p||_1^7 is reached
+    @example(Poly([0, 2**40]), X, 1, Fraction(1), 3)
+    @example(X5_1, X_1_6, -1, Fraction(-1), 7)
+    @example(Poly([-1, 1]), X5_1, 2, Fraction(1, 3), 6)
+    @example(SPARSE, X5_1, 3**40, Fraction(1, 2**61 - 1), 7)
     def test_matches_schoolbook_reference(self, p, q, k, c, n):
         """Products and powers on the Z[x] kernel equal the Fraction
         schoolbook ones, coefficient for coefficient: zero factors, int and
-        Fraction scalars on either side (`__rmul__`), and n = 0..7."""
+        Fraction scalars on either side (`__rmul__`), and n = 0..7.  The
+        pinned powers reach the Kronecker bound ||p||_1^n, borrow on
+        negative coefficients and have interior zeros."""
         assert p * q == q * p == schoolbook_mul(p, q)
         assert p * k == k * p == schoolbook_mul(p, Poly([k]))
         assert p * c == c * p == schoolbook_mul(p, Poly([c]))
@@ -139,10 +151,19 @@ class TestWronskian:
     @example([BIG], "zero", [0] * 5)
     @example([BIG, X], "constant", [Fraction(5, 3**40)] * 5)
     @example([BIG, X, BIG * BIG], "dependent", [Fraction(1, 3), Fraction(-2, 2**61 - 1), 9, 0, 0])
+    @example([Poly([2**64])], "", [0] * 5)  # W = B = 2^64
+    @example([Poly([0, 0, 0, 7])], "", [0] * 5)
+    @example([X5_1], "", [0] * 5)
+    @example([X5_1, X_1_6], "", [0] * 5)
+    @example([X_1_6, X5_1, Poly([0, 0, 0, 0, 0, 0, 0, 1])], "constant", [Fraction(-1, 3**40)] * 5)
+    @example([SPARSE, X5_1, X_1_6], "", [0] * 5)
+    @example([SPARSE, Poly([Fraction(5, 2**61 - 1), 0, 0, 0, 0, -1])], "zero", [0] * 5)
     def test_matches_laplace_reference(self, gs, extra, mix):
         """The integer expansion with one rational scale equals the Fraction
         Laplace expansion, with one zero, constant or dependent row added;
-        a dependent row gives W = 0."""
+        a dependent row gives W = 0.  The pinned rows reach the Kronecker
+        bound (s = 1, a positive constant or monomial), borrow on negative
+        coefficients and have interior zeros."""
         row = {"zero": ZERO, "constant": Poly(mix[:1]),
                "dependent": sum((c * g for c, g in zip(mix, gs)), ZERO)}.get(extra)
         if row is not None:

@@ -413,6 +413,44 @@ class TestExactCounts:
                     checked.append(l)
         assert (len(checked), checked.count(3), halves) == (34, 3, 12)
 
+    def test_zero_weight_points(self):
+        """y at a marked point of weight 0 stays in the bad locus: with the
+        discriminant alone these counts read 2, 3 and 6."""
+        pi = instance("A1", [(2,), (1,), (0,)], ["0", "1", "3"])
+        assert count_critical_sl2(pi, 1) == 1
+        pi = instance("A1", [(1,)] * 4 + [(0,)], ["0", "1", "3", "-2", "1/2"])
+        assert [count_critical_sl2(pi, l) for l in (1, 2)] == [2, 2]
+
+    def test_matches_full_product_bad_locus(self, monkeypatch):
+        """Multiplying the bad locus by y at the marked points of nonzero
+        weight, so that it is the discriminant times y at every marked point,
+        changes no count on any separating form tried: a seeded A1 battery of
+        2-5 points with weights 0-2, l <= 2."""
+        new, tried = schubert._shape_count, []
+
+        def both(system, bad, lam):
+            got = new(system, bad, lam)
+            *coeffs, _ = bad.ring.gens
+            full = bad
+            for w, z in zip(pi.weights, pi.points):
+                if w[0]:
+                    z = sympy.QQ(z.numerator, z.denominator)
+                    full *= z**l + sum(c * z**i for i, c in enumerate(coeffs))
+            assert new(system, full, lam) == got, (pi, l, lam)
+            tried.append(got)
+            return got
+
+        monkeypatch.setattr(schubert, "_shape_count", both)
+        rng, counts = random.Random(14), []  # (count, a weight is 0)
+        for n in (2, 3, 4, 5) * 5:
+            ws = [(rng.randint(0, 2),) for _ in range(n)]
+            pi = instance("A1", ws, [str(z) for z in seeded_points(rng, n)])
+            for l in (1, 2):
+                if sum(w[0] for w in ws) >= 2 * l:
+                    counts.append((count_critical_sl2(pi, l), (0,) in ws))
+        assert len(tried) >= len(counts) == 26
+        assert sum(zero for _, zero in counts) == 17 and sum(c for c, _ in counts) == 52
+
     def test_repeated_eliminant_root(self, shape_log):
         # the eliminant (t+2)^2 (t+4) is not squarefree, and the bad locus
         # vanishes at both of its roots
