@@ -225,7 +225,9 @@ def bc_population_as_isotropic_flags(
     re-test criticality; also verify the displayed B/C operator by kernel
     equality on at least three samples.  `start` is anti-diagonalized once,
     which raises unless it is isotropic; every sweep moves that basis as
-    coordinate vectors, and `is_isotropic` on its one `Flag` certifies it."""
+    coordinate vectors, `is_isotropic` on the vectors it ends with
+    certifies it, and their polynomials are the adapted basis that the
+    generating morphism reads."""
     rng = random.Random(seed)
     kind = pi.rd.kind
     k = sd.dim // 2
@@ -242,12 +244,10 @@ def bc_population_as_isotropic_flags(
         for r in range(k):
             for direction in range(1, k + 1):
                 c = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 4))
-                fam = IsotropicFamily(direction, u, sd)
-                u = fam.deformed_basis(c)
-        flag = fam.flag_at(c)
-        if not is_isotropic(sd, flag):
+                u = IsotropicFamily(direction, u, sd).deformed_basis(c)
+        if not is_isotropic(sd, u):
             raise ConstructionFailed("generator left the isotropic variety")
-        tup = generating_morphism(sd.space, flag, sd.framing)
+        tup = generating_morphism([sd.space.member(v) for v in u], sd.framing)
         try:
             native = unfold(tup, kind)  # rejects an asymmetric tuple
         except (ConstructionFailed, SquareRootMissing):

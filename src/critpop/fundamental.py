@@ -237,13 +237,11 @@ def pluecker_check(space: PolySpace, points, d: int | None = None) -> bool:
 # -- generating morphism ------------------------------------------------------
 
 
-def generating_morphism(space: PolySpace, flag: Flag, ts) -> TupleY:
-    """beta(F): y_i = W(u_1..u_i) / (T_1^{i-1} ... T_{i-1}), projectivized."""
-    n = space.dim - 1
-    out = []
-    for i in range(1, n + 1):
-        out.append(divided_wronskian(flag.basis[:i], ts).monic())
-    return tuple(out)
+def generating_morphism(basis, ts) -> TupleY:
+    """beta(F): y_i = W(u_1..u_i) / (T_1^{i-1} ... T_{i-1}), projectivized,
+    on any basis u adapted to F.  A triangular change of basis only scales
+    each prefix Wronskian, and `monic` removes the scale."""
+    return tuple(divided_wronskian(basis[:i], ts).monic() for i in range(1, len(basis)))
 
 
 def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
@@ -279,7 +277,7 @@ def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
     if len(us) != space.dim:
         raise NotInImage("flag reconstruction did not complete")
     flag = Flag.from_basis(space, us)
-    if generating_morphism(space, flag, ts) != y:
+    if generating_morphism(flag.basis, ts) != y:
         raise NotInImage("reconstructed flag does not map back to the tuple")
     return flag
 

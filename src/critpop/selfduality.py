@@ -15,8 +15,8 @@ evaluates its Gram matrix on coordinate vectors in the echelon basis.
 The isotropic layer works on these vectors: `antidiagonal_basis` adjusts
 a flag's basis, a generator move (`IsotropicFamily.deformed_basis`) keeps
 it anti-diagonal with the same anti-diagonal values, so moves compose on
-vectors, and `space.member` makes polynomials only where a `Flag`
-(`IsotropicFamily.flag_at`) or a Wronskian needs them.  Witt
+vectors, `is_isotropic` tests the vectors of any adapted basis, and
+`space.member` makes polynomials only where a Wronskian needs them.  Witt
 normalization is attempted over Q and over a single quadratic extension;
 otherwise the basis is reported as quasi-Witt with its mirror ratios.
 """
@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import ConstructionFailed, NotConstant, NotDivisible, NotSelfdual
 from .fundamental import Flag, PolySpace, degree_flag, exponents, span
-from .poly import ONE, Poly, divided_wronskian, solve_combination, solve_linear, wronskian
+from .poly import ONE, Poly, divided_wronskian, solve_combination, wronskian
 
 
 # -- scalars in a quadratic extension -----------------------------------------
@@ -196,11 +196,6 @@ class GramMatrix:
         e = self.entries
         return all(e[i][j] == -e[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
-    def is_nondegenerate(self) -> bool:
-        rows = [list(r) for r in self.entries]
-        sol = solve_linear(rows, [Fraction(0)] * self.dim)
-        return sol is not None and not sol[1]
-
 
 def _constant_of(p: Poly, what: str) -> Fraction:
     if p.is_zero():
@@ -218,8 +213,11 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
     the pairing gives (u_i, u_k) = g_i (-1)^i W+(u_1..u_{N+1}) (0-based i).
     Every u_k has such coordinates exactly when V lies in V+ = span(W_j),
     that is V = V+ (both have dimension N+1); otherwise `NotSelfdual` is
-    raised.  The entries must form a nondegenerate matrix, skew in even
-    dimension and symmetric in odd.
+    raised.  The entries must be skew in even dimension and symmetric in
+    odd.  They are nondegenerate without a check: V lies in the span of the
+    N+1 omitted Wronskians and has dimension N+1, so they are a basis of V,
+    the coordinate matrix C is invertible, and the entries are
+    diag((-1)^i c) C^T with c != 0.
     """
     n1 = space.dim
     c = _constant_of(divided_wronskian(space.basis, framing), "full divided Wronskian")
@@ -236,8 +234,6 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
         tuple(coords[k][i] * (-1) ** i * c for k in range(n1)) for i in range(n1)
     )
     gm = GramMatrix(entries)
-    if not gm.is_nondegenerate():
-        raise ConstructionFailed("canonical form is degenerate")
     if n1 % 2 == 1 and not gm.is_symmetric():
         raise ConstructionFailed("odd-dimensional form is not symmetric")
     if n1 % 2 == 0 and not gm.is_skew():
@@ -271,11 +267,12 @@ class SelfdualSpace:
                     for bk, g in zip(b, row) if bk), Fraction(0))
 
 
-def is_isotropic(sd: SelfdualSpace, flag: Flag) -> bool:
-    """F_i orthogonal to F_{N+1-i}: the adjusted basis pairs to zero
-    whenever the 1-based indices sum to at most N+1 = dim V."""
+def is_isotropic(sd: SelfdualSpace, u) -> bool:
+    """F_i orthogonal to F_{N+1-i}, on the coordinate vectors u (echelon
+    basis) of a basis adapted to the flag: they pair to zero whenever the
+    1-based indices sum to at most N+1 = dim V.  Isotropy is a property of
+    the flag, so every adapted basis gives the same answer."""
     n1 = sd.dim
-    u = [sd.space.coords(p) for p in flag.basis]
     return all(
         not sd.form(u[i], u[j])
         for i in range(n1)
@@ -352,48 +349,25 @@ def _witt_scalars(gammas: list[Fraction]):
 
     Setting beta_i = 1 on the first half forces B^(k-1) = 1/prod_{i<=k}
     gamma_i in even dimension 2k and B^(2k-1) = 1/prod_all gamma_i in odd
-    dimension 2k+1; the remaining scalars follow rationally from B.
+    dimension 2k+1; the remaining scalars follow rationally from B, the
+    odd middle one last.  A square root outside Q is taken in Q(sqrt d).
     """
     n1 = len(gammas)
     k = n1 // 2
-    if n1 % 2 == 0:
-        e = k - 1
-        rhs = Fraction(1)
-        for i in range(k):
-            rhs /= gammas[i]
-        if e == 0:
-            if rhs != 1:
-                return None
-            b = Fraction(1)
-        else:
-            b = nth_root_scalar(rhs, e)
-            if b is None and e % 2 == 0:
-                root = sqrt_scalar(rhs) if e == 2 else None
-                if isinstance(root, QuadExt):
-                    b = root
-            if b is None:
-                return None
-        betas: list = [Fraction(1)] * n1
-        for i in range(k):
-            betas[n1 - 1 - i] = b * gammas[i]
-        return betas
-    e = 2 * k - 1
-    rhs = Fraction(1)
-    for g in gammas:
-        rhs /= g
+    e = k - 1 if n1 % 2 == 0 else 2 * k - 1
+    rhs = Fraction(1) / prod(gammas if n1 % 2 else gammas[:k])
     b = nth_root_scalar(rhs, e)
+    if b is None and e == 2:
+        b = sqrt_scalar(rhs)
     if b is None:
         return None
-    betas = [Fraction(1)] * n1
+    betas: list = [Fraction(1)] * n1
     for i in range(k):
         betas[n1 - 1 - i] = b * gammas[i]
-    prod_pairs = Fraction(1)
-    for i in range(n1):
-        if i != k:
-            prod_pairs *= betas[i]
-    betas[k] = b / prod_pairs
-    if betas[k] ** 2 != b * gammas[k]:
-        raise ConstructionFailed("middle Witt scalar inconsistent")
+    if n1 % 2:
+        betas[k] = b / prod(betas[:k] + betas[k + 1:])
+        if betas[k] ** 2 != b * gammas[k]:
+            raise ConstructionFailed("middle Witt scalar inconsistent")
     return betas
 
 
@@ -494,9 +468,6 @@ class IsotropicFamily:
         u[a] = _axpy(u[a], c, u[a + 1])
         u[b] = _axpy(u[b], c * eps, u[b + 1])
         return u
-
-    def flag_at(self, c: Fraction) -> Flag:
-        return Flag.from_basis(self.sd.space, map(self.sd.space.member, self.deformed_basis(c)))
 
 
 def isotropic_generators(sd: SelfdualSpace, flag: Flag, direction: int) -> IsotropicFamily:

@@ -172,7 +172,7 @@ def test_06_round_trip_and_bruhat():
                     break
                 except ValueError:
                     continue
-            tup = generating_morphism(V, flag, ts)
+            tup = generating_morphism(flag.basis, ts)
             back = flag_from_tuple(V, tup, ts)
             ok = ok and back.basis == flag.basis
             w, _ = bruhat_index(V, flag)
@@ -241,7 +241,7 @@ def test_08_bc_selfduality():
             ok = ok and (gm.is_skew() if kind == "B" else gm.is_symmetric())
             qw = quasi_witt_basis(sd)
             ok = ok and all(a != 0 for a in qw.ratios)
-            ok = ok and is_isotropic(sd, qw.flag)
+            ok = ok and is_isotropic(sd, [sd.space.coords(p) for p in qw.flag.basis])
             if kind == "C":
                 rep = bc_population_as_isotropic_flags(
                     pi, sd, qw.flag, samples=2, seed=rng.randint(0, 99)

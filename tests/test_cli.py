@@ -154,6 +154,18 @@ class TestFundamental:
         for tag in ("[wr-u-lem]", "[z-exp]", "[inf-exp]", "[pluecker]", "[ind-thm]"):
             assert tag in out
 
+    def test_round_trip_certified_once(self, tmp_path, monkeypatch, capsys):
+        """`flag_from_tuple` raises unless y_1 lies in the space and the
+        generating morphism maps its flag back to y, so the report reads
+        that certificate instead of running the morphism again."""
+        cfg = write_cfg(tmp_path, "a3w.json", A3W_686)
+        calls = count_calls(monkeypatch, fundamental, "generating_morphism")
+        assert run(["fundamental", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "[pol-crit] generating morphism round trip : PASS" in out
+        assert "[first-coor] y_1 lies in the space : PASS" in out
+        assert len(calls) == 1
+
     def test_json_format(self, sl2_cfg, capsys):
         assert run(["fundamental", "--config", sl2_cfg, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -183,9 +195,10 @@ class TestSelfdual:
 
     def test_coordinates_solved_once_per_flag_element(self, tmp_path, monkeypatch, capsys):
         """The isotropic layer solves for each flag element's coordinates once
-        per anti-diagonalization or isotropy test, and never per pairing or
-        per move: one anti-diagonalization for the quasi-Witt basis and one
-        per sampling run, one isotropy test per sample."""
+        per anti-diagonalization, and never per pairing, per move or per
+        isotropy test: one anti-diagonalization for the quasi-Witt basis and
+        one per sampling run; each sample's isotropy test reads the
+        coordinate vectors its sweep carries."""
         cfg = write_cfg(tmp_path, "b2.json", B2)
         solves = []
         coords = fundamental.PolySpace.coords
@@ -194,8 +207,8 @@ class TestSelfdual:
         adjusted = count_calls(monkeypatch, selfduality, "antidiagonal_basis")
         tested = count_calls(monkeypatch, selfduality, "is_isotropic")
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
-        assert len(adjusted) == 2
-        assert len(solves) == 4 * (len(adjusted) + len(tested)) == 28
+        assert len(adjusted) == 2 and len(tested) == 5
+        assert len(solves) == 4 * len(adjusted) == 8
 
     def test_type_a_selfdual(self, sl3_cfg, monkeypatch, capsys):
         # antidiagonal_basis certifies the quasi-Witt flag; nothing re-tests it
@@ -345,6 +358,11 @@ BAD_CONFIGS = {
 }
 A2 = {"root_system": "A2", "weights": [], "points": []}
 B2 = {"root_system": "B2", "weights": [], "points": []}
+# the (6,8,6) member of the A3 population with three weighted points
+A3W_686 = {"root_system": "A3", "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+           "points": ["0", "1", "3"],
+           "tuple": ["54 0 -12 48 0 -56/5 1", "48 -72 -108 96 0 -24 448/15 -48/5 1",
+                     "6 -72 84 -40 12 -26/5 1"]}
 # a critical start tuple of degree 3
 A1_CUBIC = {"root_system": "A1", "weights": [[2]], "points": ["0"], "tuple": ["3 0 0 1"]}
 
@@ -400,6 +418,21 @@ class TestInvalidInput:
         assert run(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")
+
+    @pytest.mark.parametrize("code, args", [("A7", []), ("B7", ["--max-degree", "0"])],
+                             ids=["A7-default", "B7-max-degree-0"])
+    def test_populate_above_weyl_cap(self, tmp_path, code, args):
+        """The degree prediction enumerates the Weyl group up to rank 6, so a
+        larger instance is refused before the walk, not after it."""
+        cfg = write_cfg(tmp_path, "cfg.json", {"root_system": code, "weights": [], "points": []})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "critpop.cli", "populate", "--config", cfg, *args],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "[error] InvalidInstance: populate supports rank at most 6\n"
 
     @pytest.mark.parametrize("target", ["missing_dir/a.json", "."], ids=["missing-dir", "dir"])
     def test_unwritable_output(self, tmp_path, capsys, target):
@@ -480,3 +513,23 @@ def test_bench_layers_resolve():
                 assert attr in vars(getattr(mod, cls_name)), f"{mod_name}.{fn_name}"
             else:
                 assert callable(getattr(mod, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+def test_traced_run_records_layers(tmp_path):
+    """The benchmark's tracer installs on the current modules and a traced
+    `selfdual` run records the sampler's generating-morphism spans."""
+    root = Path(__file__).resolve().parents[1]
+    cfg = write_cfg(tmp_path, "b2.json", B2)
+    span_file = str(tmp_path / "spans.bin")
+    code = ("import sys\n"
+            f"sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'bench')!r}]\n"
+            "import critpop.cli, spans\n"
+            "rec = spans.Recorder()\n"
+            "spans.install(rec)\n"
+            f"exit_code = critpop.cli.main(['selfdual', '--config', {cfg!r}, '--samples', '1'])\n"
+            f"rec.write({span_file!r})\n"
+            f"calls = spans.summarize([{span_file!r}])['fundamental.generating_morphism.calls']\n"
+            "print(exit_code, calls > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, timeout=120)
+    assert proc.stdout.splitlines()[-1:] == ["0 True"], proc.stderr
