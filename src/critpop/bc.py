@@ -15,26 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import (
-    ProblemInstance,
-    TupleY,
-    heine_stieltjes_test,
-    monic_tuple,
-    weight_at_infinity,
-)
+from .core import ProblemInstance, TupleY, heine_stieltjes_test, monic_tuple
 from .errors import ConstructionFailed, NotFertile, NotGeneric, SquareRootMissing
 from .fundamental import Flag, fundamental_space, generating_morphism, verify_dp
 from .poly import Poly, poly_sqrt, wronskian
-from .reproduction import (PopulationAtlas, immediate_descendants, is_fertile, param_candidates,
-                           weyl_degree_map)
-from .roots import (
-    dominant_representative,
-    fold_weight_B,
-    fold_weight_C,
-    folded_weyl_embed,
-    is_centro_symmetric,
-    root_data,
-)
+from .reproduction import immediate_descendants, is_fertile, param_candidates
+from .roots import fold_weight_B, fold_weight_C, root_data
 from .selfduality import (IsotropicFamily, SelfdualSpace, antidiagonal_basis, framing_of,
                           is_isotropic)
 
@@ -267,27 +253,3 @@ def bc_population_as_isotropic_flags(
     if hits < samples:
         raise ConstructionFailed("could not sample enough generic isotropic flags")
     return IsotropicSampleReport(samples, hits, op_checks, all_symmetric, all_critical)
-
-
-def bc_degree_law(pi: ProblemInstance, atlas: PopulationAtlas, max_degree: int) -> bool:
-    """Reached degree vectors match the shifted-orbit prediction and embed
-    bijectively into centro-symmetric permutations at full depth."""
-    if pi.rd.kind not in "BC":
-        raise ValueError("bc_degree_law expects B or C data")
-    some = next(iter(atlas.members.values())).tuple_y
-    lam_inf = weight_at_infinity(pi, some)
-    dom = dominant_representative(pi.rd, lam_inf)
-    if dom is None:
-        return False
-    lam_dom, _ = dom
-    weyl = weyl_degree_map(pi, lam_dom, max_degree)
-    reached = set(atlas.members)
-    if reached != set(weyl):
-        return False
-    images = set()
-    for l in sorted(reached):
-        img = folded_weyl_embed(pi.rd.kind, pi.rd.rank, weyl[l])
-        if not is_centro_symmetric(img):
-            return False
-        images.add(img)
-    return len(images) == len(reached)

@@ -7,8 +7,7 @@ distinct rational marked points, and derives the T-polynomials
 
 A candidate critical point is a tuple of monic polynomials; the
 divisibility criterion `heine_stieltjes_test` decides whether a generic
-tuple represents a critical point, and `bethe_residual` provides the
-floating-point cross-check directly on the defining equations.
+tuple represents a critical point.
 
 `is_generic`, `heine_stieltjes_test` and `wronskian_rhs` run over Z[x], in
 the integer section of `poly`: the first two decide properties that hold
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import CoincidentCoordinates, InvalidInstance, NotGeneric
+from .errors import InvalidInstance, NotGeneric
 from .poly import (ONE, Poly, _zclear, _zderiv, _zgcd, _zmul, _zpoly, _zprem, _zquo, _zscaled,
                    _zsub, from_roots, parse_rational)
 from .roots import RootData, Weight, root_data
@@ -193,44 +192,6 @@ def heine_stieltjes_test(pi: ProblemInstance, y: TupleY) -> bool:
         if _zprem(_zsub(_zmul(f, _zderiv(d1)), _zmul(g, d1)), zi):
             return False
     return True
-
-
-def bethe_residual(pi: ProblemInstance, roots: list[list[float]]) -> float:
-    """Max |LHS| of the defining equations at a float root assignment.
-
-    `roots[i]` lists the coordinates of color i+1.  All coordinates must be
-    distinct from each other within a color, across linked colors, and from
-    the marked points.
-    """
-    zs = [float(z) for z in pi.points]
-    eps = 1e-12
-    flat = []
-    for i, ts in enumerate(roots):
-        for t in ts:
-            flat.append((i, t))
-    for idx, (i, t) in enumerate(flat):
-        for j, u in flat[idx + 1 :]:
-            if (i == j or pi.rd.cartan[i][j] != 0) and abs(t - u) < eps:
-                raise CoincidentCoordinates(f"colliding coordinates {t} and {u}")
-        if any(abs(t - z) < eps for z in zs):
-            raise CoincidentCoordinates(f"coordinate {t} hits a marked point")
-    worst = 0.0
-    for i, ts in enumerate(roots):
-        for a, t in enumerate(ts):
-            acc = 0.0
-            for lam, z in zip(pi.weights, zs):
-                acc -= pi.rd.weight_alpha_scalar(lam, i) / (t - z)
-            for j, us in enumerate(roots):
-                scal = pi.rd.alpha_scalar(j, i)
-                if j == i:
-                    for b, u in enumerate(us):
-                        if b != a:
-                            acc += scal / (t - u)
-                elif scal:
-                    for u in us:
-                        acc += scal / (t - u)
-            worst = max(worst, abs(acc))
-    return worst
 
 
 def weight_at_infinity(pi: ProblemInstance, y: TupleY) -> Weight:

@@ -25,10 +25,6 @@ class NonGenericExhausted(CritpopError):
     """Parameter sampling hit the retry cap without finding a generic member."""
 
 
-class CoincidentCoordinates(CritpopError):
-    """Bethe coordinates collide with each other or with a marked point."""
-
-
 class ConstructionFailed(CritpopError):
     """An internal construction invariant was violated (implementation bug)."""
 
@@ -39,10 +35,6 @@ class NotSelfdual(CritpopError):
 
 class NotInImage(CritpopError):
     """A tuple is not in the image of the generating morphism of the space."""
-
-
-class Inconsistent(CritpopError):
-    """Ramification data does not define a consistent triple."""
 
 
 class IdentityViolated(CritpopError):

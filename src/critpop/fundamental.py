@@ -6,9 +6,12 @@ space equality is plain basis equality.  One routine, `_reduce`, clears
 the pivot-degree coefficients of a polynomial against echelon rows; span
 construction, membership, coordinates, flag canonicalization and
 completion use it, and exponents and Bruhat data are echelon degrees.  The
-fundamental space of a critical tuple is built by the sibling recursion;
-the factored operator whose kernel it is gets verified symbolically in
-`verify_dp`, over primitive integer polynomials up to nonzero scalars.
+fundamental space of a critical tuple is built by the sibling recursion.
+`verify_dp` checks that the order-(N+1) operator of a member annihilates
+it: the operator's first-order factors are composed once, over Z[x], into
+L = (1/D) sum_j n_j d^j with D = n_{N+1}, which the Frobenius-Polya
+factorization identifies with W(V) (G. Polya, Trans. AMS 24 (1922)), and
+each basis vector then costs one sum and one gcd.
 """
 
 from __future__ import annotations
@@ -322,7 +325,10 @@ def perm_to_weyl(rd, perm: tuple[int, ...]) -> WeylElement:
 
 def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool:
     """Operator invariance: all spaces coincide as reduced spaces, and the
-    factored operator built from a member annihilates the common space.
+    operator built from a member annihilates the common space.
+
+    The operator is composed once by `_operator_factors` and applied to
+    each echelon basis vector by `_apply_factored_operator`.
     """
     spaces = list(spaces)
     if not spaces:
@@ -331,45 +337,58 @@ def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool
     if any(sp != first for sp in spaces[1:]):
         return False
     if member is not None:
-        factors = _operator_factors(pi, member)
-        return all(_apply_factored_operator(factors, u).is_zero() for u in first.basis)
+        op = _operator_factors(pi, member)
+        return all(_apply_factored_operator(op, u).is_zero() for u in first.basis)
     return True
 
 
-def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[tuple[list[int], list[int]]]:
-    """(ab, a'b - ab') for each factor argument a/b of the order-(N+1)
-    operator of y, rightmost factor first, in primitive integer form.
+def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[list[int]]:
+    """The order-(N+1) operator of y, composed once: integer polynomials
+    n_0..n_{N+1} with no common factor and L = (1/n_{N+1}) sum_j n_j d^j.
 
-    The k-th argument (k = 0..N) is y_{k+1} T_1...T_k / y_k with
-    y_0 = y_{N+1} = 1; logderiv(a/b) = (a'b - ab')/(ab).
+    L is the product of N+1 monic first-order factors d + v/(ab), the k-th
+    (k = 0..N, rightmost first) with a/b = y_{k+1} T_1...T_k / y_k,
+    y_0 = y_{N+1} = 1, and v = ab' - a'b, so that -v/(ab) = logderiv(a/b).
+    They are folded in from the right: a factor maps (1/D) sum_j n_j d^j to
+    (1/(D^2 ab)) sum_j ((n_j' + n_{j-1}) D ab - n_j (D' ab - v D)) d^j, and
+    the common gcd of the new n_j is divided out.  Every factor is monic, so
+    the denominator is n_{N+1} throughout.  It is D^2 ab over a primitive
+    gcd, primitive by Gauss's lemma, so no integer content is left to
+    remove.  By the Frobenius-Polya factorization L f = W(V, f)/W(V) for
+    the kernel V, and n_{N+1} ends as the primitive associate of W(V).
     """
     zs = [[1], *(_zpoly(p) for p in y), [1]]
-    out, tprod = [], [1]
+    ns, tprod = [[1]], [1]
     for b, c, t in zip(zs, zs[1:], [*pi.ts, ONE]):
         a = _zmul(c, tprod)
-        out.append((_zmul(a, b), _zsub(_zmul(_zderiv(a), b), _zmul(a, _zderiv(b)))))
+        ab, v = _zmul(a, b), _zsub(_zmul(a, _zderiv(b)), _zmul(_zderiv(a), b))
+        d = ns[-1]
+        dab, e = _zmul(d, ab), _zsub(_zmul(_zderiv(d), ab), _zmul(v, d))
+        ns = [_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), dab), _zmul(n, e))
+              for prev, n in zip([[], *ns], [*ns, []])]
+        g = ns[-1]
+        for n in ns[:-1]:
+            if len(g) == 1:
+                break
+            g = _zgcd(g, n)
+        ns = [_zquo(n, g) for n in ns]
         tprod = _zmul(tprod, _zpoly(t))
-    return out
+    return ns
 
 
-def _apply_factored_operator(factors, u: Poly) -> Poly:
-    """Apply the factored operator of `_operator_factors` to u.
+def _apply_factored_operator(op, u: Poly) -> Poly:
+    """The numerator of L u for the composed operator of `_operator_factors`.
 
-    Factors are applied right to left; each is f -> f' - logderiv(a/b) f on
-    f = N/D.  The operator is linear and a logarithmic derivative ignores
-    scalars, so N, D and the factor arguments are kept as primitive integer
-    polynomials: each step forms (N'D - ND')ab - ND(a'b - ab') over D^2 ab
-    and divides out their gcd and contents.  The returned numerator is
-    the exact rational one up to a nonzero rational scalar, so it is zero
-    iff the operator annihilates u.
+    Forms sum_j n_j u^(j), divides out its gcd with the denominator n_{N+1}
+    and makes it primitive: the reduced numerator of L u up to a nonzero
+    rational scalar, so it is zero iff L annihilates u.
     """
-    num, den = _zpoly(u), [1]
-    for ab, w in factors:
-        dnum = _zsub(_zmul(_zderiv(num), den), _zmul(num, _zderiv(den)))
-        num = _zsub(_zmul(dnum, ab), _zmul(_zmul(num, den), w))
-        den = _zmul(_zmul(den, den), ab)
-        if not num:
-            return Poly()
-        g = _zgcd(num, den)
-        num, den = _zprimitive(_zquo(num, g)), _zprimitive(_zquo(den, g))
-    return Poly(num)
+    num, z = [], _zpoly(u)
+    for n in op:
+        if not z:
+            break
+        num = _zsub(num, _zmul(n, z))
+        z = _zderiv(z)
+    if not num:
+        return Poly()
+    return Poly(_zprimitive(_zquo(num, _zgcd(num, op[-1]))))

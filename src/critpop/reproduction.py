@@ -140,7 +140,7 @@ class PopulationAtlas:
 
     pi: ProblemInstance
     members: dict[tuple[int, ...], AtlasMember] = field(default_factory=dict)
-    edges: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = field(default_factory=list)
+    edges: set[tuple[tuple[int, ...], int, tuple[int, ...]]] = field(default_factory=set)
 
     def degree_vectors(self) -> list[tuple[int, ...]]:
         return sorted(self.members)
@@ -233,8 +233,8 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
                     l_new = l[:i] + (want,) + l[i + 1 :]
                     if want > max_degree:
                         continue
-                    if l_new != l and (l, i, l_new) not in atlas.edges:
-                        atlas.edges.append((l, i, l_new))
+                    if l_new != l:
+                        atlas.edges.add((l, i, l_new))
                     if l_new in atlas.members or l_new == l:
                         continue
                     if want < int(fam.fiber.degree):

@@ -1,4 +1,4 @@
-"""Dual spaces, selfduality, the canonical bilinear form and isotropic flags.
+"""Selfduality, the canonical bilinear form and isotropic flags.
 
 A framing is the tuple T_1..T_N built from the exponent gaps of the space
 at its finite ramification points, with prod_j T_j^(N+1-j) matching the
@@ -8,10 +8,8 @@ selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
 v = W+(w_1..w_N), is evaluated exactly.  A `SelfdualSpace` holds the space,
 its framing and its Gram matrix, computed once when it is built.  `gram`
 is the one selfduality certificate: it raises `NotSelfdual` unless the
-space equals its dual.  `dual_space` and `is_selfdual` compute V+ on
-their own, with the V++ = V check; no library path calls them, and they
-stay as an independent reference.  The `form` of a `SelfdualSpace`
-evaluates its Gram matrix on coordinate vectors in the echelon basis.
+space equals its dual.  The `form` of a `SelfdualSpace` evaluates its
+Gram matrix on coordinate vectors in the echelon basis.
 The isotropic layer works on these vectors: `antidiagonal_basis` adjusts
 a flag's basis, a generator move (`IsotropicFamily.deformed_basis`) keeps
 it anti-diagonal with the same anti-diagonal values, so moves compose on
@@ -27,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, prod
 
-from .errors import ConstructionFailed, NotConstant, NotDivisible, NotSelfdual
-from .fundamental import Flag, PolySpace, degree_flag, exponents, span
+from .errors import ConstructionFailed, NotConstant, NotSelfdual
+from .fundamental import Flag, PolySpace, degree_flag, exponents
 from .poly import ONE, Poly, divided_wronskian, solve_combination, wronskian
 
 
@@ -141,38 +139,6 @@ def framing_of(space: PolySpace, points) -> tuple[Poly, ...]:
 
 def _omit(items, i):
     return [items[k] for k in range(len(items)) if k != i]
-
-
-def dual_space(space: PolySpace, framing: tuple[Poly, ...]) -> PolySpace:
-    """V+ = span of the omitted divided Wronskians; asserts V++ = V.
-
-    The dual space has reversed exponent gaps, so the second application
-    divides by the reversed framing.
-    """
-    n1 = space.dim
-    dual = span(divided_wronskian(_omit(space.basis, i), framing) for i in range(n1))
-    if dual.dim != n1:
-        raise ConstructionFailed("dual space has wrong dimension")
-    rev = framing[::-1]
-    ddual = span(divided_wronskian(_omit(dual.basis, i), rev) for i in range(n1))
-    if ddual != space:
-        raise ConstructionFailed("double dual differs from the original space")
-    return dual
-
-
-def is_selfdual(space: PolySpace, framing: tuple[Poly, ...]) -> bool:
-    """V = V+ test with the exponent-symmetry fast reject."""
-    n = space.dim - 1
-    if framing != framing[::-1]:
-        return False
-    degs = space.degrees()
-    gaps = [degs[i + 1] - degs[i] - 1 for i in range(n)]
-    if gaps != gaps[::-1]:
-        return False
-    try:
-        return dual_space(space, framing) == space
-    except (NotDivisible, ConstructionFailed):
-        return False
 
 
 # -- canonical bilinear form ---------------------------------------------------
@@ -369,24 +335,6 @@ def _witt_scalars(gammas: list[Fraction]):
         if betas[k] ** 2 != b * gammas[k]:
             raise ConstructionFailed("middle Witt scalar inconsistent")
     return betas
-
-
-def verify_witt(framing: tuple[Poly, ...], result: QuasiWittResult) -> bool:
-    """Exact dar-2 check for rational Witt scalars; quadratic scalars were
-    already verified at the scalar level during construction."""
-    if result.witt_polys is None or result.witt_scalars is None:
-        return False
-    if any(isinstance(s, QuadExt) and not s.is_rational() for s in result.witt_scalars):
-        return True
-    polys = [
-        (s if isinstance(s, Fraction) else s.a) * p
-        for s, p in zip(result.witt_scalars, result.witt_polys)
-    ]
-    n1 = len(polys)
-    return all(
-        divided_wronskian(_omit(polys, n1 - i), framing) == polys[i - 1]
-        for i in range(1, n1 + 1)
-    )
 
 
 # -- isotropic one-parameter generators -----------------------------------------

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from critpop.core import ProblemInstance, is_generic, monic_tuple
-from critpop.poly import ONE, ZERO, Poly, from_roots, gcd
+from critpop.errors import ConstructionFailed, NotDivisible
+from critpop.fundamental import span
+from critpop.poly import ONE, ZERO, Poly, divided_wronskian, from_roots, gcd
 from critpop.roots import root_data
+from critpop.selfduality import _omit
 
 
 def instance(code, weights=(), points=()):
@@ -164,3 +167,36 @@ def hook_content_dim(lam, k: int) -> int:
             den *= hook
     assert num % den == 0
     return num // den
+
+
+def dual_space(space, framing):
+    """V+ = span of the omitted divided Wronskians; asserts V++ = V.
+
+    The dual space has reversed exponent gaps, so the second application
+    divides by the reversed framing.  `gram` certifies selfduality without
+    it; this is the independent reference.
+    """
+    n1 = space.dim
+    dual = span(divided_wronskian(_omit(space.basis, i), framing) for i in range(n1))
+    if dual.dim != n1:
+        raise ConstructionFailed("dual space has wrong dimension")
+    rev = framing[::-1]
+    ddual = span(divided_wronskian(_omit(dual.basis, i), rev) for i in range(n1))
+    if ddual != space:
+        raise ConstructionFailed("double dual differs from the original space")
+    return dual
+
+
+def is_selfdual(space, framing):
+    """V = V+ test with the exponent-symmetry fast reject."""
+    n = space.dim - 1
+    if framing != framing[::-1]:
+        return False
+    degs = space.degrees()
+    gaps = [degs[i + 1] - degs[i] - 1 for i in range(n)]
+    if gaps != gaps[::-1]:
+        return False
+    try:
+        return dual_space(space, framing) == space
+    except (NotDivisible, ConstructionFailed):
+        return False

@@ -34,8 +34,8 @@ from critpop.poly import ONE, Poly, identity_suite, poly_sqrt
 from critpop.reproduction import explore_population, is_fertile, weyl_degree_map
 from critpop.roots import dominant_representative, shifted_action
 from critpop.schubert import lr_expand, population_count_report
-from critpop.selfduality import is_isotropic, is_selfdual, quasi_witt_basis
-from conftest import hook_content_dim, instance, random_generic_tuple, seeded_points
+from critpop.selfduality import is_isotropic, quasi_witt_basis
+from conftest import hook_content_dim, instance, is_selfdual, random_generic_tuple, seeded_points
 
 
 def report(num, name, ok):

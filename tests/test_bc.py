@@ -5,7 +5,6 @@ import pytest
 
 from critpop.bc import (
     bc_critical_test,
-    bc_degree_law,
     bc_fundamental_space,
     bc_population_as_isotropic_flags,
     c_bridge_tuples,
@@ -14,13 +13,14 @@ from critpop.bc import (
     folded_instance,
     unfold,
 )
-from critpop.core import heine_stieltjes_test, is_generic, monic_tuple
+from critpop.core import heine_stieltjes_test, is_generic, monic_tuple, weight_at_infinity
 from critpop.errors import ConstructionFailed, NotFertile
 from critpop.fundamental import fundamental_space
 from critpop.poly import ONE, X, Poly
-from critpop.reproduction import explore_population, is_fertile, param_candidates
-from critpop.selfduality import IsotropicFamily, is_isotropic, is_selfdual, quasi_witt_basis
-from conftest import instance
+from critpop.reproduction import explore_population, is_fertile, param_candidates, weyl_degree_map
+from critpop.roots import dominant_representative, folded_weyl_embed, is_centro_symmetric
+from critpop.selfduality import IsotropicFamily, is_isotropic, quasi_witt_basis
+from conftest import instance, is_selfdual
 
 B2 = instance("B2")
 C2 = instance("C2")
@@ -158,6 +158,30 @@ class TestIsotropicSampling:
         with pytest.raises(ConstructionFailed, match="left the isotropic variety"):
             bc_population_as_isotropic_flags(pi, sd, quasi_witt_basis(sd).flag,
                                              samples=4, seed=3)
+
+
+def bc_degree_law(pi, atlas, max_degree):
+    """Reached degree vectors match the shifted-orbit prediction and embed
+    bijectively into centro-symmetric permutations at full depth."""
+    if pi.rd.kind not in "BC":
+        raise ValueError("bc_degree_law expects B or C data")
+    some = next(iter(atlas.members.values())).tuple_y
+    lam_inf = weight_at_infinity(pi, some)
+    dom = dominant_representative(pi.rd, lam_inf)
+    if dom is None:
+        return False
+    lam_dom, _ = dom
+    weyl = weyl_degree_map(pi, lam_dom, max_degree)
+    reached = set(atlas.members)
+    if reached != set(weyl):
+        return False
+    images = set()
+    for l in sorted(reached):
+        img = folded_weyl_embed(pi.rd.kind, pi.rd.rank, weyl[l])
+        if not is_centro_symmetric(img):
+            return False
+        images.add(img)
+    return len(images) == len(reached)
 
 
 class TestDegreeLaw:

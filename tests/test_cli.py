@@ -237,10 +237,17 @@ class TestSelfdual:
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
         assert calls and len(calls) == len(set(calls))
 
-    def test_rank_four_stress_output(self, tmp_path):
-        """B4 `--samples 5` in a fresh interpreter prints the pinned output:
-        the largest Kronecker exponents and Wronskian orders of the suite."""
-        cfg = write_cfg(tmp_path, "b4.json", {"root_system": "B4", "weights": [], "points": []})
+    @pytest.mark.parametrize("name, cfg, digest", [
+        ("B4", {"root_system": "B4", "weights": [], "points": []}, "9c1f964ce61c49b5"),
+        ("C4", {"root_system": "C4", "weights": [], "points": []}, "66e958ff92fa1f85"),
+        ("C3w", {"root_system": "C3", "weights": [[0, 1, 0], [1, 0, 0]], "points": ["0", "-1"]},
+         "b0f11be581b7604e"),
+    ], ids=["B4", "C4", "C3w"])
+    def test_rank_four_stress_output(self, tmp_path, name, cfg, digest):
+        """`--samples 5` on the stress instances in a fresh interpreter prints
+        the pinned output: the largest Kronecker exponents, Wronskian orders
+        and composed operators of the suite."""
+        cfg = write_cfg(tmp_path, f"{name}.json", cfg)
         src = str(Path(critpop.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
@@ -249,7 +256,7 @@ class TestSelfdual:
             capture_output=True, env=env, timeout=120,
         )
         assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout).hexdigest()[:16] == "9c1f964ce61c49b5"
+        assert hashlib.sha256(proc.stdout).hexdigest()[:16] == digest
 
     def test_folded_instance_built_once(self, tmp_path, monkeypatch, capsys):
         # the folded instance is cached across runs, so only repeats are counted

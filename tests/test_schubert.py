@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from critpop import schubert
-from critpop.errors import Inconsistent
+from critpop.errors import CritpopError
 from critpop.fundamental import fundamental_space, schubert_index_finite, schubert_index_infinity
 from critpop.core import weight_at_infinity
 from critpop.poly import ONE, Poly
@@ -27,6 +27,10 @@ from conftest import A3W, hook_content_dim, instance, seeded_points
 # Test-only entry points: the ramification dictionaries (checked against
 # the Schubert indices of fundamental spaces below) and single LR
 # coefficients.
+
+
+class Inconsistent(CritpopError):
+    """Ramification data does not define a consistent triple."""
 
 
 def _is_partition(a) -> bool:
