@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInstance, NotGeneric
-from .poly import (ONE, Poly, _zclear, _zderiv, _zgcd, _zmul, _zpoly, _zprem, _zquo, _zscaled,
-                   _zsub, from_roots, parse_rational)
-from .roots import RootData, Weight, root_data
+from .poly import (ONE, Poly, _zderiv, _zgcd, _zmul, _zpoly, _zprem, _zquo, _zscaled, _zsub,
+                   parse_rational)
+from .roots import _T_DEGREE_CAP, RootData, Weight, root_data
 
 TupleY = tuple[Poly, ...]
 
@@ -48,6 +48,9 @@ class ProblemInstance:
                 raise InvalidInstance(f"weight {lam} does not have rank {self.rd.rank}")
             if not self.rd.is_dominant(lam):
                 raise InvalidInstance(f"weight {lam} is not dominant")
+        deg = max(map(sum, zip(*self.weights)), default=0)
+        if deg > _T_DEGREE_CAP:
+            raise InvalidInstance(f"deg T_i is capped at {_T_DEGREE_CAP}, got {deg}")
         object.__setattr__(self, "ts", tuple(t_polys(self)))
 
     @property
@@ -90,12 +93,13 @@ def degree_vector(y: TupleY) -> tuple[int, ...]:
 
 
 def t_polys(pi: ProblemInstance) -> list[Poly]:
-    """T_i = prod_s (x - z_s)^<Lambda_s, alpha_i^vee>."""
+    """T_i = prod_s (x - z_s)^<Lambda_s, alpha_i^vee>, one power per point."""
     out = []
     for i in range(pi.rd.rank):
         t = ONE
         for lam, z in zip(pi.weights, pi.points):
-            t = t * from_roots([z] * lam[i])
+            if lam[i]:
+                t = t * Poly([-z, 1]) ** lam[i]
         out.append(t)
     return out
 
@@ -135,18 +139,16 @@ def wronskian_rhs(pi: ProblemInstance, y: TupleY, i: int) -> Poly:
     """Right-hand side T_i prod_{j != i} y_j^(-a_ij) of the Wronskian
     equation in direction i (0-based).
 
-    T_i and each y_j are cleared of denominators (d_T, d_j), the product is
-    expanded over Z[x], and the one scale 1/(d_T prod d_j^e) is applied at
-    the end.
+    The product of the numerators is expanded over Z[x] and divided once by
+    den(T_i) prod den(y_j)^e at the end.
     """
-    acc, den = _zclear(pi.ts[i])
+    acc, den = pi.ts[i].num, pi.ts[i].den
     for j in range(pi.rd.rank):
         e = -pi.rd.cartan[i][j] if j != i else 0
         if e:
-            zj, dj = _zclear(y[j])
             for _ in range(e):
-                acc = _zmul(acc, zj)
-            den *= dj**e
+                acc = _zmul(acc, y[j].num)
+            den *= y[j].den ** e
     return _zscaled(acc, den)
 
 

@@ -26,8 +26,8 @@ from .core import (
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotDivisible, NotInImage
-from .poly import (ONE, Poly, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo, _zsub,
-                   divided_wronskian, solve_combination, wronskian)
+from .poly import (ONE, Poly, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo, _zscaled,
+                   _zsub, divided_wronskian, solve_combination, wronskian)
 from .reproduction import immediate_descendants, _sample_generic
 from .roots import WeylElement, dominant_representative, generator, identity_element
 
@@ -391,4 +391,4 @@ def _apply_factored_operator(op, u: Poly) -> Poly:
         z = _zderiv(z)
     if not num:
         return Poly()
-    return Poly(_zprimitive(_zquo(num, _zgcd(num, op[-1]))))
+    return _zscaled(_zprimitive(_zquo(num, _zgcd(num, op[-1]))), 1)

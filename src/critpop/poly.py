@@ -1,25 +1,26 @@
 """Dense univariate polynomials over exact rationals.
 
-A polynomial is a tuple of `Fraction` coefficients ordered from degree 0
-upward with no trailing zeros; the zero polynomial is the empty tuple.
-This module is the arithmetic substrate for everything else: Wronskians,
+A `Poly` is an integer numerator over one common denominator, the layout
+of FLINT's `fmpq_poly`: `num` is a tuple of ints ordered from degree 0
+upward with no trailing zeros, and `den` is a positive int coprime to the
+content of `num`.  That form is canonical, so equality and hashing compare
+`(num, den)`; the zero polynomial is `((), 1)`.  The `Fraction`
+coefficients (`coeffs`, `p[k]`, `leading`) are made on demand.  This
+module is the arithmetic substrate for everything else: Wronskians,
 divided Wronskians, exact division, gcd, square roots and the linear
 solver that every solve over polynomial coefficients goes through.
 
-One private section works on integer polynomials (int lists, lowest
-degree first), so that no Fraction is made in an inner loop.  `Poly`
-products and powers run there: each factor is scaled by the lcm d of its
-denominators, the integer lists are multiplied, and the one scale
-1/(d_a d_b), or 1/d^n for a power, is applied at the end.  `gcd` runs a
-primitive remainder sequence there and returns the monic gcd, the
-factored-operator check in `fundamental` runs on it end to end, and
-`wronskian` expands its determinant there on denominator-cleared rows and
-applies the one rational scale at the end.  The population walk uses it
-too: `core.is_generic` and `core.heine_stieltjes_test` decide on primitive
-integer associates, which needs no scale at all; `core.wronskian_rhs`
-expands its product on cleared lists and applies one scale at the end;
-`reproduction.solve_wronskian_equation` back-substitutes fraction-free and
-makes its rationals only when it returns.
+Every ring operation works on the numerators over Z and makes one
+canonical `Poly` at the end (`_zscaled`: one gcd and a sign fix).  Sums
+scale to the lcm of the denominators, products multiply numerators and
+denominators, and `divmod` pseudo-divides the numerators.  The private
+integer section (int lists, lowest degree first) serves the callers that
+want a result only up to a scalar: `gcd` runs a primitive remainder
+sequence there and returns the monic gcd, the factored-operator check in
+`fundamental` runs on it end to end, and `core.is_generic` and
+`core.heine_stieltjes_test` decide on primitive integer associates.
+`core.wronskian_rhs` and `reproduction.solve_wronskian_equation` read
+`num` and `den` and make one `Poly` at the end.
 
 `wronskian` and `Poly.__pow__` use Kronecker substitution: they evaluate
 at x = 2^k (`_zpack`), compute on big ints and read the result back as
@@ -36,15 +37,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 from .errors import IdentityViolated, InvalidInstance, NotDivisible
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -57,15 +54,17 @@ def parse_rational(text: str) -> Fraction:
 
 
 class Poly:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial num/den: `num` a tuple of ints (lowest
+    degree first, no trailing zeros), `den` an int > 0 with
+    gcd(content(num), den) = 1.  Built from ints and Fractions (any values
+    with `numerator` and `denominator`); the zero polynomial is ((), 1)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
-    def __init__(self, coeffs=()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs=()):
+        cs = tuple(coeffs)
+        d = lcm(*(c.denominator for c in cs))
+        return _zscaled([c.numerator * (d // c.denominator) for c in cs], d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -73,45 +72,55 @@ class Poly:
     # -- basics ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    @property
     def degree(self):
         """Degree, with -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == Poly([other])
-        return NotImplemented
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _as_poly(other)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "Poly":
+        """The numerators scaled to the lcm d of the denominators, added, over d."""
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        d = lcm(self.den, other.den)
+        m, n = d // self.den, d // other.den
+        out = [m * c for c in self.num] + [0] * (len(other.num) - len(self.num))
+        for j, c in enumerate(other.num):
+            out[j] += n * c
+        return _zscaled(out, d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return _zscaled([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-_as_poly(other))
@@ -120,41 +129,42 @@ class Poly:
         return _as_poly(other) - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        (a, da), (b, db) = _zclear(self), _zclear(_as_poly(other))
-        return _zscaled(_zmul(a, b), da * db)
+        if type(other) is not Poly:
+            other = _as_poly(other)
+        return _zscaled(_zmul(self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        """One big-int power by Kronecker substitution: the cleared integer
-        list a is evaluated at 2^k, raised to the n-th power and read back,
-        and d^n is applied once.  Every coefficient of a^n is at most
-        ||a||_1^n in absolute value, which fixes k (see `_zunpack`)."""
+        """One big-int power by Kronecker substitution: num is evaluated at
+        2^k, raised to the n-th power and read back, over den^n.  Every
+        coefficient of num^n is at most ||num||_1^n in absolute value, which
+        fixes k (see `_zunpack`)."""
         if n < 0:
             raise ValueError("negative power")
-        a, d = _zclear(self)
-        k = (sum(map(abs, a)) ** n).bit_length() + 1
-        return _zscaled(_zunpack(_zpack(a, k) ** n, k), d**n)
+        k = (sum(map(abs, self.num)) ** n).bit_length() + 1
+        return _zscaled(_zunpack(_zpack(self.num, k) ** n, k), self.den**n)
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
+        """Pseudo-division of the numerators as in `_zprem`, tracking q and
+        the scale s with s num_a = q num_b + r; then the quotient is
+        q den_b / (s den_a) and the remainder r / (s den_a)."""
         other = _as_poly(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, len(other.coeffs) - 1
-        if dd < dv:
-            return ZERO, self
-        inv = 1 / other.leading()
-        quot = [Fraction(0)] * (dd - dv + 1)
-        for k in range(dd - dv, -1, -1):
-            c = rem[dv + k] * inv
-            if c:
-                quot[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return Poly(quot), Poly(rem[:dv])
+        b, db = other.num, len(other.num) - 1
+        r, q, s = list(self.num), [0] * (len(self.num) - db), self.den
+        while len(r) > db:
+            g = igcd(r[-1], b[-1])
+            m, c, k = b[-1] // g, r[-1] // g, len(r) - 1 - db
+            if m != 1:
+                r, q, s = [m * v for v in r], [m * v for v in q], s * m
+            q[k] = c
+            for j, v in enumerate(b):
+                r[j + k] -= c * v
+            while r and not r[-1]:
+                r.pop()
+        return _zscaled([other.den * c for c in q], s), _zscaled(r, s)
 
     def __mod__(self, other) -> "Poly":
         return divmod(self, other)[1]
@@ -169,36 +179,31 @@ class Poly:
     # -- calculus and helpers ---------------------------------------------
 
     def deriv(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _zscaled(_zderiv(self.num), self.den)
 
-    def eval(self, x):
-        """Evaluate by Horner, exactly for int and Fraction inputs."""
+    def eval(self, x) -> Fraction:
+        """Evaluate exactly at an int or Fraction x: Horner on num, then one
+        division by den."""
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.num):
             acc = acc * x + c
-        return acc
+        return Fraction(acc, self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        lc = self.leading()
-        return self if lc == 1 else self * (1 / lc)
+        return self if self.num[-1] == self.den else _zscaled(self.num, self.num[-1])
 
-    def shift(self, z: Fraction) -> "Poly":
-        """Taylor rebase: returns p(x + z)."""
-        result = [Fraction(0)] * len(self.coeffs)
-        acc = [Fraction(1)]  # (x+z)^k coefficients
-        for k, c in enumerate(self.coeffs):
-            if c:
-                for i, a in enumerate(acc):
-                    result[i] += c * a
-            # acc *= (x + z)
-            nxt = [Fraction(0)] * (len(acc) + 1)
-            for i, a in enumerate(acc):
-                nxt[i] += a * z
-                nxt[i + 1] += a
-            acc = nxt
-        return Poly(result)
+    def shift(self, z) -> "Poly":
+        """Taylor rebase p(x + z): Horner's rule in b x + a = b (x + z) for
+        z = a/b over Z, then one division by b^deg p."""
+        z = Fraction(z)
+        acc, w, lin = [], 1, [z.numerator, z.denominator]
+        for c in reversed(self.num):
+            acc = _zmul(acc, lin) or [0]
+            acc[0] += c * w
+            w *= lin[1]
+        return _zscaled(acc, self.den * w // lin[1]) if acc else self
 
     # -- text form ---------------------------------------------------------
 
@@ -225,8 +230,7 @@ class Poly:
         if self.is_zero():
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i, c in reversed(list(enumerate(self.coeffs))):
             if not c:
                 continue
             mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
@@ -242,11 +246,30 @@ class Poly:
 
 
 def _as_poly(v) -> Poly:
-    if isinstance(v, Poly):
+    if type(v) is Poly:
         return v
     if isinstance(v, (int, Fraction)):
-        return Poly([v])
+        return _zscaled([v.numerator], v.denominator)
     raise TypeError(f"cannot coerce {type(v).__name__} to Poly")
+
+
+_SET_NUM, _SET_DEN = Poly.num.__set__, Poly.den.__set__
+
+
+def _zscaled(a, d: int) -> Poly:
+    """The canonical Poly a / d, for a sequence a of ints and an int d != 0:
+    trailing zeros are dropped, and one gcd(d, *a), with the sign of d, is
+    divided out."""
+    while a and not a[-1]:
+        a = a[:-1]
+    if d != 1:
+        g = igcd(d, *a) if d > 0 else -igcd(d, *a)
+        if g != 1:
+            a, d = [c // g for c in a], d // g
+    p = object.__new__(Poly)
+    _SET_NUM(p, tuple(a))
+    _SET_DEN(p, d)
+    return p
 
 
 ZERO = Poly()
@@ -254,17 +277,11 @@ ONE = Poly([1])
 X = Poly([0, 1])
 
 
-def from_roots(roots) -> Poly:
-    out = ONE
-    for r in roots:
-        out = out * Poly([-_frac(r), 1])
-    return out
-
-
 # -- integer polynomials ----------------------------------------------------
 # Lists of ints, lowest degree first, no trailing zeros; [] is zero.  No
 # Fraction enters a loop here.  Where a result is wanted up to a nonzero
-# rational scalar, contents are divided out as they appear.
+# rational scalar, contents are divided out as they appear.  A `Poly`'s
+# `num` tuple is read where a list is wanted.
 
 
 def _zprimitive(a: list[int]) -> list[int]:
@@ -275,20 +292,9 @@ def _zprimitive(a: list[int]) -> list[int]:
     return [c // g for c in a] if a[-1] > 0 else [-c // g for c in a]
 
 
-def _zclear(p: Poly) -> tuple[list[int], int]:
-    """(d p, d) for d the lcm of p's denominators: d p has int coefficients."""
-    d = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (d // c.denominator) for c in p.coeffs], d
-
-
-def _zscaled(a: list[int], d: int) -> Poly:
-    """The Poly a / d, made of plain ints when d = 1."""
-    return Poly(a if d == 1 else [Fraction(c, d) for c in a])
-
-
 def _zpoly(p: Poly) -> list[int]:
-    """Primitive integer associate of p: denominators cleared, content out."""
-    return _zprimitive(_zclear(p)[0])
+    """Primitive integer associate of p: its numerator with the content out."""
+    return _zprimitive(list(p.num))
 
 
 def _zpack(a: list[int], k: int) -> int:
@@ -385,35 +391,30 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0.  The monic gcd is unique, so taking it
     from the primitive gcd over Z gives exactly Euclid's answer over Q."""
     g = _zgcd(_zpoly(a), _zpoly(b))
-    return Poly(g).monic() if g else ZERO
+    return _zscaled(g, g[-1]) if g else ZERO
 
 
 def poly_sqrt(p: Poly) -> Poly | None:
-    """Exact square root over Q, or None.
+    """Exact square root over Q with a positive leading coefficient, or None.
 
-    The root is normalized to a positive leading coefficient.
+    sqrt(p) = sqrt(f)/den for the integer polynomial f = num den, and a
+    square in Q[x] of an integer polynomial is the square of an integer
+    polynomial (Gauss's lemma), so its coefficients are solved for over Z
+    from the top down: x^(m+k) of q^2 is 2 q_m q_k + sum_(k<i<m) q_i q_(m+k-i).
     """
-    if p.is_zero():
+    f, m = [c * p.den for c in p.num], len(p.num) // 2
+    if not f:
         return ZERO
-    d = p.degree
-    if d % 2:
+    if len(f) % 2 == 0 or f[-1] < 0 or isqrt(f[-1]) ** 2 != f[-1]:
         return None
-    lc = p.leading()
-    if lc < 0:
-        return None
-    ln, ld = lc.numerator, lc.denominator
-    sn, sd = isqrt(ln), isqrt(ld)
-    if sn * sn != ln or sd * sd != ld:
-        return None
-    m = d // 2
-    q = [Fraction(0)] * (m + 1)
-    q[m] = Fraction(sn, sd)
+    q = [0] * m + [isqrt(f[-1])]
     for k in range(m - 1, -1, -1):
-        # coefficient of x^(m+k) in q^2 must match p
-        s = sum(q[i] * q[m + k - i] for i in range(k + 1, m) if 0 <= m + k - i <= m)
-        q[k] = (p[m + k] - s) / (2 * q[m])
-    cand = Poly(q)
-    return cand if cand * cand == p else None
+        r = f[m + k] - sum(q[i] * q[m + k - i] for i in range(k + 1, m))
+        if r % (2 * q[m]):
+            return None
+        q[k] = r // (2 * q[m])
+    root = _zscaled(q, p.den)
+    return root if root * root == p else None
 
 
 # -- exact linear algebra over Q ------------------------------------------
@@ -426,7 +427,7 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    a = [[_frac(v) for v in row] + [_frac(rhs[i])] for i, row in enumerate(rows)]
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -475,9 +476,9 @@ def wronskian(gs: Sequence[Poly]) -> Poly:
     """W(g_1,...,g_s) = det(g_i^{(j-1)}), rows by function, columns by order.
 
     The empty list returns 1 by convention.  W is linear in each row, so
-    W(c_1 g_1, ..., c_s g_s) = c_1...c_s W(g): row i is scaled by the lcm
-    d_i of its denominators, the determinant is expanded over Z[x], and
-    the result is that integer Wronskian times 1/(d_1...d_s).
+    W(c_1 g_1, ..., c_s g_s) = c_1...c_s W(g): the determinant of the
+    numerators g_i.num is expanded over Z[x], and the result is that
+    integer Wronskian over d_1...d_s, d_i = g_i.den.
 
     The expansion runs at x = 2^k (Kronecker substitution): every entry
     becomes one int, each polynomial product one big-int product, and the
@@ -491,7 +492,7 @@ def wronskian(gs: Sequence[Poly]) -> Poly:
         return ONE
     table, den, bound = [], 1, 1
     for g in gs:
-        cur, d = _zclear(g)
+        cur, d = g.num, g.den
         row = [cur]
         for _ in range(s - 1):
             cur = _zderiv(cur)
@@ -585,10 +586,7 @@ def identity_suite(seed: int, trials: int) -> IdentityReport:
 
         # W_{s+1}(f^s, f^{s-1}g, ..., g^s) = (prod i!) W_2(f, g)^{s(s+1)/2}
         lhs = wronskian([f ** (s - i) * g**i for i in range(s + 1)])
-        rhs = Fraction(1)
-        for i in range(1, s + 1):
-            rhs *= _FACT[i]
-        rhs = rhs * wronskian([f, g]) ** (s * (s + 1) // 2)
+        rhs = prod(_FACT[: s + 1]) * wronskian([f, g]) ** (s * (s + 1) // 2)
         if lhs != rhs:
             fail("two-generators", f"s={s} f={f} g={g}")
         checks["two-generators"] += 1

@@ -29,7 +29,7 @@ from .core import (
 )
 from .errors import (ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile,
                      NotGeneric)
-from .poly import Poly, _zclear
+from .poly import Poly, _zscaled
 from .roots import enumerate_weyl, shifted_action
 
 RETRY_CAP = 64
@@ -77,16 +77,15 @@ def solve_wronskian_equation(y: Poly, rhs: Poly) -> DescendantFamily | None:
     The pivot-free equations x^k, k < d - 1 or k = 2d - 1, decide fertility:
     a nonzero residual there returns None.
 
-    The substitution is fraction-free.  With y = Y/a and rhs = R/b over
-    Z[x], it solves Y U' - Y' U = S R for integer U and a scale S that
-    starts at 1: where a pivot does not divide its residual, U and S are
-    multiplied by pivot/gcd.  Then u = a U / (b S), made exact only once,
-    at the end.
+    The substitution is fraction-free.  With y = Y/a and rhs = R/b, the
+    `num`/`den` of each, it solves Y U' - Y' U = S R for integer U and a
+    scale S that starts at 1: where a pivot does not divide its residual, U
+    and S are multiplied by pivot/gcd.  Then u = a U / (b S), made exact
+    only once, at the end.
     """
     if y.is_zero() or rhs.is_zero():
         raise ValueError("y and rhs must be nonzero")
-    ys, a = _zclear(y)
-    rs, b = _zclear(rhs)
+    ys, a, rs, b = y.num, y.den, rhs.num, rhs.den
     d = len(ys) - 1
     n = max(len(rs) - d, d)
     u, scale = [0] * (n + 1), 1
@@ -108,7 +107,7 @@ def solve_wronskian_equation(y: Poly, rhs: Poly) -> DescendantFamily | None:
         return None
     if not any(u):
         raise ConstructionFailed("degenerate base solution")
-    return DescendantFamily(Poly([Fraction(a * v, b * scale) for v in u]), y)
+    return DescendantFamily(_zscaled([a * v for v in u], b * scale), y)
 
 
 def immediate_descendants(pi: ProblemInstance, y: TupleY, i: int) -> DescendantFamily:

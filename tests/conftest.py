@@ -7,7 +7,7 @@ import pytest
 from critpop.core import ProblemInstance, is_generic, monic_tuple
 from critpop.errors import ConstructionFailed, NotDivisible
 from critpop.fundamental import span
-from critpop.poly import ONE, ZERO, Poly, divided_wronskian, from_roots, gcd
+from critpop.poly import ONE, ZERO, Poly, divided_wronskian, gcd
 from critpop.roots import root_data
 from critpop.selfduality import _omit
 
@@ -68,6 +68,14 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def from_roots(roots):
+    """prod_r (x - r), one linear factor per root."""
+    out = ONE
+    for r in roots:
+        out = out * Poly([-Fraction(r), 1])
+    return out
+
+
 def is_squarefree(p):
     """Squarefreeness over Q from the monic gcd of p and p'."""
     if p.is_zero():
@@ -90,6 +98,41 @@ def schoolbook_mul(p, q):
         for j, b in enumerate(q.coeffs):
             out[i + j] += a * b
     return Poly(out)
+
+
+def fraction_divmod(p, q):
+    """divmod by long division over Fraction coefficients: the reference for
+    `Poly.__divmod__`."""
+    rem = list(p.coeffs)
+    dd, dv = len(rem) - 1, len(q.coeffs) - 1
+    if dd < dv:
+        return ZERO, p
+    inv = 1 / q.leading()
+    quot = [Fraction(0)] * (dd - dv + 1)
+    for k in range(dd - dv, -1, -1):
+        c = rem[dv + k] * inv
+        if c:
+            quot[k] = c
+            for j, b in enumerate(q.coeffs):
+                rem[j + k] -= c * b
+    return Poly(quot), Poly(rem[:dv])
+
+
+def fraction_shift(p, z):
+    """p(x + z) by summing c_k (x + z)^k over Fraction coefficients: the
+    reference for `Poly.shift`."""
+    result = [Fraction(0)] * len(p.coeffs)
+    acc = [Fraction(1)]  # (x+z)^k coefficients
+    for c in p.coeffs:
+        if c:
+            for i, a in enumerate(acc):
+                result[i] += c * a
+        nxt = [Fraction(0)] * (len(acc) + 1)
+        for i, a in enumerate(acc):
+            nxt[i] += a * z
+            nxt[i + 1] += a
+        acc = nxt
+    return Poly(result)
 
 
 def schoolbook_pow(p, n):

@@ -306,6 +306,21 @@ class TestCount:
         ).stdout for m in ("8", str(10**18))]
         assert outs[0] == outs[1] and "l=1: exact 2 <= bound 2" in outs[0]
 
+    def test_huge_weight(self, tmp_path):
+        """A weight above the deg T_i cap is refused while the instance is
+        read, before any T_i is built: every subcommand exits 2 at once with
+        a one-line message and no traceback."""
+        cfg = write_cfg(tmp_path, "huge.json", {"root_system": "A1", "weights": [[10**6]],
+                                                "points": ["0"], "tuple": ["1"]})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for cmd in ("verify", "populate", "fundamental", "selfdual", "count"):
+            proc = subprocess.run([sys.executable, "-m", "critpop.cli", cmd, "--config", cfg],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2, cmd
+            assert proc.stderr.startswith("[error] InvalidInstance: deg T_i is capped at 512")
+            assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
     def test_import_leaves_sympy_unloaded(self):
         """sympy is imported by the rank-one exact count only, not at start-up."""
         src = str(Path(critpop.__file__).resolve().parents[1])

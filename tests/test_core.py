@@ -15,7 +15,7 @@ from critpop.core import (
 from critpop.errors import CritpopError, InvalidInstance, NotGeneric
 from critpop.poly import ONE, X, Poly, gcd
 from critpop.reproduction import explore_population
-from conftest import fraction_criterion, instance, is_squarefree
+from conftest import fraction_criterion, from_roots, instance, is_squarefree
 
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
@@ -46,6 +46,22 @@ class TestTPolys:
     def test_b2(self):
         pi = instance("B2", [(1, 0)], ["0"])
         assert t_polys(pi) == [X, ONE]
+
+    def test_one_power_per_point(self):
+        """Each point's factor is one power (x - z)^m; it equals the product
+        of m linear factors, and the product over the points equals
+        from_roots of the repeated roots."""
+        pi = instance("A2", [(3, 0), (1, 2), (0, 5)], ["1/3", "-2", "7/5"])
+        want = [from_roots([z for lam, z in zip(pi.weights, pi.points) for _ in range(lam[i])])
+                for i in range(2)]
+        assert t_polys(pi) == want
+
+    def test_degree_cap(self):
+        """deg T_i = sum_s m_i^(s) is capped at 512, summed over the points."""
+        assert t_polys(instance("A1", [(512,)], ["1/3"]))[0].degree == 512
+        for weights, points in (([(513,)], ["0"]), ([(300, 0), (300, 0)], ["0", "1"])):
+            with pytest.raises(InvalidInstance, match="capped at 512"):
+                instance(f"A{len(weights[0])}", weights, points)
 
 
 class TestGenericity:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd as igcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,14 +13,14 @@ from critpop.poly import (
     ZERO,
     Poly,
     divided_wronskian,
-    from_roots,
     gcd,
     identity_suite,
     poly_sqrt,
     solve_linear,
     wronskian,
 )
-from conftest import euclid_gcd, is_squarefree, laplace_wronskian, schoolbook_mul, schoolbook_pow
+from conftest import (euclid_gcd, fraction_divmod, fraction_shift, from_roots, is_squarefree,
+                      laplace_wronskian, schoolbook_mul, schoolbook_pow)
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 
@@ -96,6 +97,64 @@ class TestArithmetic:
         f, g, h = fgh
         for a, b in ((g, h), (f * g, f * h), (f * g, f), (g, ZERO), (ZERO, h)):
             assert gcd(a, b) == gcd(b, a) == euclid_gcd(a, b)
+
+
+# few distinct values, so that equal pairs are common
+small_polys = st.lists(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)),
+                       max_size=3).map(Poly)
+points = st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+
+
+def assert_canonical(p):
+    """num is a tuple of ints without trailing zeros, den an int > 0 coprime
+    to the content; zero is ((), 1)."""
+    assert type(p.num) is tuple and all(type(c) is int for c in p.num)
+    assert type(p.den) is int and p.den > 0 and igcd(p.den, *p.num) == 1
+    assert (p.num[-1] != 0) if p.num else p.den == 1
+
+
+class TestRepresentation:
+    def test_zero(self):
+        for z in (ZERO, Poly([0, Fraction(0, 7)]), Poly([Fraction(1, 3)]) - Poly([Fraction(1, 3)]),
+                  Poly([Fraction(2, 9)]) * 0, divmod(Poly([Fraction(1, 6)]), Poly([3]))[1]):
+            assert (z.num, z.den) == ((), 1) and z == ZERO and hash(z) == hash(ZERO)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rat_polys, rat_polys, points)
+    @example(ZERO, ZERO, Fraction(0))
+    @example(BIG, Poly([Fraction(-3, 2**61 - 1), 0, Fraction(7, 3**40)]), Fraction(-5, 3))
+    @example(Poly([Fraction(1, 2), 0, Fraction(-3, 4)]), Poly([Fraction(-2, 3)]), Fraction(1, 2))
+    def test_matches_fraction_references(self, p, q, z):
+        """Every operation returns the canonical form; `coeffs` round-trips;
+        divmod, shift, monic, eval and deriv equal the Fraction references."""
+        assert Poly(p.coeffs) == p and all(type(c) is Fraction for c in p.coeffs)
+        out = [p + q, p - q, p * q, -p, p * z, p.deriv(), p.shift(z), p.shift(z.numerator)]
+        if q:
+            assert divmod(p, q) == fraction_divmod(p, q)
+            out += divmod(p, q)
+        if p:
+            assert p.monic() == Poly([c / p.leading() for c in p.coeffs])
+            out.append(p.monic())
+        for r in [p, q, *out]:
+            assert_canonical(r)
+        assert p.shift(z) == fraction_shift(p, z)
+        assert p.shift(z.numerator) == fraction_shift(p, Fraction(z.numerator))
+        for x in (z, z.numerator):
+            assert p.eval(x) == sum(c * x**i for i, c in enumerate(p.coeffs))
+        assert p.deriv() == Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(small_polys, small_polys, st.integers(-2, 2))
+    def test_equality_is_fraction_equality(self, p, q, k):
+        """p == q exactly when the Fraction tuples are equal, and equal
+        polynomials hash alike, also when built along different routes."""
+        assert (p == q) == (p.coeffs == q.coeffs)
+        if p == q:
+            assert hash(p) == hash(q)
+        for same in (Poly([*p.coeffs, 0, Fraction(0, 3)]), p * (2 * k + 5) * Fraction(1, 2 * k + 5),
+                     (p + q) - q):
+            assert same == p and hash(same) == hash(p) and (same.num, same.den) == (p.num, p.den)
+        assert (p == k) == (p.coeffs == ((Fraction(k),) if k else ()))
 
 
 class TestProducts:
