@@ -5,18 +5,23 @@ Configs are JSON: {"root_system": "A2", "weights": [[1,0], ...],
 canonical polynomial text form (space-separated rationals, lowest degree
 first).  Every report line that certifies a named fact carries a
 machine-greppable tag such as [ind-thm] or [wr-u-lem].  Exit code 0 means
-every asserted check passed.
+every asserted check passed and 1 that some check failed.  Exit code 2
+means the run was refused or cut short, by a bad input (a `CritpopError`)
+or by a closed stdout (`BrokenPipeError`, e.g. under `| head`), and comes
+with a one-line `[error]` message on stderr instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bc as bcmod
 from .core import (
     ProblemInstance,
+    _lambda_inf,
     check_separating,
     degree_vector,
     heine_stieltjes_test,
@@ -249,9 +254,8 @@ def cmd_count(args) -> int:
         raise InvalidInstance("--max-degree must be at least 0 and is read at rank 1 only")
     if pi.rd.rank == 1:
         for l in range((8 if args.max_degree is None else args.max_degree) + 1):
-            lam = sum(w[0] for w in pi.weights) - 2 * l
-            if lam < 0:
-                break  # lam falls as l grows
+            if _lambda_inf(pi, (l,))[0] < 0:
+                break  # Lambda_inf falls as l grows
             exact, bound = population_count_report(pi, l)
             rep.add("estimate", f"l={l}: exact {exact} <= bound {bound}", exact <= bound)
     else:
@@ -317,7 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at interpreter shutdown cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"[error] {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     except CritpopError as exc:
         print(f"[error] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .errors import InvalidInstance, NotGeneric
 from .poly import (ONE, Poly, _zderiv, _zgcd, _zmul, _zpoly, _zprem, _zquo, _zscaled, _zsub,
@@ -196,13 +197,15 @@ def heine_stieltjes_test(pi: ProblemInstance, y: TupleY) -> bool:
     return True
 
 
+def _lambda_inf(pi: ProblemInstance, l: tuple[int, ...]) -> Weight:
+    """Lambda_inf = sum Lambda_s - sum l_i alpha_i for a degree vector l."""
+    lcoords = pi.rd.root_coroot_coords(l)
+    return tuple(sum(lam[i] for lam in pi.weights) - c for i, c in enumerate(lcoords))
+
+
 def weight_at_infinity(pi: ProblemInstance, y: TupleY) -> Weight:
     """Lambda_inf = sum Lambda_s - sum deg(y_i) alpha_i, coroot coordinates."""
-    r = pi.rd.rank
-    l = degree_vector(y)
-    base = [sum(lam[i] for lam in pi.weights) for i in range(r)]
-    lcoords = pi.rd.root_coroot_coords(l)
-    return tuple(base[i] - lcoords[i] for i in range(r))
+    return _lambda_inf(pi, degree_vector(y))
 
 
 def check_separating(pi: ProblemInstance, l: tuple[int, ...]) -> bool:
@@ -210,26 +213,14 @@ def check_separating(pi: ProblemInstance, l: tuple[int, ...]) -> bool:
     0 <= c <= l with c != 0."""
     rd = pi.rd
     r = rd.rank
-    base = [sum(lam[i] for lam in pi.weights) for i in range(r)]
-    lcoords = rd.root_coroot_coords(l)
-    lam_inf = [base[i] - lcoords[i] for i in range(r)]
-
-    def scan(c: list[int], i: int) -> bool:
-        if i == r:
-            if not any(c):
-                return True
-            # (2 lam_inf + 2 rho + gamma, gamma) with gamma = sum c_i alpha_i
-            val = 0
-            for a in range(r):
-                val += c[a] * rd.d[a] * (2 * lam_inf[a] + 2)
-                for b in range(r):
-                    val += c[a] * c[b] * rd.alpha_scalar(a, b)
-            return val != 0
-        for v in range(l[i] + 1):
-            c[i] = v
-            if not scan(c, i + 1):
-                return False
-        c[i] = 0
-        return True
-
-    return scan([0] * r, 0)
+    lam_inf = _lambda_inf(pi, l)
+    for c in product(*(range(li + 1) for li in l)):
+        # (2 lam_inf + 2 rho + gamma, gamma) with gamma = sum c_i alpha_i
+        val = 0
+        for a in range(r):
+            val += c[a] * rd.d[a] * (2 * lam_inf[a] + 2)
+            for b in range(r):
+                val += c[a] * c[b] * rd.alpha_scalar(a, b)
+        if val == 0 and any(c):
+            return False
+    return True

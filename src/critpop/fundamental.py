@@ -29,7 +29,7 @@ from .errors import ConstructionFailed, NotDivisible, NotInImage
 from .poly import (ONE, Poly, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo, _zscaled,
                    _zsub, divided_wronskian, solve_combination, wronskian)
 from .reproduction import immediate_descendants, _sample_generic
-from .roots import WeylElement, dominant_representative, generator, identity_element
+from .roots import WeylElement, dominant_representative
 
 
 def _reduce(p: Poly, rows) -> Poly:
@@ -317,10 +317,7 @@ def perm_to_weyl(rd, perm: tuple[int, ...]) -> WeylElement:
                 p[j], p[j + 1] = p[j + 1], p[j]
                 swaps.append(j)
                 changed = True
-    w = identity_element(rd)
-    for j in swaps:
-        w = w * generator(rd, j)
-    return w
+    return WeylElement(rd, tuple(swaps))
 
 
 def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool:

@@ -9,6 +9,10 @@ recovered on demand through the symmetrizers:
 The pairing convention <alpha_j, alpha_i^vee> = a_ij is derived from these
 two identities; `RootData.__post_init__` asserts the B/C scalar-product
 tables against it.
+
+A Weyl group element is a word in the simple reflections, and `reflect` is
+the one encoding of s_i.  Elements are told apart by where they send rho:
+rho is regular, so its stabilizer is trivial.
 """
 
 from __future__ import annotations
@@ -101,39 +105,24 @@ def root_data(code: str) -> RootData:
 # -- Weyl group --------------------------------------------------------------
 
 
-def _gen_matrix(rd: RootData, i: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of s_i acting on coroot coordinate vectors."""
-    r = rd.rank
-    m = [[1 if j == k else 0 for k in range(r)] for j in range(r)]
-    for j in range(r):
-        m[j][i] -= rd.cartan[j][i]
-    return tuple(tuple(row) for row in m)
-
-
-def _mat_apply(m, v: Weight) -> Weight:
-    return tuple(sum(m[j][k] * v[k] for k in range(len(v))) for j in range(len(v)))
-
-
-def _mat_mul(m1, m2):
-    n = len(m1)
-    return tuple(
-        tuple(sum(m1[i][k] * m2[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 @dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element: a reduced word and its coroot-coordinate matrix."""
+    """A Weyl group element as the word s_{word[0]} ... s_{word[-1]} in the
+    simple reflections (0-based); `apply` reflects by the last letter first.
+    Equal elements may carry different words: compare them by w(rho) or
+    w^-1(rho), which determine w because the regular weight rho has a
+    trivial stabilizer."""
 
-    word: tuple[int, ...]  # 0-based generator indices
-    matrix: tuple[tuple[int, ...], ...]
+    rd: RootData
+    word: tuple[int, ...]
 
     def apply(self, lam: Weight) -> Weight:
-        return _mat_apply(self.matrix, lam)
+        for i in reversed(self.word):
+            lam = reflect(self.rd, i, lam)
+        return lam
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.word + other.word, _mat_mul(self.matrix, other.matrix))
+        return WeylElement(self.rd, self.word + other.word)
 
     @property
     def length(self) -> int:
@@ -141,12 +130,11 @@ class WeylElement:
 
 
 def identity_element(rd: RootData) -> WeylElement:
-    r = rd.rank
-    return WeylElement((), tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r)))
+    return WeylElement(rd, ())
 
 
 def generator(rd: RootData, i: int) -> WeylElement:
-    return WeylElement((i,), _gen_matrix(rd, i))
+    return WeylElement(rd, (i,))
 
 
 def reflect(rd: RootData, i: int, lam: Weight) -> Weight:
@@ -189,23 +177,23 @@ _T_DEGREE_CAP = 512  # bound on deg T_i = sum_s m_i^(s); every step's cost grows
 
 @lru_cache(maxsize=None)
 def enumerate_weyl(code: str) -> tuple[WeylElement, ...]:
-    """All Weyl elements (BFS by length, so words are reduced)."""
+    """All Weyl elements (BFS by length, so words are reduced), keyed by
+    w^-1(rho): (w s_i)^-1(rho) = s_i(w^-1(rho)) is one reflection per edge."""
     rd = root_data(code)
     if rd.rank > _ENUM_RANK_CAP:
         raise ValueError(f"Weyl enumeration capped at rank {_ENUM_RANK_CAP}")
-    ident = identity_element(rd)
-    seen = {ident.matrix: ident}
-    frontier = [ident]
+    seen = {rd.rho(): ()}
+    frontier = [((), rd.rho())]
     while frontier:
         nxt = []
-        for w in frontier:
+        for word, key in frontier:
             for i in range(rd.rank):
-                cand = w * generator(rd, i)
-                if cand.matrix not in seen:
-                    seen[cand.matrix] = cand
-                    nxt.append(cand)
-        frontier = sorted(nxt, key=lambda e: e.word)
-    return tuple(sorted(seen.values(), key=lambda e: (e.length, e.word)))
+                k = reflect(rd, i, key)
+                if k not in seen:
+                    seen[k] = word + (i,)
+                    nxt.append((word + (i,), k))
+        frontier = sorted(nxt)
+    return tuple(WeylElement(rd, w) for w in sorted(seen.values(), key=lambda w: (len(w), w)))
 
 
 # -- foldings into the A series ----------------------------------------------

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import prod
 
-from .core import ProblemInstance
+from .core import ProblemInstance, _lambda_inf
 from .roots import Weight
 
 Partition = tuple[int, ...]
@@ -299,9 +299,9 @@ def _shape_count(system, bad, lam: int) -> int | None:
 
 def population_count_report(pi: ProblemInstance, l: int):
     """(exact count, multiplicity bound) for a rank-one instance."""
-    lam_inf_val = sum(w[0] for w in pi.weights) - 2 * l
-    if lam_inf_val < 0:
+    lam_inf = _lambda_inf(pi, (l,))
+    if lam_inf[0] < 0:
         return 0, 0
     exact = count_critical_sl2(pi, l)
-    bound = multiplicity_bound(pi, (lam_inf_val,))
+    bound = multiplicity_bound(pi, lam_inf)
     return exact, bound

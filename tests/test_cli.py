@@ -146,6 +146,37 @@ class TestPopulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("[error] ConstructionFailed")
 
+    @pytest.mark.parametrize("code, digest", [("A5", "5a200e7d13d31693"),
+                                              ("B4", "abe7f66bdec9cb07")])
+    def test_rank_five_output(self, tmp_path, code, digest):
+        """`populate --max-degree 3` in a fresh interpreter prints the pinned
+        output, so the `w=` word of every member (121 on A5) stays fixed."""
+        cfg = write_cfg(tmp_path, f"{code}.json",
+                        {"root_system": code, "weights": [], "points": []})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "critpop.cli", "populate", "--config", cfg,
+             "--max-degree", "3", "--seed", "0"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest()[:16] == digest
+
+    def test_closed_stdout(self, tmp_path):
+        """A reader that closes stdout at once, as `| head` does, ends the run
+        with exit 2 and a one-line error instead of a traceback."""
+        cfg = write_cfg(tmp_path, "a4.json", {"root_system": "A4", "weights": [], "points": []})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-m", "critpop.cli", "populate", "--config", cfg],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert b"Traceback" not in err
+        assert err.startswith(b"[error] BrokenPipeError") and err.count(b"\n") == 1
+
 
 class TestFundamental:
     def test_report(self, sl2_cfg, capsys):

@@ -113,6 +113,58 @@ def test_weyl_group_sizes():
     assert len(enumerate_weyl("C4")) == 2**4 * 24
 
 
+def _ref_gen_matrix(rd, i):
+    """Matrix of s_i acting on coroot coordinate vectors."""
+    r = rd.rank
+    m = [[1 if j == k else 0 for k in range(r)] for j in range(r)]
+    for j in range(r):
+        m[j][i] -= rd.cartan[j][i]
+    return tuple(tuple(row) for row in m)
+
+
+def _ref_mat_mul(m1, m2):
+    n = len(m1)
+    return tuple(
+        tuple(sum(m1[i][k] * m2[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def _ref_enumerate_weyl(rd):
+    """Reference enumeration: (word, matrix) pairs from a BFS by length that
+    tells elements apart by their coroot-coordinate matrices."""
+    r = rd.rank
+    ident = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    seen = {ident: ()}
+    frontier = [((), ident)]
+    while frontier:
+        nxt = []
+        for word, m in frontier:
+            for i in range(r):
+                cand = _ref_mat_mul(m, _ref_gen_matrix(rd, i))
+                if cand not in seen:
+                    seen[cand] = word + (i,)
+                    nxt.append((word + (i,), cand))
+        frontier = sorted(nxt, key=lambda e: e[0])
+    return sorted(((w, m) for m, w in seen.items()), key=lambda e: (len(e[0]), e[0]))
+
+
+@pytest.mark.parametrize("code", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                  "C2", "C3", "C4"])
+def test_words_match_matrix_reference(code):
+    """Keying the BFS by w^-1(rho) finds the same words, in the same order,
+    as keying it by matrices, and each word acts as its matrix."""
+    rd = root_data(code)
+    ref = _ref_enumerate_weyl(rd)
+    ws = enumerate_weyl(code)
+    assert [w.word for w in ws] == [word for word, _ in ref]
+    rng = random.Random(4)
+    r = rd.rank
+    for w, (_, m) in zip(ws, ref):
+        lam = tuple(rng.randint(-6, 6) for _ in range(r))
+        assert w.apply(lam) == tuple(sum(m[j][k] * lam[k] for k in range(r)) for j in range(r))
+
+
 def test_fold_weights():
     assert fold_weight_B((1, 0)) == (1, 0, 1)
     assert fold_weight_C((0, 1)) == (0, 1, 1, 0)
@@ -146,10 +198,11 @@ class TestFoldedEmbedding:
     def test_homomorphism_rank2(self):
         for kind, code in (("B", "B2"), ("C", "C2")):
             rd = root_data(code)
-            table = {w.matrix: w for w in enumerate_weyl(code)}
+            # rho is regular, so w(rho) determines w
+            table = {w.apply(rd.rho()): w for w in enumerate_weyl(code)}
             for w1 in enumerate_weyl(code):
                 for w2 in enumerate_weyl(code):
-                    prod = table[(w1 * w2).matrix]
+                    prod = table[(w1 * w2).apply(rd.rho())]
                     i1 = folded_weyl_embed(kind, rd.rank, w1)
                     i2 = folded_weyl_embed(kind, rd.rank, w2)
                     comp = tuple(i1[i2[k]] for k in range(len(i1)))
