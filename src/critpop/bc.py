@@ -211,13 +211,13 @@ def bc_population_as_isotropic_flags(
     re-test criticality; also verify the displayed B/C operator by kernel
     equality on at least three samples.  `start` is anti-diagonalized once,
     which raises unless it is isotropic; every sweep moves that basis as
-    coordinate vectors, `is_isotropic` on the vectors it ends with
-    certifies it, and their polynomials are the adapted basis that the
-    generating morphism reads."""
+    coordinate vectors with the anti-diagonal values read then,
+    `is_isotropic` on the vectors it ends with certifies it, and their
+    polynomials are the adapted basis that the generating morphism reads."""
     rng = random.Random(seed)
     kind = pi.rd.kind
     k = sd.dim // 2
-    base = antidiagonal_basis(sd, start)
+    base, g = antidiagonal_basis(sd, start)
     hits = 0
     op_checks = 0
     all_symmetric = True
@@ -230,7 +230,7 @@ def bc_population_as_isotropic_flags(
         for r in range(k):
             for direction in range(1, k + 1):
                 c = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 4))
-                u = IsotropicFamily(direction, u, sd).deformed_basis(c)
+                u = IsotropicFamily(direction, u, g).deformed_basis(c)
         if not is_isotropic(sd, u):
             raise ConstructionFailed("generator left the isotropic variety")
         tup = generating_morphism([sd.space.member(v) for v in u], sd.framing)

@@ -71,9 +71,12 @@ class Report:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise InvalidInstance(f"cannot load config: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise InvalidInstance("config must be a JSON object")
+    return cfg
 
 
 def _tuple_from_config(cfg: dict, pi: ProblemInstance):

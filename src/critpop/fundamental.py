@@ -4,8 +4,10 @@ A `PolySpace` is kept in a canonical reduced echelon form (monic basis of
 strictly decreasing degrees, each fully reduced against the others), so
 space equality is plain basis equality.  One routine, `_reduce`, clears
 the pivot-degree coefficients of a polynomial against echelon rows; span
-construction, membership, coordinates, flag canonicalization and
-completion use it, and exponents and Bruhat data are echelon degrees.  The
+construction, membership, flag canonicalization and completion use it,
+and exponents and Bruhat data are echelon degrees.  A member's coordinates
+are its numerators at the pivot degrees, a `QVec` over its denominator,
+and `member` maps them back by one integer combination.  The
 fundamental space of a critical tuple is built by the sibling recursion.
 `verify_dp` checks that the order-(N+1) operator of a member annihilates
 it: the operator's first-order factors are composed once, over Z[x], into
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .core import (
     ProblemInstance,
@@ -26,8 +30,8 @@ from .core import (
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotDivisible, NotInImage
-from .poly import (ONE, Poly, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo, _zscaled,
-                   _zsub, divided_wronskian, solve_combination, wronskian)
+from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo,
+                   _zscaled, _zsub, divided_wronskian, solve_combination, wronskian)
 from .reproduction import immediate_descendants, _sample_generic
 from .roots import WeylElement, dominant_representative
 
@@ -60,19 +64,32 @@ class PolySpace:
     def contains(self, p: Poly) -> bool:
         return _reduce(p, self.basis).is_zero()
 
-    def coords(self, p: Poly) -> tuple[Fraction, ...] | None:
+    def coords(self, p: Poly) -> QVec | None:
         """Coordinates of p in the echelon basis, or None.
 
         The basis is monic and reduced, so a member's coordinates are its
-        coefficients at the pivot degrees."""
-        cs = tuple(p[int(b.degree)] for b in self.basis)
-        return cs if self.member(cs) == p else None
+        coefficients at the pivot degrees: p's numerators there, over p.den."""
+        num = p.num
+        v = _qvec([num[len(b.num) - 1] if len(b.num) <= len(num) else 0 for b in self.basis],
+                  p.den)
+        return v if self.member(v) == p else None
 
-    def member(self, coords) -> Poly:
-        out = Poly()
-        for c, b in zip(coords, self.basis):
-            out = out + c * b
-        return out
+    def member(self, v: QVec) -> Poly:
+        """sum_k v_k b_k: one integer combination of the basis numerators,
+        scaled to their common denominator d, over v.den d."""
+        rows, d = self._zbasis
+        out = [0] * len(rows[0]) if rows else []
+        for x, row in zip(v.num, rows):
+            if x:
+                for j, c in enumerate(row):
+                    out[j] += x * c
+        return _zscaled(out, v.den * d)
+
+    @cached_property
+    def _zbasis(self) -> tuple[list[list[int]], int]:
+        """The basis numerators scaled to their common denominator d, and d."""
+        d = lcm(*(b.den for b in self.basis))
+        return [[c * (d // b.den) for c in b.num] for b in self.basis], d
 
 
 def span(polys) -> PolySpace:
@@ -272,7 +289,7 @@ def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
                 break
         if pick is None:
             raise NotInImage(f"no flag level matches y_{i + 1}")
-        v = space.member([a / pick[-1] for a in pick[:-1]])
+        v = space.member(QVec.of([a / pick[-1] for a in pick[:-1]]))
         us.append(v)
     # complete to a full basis with the leftover echelon element
     part = span(us)

@@ -9,6 +9,9 @@ coefficients (`coeffs`, `p[k]`, `leading`) are made on demand.  This
 module is the arithmetic substrate for everything else: Wronskians,
 divided Wronskians, exact division, gcd, square roots and the linear
 solver that every solve over polynomial coefficients goes through.
+`QVec` keeps a rational vector in the same layout, and
+`solve_combination` hands that solver integer rows scaled to one common
+denominator.
 
 Every ring operation works on the numerators over Z and makes one
 canonical `Poly` at the end (`_zscaled`: one gcd and a sign fix).  Sums
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
 from math import isqrt, lcm, prod
+from typing import NamedTuple
 
 from .errors import IdentityViolated, InvalidInstance, NotDivisible
 
@@ -277,6 +281,27 @@ ONE = Poly([1])
 X = Poly([0, 1])
 
 
+class QVec(NamedTuple):
+    """A rational vector in the layout of `Poly`: `num` a tuple of ints over
+    one `den` > 0 with gcd(content(num), den) = 1.  That form is canonical,
+    so `==` compares vectors; `_qvec` is the normalizing constructor."""
+
+    num: tuple[int, ...]
+    den: int
+
+    @staticmethod
+    def of(values) -> "QVec":
+        """The vector of the given ints and Fractions."""
+        d = lcm(*(v.denominator for v in values))
+        return _qvec([v.numerator * (d // v.denominator) for v in values], d)
+
+
+def _qvec(a, d: int) -> QVec:
+    """The canonical QVec a / d, for a sequence a of ints and an int d != 0."""
+    g = igcd(d, *a) if d > 0 else -igcd(d, *a)
+    return QVec(tuple(c // g for c in a), d // g) if g != 1 else QVec(tuple(a), d)
+
+
 # -- integer polynomials ----------------------------------------------------
 # Lists of ints, lowest degree first, no trailing zeros; [] is zero.  No
 # Fraction enters a loop here.  Where a result is wanted up to a nonzero
@@ -463,10 +488,15 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
 
 
 def solve_combination(gens: list[Poly], target: Poly):
-    """`solve_linear` for sum_j x_j gens[j] = target, one row per degree."""
-    cap = max([int(p.degree) for p in [*gens, target] if p] + [0])
-    rows = [[g[k] for g in gens] for k in range(cap + 1)]
-    return solve_linear(rows, [target[k] for k in range(cap + 1)])
+    """`solve_linear` for sum_j x_j gens[j] = target, one row per degree.
+
+    Every polynomial is scaled to the common denominator d of gens and
+    target, so row k holds the ints num[k] d / den and the solutions are
+    those of the rational system."""
+    ps = [*gens, target]
+    d, m = lcm(*(p.den for p in ps)), max(1, *(len(p.num) for p in ps))
+    cols = [[c * (d // p.den) for c in p.num] + [0] * (m - len(p.num)) for p in ps]
+    return solve_linear([row[:-1] for row in zip(*cols)], cols[-1])
 
 
 # -- Wronskians -------------------------------------------------------------

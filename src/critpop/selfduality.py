@@ -7,16 +7,24 @@ passed to `divided_wronskian` and `generating_morphism` as it is.  For a
 selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
 v = W+(w_1..w_N), is evaluated exactly.  A `SelfdualSpace` holds the space,
 its framing and its Gram matrix, computed once when it is built.  `gram`
-is the one selfduality certificate: it raises `NotSelfdual` unless the
-space equals its dual.  The `form` of a `SelfdualSpace` evaluates its
-Gram matrix on coordinate vectors in the echelon basis.
-The isotropic layer works on these vectors: `antidiagonal_basis` adjusts
-a flag's basis, a generator move (`IsotropicFamily.deformed_basis`) keeps
-it anti-diagonal with the same anti-diagonal values, so moves compose on
-vectors, `is_isotropic` tests the vectors of any adapted basis, and
-`space.member` makes polynomials only where a Wronskian needs them.  Witt
-normalization is attempted over Q and over a single quadratic extension;
-otherwise the basis is reported as quasi-Witt with its mirror ratios.
+is the one selfduality certificate: one elimination gives the coordinates
+of every basis vector in the omitted divided Wronskians, and it raises
+`NotSelfdual` unless the space equals its dual.
+
+The isotropic layer runs over Z.  The Gram matrix is integer numerators
+over one denominator, the layout of `Poly`, and so is every coordinate
+vector in the echelon basis (a `QVec`).  `SelfdualSpace.gv` forms G v
+once per vector; a pairing is then one integer dot product, with the sign
+and the zeros of the value, and `form` divides it out only where a value
+is wanted.  `is_isotropic` tests those dot products for zero.
+`antidiagonal_basis` adjusts a flag's basis by integer corrections and
+reads its anti-diagonal values g_j once.  A generator move
+(`IsotropicFamily.deformed_basis`) keeps the basis anti-diagonal with the
+same g_j, so they are carried from move to move and a move evaluates no
+form; `space.member` makes polynomials only where a Wronskian needs them.
+Witt normalization is attempted over Q and over a single quadratic
+extension; otherwise the basis is reported as quasi-Witt with its mirror
+ratios.
 """
 
 from __future__ import annotations
@@ -24,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, prod
+from operator import mul
 
 from .errors import ConstructionFailed, NotConstant, NotSelfdual
 from .fundamental import Flag, PolySpace, degree_flag, exponents
-from .poly import ONE, Poly, divided_wronskian, solve_combination, wronskian
+from .poly import ONE, ZERO, Poly, QVec, _qvec, divided_wronskian, solve_combination, wronskian
 
 
 # -- scalars in a quadratic extension -----------------------------------------
@@ -146,20 +155,27 @@ def _omit(items, i):
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Canonical bilinear form in the echelon basis of the space."""
+    """Canonical bilinear form in the echelon basis of the space:
+    (u_i, u_k) = num[i][k] / den, ints over one den > 0 coprime to their
+    content.  `entries` makes the `Fraction`s on demand."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.num)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(v, self.den) for v in row) for row in self.num)
 
     def is_symmetric(self) -> bool:
-        e = self.entries
+        e = self.num
         return all(e[i][j] == e[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
     def is_skew(self) -> bool:
-        e = self.entries
+        e = self.num
         return all(e[i][j] == -e[j][i] for i in range(self.dim) for j in range(i, self.dim))
 
 
@@ -177,12 +193,15 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
 
     Writing u_k = sum_j g_j W_j with W_j the j-omitted divided Wronskian,
     the pairing gives (u_i, u_k) = g_i (-1)^i W+(u_1..u_{N+1}) (0-based i).
-    Every u_k has such coordinates exactly when V lies in V+ = span(W_j),
-    that is V = V+ (both have dimension N+1); otherwise `NotSelfdual` is
-    raised.  The entries must be skew in even dimension and symmetric in
-    odd.  They are nondegenerate without a check: V lies in the span of the
-    N+1 omitted Wronskians and has dimension N+1, so they are a basis of V,
-    the coordinate matrix C is invertible, and the entries are
+    All N+1 coordinate vectors come from one elimination: the kernel of the
+    columns W_0..W_N, -u_0..-u_N.  Every u_k has coordinates exactly when
+    that kernel has a basis (g^(k), e_k), one per k, that is when V lies in
+    V+ = span(W_j), that is V = V+ (both have dimension N+1); otherwise
+    `NotSelfdual` is raised.  The entries are put over one denominator once,
+    here.  They must be skew in even dimension and symmetric in odd.  They
+    are nondegenerate without a check: V lies in the span of the N+1
+    omitted Wronskians and has dimension N+1, so they are a basis of V, the
+    coordinate matrix C is invertible, and the entries are
     diag((-1)^i c) C^T with c != 0.
     """
     n1 = space.dim
@@ -190,16 +209,11 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
     if c == 0:
         raise ConstructionFailed("degenerate basis")
     wjs = [divided_wronskian(_omit(space.basis, j), framing) for j in range(n1)]
-    coords = []
-    for u in space.basis:
-        solved = solve_combination(wjs, u)
-        if solved is None:
-            raise NotSelfdual("space is not selfdual; Gram undefined")
-        coords.append(solved[0])
-    entries = tuple(
-        tuple(coords[k][i] * (-1) ** i * c for k in range(n1)) for i in range(n1)
-    )
-    gm = GramMatrix(entries)
+    _, kernel = solve_combination(wjs + [-u for u in space.basis], ZERO)
+    if [v[n1:] for v in kernel] != [[int(i == k) for i in range(n1)] for k in range(n1)]:
+        raise NotSelfdual("space is not selfdual; Gram undefined")
+    q = QVec.of([v[i] * (-1) ** i * c for i in range(n1) for v in kernel])
+    gm = GramMatrix(tuple(q.num[i * n1:(i + 1) * n1] for i in range(n1)), q.den)
     if n1 % 2 == 1 and not gm.is_symmetric():
         raise ConstructionFailed("odd-dimensional form is not symmetric")
     if n1 % 2 == 0 and not gm.is_skew():
@@ -212,8 +226,8 @@ class SelfdualSpace:
     """A selfdual space with its framing and canonical form.
 
     The Gram matrix is computed once, when the object is built, and so
-    certifies the space selfdual; every isotropy test, anti-diagonalization
-    and generator family reads it through `form`, on coordinate vectors.
+    certifies the space selfdual; every isotropy test and
+    anti-diagonalization reads its integer rows through `gv`.
     """
 
     space: PolySpace
@@ -227,24 +241,28 @@ class SelfdualSpace:
     def dim(self) -> int:
         return self.space.dim
 
-    def form(self, a, b) -> Fraction:
-        """The canonical form on coordinate vectors in the echelon basis."""
-        return sum((ai * bk * g for ai, row in zip(a, self.gm.entries) if ai
-                    for bk, g in zip(b, row) if bk), Fraction(0))
+    def gv(self, v: QVec) -> tuple[int, ...]:
+        """G v up to the positive scale gm.den v.den: the integer Gram rows
+        times v.num.  (a, v) has the sign and zeros of a.num . gv(v)."""
+        return tuple(sum(map(mul, row, v.num)) for row in self.gm.num)
+
+    def form(self, a: QVec, b: QVec) -> Fraction:
+        """The canonical form on coordinate vectors in the echelon basis:
+        a.num . gv(b) over gm.den a.den b.den."""
+        return Fraction(sum(map(mul, a.num, self.gv(b))), self.gm.den * a.den * b.den)
 
 
 def is_isotropic(sd: SelfdualSpace, u) -> bool:
     """F_i orthogonal to F_{N+1-i}, on the coordinate vectors u (echelon
     basis) of a basis adapted to the flag: they pair to zero whenever the
-    1-based indices sum to at most N+1 = dim V.  Isotropy is a property of
-    the flag, so every adapted basis gives the same answer."""
+    1-based indices sum to at most N+1 = dim V.  G u_j is formed once per
+    vector, and each pair is one integer dot product tested for zero.
+    Isotropy is a property of the flag, so every adapted basis gives the
+    same answer."""
     n1 = sd.dim
-    return all(
-        not sd.form(u[i], u[j])
-        for i in range(n1)
-        for j in range(i, n1)
-        if (i + 1) + (j + 1) <= n1
-    )
+    gu = [sd.gv(v) for v in u[: n1 - 1]]
+    return not any(sum(map(mul, u[i].num, gu[j]))
+                   for i in range(n1) for j in range(i, n1 - 1 - i))
 
 
 # -- quasi-Witt bases -----------------------------------------------------------
@@ -280,7 +298,8 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     element.
     """
     n1, framing = sd.dim, sd.framing
-    q = [sd.space.member(v) for v in antidiagonal_basis(sd, degree_flag(sd.space))][::-1]
+    u, _ = antidiagonal_basis(sd, degree_flag(sd.space))
+    q = [sd.space.member(v) for v in u][::-1]
     prefix = [divided_wronskian(q[:i], framing) for i in range(n1)]  # W+(q_1..q_i)
     if any(w.is_zero() for w in prefix):
         raise ConstructionFailed("vanishing flag Wronskian")
@@ -340,21 +359,33 @@ def _witt_scalars(gammas: list[Fraction]):
 # -- isotropic one-parameter generators -----------------------------------------
 
 
-def _axpy(x, c: Fraction, y) -> list:
-    """The coordinate vector x + c*y."""
-    return [a + c * b for a, b in zip(x, y)]
+def _axpy(x: QVec, p: int, q: int, y: QVec) -> QVec:
+    """The coordinate vector x + (p/q) y, for ints p and q != 0."""
+    s, t = q * y.den, p * x.den
+    return _qvec([s * a + t * b for a, b in zip(x.num, y.num)], q * x.den * y.den)
 
 
-def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list:
+def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> tuple[list, QVec]:
     """Adjust the flag basis within its flag so the form is anti-diagonal:
     (u_a, u_b) = 0 unless the 1-based indices satisfy a + b = N + 2.
-    Returns coordinate vectors in the echelon basis; raises unless the
-    result is anti-diagonal, which makes the flag isotropic."""
+    Returns the coordinate vectors in the echelon basis and the
+    anti-diagonal values g_j = (u_j, u_{N+2-j}), read once here; raises
+    unless the result is anti-diagonal, which makes the flag isotropic.
+    The pairings are integer numerators (see `SelfdualSpace.gv`), whose
+    positive scales enter each correction through the vectors' dens."""
     n1 = sd.dim
     u = [sd.space.coords(p) for p in flag.basis]
+    gu = [sd.gv(v) for v in u]
 
-    def val(a: int, b: int) -> Fraction:
-        return sd.form(u[a], u[b])
+    def val(a: int, b: int) -> int:
+        return sum(map(mul, u[a].num, gu[b]))
+
+    def clear(b: int, c: int, gj: int, m: int) -> None:
+        """u_b -= (c / gj) u_m in values, for numerators c and gj of the
+        pairings of u_b and u_m with one vector: their scales differ by the
+        dens of u_b and u_m only."""
+        u[b] = _axpy(u[b], -c * u[m].den, gj * u[b].den, u[m])
+        gu[b] = sd.gv(u[b])
 
     for b in range(n1 - 1, 0, -1):
         for j in range(n1 - b, b):
@@ -364,12 +395,12 @@ def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list:
                 raise ConstructionFailed("vanishing anti-diagonal entry")
             c = val(j, b)
             if c:
-                u[b] = _axpy(u[b], -c / gj, u[m])
+                clear(b, c, gj, m)
         if 2 * (b + 1) > n1 + 1:
             m = n1 - 1 - b
             c = val(b, b)
             if c:
-                u[b] = _axpy(u[b], -c / (2 * val(b, m)), u[m])
+                clear(b, c, 2 * val(b, m), m)
     for a in range(n1):
         for b in range(a, n1):
             on_pair = a + b == n1 - 1
@@ -378,7 +409,7 @@ def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> list:
                 raise ConstructionFailed("anti-diagonal entry vanished")
             if not on_pair and v:
                 raise ConstructionFailed("anti-diagonalization failed")
-    return u
+    return u, QVec.of([sd.form(u[a], u[n1 - 1 - a]) for a in range(n1)])
 
 
 @dataclass
@@ -387,34 +418,32 @@ class IsotropicFamily:
 
     direction: int  # 1-based, <= k
     base: list  # anti-diagonal adjusted basis, as coordinate vectors
-    sd: SelfdualSpace
-
-    def _g(self, j: int) -> Fraction:
-        """Anti-diagonal value (u_j, u_{N+2-j}), 1-based j."""
-        n1 = len(self.base)
-        return self.sd.form(self.base[j - 1], self.base[n1 - j])
+    g: QVec  # its anti-diagonal values g_1..g_{N+1}, from `antidiagonal_basis`
 
     def deformed_basis(self, c: Fraction) -> list:
         """The moved basis as coordinate vectors, anti-diagonal with the
-        values g_j of `base`, so it can be moved again; for a side move,
-        (u_i + c u_{i+1}, u_{N+1-i} + c eps u_{N+2-i}) = c (eps g_i + g_{i+1}) = 0."""
+        values g_j of `base`, so it can be moved again with the same g; for a
+        side move, (u_i + c u_{i+1}, u_{N+1-i} + c eps u_{N+2-i})
+        = c (eps g_i + g_{i+1}) = 0.  Only ratios of the g_j enter, as
+        ratios of their numerators, so no form is evaluated."""
         u = list(self.base)
         n1 = len(u)
         k = n1 // 2
         i0 = self.direction
         a = i0 - 1
+        cn, cd = c.numerator, c.denominator
+        g = self.g.num  # g[j - 1] is g_j
         if n1 % 2 == 0 and i0 == k:
-            u[a] = _axpy(u[a], c, u[a + 1])
+            u[a] = _axpy(u[a], cn, cd, u[a + 1])
             return u
         if n1 % 2 == 1 and i0 == k:
-            bb = -self._g(k + 1) / self._g(k)
-            u[a] = _axpy(_axpy(u[a], c, u[a + 1]), c * c * bb / 2, u[a + 2])
-            u[a + 1] = _axpy(u[a + 1], c * bb, u[a + 2])
+            bn, bd = -g[k], g[k - 1]  # bb = -g_{k+1} / g_k
+            u[a] = _axpy(_axpy(u[a], cn, cd, u[a + 1]), cn * cn * bn, 2 * cd * cd * bd, u[a + 2])
+            u[a + 1] = _axpy(u[a + 1], cn * bn, cd * bd, u[a + 2])
             return u
-        eps = -self._g(i0 + 1) / self._g(i0)
         b = n1 - i0 - 1  # 0-based mirror slot N+1-i0
-        u[a] = _axpy(u[a], c, u[a + 1])
-        u[b] = _axpy(u[b], c * eps, u[b + 1])
+        u[a] = _axpy(u[a], cn, cd, u[a + 1])
+        u[b] = _axpy(u[b], -cn * g[i0], cd * g[i0 - 1], u[b + 1])  # eps = -g_{i0+1} / g_{i0}
         return u
 
 
@@ -423,4 +452,4 @@ def isotropic_generators(sd: SelfdualSpace, flag: Flag, direction: int) -> Isotr
     k = sd.dim // 2
     if not 1 <= direction <= k:
         raise ValueError(f"direction must be in 1..{k}")
-    return IsotropicFamily(direction, antidiagonal_basis(sd, flag), sd)
+    return IsotropicFamily(direction, *antidiagonal_basis(sd, flag))

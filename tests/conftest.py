@@ -7,7 +7,7 @@ import pytest
 from critpop.core import ProblemInstance, is_generic, monic_tuple
 from critpop.errors import ConstructionFailed, NotDivisible
 from critpop.fundamental import span
-from critpop.poly import ONE, ZERO, Poly, divided_wronskian, gcd
+from critpop.poly import ONE, ZERO, Poly, divided_wronskian, gcd, solve_linear
 from critpop.roots import root_data
 from critpop.selfduality import _omit
 
@@ -210,6 +210,14 @@ def hook_content_dim(lam, k: int) -> int:
             den *= hook
     assert num % den == 0
     return num // den
+
+
+def fraction_solve_combination(gens, target):
+    """`solve_combination` on Fraction rows read through `p[k]`, one row per
+    degree: the reference for the integer rows it builds now."""
+    cap = max([int(p.degree) for p in [*gens, target] if p] + [0])
+    rows = [[g[k] for g in gens] for k in range(cap + 1)]
+    return solve_linear(rows, [target[k] for k in range(cap + 1)])
 
 
 def dual_space(space, framing):

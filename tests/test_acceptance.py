@@ -30,7 +30,7 @@ from critpop.fundamental import (
     pluecker_check,
     verify_dp,
 )
-from critpop.poly import ONE, Poly, identity_suite, poly_sqrt
+from critpop.poly import ONE, Poly, QVec, identity_suite, poly_sqrt
 from critpop.reproduction import explore_population, is_fertile, weyl_degree_map
 from critpop.roots import dominant_representative, shifted_action
 from critpop.schubert import lr_expand, population_count_report
@@ -165,7 +165,7 @@ def test_06_round_trip_and_bruhat():
                     flag = Flag.from_basis(
                         V,
                         [
-                            V.member([Fraction(rng.randint(-3, 3)) for _ in range(n1)])
+                            V.member(QVec.of([Fraction(rng.randint(-3, 3)) for _ in range(n1)]))
                             for _ in range(n1)
                         ],
                     )

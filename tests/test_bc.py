@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from critpop import bc as bcmod
 from critpop.bc import (
     bc_critical_test,
     bc_fundamental_space,
@@ -16,10 +17,10 @@ from critpop.bc import (
 from critpop.core import heine_stieltjes_test, is_generic, monic_tuple, weight_at_infinity
 from critpop.errors import ConstructionFailed, NotFertile
 from critpop.fundamental import fundamental_space
-from critpop.poly import ONE, X, Poly
+from critpop.poly import ONE, X, Poly, QVec
 from critpop.reproduction import explore_population, is_fertile, param_candidates, weyl_degree_map
 from critpop.roots import dominant_representative, folded_weyl_embed, is_centro_symmetric
-from critpop.selfduality import IsotropicFamily, is_isotropic, quasi_witt_basis
+from critpop.selfduality import is_isotropic, quasi_witt_basis
 from conftest import instance, is_selfdual
 
 B2 = instance("B2")
@@ -148,12 +149,17 @@ class TestIsotropicSampling:
 
     @pytest.mark.parametrize("pi", [B2, C2], ids=["B2", "C2"])
     def test_move_leaving_the_variety_is_caught(self, monkeypatch, pi):
-        """Sweeps carry one basis without re-anti-diagonalizing it, so the
-        one isotropy test per sweep must catch a broken move: flipping the
-        sign of every even anti-diagonal value flips eps and the middle bb."""
-        g = IsotropicFamily._g
-        monkeypatch.setattr(IsotropicFamily, "_g",
-                            lambda fam, j: -g(fam, j) if j % 2 == 0 else g(fam, j))
+        """Sweeps carry one basis and its anti-diagonal values g_j without
+        re-anti-diagonalizing, so the one isotropy test per sweep must catch a
+        broken move: flipping the sign of every even carried g_j flips eps and
+        the middle bb."""
+        adjust = bcmod.antidiagonal_basis
+
+        def flipped(sd, flag):
+            u, g = adjust(sd, flag)
+            return u, QVec(tuple(-v if j % 2 == 0 else v for j, v in enumerate(g.num, 1)), g.den)
+
+        monkeypatch.setattr(bcmod, "antidiagonal_basis", flipped)
         sd = bc_fundamental_space(pi, (ONE, ONE))
         with pytest.raises(ConstructionFailed, match="left the isotropic variety"):
             bc_population_as_isotropic_flags(pi, sd, quasi_witt_basis(sd).flag,

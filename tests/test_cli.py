@@ -432,6 +432,16 @@ class TestInvalidInput:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")
 
+    @pytest.mark.parametrize("text", ["[]", "null", "3"])
+    @pytest.mark.parametrize("command", ["verify", "populate", "fundamental", "selfdual", "count"])
+    def test_config_not_an_object(self, tmp_path, capsys, command, text):
+        """A config whose top level is not an object is refused before any
+        key is read, with one message for every such document."""
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert run([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "[error] InvalidInstance: config must be a JSON object\n"
+
     @pytest.mark.parametrize("name", ["string-points", "null-point", "bool-point", "float-point"])
     def test_points_type(self, tmp_path, capsys, name):
         """A string is not iterated into points, and None or True is not

@@ -27,7 +27,7 @@ from critpop.fundamental import (
 )
 from critpop import poly
 from critpop.bc import bc_fundamental_space, fold, folded_instance
-from critpop.poly import ONE, X, Poly, _zpoly, wronskian
+from critpop.poly import ONE, X, Poly, QVec, _zpoly, wronskian
 from critpop.reproduction import explore_population
 from critpop.roots import dominant_representative, shifted_action
 from conftest import A3W, A3W_686, count_calls, euclid_gcd, instance, random_monic
@@ -259,7 +259,7 @@ class TestGeneratingMorphism:
                         for _ in range(n1)
                     ]
                     try:
-                        basis = [V.member(row) for row in mat]
+                        basis = [V.member(QVec.of(row)) for row in mat]
                         flag = Flag.from_basis(V, basis)
                         break
                     except ValueError:
@@ -314,7 +314,7 @@ class TestBruhat:
             while True:
                 try:
                     basis = [
-                        V.member([Fraction(rng.randint(-3, 3)) for _ in range(3)])
+                        V.member(QVec.of([Fraction(rng.randint(-3, 3)) for _ in range(3)]))
                         for _ in range(3)
                     ]
                     flag = Flag.from_basis(V, basis)

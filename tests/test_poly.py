@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from critpop import poly
 from critpop.errors import InvalidInstance, NotDivisible
 from critpop.poly import (
     ONE,
@@ -16,11 +17,12 @@ from critpop.poly import (
     gcd,
     identity_suite,
     poly_sqrt,
+    solve_combination,
     solve_linear,
     wronskian,
 )
-from conftest import (euclid_gcd, fraction_divmod, fraction_shift, from_roots, is_squarefree,
-                      laplace_wronskian, schoolbook_mul, schoolbook_pow)
+from conftest import (euclid_gcd, fraction_divmod, fraction_shift, fraction_solve_combination,
+                      from_roots, is_squarefree, laplace_wronskian, schoolbook_mul, schoolbook_pow)
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 
@@ -300,6 +302,43 @@ class TestLinearSolve:
         assert len(ker) == 1
         v = ker[0]
         assert v[0] + v[1] == 0
+
+
+class TestSolveCombination:
+    def test_matches_fraction_rows(self, monkeypatch):
+        """On a seeded battery of consistent, inconsistent and homogeneous
+        systems, some with zero or dependent generators, the integer rows give
+        the solutions of the Fraction rows, and `solve_linear` sees only ints."""
+        seen = []
+        solve = poly.solve_linear
+        monkeypatch.setattr(poly, "solve_linear",
+                            lambda rows, rhs: seen.append((rows, rhs)) or solve(rows, rhs))
+        rng = random.Random(19)
+
+        def rand_poly():
+            return Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         for _ in range(rng.randint(0, 5))])
+
+        outcomes = set()
+        for _ in range(300):
+            gens = [rand_poly() for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:  # a dependent generator
+                gens.append(rng.randint(-3, 3) * gens[0]
+                            + Fraction(1, rng.randint(1, 5)) * gens[-1])
+            kind = rng.choice(("combination", "random", "zero"))
+            if kind == "combination":
+                target = sum((Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * g for g in gens),
+                             ZERO)
+            else:
+                target = rand_poly() if kind == "random" else ZERO
+            got = solve_combination(gens, target)
+            assert got == fraction_solve_combination(gens, target)
+            outcomes.add("none" if got is None else "kernel" if got[1] else "unique")
+        assert outcomes == {"none", "kernel", "unique"}
+        assert len(seen) == 300
+        for rows, rhs in seen:
+            assert all(type(v) is int for row in rows for v in row)
+            assert all(type(v) is int for v in rhs)
 
 
 class TestIdentitySuite:

@@ -1,15 +1,23 @@
+import contextlib
+import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from critpop import poly
+from critpop.bc import bc_fundamental_space
 from critpop.core import t_polys
 from critpop.fundamental import Flag, degree_flag, fundamental_space, generating_morphism, span
-from critpop.poly import ONE, X, Poly, divided_wronskian, poly_sqrt, solve_combination, wronskian
+from critpop.poly import (ONE, X, Poly, QVec, divided_wronskian, poly_sqrt, solve_combination,
+                          wronskian)
 from critpop.reproduction import explore_population
 from critpop.errors import ConstructionFailed, NotSelfdual, SquareRootMissing
 from critpop.selfduality import (
+    IsotropicFamily,
     QuadExt,
+    _axpy,
     _omit,
     _witt_scalars,
     SelfdualSpace,
@@ -22,7 +30,7 @@ from critpop.selfduality import (
     quasi_witt_basis,
     sqrt_scalar,
 )
-from conftest import dual_space, instance, is_selfdual
+from conftest import count_calls, dual_space, fraction_solve_combination, instance, is_selfdual
 
 
 def verify_witt(framing, result):
@@ -43,26 +51,25 @@ def verify_witt(framing, result):
     )
 
 
-def tuple_at(fam, c):
+def tuple_at(sd, fam, c):
     """The generating-morphism tuple of the family's flag at parameter c."""
-    return generating_morphism([fam.sd.space.member(v) for v in fam.deformed_basis(c)],
-                               fam.sd.framing)
+    return generating_morphism([sd.space.member(v) for v in fam.deformed_basis(c)], sd.framing)
 
 
-def middle_square_data(fam):
+def middle_square_data(sd, fam):
     """For odd dimension 2k+1 and direction k: the middle coordinate of the
     family is a perfect square (p + c q)^2 projectively.
 
     Returns (p, q, wron) with p monic and wron = W(p, q); raises
     SquareRootMissing when the square structure is absent.
     """
-    n1 = fam.sd.dim
+    n1 = sd.dim
     k = n1 // 2
     assert n1 % 2 == 1 and fam.direction == k
     mid = k - 1  # 0-based middle tuple slot (the tuple has 2k coordinates)
 
     def root_at(c) -> Poly:
-        r = poly_sqrt(tuple_at(fam, Fraction(c))[mid])
+        r = poly_sqrt(tuple_at(sd, fam, Fraction(c))[mid])
         if r is None:
             raise SquareRootMissing(f"middle coordinate at c={c} is not a square")
         return r
@@ -77,9 +84,80 @@ def middle_square_data(fam):
     q = l1 * p1 - p
     for c in (1, 2, 3):
         lhs = p + c * q
-        if lhs.is_zero() or (lhs.monic()) ** 2 != tuple_at(fam, Fraction(c))[mid]:
+        if lhs.is_zero() or (lhs.monic()) ** 2 != tuple_at(sd, fam, Fraction(c))[mid]:
             raise SquareRootMissing("square decomposition failed to verify")
     return p, q, wronskian([p, q])
+
+
+# -- the Fraction isotropic layer, the reference for the integer one ------------
+
+
+def fraction_gram(space, framing):
+    """The Gram entries as Fractions, one Fraction-row solve per basis vector."""
+    n1 = space.dim
+    c = divided_wronskian(space.basis, framing)[0]
+    wjs = [divided_wronskian(_omit(space.basis, j), framing) for j in range(n1)]
+    coords = [fraction_solve_combination(wjs, u)[0] for u in space.basis]
+    return tuple(tuple(coords[k][i] * (-1) ** i * c for k in range(n1)) for i in range(n1))
+
+
+def fraction_form(entries, a, b):
+    """Fraction products of the Gram entries with Fraction coordinate vectors."""
+    return sum((ai * bk * g for ai, row in zip(a, entries) if ai
+                for bk, g in zip(b, row) if bk), Fraction(0))
+
+
+def fraction_is_isotropic(entries, u):
+    n1 = len(entries)
+    return all(not fraction_form(entries, u[i], u[j])
+               for i in range(n1) for j in range(i, n1) if (i + 1) + (j + 1) <= n1)
+
+
+def fraction_axpy(x, c, y):
+    return [a + c * b for a, b in zip(x, y)]
+
+
+def values(v):
+    """A QVec as its list of Fractions."""
+    return [Fraction(n, v.den) for n in v.num]
+
+
+@contextlib.contextmanager
+def fractions_made():
+    """Record the arguments of every Fraction built inside the block; each
+    Fraction operation builds its result through `Fraction.__new__`."""
+    made, new = [], Fraction.__dict__["__new__"]
+    Fraction.__new__ = staticmethod(lambda cls, *a, **kw: made.append(a) or new(cls, *a, **kw))
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = new
+
+
+# B/C instances by name; the weighted ones have Gram denominators 7 and 16
+FOLDED = {code: (code, (), ()) for code in ("B2", "B3", "B4", "C2", "C3", "C4")}
+FOLDED["C3w"] = ("C3", [(0, 1, 0), (1, 0, 0)], ["0", "-1"])
+FOLDED["C2w"] = ("C2", [(0, 1)], ["1/2"])
+
+
+@functools.lru_cache(maxsize=None)
+def folded_space(name):
+    """The selfdual folded fundamental space of a `FOLDED` instance."""
+    pi = instance(*FOLDED[name])
+    return bc_fundamental_space(pi, (ONE,) * pi.rd.rank)
+
+
+def sweep(rng, u, g, k):
+    """A longest-word sweep of random moves, as the isotropic sampling makes."""
+    for _ in range(k):
+        for direction in range(1, k + 1):
+            c = Fraction(rng.randint(1, 9) * rng.choice((1, -1)), rng.randint(1, 4))
+            u = IsotropicFamily(direction, u, g).deformed_basis(c)
+    return u
+
+
+def random_qvec(rng, n1):
+    return QVec.of([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n1)])
 
 
 def monomial_space(n1):
@@ -273,6 +351,58 @@ class TestGram:
         assert set(verdicts) == {True, False}
 
 
+    def test_one_elimination(self, monkeypatch):
+        """All coordinate vectors come from one solve, not one per vector."""
+        V = monomial_space(5)
+        fr = framing_of(V, ())
+        calls = count_calls(monkeypatch, poly, "solve_linear")
+        gram(V, fr)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("code", FOLDED)
+class TestIntegerLayer:
+    """The integer Gram matrix, form, isotropy test and moves agree with the
+    Fraction layer they replaced, on the folded B/C spaces of rank 2-4."""
+
+    def test_gram_matches_reference(self, code):
+        sd = folded_space(code)
+        assert sd.gm.entries == fraction_gram(sd.space, sd.framing)
+        assert math.gcd(sd.gm.den, *(v for row in sd.gm.num for v in row)) == 1
+
+    def test_form_and_axpy_match_reference(self, code):
+        sd = folded_space(code)
+        entries, rng = sd.gm.entries, random.Random(code)
+        for _ in range(30):
+            a, b = random_qvec(rng, sd.dim), random_qvec(rng, sd.dim)
+            assert sd.form(a, b) == fraction_form(entries, values(a), values(b))
+            p, q = rng.randint(-9, 9), rng.choice((1, -1)) * rng.randint(1, 9)
+            assert values(_axpy(a, p, q, b)) == fraction_axpy(values(a), Fraction(p, q),
+                                                              values(b))
+
+    def test_is_isotropic_matches_reference(self, code):
+        """True on swept bases, False once one constrained vector is moved."""
+        sd = folded_space(code)
+        entries, rng, n1 = sd.gm.entries, random.Random(code), sd.dim
+        u0, g = antidiagonal_basis(sd, quasi_witt_basis(sd).flag)
+        for _ in range(5):
+            u = sweep(rng, u0, g, n1 // 2)
+            assert is_isotropic(sd, u)
+            assert fraction_is_isotropic(entries, [values(v) for v in u])
+            i = rng.randrange(n1 - 1)  # u_{N+1} meets no isotropy condition
+            bad = u[:i] + [_axpy(u[i], 1, 1, random_qvec(rng, n1))] + u[i + 1:]
+            assert not is_isotropic(sd, bad)
+            assert not fraction_is_isotropic(entries, [values(v) for v in bad])
+
+    def test_carried_values_after_sweeps(self, code):
+        sd = folded_space(code)
+        rng, n1 = random.Random(code), sd.dim
+        u, g = antidiagonal_basis(sd, quasi_witt_basis(sd).flag)
+        for _ in range(3):
+            u = sweep(rng, u, g, n1 // 2)
+            assert values(g) == [sd.form(u[a], u[n1 - 1 - a]) for a in range(n1)]
+
+
 class TestQuasiWitt:
     def test_monomial_ratios(self):
         for n1 in (2, 3, 4, 5):
@@ -322,7 +452,7 @@ class TestIsotropy:
         for _ in range(40):
             try:
                 basis = [
-                    V.member([Fraction(rng.randint(-3, 3)) for _ in range(4)])
+                    V.member(QVec.of([Fraction(rng.randint(-3, 3)) for _ in range(4)]))
                     for _ in range(4)
                 ]
                 flag = Flag.from_basis(V, basis)
@@ -340,11 +470,12 @@ class TestIsotropy:
         V = monomial_space(5)
         sd = SelfdualSpace(V, framing_of(V, ()))
         qw = quasi_witt_basis(sd)
-        u = antidiagonal_basis(sd, qw.flag)
+        u, g = antidiagonal_basis(sd, qw.flag)
         for a in range(5):
             for b in range(5):
                 v = sd.form(u[a], u[b])
                 assert (v != 0) == (a + b == 4)
+        assert g == QVec.of([sd.form(u[a], u[4 - a]) for a in range(5)])
 
 
 class TestGenerators:
@@ -357,6 +488,7 @@ class TestGenerators:
         for direction in range(1, k + 1):
             fam = isotropic_generators(sd, qw.flag, direction)
             g = [sd.form(fam.base[a], fam.base[n1 - 1 - a]) for a in range(n1)]
+            assert fam.g == QVec.of(g)
             for c in (Fraction(1), Fraction(-2), Fraction(1, 3)):
                 # a moved basis can be moved again: anti-diagonal, same values
                 u = fam.deformed_basis(c)
@@ -365,9 +497,34 @@ class TestGenerators:
                         want = g[a] if a + b == n1 - 1 else 0
                         assert sd.form(u[a], u[b]) == want
                 assert is_isotropic(sd, u)
-                tup = tuple_at(fam, c)
+                tup = tuple_at(sd, fam, c)
                 m = len(tup)
                 assert all(tup[i] == tup[m - 1 - i] for i in range(m))
+
+    @pytest.mark.parametrize("code", ["B3", "C3"])
+    def test_moves_evaluate_no_form(self, monkeypatch, code):
+        """A move reads the carried g_j only: it evaluates no form, and
+        neither it nor the isotropy test of its result builds a Fraction."""
+        sd = folded_space(code)
+        u, g = antidiagonal_basis(sd, quasi_witt_basis(sd).flag)
+        cs = [Fraction(-7, 3), Fraction(5, 2), Fraction(4)]
+
+        def no_form(*args):
+            raise AssertionError("a move evaluated the form")
+
+        monkeypatch.setattr(SelfdualSpace, "form", no_form)
+        monkeypatch.setattr(SelfdualSpace, "gv", no_form)
+        with fractions_made() as made:
+            moved = [IsotropicFamily(d, u, g).deformed_basis(c)
+                     for d in range(1, sd.dim // 2 + 1) for c in cs]
+        assert not made
+        monkeypatch.undo()
+        with fractions_made() as made:
+            assert all(is_isotropic(sd, v) for v in moved)
+        assert not made
+        with fractions_made() as made:
+            Fraction(1, 2) + 1
+        assert made  # the probe sees Fraction arithmetic
 
     def test_wronskian_identity_side_directions(self):
         # W(y_i(x,c), dy_i/dc) proportional to T_i y_{i-1} y_{i+1}
@@ -407,10 +564,10 @@ class TestGenerators:
         fr = sd.framing
         qw = quasi_witt_basis(sd)
         fam = isotropic_generators(sd, qw.flag, 2)
-        p, q, wr = middle_square_data(fam)
+        p, q, wr = middle_square_data(sd, fam)
         assert p.leading() > 0
         # W(p, q) proportional to T_k y_{k-1}
-        y1 = tuple_at(fam, Fraction(0))[0]
+        y1 = tuple_at(sd, fam, Fraction(0))[0]
         rhs = fr[1] * y1
         assert wr.monic() == rhs.monic()
         qw5 = quasi_witt_basis(sd)
@@ -421,8 +578,8 @@ class TestGenerators:
             ]
             wfl = Flag.from_basis(V, polys)
             fam_w = isotropic_generators(sd, wfl, 2)
-            p2, q2, wr2 = middle_square_data(fam_w)
-            assert wr2.monic() == (fr[1] * tuple_at(fam_w, Fraction(0))[0]).monic()
+            p2, q2, wr2 = middle_square_data(sd, fam_w)
+            assert wr2.monic() == (fr[1] * tuple_at(sd, fam_w, Fraction(0))[0]).monic()
             # middle_square_data verifies the square at c = 1, 2, 3 only
             for c in (Fraction(1, 2), Fraction(-1)):
-                assert tuple_at(fam_w, c)[1] == (p2 + c * q2) ** 2
+                assert tuple_at(sd, fam_w, c)[1] == (p2 + c * q2) ** 2
