@@ -12,7 +12,9 @@ tuple represents a critical point.
 `is_generic`, `heine_stieltjes_test` and `wronskian_rhs` run over Z[x], in
 the integer section of `poly`: the first two decide properties that hold
 up to a scalar, so they make no rational at all, and `wronskian_rhs`
-applies one rational scale at the end.
+applies one rational scale at the end.  Given `changed = i`, the first two
+test only what reads y_i, for a tuple one reproduction step from a generic
+critical one, and return the verdict of the full test.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def t_polys(pi: ProblemInstance) -> list[Poly]:
     return out
 
 
-def is_generic(pi: ProblemInstance, y: TupleY) -> tuple[bool, str]:
+def is_generic(pi: ProblemInstance, y: TupleY, changed: int | None = None) -> tuple[bool, str]:
     """Genericity of a tuple: squarefree coordinates, no roots at marked
     points, and no shared roots between linked coordinates.
 
@@ -115,23 +117,27 @@ def is_generic(pi: ProblemInstance, y: TupleY) -> tuple[bool, str]:
     exclusion to characterize them.  The tests run on the primitive
     integer associates of the coordinates: y_i(p/q) = 0 iff q x - p
     divides y_i.
+
+    With `changed = i`, y must be a generic tuple except in coordinate i.
+    Then only coordinate i and the pairs (i, j) with a_ij != 0 are tested:
+    every other test reads unchanged coordinates and passed, so the verdict
+    and the first failure, hence the reason, are those of the full test.
     """
-    a = pi.rd.cartan
+    a, r = pi.rd.cartan, pi.rd.rank
     lins = [[-z.numerator, z.denominator] for z in pi.points]
-    zs = []
-    for i, p in enumerate(y):
-        if p.is_zero():
+    zs = [_zpoly(p) for p in y]
+    for i in range(len(y)) if changed is None else (changed,):
+        zp = zs[i]
+        if not zp:
             return False, f"y_{i + 1} is zero"
-        zp = _zpoly(p)
         if len(zp) > 2 and len(_zgcd(zp, _zderiv(zp))) > 1:
             return False, f"y_{i + 1} has a multiple root"
         if any(not _zprem(zp, lin) for lin in lins):
             return False, f"y_{i + 1} vanishes at a marked point"
-        zs.append(zp)
-    r = pi.rd.rank
     for i in range(r):
         for j in range(i + 1, r):
-            if a[i][j] != 0 and len(_zgcd(zs[i], zs[j])) > 1:
+            if (a[i][j] != 0 and changed in (None, i, j)
+                    and len(_zgcd(zs[i], zs[j])) > 1):
                 return False, f"y_{i + 1} and y_{j + 1} share a root (a_ij != 0)"
     return True, "generic"
 
@@ -153,7 +159,7 @@ def wronskian_rhs(pi: ProblemInstance, y: TupleY, i: int) -> Poly:
     return _zscaled(acc, den)
 
 
-def heine_stieltjes_test(pi: ProblemInstance, y: TupleY) -> bool:
+def heine_stieltjes_test(pi: ProblemInstance, y: TupleY, changed: int | None = None) -> bool:
     """Exact divisibility criterion: y represents a critical point iff
     F_i y_i'' - G_i y_i' is divisible by y_i for every direction i, where
     G_i / F_i is the logarithmic derivative of T_i prod_j y_j^(-a_ij).
@@ -167,8 +173,14 @@ def heine_stieltjes_test(pi: ProblemInstance, y: TupleY) -> bool:
     Scaling a factor leaves the logarithmic derivative alone and scaling
     y_i only scales the numerator, so a zero pseudo-remainder of
     F_i Y_i'' - G_i Y_i' by Y_i decides divisibility.
+
+    With `changed = i`, y must be a generic critical tuple except in
+    coordinate i (one reproduction step): genericity is tested as in
+    `is_generic`, and only the directions that read y_i, {i} and the j with
+    a_ji != 0, are tested, since every other direction passed on the same
+    data.  Verdict and `NotGeneric` are those of the full test.
     """
-    ok, reason = is_generic(pi, y)
+    ok, reason = is_generic(pi, y, changed)
     if not ok:
         raise NotGeneric(reason)
     a, r = pi.rd.cartan, pi.rd.rank
@@ -178,6 +190,8 @@ def heine_stieltjes_test(pi: ProblemInstance, y: TupleY) -> bool:
         base = _zmul(base, lin)
     zs = [_zpoly(p) for p in y]
     for i, zi in enumerate(zs):
+        if changed not in (None, i) and not a[i][changed]:
+            continue  # direction i reads no changed coordinate
         if len(zi) == 1:
             continue  # a constant divides everything
         linked = [j for j in range(r) if j != i and a[i][j] != 0]

@@ -215,10 +215,7 @@ class Poly:
         """Canonical text: space-separated num/den, lowest degree first."""
         if self.is_zero():
             return "0"
-        return " ".join(
-            str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            for c in self.coeffs
-        )
+        return " ".join(_qtext(c, self.den) for c in self.num)
 
     @staticmethod
     def from_text(text: str) -> "Poly":
@@ -234,19 +231,25 @@ class Poly:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in reversed(list(enumerate(self.coeffs))):
+        for i, c in reversed(list(enumerate(self.num))):
             if not c:
                 continue
             mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if mono and abs(c) == 1:
+            if mono and abs(c) == self.den:
                 s = mono if c > 0 else f"-{mono}"
             else:
-                s = f"{c}{'*' + mono if mono else ''}"
+                s = f"{_qtext(c, self.den)}{'*' + mono if mono else ''}"
             parts.append(s)
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
+
+
+def _qtext(n: int, d: int) -> str:
+    """The text of the rational n/d, d > 0, as `str` prints a Fraction."""
+    g = igcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _as_poly(v) -> Poly:

@@ -7,8 +7,10 @@ Replacing a coordinate by a member of that line is the simple reproduction
 step; the breadth-first closure of these steps over all directions,
 bookkept by degree vector, is a population atlas.  `explore_population`
 certifies each member as it stores it, so callers need not check the
-members again.  `weyl_degree_map` names the degree vectors that the
-shifted Weyl orbit predicts, each with its Weyl element, in one sweep.
+members again; a child of a generic member is certified only on what its
+step changed (`changed` in `core.heine_stieltjes_test`).  `weyl_degree_map`
+names the degree vectors that the shifted Weyl orbit predicts, each with its
+Weyl element, in one sweep.
 """
 
 from __future__ import annotations
@@ -168,11 +170,11 @@ class PopulationAtlas:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _certified(pi: ProblemInstance, cand: TupleY) -> bool:
+def _certified(pi: ProblemInstance, cand: TupleY, changed: int | None) -> bool:
     """Genericity of cand from one run of the criterion, which raises
     `NotGeneric`; a generic cand that is not critical is `ConstructionFailed`."""
     try:
-        if heine_stieltjes_test(pi, cand):
+        if heine_stieltjes_test(pi, cand, changed):
             return True
     except NotGeneric:
         return False
@@ -180,15 +182,16 @@ def _certified(pi: ProblemInstance, cand: TupleY) -> bool:
 
 
 def _sample_generic(pi: ProblemInstance, y: TupleY, i: int, fam: DescendantFamily,
-                    want_degree: int):
+                    want_degree: int, changed: int | None = None):
     """First parameter along the canonical sequence giving a generic member
-    of prescribed degree in direction i; checks the criterion on success."""
+    of prescribed degree in direction i; checks the criterion on success,
+    passing `changed` on."""
     for k, c in zip(range(RETRY_CAP), param_candidates()):
         cand_poly = fam.member(c)
         if cand_poly.is_zero() or cand_poly.degree != want_degree:
             continue
         cand = monic_tuple(y[:i] + (cand_poly,) + y[i + 1 :])
-        if _certified(pi, cand):
+        if _certified(pi, cand, changed):
             return cand, c
     raise NonGenericExhausted(
         f"no generic member of degree {want_degree} in direction {i + 1} "
@@ -203,10 +206,13 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
     Certifies every member it stores: a generic member passes the
     divisibility criterion when it is inserted, and every member, generic or
     not, is expanded in every direction, which raises `ConstructionFailed`
-    if a Wronskian equation has no solution.  Deterministic: directions are
-    visited in order and parameters are drawn from the canonical sequence.
-    The seed is recorded for provenance; the walk itself does not consume
-    randomness.
+    if a Wronskian equation has no solution.  A child of a generic member,
+    which passed the criterion, differs from it only in coordinate i, so it
+    is certified with `changed = i` and gets the verdict of the full test;
+    y0 and the children of a non-generic member get the full test.
+    Deterministic: directions are visited in order and parameters are drawn
+    from the canonical sequence.  The seed is recorded for provenance; the
+    walk itself does not consume randomness.
     """
     y0 = monic_tuple(y0)
     l0 = degree_vector(y0)
@@ -223,6 +229,7 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
             member = atlas.members[l]
             y = member.tuple_y
             for i in range(pi.rd.rank):
+                changed = i if member.generic else None
                 fam = solve_wronskian_equation(y[i], wronskian_rhs(pi, y, i))
                 if fam is None:
                     raise ConstructionFailed("atlas member lost fertility")
@@ -240,10 +247,10 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
                         # unique low-degree member of the line
                         cand = monic_tuple(y[:i] + (fam.base,) + y[i + 1 :])
                         atlas.members[l_new] = AtlasMember(
-                            cand, member.path + ((i, "base"),), _certified(pi, cand)
+                            cand, member.path + ((i, "base"),), _certified(pi, cand, changed)
                         )
                     else:
-                        cand, c = _sample_generic(pi, y, i, fam, want)
+                        cand, c = _sample_generic(pi, y, i, fam, want, changed)
                         atlas.members[l_new] = AtlasMember(
                             cand, member.path + ((i, str(c)),), True
                         )

@@ -195,6 +195,38 @@ def fraction_criterion(pi, y):
     return True
 
 
+
+def fraction_to_text(p):
+    """`Poly.to_text` from the Fraction coefficients: the reference for the
+    num/den renderer."""
+    if p.is_zero():
+        return "0"
+    return " ".join(
+        str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+        for c in p.coeffs
+    )
+
+
+def fraction_str(p):
+    """`str(Poly)` from the Fraction coefficients: the reference for the
+    num/den renderer."""
+    if p.is_zero():
+        return "0"
+    parts = []
+    for i, c in reversed(list(enumerate(p.coeffs))):
+        if not c:
+            continue
+        mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
+        if mono and abs(c) == 1:
+            s = mono if c > 0 else f"-{mono}"
+        else:
+            s = f"{c}{'*' + mono if mono else ''}"
+        parts.append(s)
+    out = parts[0]
+    for q in parts[1:]:
+        out += f" - {q[1:]}" if q.startswith("-") else f" + {q}"
+    return out
+
 def hook_content_dim(lam, k: int) -> int:
     """Dimension of the gl_k module of highest weight lam (hook content)."""
     lam = tuple(x for x in lam if x)

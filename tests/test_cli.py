@@ -141,7 +141,7 @@ class TestPopulate:
         test = reproduction.heine_stieltjes_test
         y0 = (ONE, ONE)
         monkeypatch.setattr(reproduction, "heine_stieltjes_test",
-                            lambda pi, y: y == y0 and test(pi, y))
+                            lambda pi, y, changed=None: y == y0 and test(pi, y, changed))
         assert run(["populate", "--config", sl3_cfg, "--max-degree", "2"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("[error] ConstructionFailed")

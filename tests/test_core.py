@@ -15,7 +15,7 @@ from critpop.core import (
 from critpop.errors import CritpopError, InvalidInstance, NotGeneric
 from critpop.poly import ONE, X, Poly, gcd
 from critpop.reproduction import explore_population
-from conftest import fraction_criterion, from_roots, instance, is_squarefree
+from conftest import A3W, fraction_criterion, from_roots, instance, is_squarefree
 
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
@@ -97,6 +97,44 @@ class TestCriterion:
         with pytest.raises(NotGeneric):
             heine_stieltjes_test(SL2, (X,))
 
+
+
+def certify(pi, y, changed=None):
+    """The outcome of `heine_stieltjes_test`: the `NotGeneric` reason, or the
+    verdict."""
+    try:
+        return "critical", heine_stieltjes_test(pi, y, changed)
+    except NotGeneric as exc:
+        return "not generic", str(exc)
+
+
+A3 = instance("A3")
+Y_X11 = (X, ONE, ONE)  # a generic critical A3 tuple (one step from y0)
+
+
+class TestChangedCoordinate:
+    """`changed = i` certifies one step from a generic critical tuple on what
+    the step changed, with the outcome of the full test."""
+
+    @pytest.mark.parametrize("pi, parent, i, new, want", [
+        (A3, Y_X11, 0, X * X, ("not generic", "y_1 has a multiple root")),
+        (A3W, (ONE, ONE, ONE), 0, Poly([-1, 1]),
+         ("not generic", "y_1 vanishes at a marked point")),
+        (A3, Y_X11, 1, X, ("not generic", "y_1 and y_2 share a root (a_ij != 0)")),
+        (A3, (ONE, ONE, X), 1, X, ("not generic", "y_2 and y_3 share a root (a_ij != 0)")),
+        # y_1 and y_3 are not linked: a shared root is allowed
+        (A3, Y_X11, 2, X, ("critical", True)),
+        # direction 1 holds on the new y_1 = x^2 - 3x - 2, direction 2 fails
+        (A3, (ONE, Poly([2, 0, 1]), X), 0, Poly([-2, -3, 1]), ("critical", False)),
+        (A3, Y_X11, 1, Poly([-5, 1]), ("critical", False)),
+    ], ids=["double-root", "marked-point", "linked-below", "linked-above", "unlinked",
+            "neighbour-direction", "not-critical"])
+    def test_matches_full_test(self, pi, parent, i, new, want):
+        assert certify(pi, parent) == ("critical", True)
+        y = parent[:i] + (new,) + parent[i + 1:]
+        assert certify(pi, y, i) == certify(pi, y) == want
+        ok = want[0] == "critical"
+        assert is_generic(pi, y, i) == is_generic(pi, y) == (ok, "generic" if ok else want[1])
 
 def rational_genericity(pi, y):
     """`is_generic` over Q: Poly gcds and evaluation at the marked points."""

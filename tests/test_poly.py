@@ -22,7 +22,8 @@ from critpop.poly import (
     wronskian,
 )
 from conftest import (euclid_gcd, fraction_divmod, fraction_shift, fraction_solve_combination,
-                      from_roots, is_squarefree, laplace_wronskian, schoolbook_mul, schoolbook_pow)
+                      fraction_str, fraction_to_text, from_roots, is_squarefree,
+                      laplace_wronskian, schoolbook_mul, schoolbook_pow)
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 
@@ -100,6 +101,23 @@ class TestArithmetic:
         for a, b in ((g, h), (f * g, f * h), (f * g, f), (g, ZERO), (ZERO, h)):
             assert gcd(a, b) == gcd(b, a) == euclid_gcd(a, b)
 
+
+    def test_text_matches_fraction_renderers(self):
+        """`to_text` and `str` read num/den and print what the Fraction
+        renderers print, on seeded polys with zero, +-1 and negative
+        coefficients, over den > 1 and over Z."""
+        rng = random.Random(2026)
+        cases = [ZERO, ONE, -ONE, X, -X, Poly([0, -1, 0, 1]), Poly([Fraction(-1, 2), 1])]
+        for _ in range(400):
+            den = rng.choice([1, 1, 2, 6, 10**9 + 7])
+            nums = [0, 0, 1, -1, den, -den, rng.randint(-10**12, 10**12)]
+            cases.append(Poly([Fraction(rng.choice(nums), den)
+                               for _ in range(rng.randint(1, 6))]))
+        assert any(p.den > 1 for p in cases) and any(p.den == 1 and len(p.num) > 1 for p in cases)
+        assert any(abs(c) == p.den for p in cases if p.den > 1 for c in p.num[1:])
+        for p in cases:
+            assert p.to_text() == fraction_to_text(p)
+            assert str(p) == fraction_str(p)
 
 # few distinct values, so that equal pairs are common
 small_polys = st.lists(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)),

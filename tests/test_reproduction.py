@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from critpop import core, reproduction
 from critpop.core import (
     degree_vector,
     heine_stieltjes_test,
@@ -14,7 +15,7 @@ from critpop.core import (
     weight_at_infinity,
     wronskian_rhs,
 )
-from critpop.errors import NotFertile
+from critpop.errors import NotFertile, NotGeneric
 from critpop.poly import ONE, X, Poly, solve_combination, wronskian
 from critpop.reproduction import (
     explore_population,
@@ -237,3 +238,96 @@ def test_atlas_json_deterministic():
     payload = json.loads(a1)
     assert payload["schema"] == "atlas-v1"
     assert len(payload["members"]) == 6
+
+
+# the six benchmark `populate` configs at --max-degree 8, then the pinned
+# A5 and B4 runs at --max-degree 3
+WALKS = [
+    (instance("A4"), 8), (instance("B3"), 8), (instance("C3"), 8), (A3W, 8),
+    (instance("B3", [(1, 0, 0), (0, 0, 1)], ["0", "1"]), 8),
+    (instance("C3", [(0, 1, 0), (1, 0, 0)], ["0", "-1"]), 8),
+    (instance("A5"), 3), (instance("B4"), 3),
+]
+
+
+def spy_walk_criterion(monkeypatch, check_changed=True):
+    """Replace the walk's criterion by a spy that records (y, changed) for
+    every candidate and, for a step certified with `changed`, asserts the
+    verdict or `NotGeneric` reason of the full test, and the same genericity
+    verdict and reason."""
+    calls = []
+
+    def outcome(pi, y, changed):
+        try:
+            return "critical", core.heine_stieltjes_test(pi, y, changed)
+        except NotGeneric as exc:
+            return "not generic", str(exc)
+
+    def spy(pi, y, changed=None):
+        calls.append((y, changed))
+        got = outcome(pi, y, changed)
+        if check_changed and changed is not None:
+            assert got == outcome(pi, y, None)
+            assert core.is_generic(pi, y, changed) == core.is_generic(pi, y)
+        if got[0] == "not generic":
+            raise NotGeneric(got[1])
+        return got[1]
+
+    monkeypatch.setattr(reproduction, "heine_stieltjes_test", spy)
+    return calls
+
+
+class TestStepCertification:
+    @pytest.mark.parametrize("pi, cap", WALKS, ids=[
+        "A4", "B3", "C3", "A3w", "B3w", "C3w", "A5", "B4"])
+    def test_changed_matches_full_test(self, monkeypatch, pi, cap):
+        """Every candidate the walk certifies with `changed` gets the outcome
+        of the full test, and the atlas is the one the full test builds."""
+        calls = spy_walk_criterion(monkeypatch)
+        atlas = explore_population(pi, (ONE,) * pi.rd.rank, cap)
+        assert calls[0] == ((ONE,) * pi.rd.rank, None)
+        assert all(changed is not None for _, changed in calls[1:])
+        assert len(calls) >= len(atlas.members)
+
+    def test_child_of_non_generic_member_gets_full_test(self, monkeypatch):
+        """A member stored as non-generic passes `changed = None` to the
+        certification of each of its children."""
+        y0 = explore_population(SL3, (ONE, ONE), 2).members[(2, 2)].tuple_y
+        plain = explore_population(SL3, y0, 2)
+        parent = plain.members[(2, 1)]
+        children = [m.tuple_y for m in plain.members.values()
+                    if m.path[:-1] == parent.path and len(m.path) == len(parent.path) + 1]
+        assert children
+        calls = spy_walk_criterion(monkeypatch, check_changed=False)
+        spy = reproduction.heine_stieltjes_test
+
+        def fake(pi, y, changed=None):
+            if y == parent.tuple_y:
+                calls.append((y, changed))
+                raise NotGeneric("made non-generic for the test")
+            return spy(pi, y, changed)
+
+        monkeypatch.setattr(reproduction, "heine_stieltjes_test", fake)
+        atlas = explore_population(SL3, y0, 2)
+        assert not atlas.members[(2, 1)].generic
+        changed = dict(calls)
+        assert changed[parent.tuple_y] == 1
+        assert all(changed[c] is None for c in children)
+        assert any(v is not None for y, v in calls if y not in children)
+
+
+def test_walk_gcd_budget(monkeypatch):
+    """A timing-free guard on step certification: the six benchmark
+    `populate` walks make at most 800 `_zgcd` calls through `core` (1,464
+    when every candidate got the full test)."""
+    calls = []
+    zgcd = core._zgcd
+
+    def counting(a, b):
+        calls.append(None)
+        return zgcd(a, b)
+
+    monkeypatch.setattr(core, "_zgcd", counting)
+    for pi, cap in WALKS[:6]:
+        explore_population(pi, (ONE,) * pi.rd.rank, cap)
+    assert 0 < len(calls) <= 800
