@@ -11,9 +11,9 @@ instance, and so its T-polynomials, once per B/C instance.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import ProblemInstance, TupleY, heine_stieltjes_test, monic_tuple
 from .errors import ConstructionFailed, NotFertile, NotGeneric, SquareRootMissing
@@ -190,8 +190,7 @@ def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
     return SelfdualSpace(space, framing_of(space, pia.points))
 
 
-@dataclass
-class IsotropicSampleReport:
+class IsotropicSampleReport(NamedTuple):
     samples: int
     generic_hits: int
     operator_checks: int

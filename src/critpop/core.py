@@ -19,7 +19,6 @@ critical one, and return the verdict of the full test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -31,30 +30,32 @@ from .roots import _T_DEGREE_CAP, RootData, Weight, root_data
 TupleY = tuple[Poly, ...]
 
 
-@dataclass(frozen=True)
 class ProblemInstance:
-    """Dominant weights at distinct marked points, with T_1..T_N in `ts`."""
+    """Dominant weights at distinct marked points, with T_1..T_N in `ts`.
+    `==` and `hash` read the root data, weights and points."""
 
-    rd: RootData
-    weights: tuple[Weight, ...]
-    points: tuple[Fraction, ...]
-    ts: tuple[Poly, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.points):
-            raise InvalidInstance(
-                f"{len(self.weights)} weights for {len(self.points)} marked points")
-        if len(set(self.points)) != len(self.points):
+    def __init__(self, rd: RootData, weights: tuple[Weight, ...], points: tuple[Fraction, ...]):
+        if len(weights) != len(points):
+            raise InvalidInstance(f"{len(weights)} weights for {len(points)} marked points")
+        if len(set(points)) != len(points):
             raise InvalidInstance("marked points must be distinct")
-        for lam in self.weights:
-            if len(lam) != self.rd.rank:
-                raise InvalidInstance(f"weight {lam} does not have rank {self.rd.rank}")
-            if not self.rd.is_dominant(lam):
+        for lam in weights:
+            if len(lam) != rd.rank:
+                raise InvalidInstance(f"weight {lam} does not have rank {rd.rank}")
+            if not rd.is_dominant(lam):
                 raise InvalidInstance(f"weight {lam} is not dominant")
-        deg = max(map(sum, zip(*self.weights)), default=0)
+        deg = max(map(sum, zip(*weights)), default=0)
         if deg > _T_DEGREE_CAP:
             raise InvalidInstance(f"deg T_i is capped at {_T_DEGREE_CAP}, got {deg}")
-        object.__setattr__(self, "ts", tuple(t_polys(self)))
+        self.rd, self.weights, self.points = rd, weights, points
+        self.ts: tuple[Poly, ...] = tuple(t_polys(self))
+
+    def __eq__(self, other):
+        return type(other) is ProblemInstance and (
+            (self.rd, self.weights, self.points) == (other.rd, other.weights, other.points))
+
+    def __hash__(self):
+        return hash((self.rd, self.weights, self.points))
 
     @property
     def n(self) -> int:

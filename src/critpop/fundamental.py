@@ -18,10 +18,10 @@ each basis vector then costs one sum and one gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import NamedTuple
 
 from .core import (
     ProblemInstance,
@@ -47,11 +47,18 @@ def _reduce(p: Poly, rows) -> Poly:
     return p
 
 
-@dataclass(frozen=True)
 class PolySpace:
-    """Reduced span: monic echelon basis in strictly decreasing degree."""
+    """Reduced span: monic echelon basis in strictly decreasing degree.
+    `==` and `hash` read the basis, which is canonical."""
 
-    basis: tuple[Poly, ...]
+    def __init__(self, basis: tuple[Poly, ...]):
+        self.basis = basis
+
+    def __eq__(self, other):
+        return type(other) is PolySpace and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.basis,))
 
     @property
     def dim(self) -> int:
@@ -104,8 +111,7 @@ def span(polys) -> PolySpace:
     return PolySpace(tuple(_reduce(q, rows[k + 1:]) for k, q in enumerate(rows)))
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """Full flag of a PolySpace as a canonical adjusted basis.
 
     basis[i] spans F_{i+1} modulo F_i; each element is reduced against the

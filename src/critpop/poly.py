@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
 from math import isqrt, lcm, prod
@@ -561,12 +560,10 @@ def divided_wronskian(us: Sequence[Poly], ts: Sequence[Poly]) -> Poly:
 # -- appendix identity suite -------------------------------------------------
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     passed: bool
     trials: int
     checks: dict[str, int]
-    counterexample: str | None = None
 
 
 _FACT = [1, 1, 2, 6, 24, 120, 720]

@@ -16,10 +16,10 @@ Weyl element, in one sweep.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd as igcd
 from math import lcm
+from typing import NamedTuple
 
 from .core import (
     ProblemInstance,
@@ -60,8 +60,7 @@ def param_candidates():
         level = sorted(nxt, reverse=True)
 
 
-@dataclass(frozen=True)
-class DescendantFamily:
+class DescendantFamily(NamedTuple):
     """The solution line {base + c * fiber} of one Wronskian equation."""
 
     base: Poly
@@ -128,20 +127,19 @@ def is_fertile(pi: ProblemInstance, y: TupleY) -> bool:
     )
 
 
-@dataclass
-class AtlasMember:
+class AtlasMember(NamedTuple):
     tuple_y: TupleY
     path: tuple[tuple[int, str], ...]  # (direction, parameter) trail from y0
     generic: bool
 
 
-@dataclass
 class PopulationAtlas:
     """One concrete representative per reachable degree vector."""
 
-    pi: ProblemInstance
-    members: dict[tuple[int, ...], AtlasMember] = field(default_factory=dict)
-    edges: set[tuple[tuple[int, ...], int, tuple[int, ...]]] = field(default_factory=set)
+    def __init__(self, pi: ProblemInstance):
+        self.pi = pi
+        self.members: dict[tuple[int, ...], AtlasMember] = {}
+        self.edges: set[tuple[tuple[int, ...], int, tuple[int, ...]]] = set()
 
     def degree_vectors(self) -> list[tuple[int, ...]]:
         return sorted(self.members)

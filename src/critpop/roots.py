@@ -7,8 +7,8 @@ recovered on demand through the symmetrizers:
     (alpha_i, alpha_j) = d_i * a_ij,     (lambda, alpha_i) = d_i * lambda_i.
 
 The pairing convention <alpha_j, alpha_i^vee> = a_ij is derived from these
-two identities; `RootData.__post_init__` asserts the B/C scalar-product
-tables against it.
+two identities; `root_data`, the one constructor of `RootData`, asserts
+the B/C scalar-product tables against it.
 
 A Weyl group element is a word in the simple reflections, and `reflect` is
 the one encoding of s_i.  Elements are told apart by where they send rho:
@@ -17,9 +17,9 @@ rho is regular, so its stabilizer is trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ConstructionFailed
 from .poly import solve_linear
@@ -27,29 +27,11 @@ from .poly import solve_linear
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RootData:
+class RootData(NamedTuple):
     kind: str  # "A", "B" or "C"
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]  # symmetrizers
-
-    def __post_init__(self):
-        a, d, r = self.cartan, self.d, self.rank
-        for i in range(r):
-            assert a[i][i] == 2
-            for j in range(r):
-                assert d[i] * a[i][j] == d[j] * a[j][i], "scalar matrix not symmetric"
-                if i != j:
-                    assert a[i][j] <= 0
-                    assert (a[i][j] == 0) == (a[j][i] == 0)
-        if self.kind == "B":
-            # long roots of square length 4, short last root of length 2
-            assert all(self.alpha_scalar(i, i) == 4 for i in range(r - 1))
-            assert self.alpha_scalar(r - 1, r - 1) == 2
-        if self.kind == "C":
-            assert all(self.alpha_scalar(i, i) == 2 for i in range(r - 1))
-            assert self.alpha_scalar(r - 1, r - 1) == 4
 
     def alpha_scalar(self, i: int, j: int) -> int:
         """(alpha_i, alpha_j), 0-based indices."""
@@ -99,22 +81,45 @@ def root_data(code: str) -> RootData:
     else:  # C
         d = [1] * (rank - 1) + [2]
         a[rank - 2][rank - 1] = -2
-    return RootData(kind, rank, tuple(tuple(row) for row in a), tuple(d))
+    rd = RootData(kind, rank, tuple(tuple(row) for row in a), tuple(d))
+    for i in range(rank):
+        assert a[i][i] == 2
+        for j in range(rank):
+            assert d[i] * a[i][j] == d[j] * a[j][i], "scalar matrix not symmetric"
+            if i != j:
+                assert a[i][j] <= 0
+                assert (a[i][j] == 0) == (a[j][i] == 0)
+    if kind == "B":
+        # long roots of square length 4, short last root of length 2
+        assert all(rd.alpha_scalar(i, i) == 4 for i in range(rank - 1))
+        assert rd.alpha_scalar(rank - 1, rank - 1) == 2
+    if kind == "C":
+        assert all(rd.alpha_scalar(i, i) == 2 for i in range(rank - 1))
+        assert rd.alpha_scalar(rank - 1, rank - 1) == 4
+    return rd
 
 
 # -- Weyl group --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element as the word s_{word[0]} ... s_{word[-1]} in the
     simple reflections (0-based); `apply` reflects by the last letter first.
-    Equal elements may carry different words: compare them by w(rho) or
-    w^-1(rho), which determine w because the regular weight rho has a
-    trivial stabilizer."""
+    `==` and `hash` read the root data and the word, and equal elements may
+    carry different words: compare them by w(rho) or w^-1(rho), which
+    determine w because the regular weight rho has a trivial stabilizer."""
 
-    rd: RootData
-    word: tuple[int, ...]
+    __slots__ = ("rd", "word")
+
+    def __init__(self, rd: RootData, word: tuple[int, ...]):
+        self.rd = rd
+        self.word = word
+
+    def __eq__(self, other):
+        return type(other) is WeylElement and (self.rd, self.word) == (other.rd, other.word)
+
+    def __hash__(self):
+        return hash((self.rd, self.word))
 
     def apply(self, lam: Weight) -> Weight:
         for i in reversed(self.word):

@@ -29,10 +29,10 @@ ratios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, prod
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ConstructionFailed, NotConstant, NotSelfdual
 from .fundamental import Flag, PolySpace, degree_flag, exponents
@@ -42,13 +42,17 @@ from .poly import ONE, ZERO, Poly, QVec, _qvec, divided_wronskian, solve_combina
 # -- scalars in a quadratic extension -----------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadExt:
     """a + b*sqrt(d) with rational a, b and integer d not a perfect square."""
 
-    a: Fraction
-    b: Fraction
-    d: int
+    def __init__(self, a: Fraction, b: Fraction, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    def __eq__(self, other):
+        return type(other) is QuadExt and (self.a, self.b, self.d) == (other.a, other.b, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.d))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -153,8 +157,7 @@ def _omit(items, i):
 # -- canonical bilinear form ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramMatrix:
+class GramMatrix(NamedTuple):
     """Canonical bilinear form in the echelon basis of the space:
     (u_i, u_k) = num[i][k] / den, ints over one den > 0 coprime to their
     content.  `entries` makes the `Fraction`s on demand."""
@@ -221,7 +224,6 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
     return gm
 
 
-@dataclass(frozen=True)
 class SelfdualSpace:
     """A selfdual space with its framing and canonical form.
 
@@ -230,12 +232,9 @@ class SelfdualSpace:
     anti-diagonalization reads its integer rows through `gv`.
     """
 
-    space: PolySpace
-    framing: tuple[Poly, ...]
-    gm: GramMatrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "gm", gram(self.space, self.framing))
+    def __init__(self, space: PolySpace, framing: tuple[Poly, ...]):
+        self.space, self.framing = space, framing
+        self.gm = gram(space, framing)
 
     @property
     def dim(self) -> int:
@@ -268,8 +267,7 @@ def is_isotropic(sd: SelfdualSpace, u) -> bool:
 # -- quasi-Witt bases -----------------------------------------------------------
 
 
-@dataclass
-class QuasiWittResult:
+class QuasiWittResult(NamedTuple):
     flag: Flag
     ratios: tuple[Fraction, ...]  # a_i with W+(q_1..q_i) = a_i W+(q_1..q_{N+1-i})
     witt_polys: tuple[Poly, ...] | None
@@ -412,8 +410,7 @@ def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> tuple[list, QVec]:
     return u, QVec.of([sd.form(u[a], u[n1 - 1 - a]) for a in range(n1)])
 
 
-@dataclass
-class IsotropicFamily:
+class IsotropicFamily(NamedTuple):
     """The one-parameter family of isotropic flags moving one level."""
 
     direction: int  # 1-based, <= k

@@ -353,14 +353,18 @@ class TestCount:
             assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_import_leaves_sympy_unloaded(self):
-        """sympy is imported by the rank-one exact count only, not at start-up."""
+        """sympy is imported by the rank-one exact count only, not at start-up;
+        and no record is a dataclass, so start-up loads neither `dataclasses`
+        nor the `inspect`, `ast`, `dis` and `tokenize` that it imports."""
         src = str(Path(critpop.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        names = ("sympy", "dataclasses", "inspect", "ast", "dis", "tokenize")
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, critpop.cli; print('sympy' in sys.modules)"],
+            [sys.executable, "-c",
+             f"import sys, critpop.cli; print([m for m in {names!r} if m in sys.modules])"],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
     def test_count_builds_no_expressions(self):
         """The count works in sympy's polynomial rings, not on expressions:
