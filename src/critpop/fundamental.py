@@ -1,19 +1,23 @@
-"""Type-A machinery: fundamental spaces, flags, exponents, Bruhat data.
+"""Type-A machinery: fundamental spaces, flags, exponents, the operator.
 
 A `PolySpace` is kept in a canonical reduced echelon form (monic basis of
 strictly decreasing degrees, each fully reduced against the others), so
 space equality is plain basis equality.  One routine, `_reduce`, clears
 the pivot-degree coefficients of a polynomial against echelon rows; span
 construction, membership, flag canonicalization and completion use it,
-and exponents and Bruhat data are echelon degrees.  A member's coordinates
+and exponents are echelon degrees.  A member's coordinates
 are its numerators at the pivot degrees, a `QVec` over its denominator,
 and `member` maps them back by one integer combination.  The
-fundamental space of a critical tuple is built by the sibling recursion.
+fundamental space of a critical tuple is built by the sibling recursion,
+and its Wronskian ladder W(u_1..u_i) ~ y_i L_i, L_i = prod_{j<i} T_j^(i-j)
+(`poly.t_ladder`), is checked on the prefixes of one Laplace expansion.
 `verify_dp` checks that the order-(N+1) operator of a member annihilates
 it: the operator's first-order factors are composed once, over Z[x], into
 L = (1/D) sum_j n_j d^j with D = n_{N+1}, which the Frobenius-Polya
 factorization identifies with W(V) (G. Polya, Trans. AMS 24 (1922)), and
-each basis vector then costs one sum and one gcd.
+each basis vector then costs one sum and one gcd.  The same ladder
+predicts the denominator of each partial composition, so a fold is
+exact quotients by the previous one, with no gcd.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from .core import (
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotDivisible, NotInImage
-from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo,
-                   _zscaled, _zsub, divided_wronskian, solve_combination, wronskian)
+from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zexact, _zgcd, _zmul, _zpoly, _zprimitive,
+                   _zquo, _zscaled, _zsub, divided_wronskian, divided_wronskians, solve_combination,
+                   t_ladder, wronskian_minors)
 from .reproduction import immediate_descendants, _sample_generic
-from .roots import WeylElement, dominant_representative
+from .roots import dominant_representative
 
 
 def _reduce(p: Poly, rows) -> Poly:
@@ -167,13 +172,11 @@ def fundamental_space(pi: ProblemInstance, y: TupleY) -> PolySpace:
         raise ValueError("fundamental_space expects type-A data")
     y = monic_tuple(y)
     n = pi.rd.rank
-    ts = pi.ts
     us = [_basis_vector(pi, y, k) for k in range(1, n + 2)]
-    for i in range(1, n + 2):
-        w = wronskian(us[:i])
-        expected = (y[i - 1] if i <= n else ONE)
-        for j in range(1, i):
-            expected = expected * ts[j - 1] ** (i - j)
+    ladder = t_ladder(pi.ts, n + 1)
+    prefixes = wronskian_minors(us, [(1 << i) - 1 for i in range(1, n + 2)])
+    for i, w in enumerate(prefixes, 1):
+        expected = (y[i - 1] if i <= n else ONE) * ladder[i]
         if w.is_zero() or expected.is_zero():
             raise ConstructionFailed("degenerate Wronskian ladder")
         if w.monic() != expected.monic():
@@ -266,8 +269,11 @@ def pluecker_check(space: PolySpace, points, d: int | None = None) -> bool:
 def generating_morphism(basis, ts) -> TupleY:
     """beta(F): y_i = W(u_1..u_i) / (T_1^{i-1} ... T_{i-1}), projectivized,
     on any basis u adapted to F.  A triangular change of basis only scales
-    each prefix Wronskian, and `monic` removes the scale."""
-    return tuple(divided_wronskian(basis[:i], ts).monic() for i in range(1, len(basis)))
+    each prefix Wronskian, and `monic` removes the scale.  The prefixes
+    come from one expansion of W(u_1..u_N)."""
+    n = len(basis) - 1
+    return tuple(w.monic() for w in
+                 divided_wronskians(basis[:n], [(1 << i) - 1 for i in range(1, n + 1)], ts))
 
 
 def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
@@ -308,41 +314,6 @@ def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
     return flag
 
 
-# -- Bruhat bookkeeping --------------------------------------------------------
-
-
-def bruhat_index(space: PolySpace, flag: Flag) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Permutation of the flag against the degree flag, plus its position
-    profile (the minimal echelon level of each successive quotient).
-
-    Returns (w, degs) where w is 1-based one-line notation: w_j is the
-    level of the degree flag first containing the j-th flag step, and
-    degs[j] the matching realized degree (a `Flag` basis is reduced).
-    """
-    pos_of_degree = {d: k + 1 for k, d in enumerate(space.degrees())}
-    levels = tuple(int(p.degree) for p in flag.basis)
-    return tuple(pos_of_degree[d] for d in levels), levels
-
-
-def perm_to_weyl(rd, perm: tuple[int, ...]) -> WeylElement:
-    """A_N Weyl element of a 1-based one-line permutation.
-
-    Simple transpositions (i, i+1) correspond to the generating
-    reflections, so a bubble-sort decomposition gives a reduced word.
-    """
-    p = list(perm)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(p) - 1):
-            if p[j] > p[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                swaps.append(j)
-                changed = True
-    return WeylElement(rd, tuple(swaps))
-
-
 def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool:
     """Operator invariance: all spaces coincide as reduced spaces, and the
     operator built from a member annihilates the common space.
@@ -366,34 +337,47 @@ def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[list[int]]:
     """The order-(N+1) operator of y, composed once: integer polynomials
     n_0..n_{N+1} with no common factor and L = (1/n_{N+1}) sum_j n_j d^j.
 
-    L is the product of N+1 monic first-order factors d + v/(ab), the k-th
-    (k = 0..N, rightmost first) with a/b = y_{k+1} T_1...T_k / y_k,
-    y_0 = y_{N+1} = 1, and v = ab' - a'b, so that -v/(ab) = logderiv(a/b).
-    They are folded in from the right: a factor maps (1/D) sum_j n_j d^j to
-    (1/(D^2 ab)) sum_j ((n_j' + n_{j-1}) D ab - n_j (D' ab - v D)) d^j, and
-    the common gcd of the new n_j is divided out.  Every factor is monic, so
-    the denominator is n_{N+1} throughout.  It is D^2 ab over a primitive
-    gcd, primitive by Gauss's lemma, so no integer content is left to
-    remove.  By the Frobenius-Polya factorization L f = W(V, f)/W(V) for
-    the kernel V, and n_{N+1} ends as the primitive associate of W(V).
+    L is the product of N+1 monic first-order factors d - R'/R, the k-th
+    (k = 0..N, rightmost first) with R = a/b = y_{k+1} T_1...T_k / y_k,
+    y_0 = y_{N+1} = 1.  Folded in from the right, a factor maps
+    (1/D) sum_j n_j d^j to (1/P) sum_j ((n_j' + n_{j-1}) P - n_j P')/D d^j
+    for P = D R.  By Frobenius-Polya the partial operator is
+    f -> W(u_1..u_{k+1}, f)/W_{k+1}, and W_{k+1} ~ y_{k+1} L_{k+1} is the
+    ladder of `t_ladder`.  So P = prim(y_{k+1} L_{k+1}) is predicted from y
+    alone; where P b = D a, that is P = D R, each new n_j is an exact
+    quotient by D, which `_zexact` checks.  On a miss `_gcd_fold` folds
+    over D^2 ab and divides out a gcd instead.  n_{N+1} ends as the
+    primitive associate of W(V) for the kernel V.
     """
     zs = [[1], *(_zpoly(p) for p in y), [1]]
+    ladder = t_ladder(pi.ts, len(zs) - 1)
     ns, tprod = [[1]], [1]
-    for b, c, t in zip(zs, zs[1:], [*pi.ts, ONE]):
-        a = _zmul(c, tprod)
-        ab, v = _zmul(a, b), _zsub(_zmul(a, _zderiv(b)), _zmul(_zderiv(a), b))
-        d = ns[-1]
-        dab, e = _zmul(d, ab), _zsub(_zmul(_zderiv(d), ab), _zmul(v, d))
-        ns = [_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), dab), _zmul(n, e))
-              for prev, n in zip([[], *ns], [*ns, []])]
-        g = ns[-1]
-        for n in ns[:-1]:
-            if len(g) == 1:
-                break
-            g = _zgcd(g, n)
-        ns = [_zquo(n, g) for n in ns]
+    for b, c, t, lad in zip(zs, zs[1:], [*pi.ts, ONE], ladder[1:]):
+        a, d, p = _zmul(c, tprod), ns[-1], _zmul(c, _zpoly(lad))
+        dp = _zderiv(p)
+        low = [_zexact(_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), p), _zmul(n, dp)), d)
+               for prev, n in zip([[], *ns], ns)] if _zmul(p, b) == _zmul(d, a) else None
+        ns = _gcd_fold(ns, a, b) if low is None or None in low else [*low, p]
         tprod = _zmul(tprod, _zpoly(t))
     return ns
+
+
+def _gcd_fold(ns: list[list[int]], a: list[int], b: list[int]) -> list[list[int]]:
+    """One fold of `_operator_factors` when the ladder's prediction misses:
+    the factor d + v/(ab), v = ab' - a'b, maps (1/D) sum_j n_j d^j to
+    (1/(D^2 ab)) sum_j ((n_j' + n_{j-1}) D ab - n_j (D' ab - v D)) d^j, and
+    the primitive gcd of the new n_j is divided out."""
+    ab, v = _zmul(a, b), _zsub(_zmul(a, _zderiv(b)), _zmul(_zderiv(a), b))
+    d = ns[-1]
+    dab, e = _zmul(d, ab), _zsub(_zmul(_zderiv(d), ab), _zmul(v, d))
+    ns = [_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), dab), _zmul(n, e))
+          for prev, n in zip([[], *ns], [*ns, []])]
+    g = ns[-1]
+    for n in ns[:-1]:
+        if len(g) == 1:
+            break
+        g = _zgcd(g, n)
+    return [_zquo(n, g) for n in ns]
 
 
 def _apply_factored_operator(op, u: Poly) -> Poly:

@@ -20,17 +20,24 @@ denominators, and `divmod` pseudo-divides the numerators.  The private
 integer section (int lists, lowest degree first) serves the callers that
 want a result only up to a scalar: `gcd` runs a primitive remainder
 sequence there and returns the monic gcd, the factored-operator check in
-`fundamental` runs on it end to end, and `core.is_generic` and
+`fundamental` runs on it end to end (`_zexact` checks and takes its
+exact quotients in one pass), and `core.is_generic` and
 `core.heine_stieltjes_test` decide on primitive integer associates.
 `core.wronskian_rhs` and `reproduction.solve_wronskian_equation` read
 `num` and `den` and make one `Poly` at the end.
 
-`wronskian` and `Poly.__pow__` use Kronecker substitution: they evaluate
-at x = 2^k (`_zpack`), compute on big ints and read the result back as
-signed base-2^k digits (`_zunpack`), exactly, since k comes from a bound on
-the result's 1-norm.  `_zmul` stays schoolbook: the population walk
-multiplies lists of 2-6 coefficients, where packing costs more than it
-saves (Kronecker products made the `populate` workload slower).
+`wronskian_minors` and `Poly.__pow__` use Kronecker substitution: they
+evaluate at x = 2^k (`_zpack`), compute on big ints and read the result
+back as signed base-2^k digits (`_zunpack`), exactly, since k comes from a
+bound on the result's 1-norm.  `_zmul` stays schoolbook: the population
+walk multiplies lists of 2-6 coefficients, where packing costs more than
+it saves (Kronecker products made the `populate` workload slower).
+
+One memoized Laplace expansion forms the Wronskian of every sublist of a
+basis (`wronskian_minors`; `wronskian` is its full-mask case), and
+`divided_wronskians` divides each by its entry of one `t_ladder`.  The
+identity suite, this expansion's oracle, calls `wronskian` on separate
+lists.
 """
 
 from __future__ import annotations
@@ -403,6 +410,23 @@ def _zquo(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+def _zexact(a: list[int], b: list[int]) -> list[int] | None:
+    """The q with a = q b over Z, or None if there is none: a check and a
+    division in one pass.  For a primitive b, None means b does not divide
+    a over Q either (Gauss's lemma)."""
+    r, db, lb = list(a), len(b) - 1, b[-1]
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            return None
+        if c:
+            q[k] = c
+            for j, v in enumerate(b):
+                r[j + k] -= c * v
+    return None if any(r[:db]) else q
+
+
 def _zgcd(a: list[int], b: list[int]) -> list[int]:
     """Primitive gcd by the primitive remainder sequence (Collins 1967;
     Knuth, TAOCP vol. 2, 4.6.1, Algorithm E); [] for two zeros."""
@@ -504,39 +528,43 @@ def solve_combination(gens: list[Poly], target: Poly):
 # -- Wronskians -------------------------------------------------------------
 
 
-def wronskian(gs: Sequence[Poly]) -> Poly:
-    """W(g_1,...,g_s) = det(g_i^{(j-1)}), rows by function, columns by order.
+def wronskian_minors(gs: Sequence[Poly], masks: Sequence[int]) -> list[Poly]:
+    """The Wronskian of the sublist of gs in each bit mask (bit i is gs[i]),
+    in row order, from one Laplace expansion of W(gs).
 
-    The empty list returns 1 by convention.  W is linear in each row, so
+    W(g_1,...,g_s) = det(g_i^{(j-1)}), rows by function, columns by order;
+    the empty list gives 1.  W is linear in each row, so
     W(c_1 g_1, ..., c_s g_s) = c_1...c_s W(g): the determinant of the
-    numerators g_i.num is expanded over Z[x], and the result is that
-    integer Wronskian over d_1...d_s, d_i = g_i.den.
+    numerators g_i.num is expanded over Z[x], and a minor is that integer
+    Wronskian over the product of its rows' denominators.
 
     The expansion runs at x = 2^k (Kronecker substitution): every entry
-    becomes one int, each polynomial product one big-int product, and the
-    integer Wronskian is read back from its value.  The 1-norm of a
-    determinant is at most the permanent of its entries' 1-norms, hence at
-    most B = prod_i sum_j ||g_i^(j)||_1, so 2^(k-1) > B makes the read-back
-    exact.
+    becomes one int, each polynomial product one big-int product, and each
+    minor is read back from its value.  The 1-norm of a determinant is at
+    most the permanent of its entries' 1-norms, hence at most
+    prod_i sum_j ||g_i^(j)||_1 over its rows.  Every factor is taken at
+    least 1, so B, the product over all rows, bounds every minor, also one
+    that leaves out a zero row, and 2^(k-1) > B makes each read-back exact.
     """
     s = len(gs)
-    if s == 0:
-        return ONE
+    if s < 2:  # W() = 1 and W(g) = g: nothing to expand
+        return [gs[0] if m else ONE for m in masks]
     table, den, bound = [], 1, 1
     for g in gs:
-        cur, d = g.num, g.den
+        cur = g.num
         row = [cur]
         for _ in range(s - 1):
             cur = _zderiv(cur)
             row.append(cur)
         table.append(row)
-        den *= d
-        bound *= sum(sum(map(abs, a)) for a in row)
+        den *= g.den
+        bound *= sum(sum(map(abs, a)) for a in row) or 1  # a zero row counts 1
     k = bound.bit_length() + 1
     vals = [[_zpack(a, k) for a in row] for row in table]
     # Laplace expansion along columns, memoized on row subsets: minors[m] is
     # the minor on the rows in bit mask m and the first popcount(m) columns,
-    # computed after its subsets.  The 2^s minors take s 2^(s-1) products.
+    # that is W of those rows, computed after its subsets.  The 2^s minors
+    # take s 2^(s-1) products.
     minors = [1] * (1 << s)
     for m in range(1, 1 << s):
         col, acc = m.bit_count() - 1, 0
@@ -545,16 +573,38 @@ def wronskian(gs: Sequence[Poly]) -> Poly:
             if m >> ri & 1:
                 acc = vals[ri][col] * minors[m ^ (1 << ri)] - acc
         minors[m] = acc
-    return _zscaled(_zunpack(minors[-1], k), den)
+    full = (1 << s) - 1
+    return [_zscaled(_zunpack(minors[m], k),
+                     den if m == full else prod(g.den for i, g in enumerate(gs) if m >> i & 1))
+            for m in masks]
+
+
+def wronskian(gs: Sequence[Poly]) -> Poly:
+    """W(g_1,...,g_s): the full-mask case of `wronskian_minors`."""
+    return wronskian_minors(gs, [(1 << len(gs)) - 1])[0]
+
+
+def t_ladder(ts: Sequence[Poly], s: int) -> list[Poly]:
+    """[L_0, ..., L_s] with L_i = prod_{j<i} T_j^(i-j) (1-based j), the
+    divisor of an i-row divided Wronskian and, times y_i, the ladder
+    W(u_1..u_i) of a fundamental space; L_{i+1} = L_i T_1...T_i."""
+    out, tp = [ONE, ONE], ONE
+    for t in ts[: s - 1]:
+        tp = tp * t
+        out.append(out[-1] * tp)
+    return out[: s + 1]
+
+
+def divided_wronskians(gs: Sequence[Poly], masks: Sequence[int], ts: Sequence[Poly]) -> list[Poly]:
+    """`wronskian_minors` of gs, each divided exactly by L_i of `t_ladder`,
+    i its number of rows; raises NotDivisible on a nonzero remainder."""
+    ladder = t_ladder(ts, len(gs))
+    return [w.exact_div(ladder[m.bit_count()]) for w, m in zip(wronskian_minors(gs, masks), masks)]
 
 
 def divided_wronskian(us: Sequence[Poly], ts: Sequence[Poly]) -> Poly:
     """Wronskian of us divided exactly by prod_{j<i} T_j^(i-j), i = len(us)."""
-    i = len(us)
-    w = wronskian(us)
-    for j in range(1, i):
-        w = w.exact_div(ts[j - 1] ** (i - j))
-    return w
+    return divided_wronskians(us, [(1 << len(us)) - 1], ts)[0]
 
 
 # -- appendix identity suite -------------------------------------------------

@@ -37,10 +37,6 @@ class RootData(NamedTuple):
         """(alpha_i, alpha_j), 0-based indices."""
         return self.d[i] * self.cartan[i][j]
 
-    def weight_alpha_scalar(self, lam: Weight, i: int) -> int:
-        """(lambda, alpha_i) for lambda in coroot coordinates."""
-        return self.d[i] * lam[i]
-
     def rho(self) -> Weight:
         return (1,) * self.rank
 
@@ -129,10 +125,6 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.rd, self.word + other.word)
 
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
 
 def identity_element(rd: RootData) -> WeylElement:
     return WeylElement(rd, ())
@@ -213,54 +205,3 @@ def fold_weight_B(lam: Weight) -> Weight:
 def fold_weight_C(lam: Weight) -> Weight:
     """C_N weight -> symmetric A_{2N} weight (m_1..m_N, m_N..m_1)."""
     return lam + lam[::-1]
-
-
-def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """(p q)(i) = p(q(i)); one-line notation over range(n)."""
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _transposition(n: int, i: int) -> tuple[int, ...]:
-    p = list(range(n))
-    p[i], p[i + 1] = p[i + 1], p[i]
-    return tuple(p)
-
-
-def folded_weyl_embed(kind: str, rank: int, w: WeylElement) -> tuple[int, ...]:
-    """Image of a B_N/C_N Weyl element in the folded symmetric group.
-
-    B_N embeds in S^2N via s_i -> s_i s_{2N-i}, s_N -> s_N; C_N embeds in
-    S^(2N+1) via s_i -> s_i s_{2N-i}, s_N -> s_N s_{N+1} s_N.  Images are
-    exactly the centro-symmetric permutations (w_i + w_{m+1-i} = m + 1 in
-    1-based terms).
-    """
-    n = rank
-    if kind == "B":
-        m = 2 * n
-        gens = [
-            _perm_mul(_transposition(m, i), _transposition(m, m - 2 - i))
-            if i < n - 1
-            else _transposition(m, n - 1)
-            for i in range(n)
-        ]
-    elif kind == "C":
-        m = 2 * n + 1
-        gens = []
-        for i in range(n - 1):
-            gens.append(_perm_mul(_transposition(m, i), _transposition(m, m - 2 - i)))
-        sm = _perm_mul(
-            _transposition(m, n - 1),
-            _perm_mul(_transposition(m, n), _transposition(m, n - 1)),
-        )
-        gens.append(sm)
-    else:
-        raise ValueError("kind must be B or C")
-    img = tuple(range(m))
-    for i in w.word:
-        img = _perm_mul(img, gens[i])
-    return img
-
-
-def is_centro_symmetric(perm: tuple[int, ...]) -> bool:
-    m = len(perm)
-    return all(perm[i] + perm[m - 1 - i] == m - 1 for i in range(m))

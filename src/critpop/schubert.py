@@ -2,9 +2,9 @@
 population counts.
 
 LR expansions are computed by explicit lattice-word tableau
-enumeration; a brute-force weight-multiplicity oracle (Kostka counts fed
-through an alternating Weyl sum) provides the independent cross-check,
-and a lex Groebner basis in shape position delivers exact critical-point
+enumeration; the tests cross-check them against a brute-force
+weight-multiplicity oracle (Kostka counts fed through an alternating Weyl
+sum), and a lex Groebner basis in shape position delivers exact critical-point
 counts at rank one.  That count works on sympy's sparse polynomial rings
 over QQ (`sympy.polys.rings`, `groebnertools.groebner`), never on symbolic
 expressions, and evaluates the bad locus (the discriminant times y at the
@@ -14,8 +14,6 @@ user of sympy, which it imports when called.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
 from math import prod
 
 from .core import ProblemInstance, _lambda_inf
@@ -107,81 +105,6 @@ def multiplicity_bound(pi_a: ProblemInstance, lam_inf: Weight) -> int:
         return 0
     target = tuple(x + shift for x in target_min)
     return acc.get(tuple(x for x in target if x), 0)
-
-
-@lru_cache(maxsize=None)
-def _kostka_weights(lam: Partition, n1: int) -> dict[tuple[int, ...], int]:
-    """All weight multiplicities of the gl_{n1} module lam, by SSYT count."""
-    lam = tuple(x for x in lam if x)
-    out: dict[tuple[int, ...], int] = {}
-    if not lam:
-        return {(0,) * n1: 1}
-    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
-
-    def rec(idx: int, tab: dict, content: list[int]):
-        if idx == len(cells):
-            out_key = tuple(content)
-            out[out_key] = out.get(out_key, 0) + 1
-            return
-        i, j = cells[idx]
-        lo = 1
-        if j > 0:
-            lo = max(lo, tab[(i, j - 1)])
-        if i > 0:
-            lo = max(lo, tab[(i - 1, j)] + 1)
-        for v in range(lo, n1 + 1):
-            tab[(i, j)] = v
-            content[v - 1] += 1
-            rec(idx + 1, tab, content)
-            content[v - 1] -= 1
-        tab.pop((i, j), None)
-
-    rec(0, {}, [0] * n1)
-    return out
-
-
-def multiplicity_oracle(pi_a: ProblemInstance, lam_inf: Weight) -> int:
-    """Independent multiplicity computation: convolve weight multiplicities
-    of the factors, then take the alternating Weyl sum over the shifted
-    orbit of the target (brute force, desk scale)."""
-    rd = pi_a.rd
-    n1 = rd.rank + 1
-    conv: dict[tuple[int, ...], int] = {(0,) * n1: 1}
-    for w in pi_a.weights:
-        lam = weight_to_partition(w)
-        table = _kostka_weights(tuple(x for x in lam if x), n1)
-        nxt: dict[tuple[int, ...], int] = {}
-        for base, m1 in conv.items():
-            for mu, m2 in table.items():
-                key = tuple(b + x for b, x in zip(base, mu))
-                nxt[key] = nxt.get(key, 0) + m1 * m2
-        conv = nxt
-    total = sum(next(iter(conv))) if conv else 0
-    target_min = weight_to_partition(lam_inf)
-    shift, rem = divmod(total - sum(target_min), n1)
-    if rem or shift < 0:
-        return 0
-    target = [x + shift for x in target_min]
-    rho = list(range(n1 - 1, -1, -1))
-    result = 0
-    for perm in permutations(range(n1)):
-        sign = _perm_sign(perm)
-        shifted = [0] * n1
-        tr = [target[i] + rho[i] for i in range(n1)]
-        for pos, src in enumerate(perm):
-            shifted[pos] = tr[src] - rho[pos]
-        key = tuple(shifted)
-        result += sign * conv.get(key, 0)
-    return result
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 # -- exact rank-one counting ------------------------------------------------------

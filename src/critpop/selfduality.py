@@ -3,13 +3,15 @@
 A framing is the tuple T_1..T_N built from the exponent gaps of the space
 at its finite ramification points, with prod_j T_j^(N+1-j) matching the
 Wronskian of a basis; it has the type of `ProblemInstance.ts` and is
-passed to `divided_wronskian` and `generating_morphism` as it is.  For a
+passed to `divided_wronskians` and `generating_morphism` as it is.  For a
 selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
 v = W+(w_1..w_N), is evaluated exactly.  A `SelfdualSpace` holds the space,
 its framing and its Gram matrix, computed once when it is built.  `gram`
-is the one selfduality certificate: one elimination gives the coordinates
-of every basis vector in the omitted divided Wronskians, and it raises
-`NotSelfdual` unless the space equals its dual.
+is the one selfduality certificate: one Laplace expansion gives the full
+and the N+1 omitted divided Wronskians, one elimination gives the
+coordinates of every basis vector in the omitted ones, and it raises
+`NotSelfdual` unless the space equals its dual.  `quasi_witt_basis` takes
+its prefix and omitted Wronskians from one expansion too.
 
 The isotropic layer runs over Z.  The Gram matrix is integer numerators
 over one denominator, the layout of `Poly`, and so is every coordinate
@@ -36,7 +38,8 @@ from typing import NamedTuple
 
 from .errors import ConstructionFailed, NotConstant, NotSelfdual
 from .fundamental import Flag, PolySpace, degree_flag, exponents
-from .poly import ONE, ZERO, Poly, QVec, _qvec, divided_wronskian, solve_combination, wronskian
+from .poly import (ONE, ZERO, Poly, QVec, _qvec, divided_wronskians, solve_combination, t_ladder,
+                   wronskian)
 
 
 # -- scalars in a quadratic extension -----------------------------------------
@@ -65,10 +68,6 @@ class QuadExt:
         )
 
     __rmul__ = __mul__
-
-    def square(self) -> Fraction | None:
-        sq = self * self
-        return sq.a if sq.b == 0 else None
 
     def is_rational(self) -> bool:
         return self.b == 0
@@ -142,16 +141,9 @@ def framing_of(space: PolySpace, points) -> tuple[Poly, ...]:
             gap = e[i + 1] - e[i] - 1
             if gap:
                 ts[i] = ts[i] * Poly([-z, 1]) ** gap
-    check = ONE
-    for j, t in enumerate(ts):
-        check = check * t ** (n - j)
-    if check.monic() != w.monic():
+    if t_ladder(ts, n + 1)[-1].monic() != w.monic():
         raise ConstructionFailed("framing does not reproduce the Wronskian")
     return tuple(ts)
-
-
-def _omit(items, i):
-    return [items[k] for k in range(len(items)) if k != i]
 
 
 # -- canonical bilinear form ---------------------------------------------------
@@ -208,10 +200,12 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
     diag((-1)^i c) C^T with c != 0.
     """
     n1 = space.dim
-    c = _constant_of(divided_wronskian(space.basis, framing), "full divided Wronskian")
+    full = (1 << n1) - 1
+    w, *wjs = divided_wronskians(space.basis, [full] + [full ^ (1 << j) for j in range(n1)],
+                                 framing)
+    c = _constant_of(w, "full divided Wronskian")
     if c == 0:
         raise ConstructionFailed("degenerate basis")
-    wjs = [divided_wronskian(_omit(space.basis, j), framing) for j in range(n1)]
     _, kernel = solve_combination(wjs + [-u for u in space.basis], ZERO)
     if [v[n1:] for v in kernel] != [[int(i == k) for i in range(n1)] for k in range(n1)]:
         raise NotSelfdual("space is not selfdual; Gram undefined")
@@ -295,10 +289,13 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     every omitted divided Wronskian is an exact multiple of the partner
     element.
     """
-    n1, framing = sd.dim, sd.framing
+    n1, full = sd.dim, (1 << sd.dim) - 1
     u, _ = antidiagonal_basis(sd, degree_flag(sd.space))
     q = [sd.space.member(v) for v in u][::-1]
-    prefix = [divided_wronskian(q[:i], framing) for i in range(n1)]  # W+(q_1..q_i)
+    # W+(q_1..q_i) for i < N+1, then W+ of q without q_i for i <= N
+    ws = divided_wronskians(q, [(1 << i) - 1 for i in range(n1)]
+                            + [full ^ (1 << i) for i in range(n1 - 1)], sd.framing)
+    prefix, omitted = ws[:n1], ws[n1:] + ws[n1 - 1:n1]
     if any(w.is_zero() for w in prefix):
         raise ConstructionFailed("vanishing flag Wronskian")
     ratios = []
@@ -309,9 +306,7 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
             raise ConstructionFailed("mirrored Wronskian relation failed")
         ratios.append(ratio)
     gammas = []
-    for i in range(1, n1 + 1):
-        w = prefix[n1 - 1] if i == n1 else divided_wronskian(_omit(q, i - 1), framing)
-        partner = q[n1 - i]
+    for w, partner in zip(omitted, q[::-1]):
         ratio = w.leading() / partner.leading()
         if w != ratio * partner:
             raise ConstructionFailed("omitted Wronskian is not a partner multiple")

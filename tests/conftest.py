@@ -8,8 +8,7 @@ from critpop.core import ProblemInstance, is_generic, monic_tuple
 from critpop.errors import ConstructionFailed, NotDivisible
 from critpop.fundamental import span
 from critpop.poly import ONE, ZERO, Poly, divided_wronskian, gcd, solve_linear
-from critpop.roots import root_data
-from critpop.selfduality import _omit
+from critpop.roots import WeylElement, root_data
 
 
 def instance(code, weights=(), points=()):
@@ -283,3 +282,100 @@ def is_selfdual(space, framing):
         return dual_space(space, framing) == space
     except (NotDivisible, ConstructionFailed):
         return False
+
+
+def quad_square(q):
+    """q * q for a `QuadExt` q, as a Fraction when it is rational, else None."""
+    sq = q * q
+    return sq.a if sq.b == 0 else None
+
+
+def _omit(items, i):
+    return [items[k] for k in range(len(items)) if k != i]
+
+
+# -- Bruhat cells and the folded Weyl groups: test certificates of the
+# flag-variety picture, with no caller in the library.
+
+
+def bruhat_index(space, flag):
+    """Permutation of the flag against the degree flag, plus its position
+    profile (the minimal echelon level of each successive quotient).
+
+    Returns (w, degs) where w is 1-based one-line notation: w_j is the
+    level of the degree flag first containing the j-th flag step, and
+    degs[j] the matching realized degree (a `Flag` basis is reduced).
+    """
+    pos_of_degree = {d: k + 1 for k, d in enumerate(space.degrees())}
+    levels = tuple(int(p.degree) for p in flag.basis)
+    return tuple(pos_of_degree[d] for d in levels), levels
+
+
+def perm_to_weyl(rd, perm):
+    """A_N Weyl element of a 1-based one-line permutation.
+
+    Simple transpositions (i, i+1) correspond to the generating
+    reflections, so a bubble-sort decomposition gives a reduced word.
+    """
+    p = list(perm)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(p) - 1):
+            if p[j] > p[j + 1]:
+                p[j], p[j + 1] = p[j + 1], p[j]
+                swaps.append(j)
+                changed = True
+    return WeylElement(rd, tuple(swaps))
+
+
+def _perm_mul(p, q):
+    """(p q)(i) = p(q(i)); one-line notation over range(n)."""
+    return tuple(p[q[i]] for i in range(len(p)))
+
+
+def _transposition(n, i):
+    p = list(range(n))
+    p[i], p[i + 1] = p[i + 1], p[i]
+    return tuple(p)
+
+
+def folded_weyl_embed(kind, rank, w):
+    """Image of a B_N/C_N Weyl element in the folded symmetric group.
+
+    B_N embeds in S^2N via s_i -> s_i s_{2N-i}, s_N -> s_N; C_N embeds in
+    S^(2N+1) via s_i -> s_i s_{2N-i}, s_N -> s_N s_{N+1} s_N.  Images are
+    exactly the centro-symmetric permutations (w_i + w_{m+1-i} = m + 1 in
+    1-based terms).
+    """
+    n = rank
+    if kind == "B":
+        m = 2 * n
+        gens = [
+            _perm_mul(_transposition(m, i), _transposition(m, m - 2 - i))
+            if i < n - 1
+            else _transposition(m, n - 1)
+            for i in range(n)
+        ]
+    elif kind == "C":
+        m = 2 * n + 1
+        gens = []
+        for i in range(n - 1):
+            gens.append(_perm_mul(_transposition(m, i), _transposition(m, m - 2 - i)))
+        sm = _perm_mul(
+            _transposition(m, n - 1),
+            _perm_mul(_transposition(m, n), _transposition(m, n - 1)),
+        )
+        gens.append(sm)
+    else:
+        raise ValueError("kind must be B or C")
+    img = tuple(range(m))
+    for i in w.word:
+        img = _perm_mul(img, gens[i])
+    return img
+
+
+def is_centro_symmetric(perm):
+    m = len(perm)
+    return all(perm[i] + perm[m - 1 - i] == m - 1 for i in range(m))

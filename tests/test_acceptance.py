@@ -19,14 +19,12 @@ from critpop.core import (
 )
 from critpop.fundamental import (
     Flag,
-    bruhat_index,
     exponents,
     expected_exponents_finite,
     expected_exponents_infinity,
     flag_from_tuple,
     fundamental_space,
     generating_morphism,
-    perm_to_weyl,
     pluecker_check,
     verify_dp,
 )
@@ -35,7 +33,8 @@ from critpop.reproduction import explore_population, is_fertile, weyl_degree_map
 from critpop.roots import dominant_representative, shifted_action
 from critpop.schubert import lr_expand, population_count_report
 from critpop.selfduality import is_isotropic, quasi_witt_basis
-from conftest import hook_content_dim, instance, is_selfdual, random_generic_tuple, seeded_points
+from conftest import (bruhat_index, hook_content_dim, instance, is_selfdual, perm_to_weyl,
+                      random_generic_tuple, seeded_points)
 
 
 def report(num, name, ok):

@@ -19,9 +19,9 @@ from critpop.errors import ConstructionFailed, NotFertile
 from critpop.fundamental import fundamental_space
 from critpop.poly import ONE, X, Poly, QVec
 from critpop.reproduction import explore_population, is_fertile, param_candidates, weyl_degree_map
-from critpop.roots import dominant_representative, folded_weyl_embed, is_centro_symmetric
+from critpop.roots import dominant_representative
 from critpop.selfduality import is_isotropic, quasi_witt_basis
-from conftest import instance, is_selfdual
+from conftest import folded_weyl_embed, instance, is_centro_symmetric, is_selfdual
 
 B2 = instance("B2")
 C2 = instance("C2")

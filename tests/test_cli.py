@@ -42,6 +42,16 @@ def run(args):
     return main(args)
 
 
+# the stress instances: (name, config, first 16 hex digits of the SHA-256 of
+# the seed-0 `selfdual --samples 5` stdout)
+STRESS = [
+    ("B4", {"root_system": "B4", "weights": [], "points": []}, "9c1f964ce61c49b5"),
+    ("C4", {"root_system": "C4", "weights": [], "points": []}, "66e958ff92fa1f85"),
+    ("C3w", {"root_system": "C3", "weights": [[0, 1, 0], [1, 0, 0]], "points": ["0", "-1"]},
+     "b0f11be581b7604e"),
+]
+
+
 class TestVerify:
     def test_critical_tuple(self, sl2_cfg, capsys):
         assert run(["verify", "--config", sl2_cfg]) == 0
@@ -268,12 +278,7 @@ class TestSelfdual:
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
         assert calls and len(calls) == len(set(calls))
 
-    @pytest.mark.parametrize("name, cfg, digest", [
-        ("B4", {"root_system": "B4", "weights": [], "points": []}, "9c1f964ce61c49b5"),
-        ("C4", {"root_system": "C4", "weights": [], "points": []}, "66e958ff92fa1f85"),
-        ("C3w", {"root_system": "C3", "weights": [[0, 1, 0], [1, 0, 0]], "points": ["0", "-1"]},
-         "b0f11be581b7604e"),
-    ], ids=["B4", "C4", "C3w"])
+    @pytest.mark.parametrize("name, cfg, digest", STRESS, ids=[job[0] for job in STRESS])
     def test_rank_four_stress_output(self, tmp_path, name, cfg, digest):
         """`--samples 5` on the stress instances in a fresh interpreter prints
         the pinned output: the largest Kronecker exponents, Wronskian orders
@@ -288,6 +293,20 @@ class TestSelfdual:
         )
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout).hexdigest()[:16] == digest
+
+    def test_operator_prediction_holds(self, tmp_path, monkeypatch, capsys):
+        """The operator's predicted divisor divides every fold of the four
+        benchmark `selfdual` jobs and of the stress jobs: the gcd loop of
+        `_operator_factors` never runs."""
+        jobs = [["fundamental", "--config", write_cfg(tmp_path, "a3w.json", A3W_686)]] + [
+            ["selfdual", "--config", write_cfg(tmp_path, f"{name}.json", cfg), "--samples", "5"]
+            for name, cfg in [(c, {"root_system": c, "weights": [], "points": []})
+                              for c in ("B2", "C2", "B3")] + [job[:2] for job in STRESS]]
+        built = count_calls(monkeypatch, fundamental, "_operator_factors")
+        fallbacks = count_calls(monkeypatch, fundamental, "_gcd_fold")
+        for argv in jobs:
+            assert run([*argv, "--seed", "0"]) == 0
+        assert len(built) >= len(jobs) and fallbacks == []
 
     def test_folded_instance_built_once(self, tmp_path, monkeypatch, capsys):
         # the folded instance is cached across runs, so only repeats are counted

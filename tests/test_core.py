@@ -242,7 +242,7 @@ def bethe_residual(pi, roots):
         for a, t in enumerate(ts):
             acc = 0.0
             for lam, z in zip(pi.weights, zs):
-                acc -= pi.rd.weight_alpha_scalar(lam, i) / (t - z)
+                acc -= pi.rd.d[i] * lam[i] / (t - z)
             for j, us in enumerate(roots):
                 scal = pi.rd.alpha_scalar(j, i)
                 if j == i:

@@ -8,7 +8,6 @@ from critpop.errors import NotInImage
 from critpop.fundamental import (
     Flag,
     PolySpace,
-    bruhat_index,
     degree_flag,
     exponents,
     expected_exponents_finite,
@@ -16,7 +15,6 @@ from critpop.fundamental import (
     flag_from_tuple,
     fundamental_space,
     generating_morphism,
-    perm_to_weyl,
     pluecker_check,
     schubert_index_finite,
     schubert_index_infinity,
@@ -25,12 +23,13 @@ from critpop.fundamental import (
     _apply_factored_operator,
     _operator_factors,
 )
-from critpop import poly
+from critpop import fundamental, poly
 from critpop.bc import bc_fundamental_space, fold, folded_instance
 from critpop.poly import ONE, X, Poly, QVec, _zpoly, wronskian
 from critpop.reproduction import explore_population
 from critpop.roots import dominant_representative, shifted_action
-from conftest import A3W, A3W_686, count_calls, euclid_gcd, instance, random_monic
+from conftest import (A3W, A3W_686, bruhat_index, count_calls, euclid_gcd, instance, perm_to_weyl,
+                      random_monic)
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
 SL3 = instance("A2")
@@ -143,6 +142,32 @@ class TestDPInvariance:
             ns, den = reference_composition(pi, y)
             assert den.monic() == ns[-1].monic() == Poly(op[-1]).monic()
             assert op[-1] == _zpoly(wronskian(V.basis))
+
+
+    @pytest.mark.parametrize("case", ["SL3", "A3W", "B2"])
+    @pytest.mark.parametrize("wrong", [slice(None), slice(1, 2)], ids=["every", "first"])
+    def test_wrong_prediction_falls_back(self, case, wrong, monkeypatch):
+        """Ladder entries times x - 7, all of them or L_1 only, make the
+        folds that read them miss, and each miss divides out the gcd
+        instead: the same operator and verdicts, and one fallback per miss."""
+        cases = operator_cases(case)
+        want = [_operator_factors(pi, y) for pi, y, _ in cases]
+        ladder = fundamental.t_ladder
+
+        def wrong_ladder(ts, s):
+            out = ladder(ts, s)
+            out[wrong] = [p * Poly([-7, 1]) for p in out[wrong]]
+            return out
+
+        monkeypatch.setattr(fundamental, "t_ladder", wrong_ladder)
+        fallbacks = count_calls(monkeypatch, fundamental, "_gcd_fold")
+        for (pi, y, V), op in zip(cases, want):
+            got = _operator_factors(pi, y)
+            assert got == op
+            assert verify_dp(pi, [V], y)
+            assert not _apply_factored_operator(got, V.basis[0] * X).is_zero()
+        misses = sum(len(op) - 1 for op in want) if wrong == slice(None) else len(want)
+        assert len(fallbacks) == 2 * misses
 
 
 def reference_operator(pi, y, u):

@@ -13,6 +13,8 @@ from critpop.poly import (
     X,
     ZERO,
     Poly,
+    _zexact,
+    _zmul,
     divided_wronskian,
     gcd,
     identity_suite,
@@ -20,6 +22,7 @@ from critpop.poly import (
     solve_combination,
     solve_linear,
     wronskian,
+    wronskian_minors,
 )
 from conftest import (euclid_gcd, fraction_divmod, fraction_shift, fraction_solve_combination,
                       fraction_str, fraction_to_text, from_roots, is_squarefree,
@@ -252,6 +255,26 @@ class TestWronskian:
         if extra == "dependent":
             assert w.is_zero()
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(wr_polys, st.just(ZERO), wr_coeffs.map(lambda c: Poly([c]))),
+                    max_size=5))
+    @example([ZERO, X, X * X])
+    @example([BIG, ZERO, X5_1, ONE])
+    def test_minors_match_sublist_wronskians(self, gs):
+        """Every mask's minor from one expansion is `wronskian` of that
+        sublist, in row order, with zero and constant rows among the
+        draws."""
+        masks = list(range(1 << len(gs)))
+        want = [wronskian([g for i, g in enumerate(gs) if m >> i & 1]) for m in masks]
+        assert wronskian_minors(gs, masks) == want
+
+    def test_minors_beside_a_zero_row(self):
+        """A zero row's 1-norm is 0; read as a factor 0 of the Kronecker
+        bound it would shrink the exponent for the minors without that row,
+        and W(x, x^2) = x^2 would be read back wrong."""
+        assert wronskian_minors([ZERO, X, X * X], [0b110, 0b010, 0b111, 0]) == [
+            X * X, X, ZERO, ONE]
+
     @settings(max_examples=40, deadline=None)
     @given(coeffs, coeffs, coeffs)
     def test_alternating_and_linear(self, a, b, c):
@@ -287,6 +310,21 @@ class TestDividedWronskian:
             except NotDivisible:
                 continue
             assert dw * ts[0] ** 2 * ts[1] == wronskian(us)
+
+
+class TestExactQuotient:
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs, coeffs.filter(any), coeffs)
+    def test_quotient_or_none(self, a, b, r):
+        """`_zexact(a b + r, b)` is a for r = 0 and None for a nonzero r of
+        lower degree than b."""
+        a, b = list(Poly(a).num), list(Poly(b).num)
+        r = list(Poly(r[:len(b) - 1]).num)
+        assert _zexact(list((Poly(_zmul(a, b)) + Poly(r)).num), b) == (None if r else a)
+
+    def test_content_must_divide(self):
+        """2 + 4x divides 3 + 6x over Q but not over Z."""
+        assert _zexact([3, 6], [2, 4]) is None and _zexact([2, 4], [1, 2]) == [2]
 
 
 class TestSqrt:

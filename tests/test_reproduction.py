@@ -224,7 +224,7 @@ class TestDegreeVectorToWeyl:
     def test_longest(self):
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
         w = weyl_degree_map(SL3, lam0, 2).get((2, 2))
-        assert w is not None and w.length == 3
+        assert w is not None and len(w.word) == 3
 
     def test_cone_violation(self):
         lam0 = weight_at_infinity(SL3, (ONE, ONE))

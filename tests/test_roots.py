@@ -9,14 +9,13 @@ from critpop.roots import (
     enumerate_weyl,
     fold_weight_B,
     fold_weight_C,
-    folded_weyl_embed,
     generator,
     identity_element,
-    is_centro_symmetric,
     reflect,
     root_data,
     shifted_action,
 )
+from conftest import folded_weyl_embed, is_centro_symmetric
 
 
 def test_cartan_tables():
@@ -99,7 +98,7 @@ def test_dominant_walk_takes_longest_word(code, longest, k):
     rd = root_data(code)
     lam = (-k - 2,) * rd.rank
     dom, w = dominant_representative(rd, lam)
-    assert w.length == longest
+    assert len(w.word) == longest
     assert shifted_action(rd, w, lam) == dom
 
 

@@ -2,6 +2,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 import sympy
@@ -17,7 +19,6 @@ from critpop.schubert import (
     count_critical_sl2,
     lr_expand,
     multiplicity_bound,
-    multiplicity_oracle,
     population_count_report,
     weight_to_partition,
 )
@@ -244,6 +245,85 @@ class TestLR:
         assert hook_content_dim((1,), 3) == 3
         assert hook_content_dim((1, 1, 1), 3) == 1
         assert hook_content_dim((2, 1), 3) == 8
+
+
+# The Kostka/Weyl-sum multiplicity oracle: independent of `lr_expand`, it
+# cross-checks `multiplicity_bound`.
+
+
+@lru_cache(maxsize=None)
+def _kostka_weights(lam, n1):
+    """All weight multiplicities of the gl_{n1} module lam, by SSYT count."""
+    lam = tuple(x for x in lam if x)
+    out: dict[tuple[int, ...], int] = {}
+    if not lam:
+        return {(0,) * n1: 1}
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+
+    def rec(idx: int, tab: dict, content: list[int]):
+        if idx == len(cells):
+            out_key = tuple(content)
+            out[out_key] = out.get(out_key, 0) + 1
+            return
+        i, j = cells[idx]
+        lo = 1
+        if j > 0:
+            lo = max(lo, tab[(i, j - 1)])
+        if i > 0:
+            lo = max(lo, tab[(i - 1, j)] + 1)
+        for v in range(lo, n1 + 1):
+            tab[(i, j)] = v
+            content[v - 1] += 1
+            rec(idx + 1, tab, content)
+            content[v - 1] -= 1
+        tab.pop((i, j), None)
+
+    rec(0, {}, [0] * n1)
+    return out
+
+
+def multiplicity_oracle(pi_a, lam_inf):
+    """Independent multiplicity computation: convolve weight multiplicities
+    of the factors, then take the alternating Weyl sum over the shifted
+    orbit of the target (brute force, desk scale)."""
+    rd = pi_a.rd
+    n1 = rd.rank + 1
+    conv: dict[tuple[int, ...], int] = {(0,) * n1: 1}
+    for w in pi_a.weights:
+        lam = weight_to_partition(w)
+        table = _kostka_weights(tuple(x for x in lam if x), n1)
+        nxt: dict[tuple[int, ...], int] = {}
+        for base, m1 in conv.items():
+            for mu, m2 in table.items():
+                key = tuple(b + x for b, x in zip(base, mu))
+                nxt[key] = nxt.get(key, 0) + m1 * m2
+        conv = nxt
+    total = sum(next(iter(conv))) if conv else 0
+    target_min = weight_to_partition(lam_inf)
+    shift, rem = divmod(total - sum(target_min), n1)
+    if rem or shift < 0:
+        return 0
+    target = [x + shift for x in target_min]
+    rho = list(range(n1 - 1, -1, -1))
+    result = 0
+    for perm in permutations(range(n1)):
+        sign = _perm_sign(perm)
+        shifted = [0] * n1
+        tr = [target[i] + rho[i] for i in range(n1)]
+        for pos, src in enumerate(perm):
+            shifted[pos] = tr[src] - rho[pos]
+        key = tuple(shifted)
+        result += sign * conv.get(key, 0)
+    return result
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
 
 
 class TestMultiplicity:
