@@ -17,7 +17,8 @@ L = (1/D) sum_j n_j d^j with D = n_{N+1}, which the Frobenius-Polya
 factorization identifies with W(V) (G. Polya, Trans. AMS 24 (1922)), and
 each basis vector then costs one sum and one gcd.  The same ladder
 predicts the denominator of each partial composition, so a fold is
-exact quotients by the previous one, with no gcd.
+exact quotients by the previous one, with no gcd; a quotient that is not
+exact shows that the operator annihilates no full polynomial space.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .core import (
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotDivisible, NotInImage
-from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zexact, _zgcd, _zmul, _zpoly, _zprimitive,
-                   _zquo, _zscaled, _zsub, divided_wronskian, divided_wronskians, solve_combination,
+from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo,
+                   _zscaled, _zsub, divided_wronskian, divided_wronskians, solve_combination,
                    t_ladder, wronskian_minors)
 from .reproduction import immediate_descendants, _sample_generic
 from .roots import dominant_representative
@@ -173,7 +174,7 @@ def fundamental_space(pi: ProblemInstance, y: TupleY) -> PolySpace:
     y = monic_tuple(y)
     n = pi.rd.rank
     us = [_basis_vector(pi, y, k) for k in range(1, n + 2)]
-    ladder = t_ladder(pi.ts, n + 1)
+    ladder = t_ladder(pi.ts)
     prefixes = wronskian_minors(us, [(1 << i) - 1 for i in range(1, n + 2)])
     for i, w in enumerate(prefixes, 1):
         expected = (y[i - 1] if i <= n else ONE) * ladder[i]
@@ -329,55 +330,39 @@ def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool
         return False
     if member is not None:
         op = _operator_factors(pi, member)
-        return all(_apply_factored_operator(op, u).is_zero() for u in first.basis)
+        return op is not None and all(_apply_factored_operator(op, u).is_zero()
+                                      for u in first.basis)
     return True
 
 
-def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[list[int]]:
+def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[list[int]] | None:
     """The order-(N+1) operator of y, composed once: integer polynomials
-    n_0..n_{N+1} with no common factor and L = (1/n_{N+1}) sum_j n_j d^j.
+    n_0..n_{N+1} with no common factor and L = (1/n_{N+1}) sum_j n_j d^j,
+    or None if L has no polynomial kernel of dimension N+1.
 
     L is the product of N+1 monic first-order factors d - R'/R, the k-th
-    (k = 0..N, rightmost first) with R = a/b = y_{k+1} T_1...T_k / y_k,
+    (k = 0..N, rightmost first) with R = y_{k+1} T_1...T_k / y_k,
     y_0 = y_{N+1} = 1.  Folded in from the right, a factor maps
     (1/D) sum_j n_j d^j to (1/P) sum_j ((n_j' + n_{j-1}) P - n_j P')/D d^j
-    for P = D R.  By Frobenius-Polya the partial operator is
-    f -> W(u_1..u_{k+1}, f)/W_{k+1}, and W_{k+1} ~ y_{k+1} L_{k+1} is the
-    ladder of `t_ladder`.  So P = prim(y_{k+1} L_{k+1}) is predicted from y
-    alone; where P b = D a, that is P = D R, each new n_j is an exact
-    quotient by D, which `_zexact` checks.  On a miss `_gcd_fold` folds
-    over D^2 ab and divides out a gcd instead.  n_{N+1} ends as the
-    primitive associate of W(V) for the kernel V.
+    for P ~ D R, and D R ~ y_{k+1} L_{k+1} for the ladder of `t_ladder`,
+    so P = prim(y_{k+1} L_{k+1}) is read from y alone.  If L annihilates
+    an (N+1)-dimensional polynomial space V, every partial operator is
+    f -> W(u_1..u_{k+1}, f)/W_{k+1} for a flag u of V (Frobenius-Polya),
+    with polynomial numerators and W_{k+1} ~ P, so each new n_j is an exact
+    quotient by the primitive D, which `_zquo` checks; a miss returns None.
+    n_{N+1} ends as the primitive associate of W(V).
     """
-    zs = [[1], *(_zpoly(p) for p in y), [1]]
-    ladder = t_ladder(pi.ts, len(zs) - 1)
-    ns, tprod = [[1]], [1]
-    for b, c, t, lad in zip(zs, zs[1:], [*pi.ts, ONE], ladder[1:]):
-        a, d, p = _zmul(c, tprod), ns[-1], _zmul(c, _zpoly(lad))
+    zs = [_zpoly(p) for p in y] + [[1]]
+    ns = [[1]]
+    for c, lad in zip(zs, t_ladder(pi.ts)[1:]):
+        d, p = ns[-1], _zmul(c, _zpoly(lad))
         dp = _zderiv(p)
-        low = [_zexact(_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), p), _zmul(n, dp)), d)
-               for prev, n in zip([[], *ns], ns)] if _zmul(p, b) == _zmul(d, a) else None
-        ns = _gcd_fold(ns, a, b) if low is None or None in low else [*low, p]
-        tprod = _zmul(tprod, _zpoly(t))
+        ns = [_zquo(_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), p), _zmul(n, dp)), d)
+              for prev, n in zip([[], *ns], ns)]
+        if None in ns:
+            return None
+        ns.append(p)
     return ns
-
-
-def _gcd_fold(ns: list[list[int]], a: list[int], b: list[int]) -> list[list[int]]:
-    """One fold of `_operator_factors` when the ladder's prediction misses:
-    the factor d + v/(ab), v = ab' - a'b, maps (1/D) sum_j n_j d^j to
-    (1/(D^2 ab)) sum_j ((n_j' + n_{j-1}) D ab - n_j (D' ab - v D)) d^j, and
-    the primitive gcd of the new n_j is divided out."""
-    ab, v = _zmul(a, b), _zsub(_zmul(a, _zderiv(b)), _zmul(_zderiv(a), b))
-    d = ns[-1]
-    dab, e = _zmul(d, ab), _zsub(_zmul(_zderiv(d), ab), _zmul(v, d))
-    ns = [_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), dab), _zmul(n, e))
-          for prev, n in zip([[], *ns], [*ns, []])]
-    g = ns[-1]
-    for n in ns[:-1]:
-        if len(g) == 1:
-            break
-        g = _zgcd(g, n)
-    return [_zquo(n, g) for n in ns]
 
 
 def _apply_factored_operator(op, u: Poly) -> Poly:

@@ -20,7 +20,7 @@ denominators, and `divmod` pseudo-divides the numerators.  The private
 integer section (int lists, lowest degree first) serves the callers that
 want a result only up to a scalar: `gcd` runs a primitive remainder
 sequence there and returns the monic gcd, the factored-operator check in
-`fundamental` runs on it end to end (`_zexact` checks and takes its
+`fundamental` runs on it end to end (`_zquo` checks and takes its
 exact quotients in one pass), and `core.is_generic` and
 `core.heine_stieltjes_test` decide on primitive integer associates.
 `core.wronskian_rhs` and `reproduction.solve_wronskian_equation` read
@@ -45,6 +45,7 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as igcd
 from math import isqrt, lcm, prod
 from typing import NamedTuple
@@ -394,37 +395,21 @@ def _zprem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _zquo(a: list[int], b: list[int]) -> list[int]:
-    """Exact quotient a / b for a primitive divisor b of a; integral by
-    Gauss's lemma."""
+def _zquo(a: list[int], b: list[int]) -> list[int] | None:
+    """The q with a = q b over Z, or None if there is none: a check and a
+    division in one pass.  For a primitive b, None means b does not divide
+    a over Q either (Gauss's lemma)."""
     if b == [1]:
         return a
     r, db, lb = list(a), len(b) - 1, b[-1]
-    q = [0] * (len(a) - db)
+    q = [0] * max(0, len(a) - db)
     for k in range(len(q) - 1, -1, -1):
         c = r[k + db] // lb
         if c:
             q[k] = c
             for j, v in enumerate(b):
                 r[j + k] -= c * v
-    return q
-
-
-def _zexact(a: list[int], b: list[int]) -> list[int] | None:
-    """The q with a = q b over Z, or None if there is none: a check and a
-    division in one pass.  For a primitive b, None means b does not divide
-    a over Q either (Gauss's lemma)."""
-    r, db, lb = list(a), len(b) - 1, b[-1]
-    q = [0] * max(0, len(a) - db)
-    for k in range(len(q) - 1, -1, -1):
-        c, m = divmod(r[k + db], lb)
-        if m:
-            return None
-        if c:
-            q[k] = c
-            for j, v in enumerate(b):
-                r[j + k] -= c * v
-    return None if any(r[:db]) else q
+    return None if any(r) else q
 
 
 def _zgcd(a: list[int], b: list[int]) -> list[int]:
@@ -584,21 +569,23 @@ def wronskian(gs: Sequence[Poly]) -> Poly:
     return wronskian_minors(gs, [(1 << len(gs)) - 1])[0]
 
 
-def t_ladder(ts: Sequence[Poly], s: int) -> list[Poly]:
-    """[L_0, ..., L_s] with L_i = prod_{j<i} T_j^(i-j) (1-based j), the
-    divisor of an i-row divided Wronskian and, times y_i, the ladder
-    W(u_1..u_i) of a fundamental space; L_{i+1} = L_i T_1...T_i."""
+@lru_cache(maxsize=256)
+def t_ladder(ts: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """(L_0, ..., L_{m+1}), m = len(ts), with L_i = prod_{j<i} T_j^(i-j)
+    (1-based j): the divisor of an i-row divided Wronskian and, times y_i,
+    the ladder W(u_1..u_i) of a fundamental space; L_{i+1} = L_i T_1...T_i.
+    Memoized: an instance or a framing keeps one ts for all its Wronskians."""
     out, tp = [ONE, ONE], ONE
-    for t in ts[: s - 1]:
+    for t in ts:
         tp = tp * t
         out.append(out[-1] * tp)
-    return out[: s + 1]
+    return tuple(out)
 
 
 def divided_wronskians(gs: Sequence[Poly], masks: Sequence[int], ts: Sequence[Poly]) -> list[Poly]:
     """`wronskian_minors` of gs, each divided exactly by L_i of `t_ladder`,
     i its number of rows; raises NotDivisible on a nonzero remainder."""
-    ladder = t_ladder(ts, len(gs))
+    ladder = t_ladder(tuple(ts))
     return [w.exact_div(ladder[m.bit_count()]) for w, m in zip(wronskian_minors(gs, masks), masks)]
 
 

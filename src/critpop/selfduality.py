@@ -141,9 +141,10 @@ def framing_of(space: PolySpace, points) -> tuple[Poly, ...]:
             gap = e[i + 1] - e[i] - 1
             if gap:
                 ts[i] = ts[i] * Poly([-z, 1]) ** gap
-    if t_ladder(ts, n + 1)[-1].monic() != w.monic():
+    ts = tuple(ts)
+    if t_ladder(ts)[-1].monic() != w.monic():
         raise ConstructionFailed("framing does not reproduce the Wronskian")
-    return tuple(ts)
+    return ts
 
 
 # -- canonical bilinear form ---------------------------------------------------

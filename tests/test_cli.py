@@ -296,17 +296,18 @@ class TestSelfdual:
 
     def test_operator_prediction_holds(self, tmp_path, monkeypatch, capsys):
         """The operator's predicted divisor divides every fold of the four
-        benchmark `selfdual` jobs and of the stress jobs: the gcd loop of
-        `_operator_factors` never runs."""
+        benchmark `selfdual` jobs and of the stress jobs: `_operator_factors`
+        never returns None."""
         jobs = [["fundamental", "--config", write_cfg(tmp_path, "a3w.json", A3W_686)]] + [
             ["selfdual", "--config", write_cfg(tmp_path, f"{name}.json", cfg), "--samples", "5"]
             for name, cfg in [(c, {"root_system": c, "weights": [], "points": []})
                               for c in ("B2", "C2", "B3")] + [job[:2] for job in STRESS]]
-        built = count_calls(monkeypatch, fundamental, "_operator_factors")
-        fallbacks = count_calls(monkeypatch, fundamental, "_gcd_fold")
+        ops, compose = [], fundamental._operator_factors
+        monkeypatch.setattr(fundamental, "_operator_factors",
+                            lambda pi, y: ops.append(compose(pi, y)) or ops[-1])
         for argv in jobs:
             assert run([*argv, "--seed", "0"]) == 0
-        assert len(built) >= len(jobs) and fallbacks == []
+        assert len(ops) >= len(jobs) and None not in ops
 
     def test_folded_instance_built_once(self, tmp_path, monkeypatch, capsys):
         # the folded instance is cached across runs, so only repeats are counted

@@ -23,7 +23,7 @@ from critpop.fundamental import (
     _apply_factored_operator,
     _operator_factors,
 )
-from critpop import fundamental, poly
+from critpop import poly
 from critpop.bc import bc_fundamental_space, fold, folded_instance
 from critpop.poly import ONE, X, Poly, QVec, _zpoly, wronskian
 from critpop.reproduction import explore_population
@@ -145,29 +145,19 @@ class TestDPInvariance:
 
 
     @pytest.mark.parametrize("case", ["SL3", "A3W", "B2"])
-    @pytest.mark.parametrize("wrong", [slice(None), slice(1, 2)], ids=["every", "first"])
-    def test_wrong_prediction_falls_back(self, case, wrong, monkeypatch):
-        """Ladder entries times x - 7, all of them or L_1 only, make the
-        folds that read them miss, and each miss divides out the gcd
-        instead: the same operator and verdicts, and one fallback per miss."""
-        cases = operator_cases(case)
-        want = [_operator_factors(pi, y) for pi, y, _ in cases]
-        ladder = fundamental.t_ladder
-
-        def wrong_ladder(ts, s):
-            out = ladder(ts, s)
-            out[wrong] = [p * Poly([-7, 1]) for p in out[wrong]]
-            return out
-
-        monkeypatch.setattr(fundamental, "t_ladder", wrong_ladder)
-        fallbacks = count_calls(monkeypatch, fundamental, "_gcd_fold")
-        for (pi, y, V), op in zip(cases, want):
-            got = _operator_factors(pi, y)
-            assert got == op
-            assert verify_dp(pi, [V], y)
-            assert not _apply_factored_operator(got, V.basis[0] * X).is_zero()
-        misses = sum(len(op) - 1 for op in want) if wrong == slice(None) else len(want)
-        assert len(fallbacks) == 2 * misses
+    def test_outsider_tuple_has_no_operator(self, case):
+        """y_1 times x - 7 moves a tuple with a nonconstant entry off its
+        space: a fold of its operator is not an exact quotient, so
+        `_operator_factors` gives None and the verdict is False, while the
+        tuple itself, also scaled by 2, keeps its True verdict."""
+        cases = [(pi, y, V) for pi, y, V in operator_cases(case)
+                 if any(len(p.num) > 1 for p in y)]
+        assert cases
+        for pi, y, V in cases:
+            assert verify_dp(pi, [V], y) and verify_dp(pi, [V], tuple(p * 2 for p in y))
+            z = (y[0] * Poly([-7, 1]), *y[1:])
+            assert _operator_factors(pi, z) is None
+            assert not verify_dp(pi, [V], z)
 
 
 def reference_operator(pi, y, u):

@@ -13,8 +13,8 @@ from critpop.poly import (
     X,
     ZERO,
     Poly,
-    _zexact,
     _zmul,
+    _zquo,
     divided_wronskian,
     gcd,
     identity_suite,
@@ -316,15 +316,17 @@ class TestExactQuotient:
     @settings(max_examples=60, deadline=None)
     @given(coeffs, coeffs.filter(any), coeffs)
     def test_quotient_or_none(self, a, b, r):
-        """`_zexact(a b + r, b)` is a for r = 0 and None for a nonzero r of
+        """`_zquo(a b + r, b)` is a for r = 0 and None for a nonzero r of
         lower degree than b."""
         a, b = list(Poly(a).num), list(Poly(b).num)
         r = list(Poly(r[:len(b) - 1]).num)
-        assert _zexact(list((Poly(_zmul(a, b)) + Poly(r)).num), b) == (None if r else a)
+        assert _zquo(list((Poly(_zmul(a, b)) + Poly(r)).num), b) == (None if r else a)
 
     def test_content_must_divide(self):
-        """2 + 4x divides 3 + 6x over Q but not over Z."""
-        assert _zexact([3, 6], [2, 4]) is None and _zexact([2, 4], [1, 2]) == [2]
+        """2 + 4x divides 3 + 6x over Q but not over Z, and 1 + 2x leaves
+        1 + 3x a remainder only in its top coefficient."""
+        assert _zquo([3, 6], [2, 4]) is None and _zquo([2, 4], [1, 2]) == [2]
+        assert _zquo([1, 3], [1, 2]) is None
 
 
 class TestSqrt:
