@@ -25,7 +25,7 @@ from itertools import product
 from .errors import InvalidInstance, NotGeneric
 from .poly import (ONE, Poly, _zderiv, _zgcd, _zmul, _zpoly, _zprem, _zquo, _zscaled, _zsub,
                    parse_rational)
-from .roots import _T_DEGREE_CAP, RootData, Weight, root_data
+from .roots import _RANK_CAP, _T_DEGREE_CAP, RootData, Weight, root_data
 
 TupleY = tuple[Poly, ...]
 
@@ -57,14 +57,14 @@ class ProblemInstance:
     def __hash__(self):
         return hash((self.rd, self.weights, self.points))
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
     @staticmethod
     def from_config(cfg: dict) -> "ProblemInstance":
         try:
-            rd = root_data(cfg["root_system"])
+            code = cfg["root_system"]
+            rank = int(code[1:])
+            if rank > _RANK_CAP:  # refused before root_data builds an r x r Cartan matrix
+                raise InvalidInstance(f"rank is capped at {_RANK_CAP}, got {rank}")
+            rd = root_data(code)
         except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise InvalidInstance(f"bad root_system: {exc}") from exc
         weights = cfg.get("weights", [])

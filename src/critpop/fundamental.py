@@ -2,10 +2,10 @@
 
 A `PolySpace` is kept in a canonical reduced echelon form (monic basis of
 strictly decreasing degrees, each fully reduced against the others), so
-space equality is plain basis equality.  One routine, `_reduce`, clears
-the pivot-degree coefficients of a polynomial against echelon rows; span
-construction, membership, flag canonicalization and completion use it,
-and exponents are echelon degrees.  A member's coordinates
+space equality is plain basis equality.  One routine, `poly._zrref`,
+reduces integer numerators for span construction, membership (a rank
+test) and flag canonicalization, and its pivot columns on the
+coefficients of p(x + z) are the exponents at z.  A member's coordinates
 are its numerators at the pivot degrees, a `QVec` over its denominator,
 and `member` maps them back by one integer combination.  The
 fundamental space of a critical tuple is built by the sibling recursion,
@@ -23,7 +23,6 @@ exact shows that the operator annihilates no full polynomial space.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import NamedTuple
@@ -36,21 +35,10 @@ from .core import (
 )
 from .errors import ConstructionFailed, NotDivisible, NotInImage
 from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo,
-                   _zscaled, _zsub, divided_wronskian, divided_wronskians, solve_combination,
-                   t_ladder, wronskian_minors)
+                   _zrref, _zscaled, _zsub, divided_wronskian, divided_wronskians,
+                   solve_combination, t_ladder, wronskian_minors)
 from .reproduction import immediate_descendants, _sample_generic
 from .roots import dominant_representative
-
-
-def _reduce(p: Poly, rows) -> Poly:
-    """Normal form of p against rows of distinct degrees: the coefficient at
-    every row's degree is cleared, highest first.  Zero iff p lies in the
-    span of the rows."""
-    for q in sorted(rows, key=lambda q: q.degree, reverse=True):
-        c = p[int(q.degree)]
-        if c:
-            p = p - c / q.leading() * q
-    return p
 
 
 class PolySpace:
@@ -75,7 +63,7 @@ class PolySpace:
         return sorted(int(p.degree) for p in self.basis)
 
     def contains(self, p: Poly) -> bool:
-        return _reduce(p, self.basis).is_zero()
+        return span([*self.basis, p]).dim == self.dim
 
     def coords(self, p: Poly) -> QVec | None:
         """Coordinates of p in the echelon basis, or None.
@@ -106,15 +94,13 @@ class PolySpace:
 
 
 def span(polys) -> PolySpace:
-    """Canonical reduced span of the given polynomials."""
-    rows: list[Poly] = []
-    for p in polys:
-        p = _reduce(p, rows)
-        if not p.is_zero():
-            rows.append(p.monic())
-    # clear each row's coefficients at the lower pivots
-    rows.sort(key=lambda q: q.degree, reverse=True)
-    return PolySpace(tuple(_reduce(q, rows[k + 1:]) for k, q in enumerate(rows)))
+    """Canonical reduced span of the given polynomials: the `_zrref` of
+    their numerators, columns from the highest degree down, each row over
+    its pivot entry, which is its leading coefficient."""
+    nums = [p.num for p in polys]
+    n = max(map(len, nums), default=0)
+    rows, pivots = _zrref([(0,) * (n - len(a)) + a[::-1] for a in nums])
+    return PolySpace(tuple(_zscaled(r[::-1], r[c]) for r, c in zip(rows, pivots)))
 
 
 class Flag(NamedTuple):
@@ -129,20 +115,22 @@ class Flag(NamedTuple):
 
     @staticmethod
     def from_basis(space: PolySpace, basis) -> "Flag":
-        canon: list[Poly] = []
+        """Element i is the row of span(basis[:i+1]) of the degree that
+        basis[i] adds to span(basis[:i])."""
+        canon, part = [], span([])
         for u in basis:
             if not space.contains(u):
                 raise ValueError("flag basis element outside the space")
-            red = _reduce(u, canon)
-            if red.is_zero():
+            old, part = part.degrees(), span([*part.basis, u])
+            if part.dim == len(old):
                 raise ValueError("flag basis is dependent")
-            canon.append(red.monic())
+            canon.append(next(b for b in part.basis if b.degree not in old))
         return Flag(space, tuple(canon))
 
 
 def degree_flag(space: PolySpace) -> Flag:
-    """The distinguished flag by increasing degree."""
-    return Flag.from_basis(space, sorted(space.basis, key=lambda p: p.degree))
+    """The distinguished flag by increasing degree: the echelon basis."""
+    return Flag(space, space.basis[::-1])
 
 
 # -- fundamental space --------------------------------------------------------
@@ -197,18 +185,16 @@ def fundamental_space(pi: ProblemInstance, y: TupleY) -> PolySpace:
 def exponents(space: PolySpace, at) -> list[int]:
     """Exponents of the space at a finite point or at infinity.
 
-    At a finite z these are the orders of vanishing realized by members;
-    at infinity ("inf") the realized degrees.  x^d p(z + 1/x) has degree
-    d - v when p vanishes to order v at z.
+    At a finite z these are the orders of vanishing realized by members:
+    the pivot columns of `_zrref` on the coefficients of p(x + z), lowest
+    degree first.  At infinity ("inf") they are the realized degrees.
     """
     if at == "inf":
         return space.degrees()
-    z, d = Fraction(at), max(space.degrees(), default=0)
-    rev = span(Poly((0,) * (d - int(p.degree)) + p.shift(z).coeffs[::-1])
-               for p in space.basis)
-    if rev.dim != space.dim:
+    _, pivots = _zrref([p.shift(at).num for p in space.basis])
+    if len(pivots) != space.dim:
         raise ConstructionFailed("dependent basis in exponent computation")
-    return sorted(d - e for e in rev.degrees())
+    return pivots
 
 
 def expected_exponents_finite(pi: ProblemInstance, s: int) -> list[int]:

@@ -5,13 +5,14 @@ of FLINT's `fmpq_poly`: `num` is a tuple of ints ordered from degree 0
 upward with no trailing zeros, and `den` is a positive int coprime to the
 content of `num`.  That form is canonical, so equality and hashing compare
 `(num, den)`; the zero polynomial is `((), 1)`.  The `Fraction`
-coefficients (`coeffs`, `p[k]`, `leading`) are made on demand.  This
-module is the arithmetic substrate for everything else: Wronskians,
-divided Wronskians, exact division, gcd, square roots and the linear
-solver that every solve over polynomial coefficients goes through.
+coefficients `p[k]` and `leading` are made on demand.  This module is
+the arithmetic substrate for everything else: Wronskians, divided
+Wronskians, exact division, gcd, square roots and the one elimination,
+`_zrref` over Z, that `solve_linear` and every span, membership, flag and
+exponent computation in `fundamental` go through.
 `QVec` keeps a rational vector in the same layout, and
-`solve_combination` hands that solver integer rows scaled to one common
-denominator.
+`solve_combination` hands `solve_linear` integer rows scaled to one
+common denominator.
 
 Every ring operation works on the numerators over Z and makes one
 canonical `Poly` at the end (`_zscaled`: one gcd and a sign fix).  Sums
@@ -81,11 +82,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     # -- basics ---------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, lowest degree first."""
-        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def degree(self):
@@ -423,6 +419,35 @@ def _zgcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
+def _zrref(rows) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free reduced row echelon form of int rows, padded with
+    zeros to one length: (pivot rows, pivot columns), in order.  Column c
+    is cleared from each other row r as (p[c]/g) r - (r[c]/g) p,
+    g = gcd(r[c], p[c]), against the pivot row p; a row that vanishes is
+    dropped, the others are made primitive.  Row i over its pivot entry is
+    row i of the rational RREF."""
+    n = max(map(len, rows), default=0)
+    done, rest, pivots = [], [[*r] + [0] * (n - len(r)) for r in rows if any(r)], []
+    for c in range(n):
+        k = next((i for i, r in enumerate(rest) if r[c]), None)
+        if k is None:
+            continue
+        p, cleared = rest.pop(k), []
+        for r in done + rest:
+            if r[c]:
+                g = igcd(r[c], p[c])
+                m, f = p[c] // g, r[c] // g
+                r = [m * u - f * v for u, v in zip(r, p)]
+                g = igcd(*r)  # 0 for a row that vanished: no content to take
+                if not g:
+                    continue
+                r = [u // g for u in r]
+            cleared.append(r)
+        done, rest = cleared[:len(done)] + [p], cleared[len(done):]
+        pivots.append(c)
+    return done, pivots
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0.  The monic gcd is unique, so taking it
     from the primitive gcd over Z gives exactly Euclid's answer over Q."""
@@ -457,45 +482,23 @@ def poly_sqrt(p: Poly) -> Poly | None:
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve A x = b exactly by Gaussian elimination.
+    """Solve A x = b exactly for int or Fraction entries: (particular
+    solution, kernel basis) as Fractions, or None if inconsistent.  `_zrref`
+    reduces [A | b], each row cleared of denominators by `QVec`; the
+    system is inconsistent iff b's column is a pivot."""
+    n = len(rows[0]) if rows else 0
+    red, pivots = _zrref([QVec.of([*row, b]).num for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n:
+        return None
 
-    Returns (particular_solution, kernel_basis) or None if inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n]:
-            return None
-    sol = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        sol[c] = a[i][n]
-    free = [c for c in range(n) if c not in pivots]
-    kernel = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            vec[c] = -a[i][f]
-        kernel.append(vec)
-    return sol, kernel
+    def vector(j, s):
+        # x_j = 1 if j < n, and x_c = s row[j] / row[c] from each pivot row
+        x = [Fraction(int(i == j)) for i in range(n)]
+        for row, c in zip(red, pivots):
+            x[c] = Fraction(s * row[j], row[c])
+        return x
+
+    return vector(n, 1), [vector(f, -1) for f in range(n) if f not in pivots]
 
 
 def solve_combination(gens: list[Poly], target: Poly):

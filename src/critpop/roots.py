@@ -170,6 +170,7 @@ def dominant_representative(rd: RootData, lam: Weight):
 
 _ENUM_RANK_CAP = 6
 _T_DEGREE_CAP = 512  # bound on deg T_i = sum_s m_i^(s); every step's cost grows with it
+_RANK_CAP = 512  # bound on the rank a config names; `verify` is quadratic in it
 
 
 @lru_cache(maxsize=None)

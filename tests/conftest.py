@@ -6,8 +6,8 @@ import pytest
 
 from critpop.core import ProblemInstance, is_generic, monic_tuple
 from critpop.errors import ConstructionFailed, NotDivisible
-from critpop.fundamental import span
-from critpop.poly import ONE, ZERO, Poly, divided_wronskian, gcd, solve_linear
+from critpop.fundamental import PolySpace, span
+from critpop.poly import ONE, ZERO, Poly, divided_wronskian, gcd
 from critpop.roots import WeylElement, root_data
 
 
@@ -89,12 +89,18 @@ def euclid_gcd(a, b):
     return a.monic() if not a.is_zero() else ZERO
 
 
+def fraction_coeffs(p):
+    """The coefficients of p as Fractions, lowest degree first: the view
+    that the Fraction references read."""
+    return tuple(Fraction(c, p.den) for c in p.num)
+
+
 def schoolbook_mul(p, q):
     """p q by the Fraction convolution of the coefficients: the reference
     for `Poly.__mul__`."""
-    out = [Fraction(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
-    for i, a in enumerate(p.coeffs):
-        for j, b in enumerate(q.coeffs):
+    out = [Fraction(0)] * max(len(fraction_coeffs(p)) + len(fraction_coeffs(q)) - 1, 0)
+    for i, a in enumerate(fraction_coeffs(p)):
+        for j, b in enumerate(fraction_coeffs(q)):
             out[i + j] += a * b
     return Poly(out)
 
@@ -102,8 +108,8 @@ def schoolbook_mul(p, q):
 def fraction_divmod(p, q):
     """divmod by long division over Fraction coefficients: the reference for
     `Poly.__divmod__`."""
-    rem = list(p.coeffs)
-    dd, dv = len(rem) - 1, len(q.coeffs) - 1
+    rem = list(fraction_coeffs(p))
+    dd, dv = len(rem) - 1, len(fraction_coeffs(q)) - 1
     if dd < dv:
         return ZERO, p
     inv = 1 / q.leading()
@@ -112,7 +118,7 @@ def fraction_divmod(p, q):
         c = rem[dv + k] * inv
         if c:
             quot[k] = c
-            for j, b in enumerate(q.coeffs):
+            for j, b in enumerate(fraction_coeffs(q)):
                 rem[j + k] -= c * b
     return Poly(quot), Poly(rem[:dv])
 
@@ -120,9 +126,9 @@ def fraction_divmod(p, q):
 def fraction_shift(p, z):
     """p(x + z) by summing c_k (x + z)^k over Fraction coefficients: the
     reference for `Poly.shift`."""
-    result = [Fraction(0)] * len(p.coeffs)
+    result = [Fraction(0)] * len(fraction_coeffs(p))
     acc = [Fraction(1)]  # (x+z)^k coefficients
-    for c in p.coeffs:
+    for c in fraction_coeffs(p):
         if c:
             for i, a in enumerate(acc):
                 result[i] += c * a
@@ -202,7 +208,7 @@ def fraction_to_text(p):
         return "0"
     return " ".join(
         str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        for c in p.coeffs
+        for c in fraction_coeffs(p)
     )
 
 
@@ -212,7 +218,7 @@ def fraction_str(p):
     if p.is_zero():
         return "0"
     parts = []
-    for i, c in reversed(list(enumerate(p.coeffs))):
+    for i, c in reversed(list(enumerate(fraction_coeffs(p)))):
         if not c:
             continue
         mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
@@ -243,12 +249,101 @@ def hook_content_dim(lam, k: int) -> int:
     return num // den
 
 
+def fraction_solve_linear(rows, rhs):
+    """Gauss-Jordan over Fractions: the reference for `solve_linear`.
+
+    Returns (particular_solution, kernel_basis) or None if inconsistent.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [v * inv for v in a[r]]
+        for i in range(m):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if a[i][n]:
+            return None
+    sol = [Fraction(0)] * n
+    for i, c in enumerate(pivots):
+        sol[c] = a[i][n]
+    free = [c for c in range(n) if c not in pivots]
+    kernel = []
+    for f in free:
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -a[i][f]
+        kernel.append(vec)
+    return sol, kernel
+
+
 def fraction_solve_combination(gens, target):
     """`solve_combination` on Fraction rows read through `p[k]`, one row per
-    degree: the reference for the integer rows it builds now."""
+    degree, solved by `fraction_solve_linear`: the reference for the
+    integer rows it builds and the integer elimination that solves them."""
     cap = max([int(p.degree) for p in [*gens, target] if p] + [0])
     rows = [[g[k] for g in gens] for k in range(cap + 1)]
-    return solve_linear(rows, [target[k] for k in range(cap + 1)])
+    return fraction_solve_linear(rows, [target[k] for k in range(cap + 1)])
+
+
+def _reduce(p, rows):
+    """Normal form of p against rows of distinct degrees: the coefficient at
+    every row's degree is cleared, highest first, over Fractions.  Zero iff
+    p lies in the span of the rows."""
+    for q in sorted(rows, key=lambda q: q.degree, reverse=True):
+        c = p[int(q.degree)]
+        if c:
+            p = p - c / q.leading() * q
+    return p
+
+
+def reduce_span(polys):
+    """Canonical reduced span by `_reduce` over Fraction polynomials: the
+    reference for `span`."""
+    rows = []
+    for p in polys:
+        p = _reduce(p, rows)
+        if not p.is_zero():
+            rows.append(p.monic())
+    rows.sort(key=lambda q: q.degree, reverse=True)
+    return PolySpace(tuple(_reduce(q, rows[k + 1:]) for k, q in enumerate(rows)))
+
+
+def reduce_flag(basis):
+    """Each element reduced by `_reduce` against its predecessors and made
+    monic: the reference for `Flag.from_basis` on an independent basis."""
+    canon = []
+    for u in basis:
+        canon.append(_reduce(u, canon).monic())
+    return tuple(canon)
+
+
+def reversal_exponents(space, at):
+    """Exponents by reversal: x^d p(z + 1/x) has degree d - v when p vanishes
+    to order v at z, so the orders are d minus the degrees of the
+    `reduce_span` of the reversed shifted basis.  The reference for
+    `exponents`; at "inf" the realized degrees."""
+    if at == "inf":
+        return space.degrees()
+    z, d = Fraction(at), max(space.degrees(), default=0)
+    rev = reduce_span(Poly((0,) * (d - int(p.degree)) + fraction_coeffs(p.shift(z))[::-1])
+                      for p in space.basis)
+    assert rev.dim == space.dim
+    return sorted(d - e for e in rev.degrees())
 
 
 def dual_space(space, framing):

@@ -372,6 +372,20 @@ class TestCount:
             assert proc.stderr.startswith("[error] InvalidInstance: deg T_i is capped at 512")
             assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
+    def test_huge_rank(self, tmp_path):
+        """A rank above the cap is refused while the instance is read, before
+        any Cartan matrix is built: every subcommand exits 2 at once with a
+        one-line message and no traceback."""
+        cfg = write_cfg(tmp_path, "rank.json", {"root_system": "A513", "weights": [],
+                                                "points": []})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for cmd in ("verify", "populate", "fundamental", "selfdual", "count"):
+            proc = subprocess.run([sys.executable, "-m", "critpop.cli", cmd, "--config", cfg],
+                                  capture_output=True, text=True, env=env, timeout=60)
+            assert proc.returncode == 2, cmd
+            assert proc.stderr == "[error] InvalidInstance: rank is capped at 512, got 513\n"
+
     def test_import_leaves_sympy_unloaded(self):
         """sympy is imported by the rank-one exact count only, not at start-up;
         and no record is a dataclass, so start-up loads neither `dataclasses`

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from critpop.bc import folded_instance
 from critpop.core import (
     ProblemInstance,
     check_separating,
@@ -34,6 +35,15 @@ class TestInstances:
             {"root_system": "A2", "weights": [[1, 0]], "points": ["1/2"]}
         )
         assert pi.rd.kind == "A" and pi.points == (Fraction(1, 2),)
+
+    def test_rank_cap(self):
+        """A config names rank at most 512, for every kind; folding a B or C
+        instance past it builds its A-series instance unrefused."""
+        assert ProblemInstance.from_config({"root_system": "A512"}).rd.rank == 512
+        for code in ("A513", "B513", "C600"):
+            with pytest.raises(InvalidInstance, match="rank is capped at 512"):
+                ProblemInstance.from_config({"root_system": code})
+        assert folded_instance(ProblemInstance.from_config({"root_system": "C300"})).rd.rank == 600
 
 
 class TestTPolys:

@@ -1,7 +1,9 @@
 """Every top-level function and class in `src/critpop`, and every public
 method of such a class, has a use in the library: a reference in `src/`
 outside its own definition, or a place in the benchmark's traced layers
-(`bench/spans.py` `LAYERS`).  Test-only helpers live in `tests/`."""
+(`bench/spans.py` `LAYERS`).  A method counts as referenced only through
+an attribute (`x.name`): a bare local name that happens to match it is no
+use of it.  Test-only helpers live in `tests/`."""
 
 import ast
 from pathlib import Path
@@ -34,14 +36,16 @@ def definitions(tree: ast.Module, module: str):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
-def references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
-    """Names read or written as identifiers or attributes, outside `skip`."""
+def references(tree: ast.Module, skip: ast.AST | None = None,
+               attributes_only: bool = False) -> set[str]:
+    """Names read or written as identifiers or attributes, outside `skip`;
+    with `attributes_only`, the attribute names alone."""
     out, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not attributes_only:
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -51,20 +55,33 @@ def references(tree: ast.Module, skip: ast.AST | None = None) -> set[str]:
 
 def unreferenced() -> list[str]:
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    everywhere = {mod: references(tree) for mod, tree in trees.items()}
+    everywhere = {only: {mod: references(tree, attributes_only=only) for mod, tree in trees.items()}
+                  for only in (False, True)}
     allowed = traced_layers()
     dead = []
     for mod, tree in trees.items():
-        others = set().union(*(refs for m, refs in everywhere.items() if m != mod))
         for qual, name, node in definitions(tree, mod):
-            if name not in others and name not in references(tree, skip=node) \
-                    and qual not in allowed:
+            method = qual.count(".") == 2  # module.Class.method
+            others = set().union(*(refs for m, refs in everywhere[method].items() if m != mod))
+            if name not in others and qual not in allowed \
+                    and name not in references(tree, skip=node, attributes_only=method):
                 dead.append(qual)
     return dead
 
 
 def test_every_definition_is_used_in_src():
     assert unreferenced() == []
+
+
+def test_guard_ignores_a_local_name_that_matches_a_method():
+    tree = ast.parse("class C:\n    def n(self):\n        return 0\n\n"
+                     "def f(n):\n    return n + 1\n")
+    (_, _, _), (qual, name, node), (_, _, _) = definitions(tree, "m")
+    assert qual == "m.C.n" and name in references(tree, skip=node)
+    assert name not in references(tree, skip=node, attributes_only=True)
+    tree = ast.parse("class C:\n    def n(self):\n        return 0\n\n"
+                     "def f(c):\n    return c.n()\n")
+    assert "n" in references(tree, attributes_only=True)
 
 
 def test_guard_sees_a_helper_used_only_by_itself():

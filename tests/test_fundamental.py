@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critpop.core import heine_stieltjes_test, monic_tuple, t_polys, weight_at_infinity
 from critpop.errors import NotInImage
@@ -29,10 +31,12 @@ from critpop.poly import ONE, X, Poly, QVec, _zpoly, wronskian
 from critpop.reproduction import explore_population
 from critpop.roots import dominant_representative, shifted_action
 from conftest import (A3W, A3W_686, bruhat_index, count_calls, euclid_gcd, instance, perm_to_weyl,
-                      random_monic)
+                      random_monic, reduce_flag, reduce_span, reversal_exponents)
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
 SL3 = instance("A2")
+small_polys = st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                       max_size=5).map(Poly)
 
 
 class TestSpan:
@@ -48,6 +52,44 @@ class TestSpan:
         cs = V.coords(p)
         assert cs is not None and V.member(cs) == p
         assert V.coords(Poly([0, 0, 0, 1])) is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(small_polys, max_size=5), st.sampled_from([None, 0, 1, -2, Fraction(3, 4)]),
+           st.integers(0, 4), small_polys)
+    @example([X + 1, 2 * X + 2, X * X], None, 0, X)  # 2x + 2 vanishes against x + 1
+    @example([], None, 0, X)
+    @example([Poly(), Poly()], None, 0, Poly())
+    def test_matches_reduce_reference(self, polys, k, i, outsider):
+        """`span` and `PolySpace.contains` give the reduced span and the
+        membership of the Fraction `_reduce` reference: zero polynomials,
+        duplicates and scalar multiples (k times polys[i]) included."""
+        if polys and k is not None:
+            polys = [*polys, k * polys[i % len(polys)]]
+        V = span(polys)
+        assert V == reduce_span(polys)
+        for p in [*polys, outsider, ONE, X]:
+            assert V.contains(p) == (reduce_span([*V.basis, p]).dim == V.dim)
+
+    def test_vanishing_row_pinned(self):
+        V = span([X + 1, 2 * X + 2, X * X])
+        assert V.basis == (X * X, X + 1)
+        assert V.contains(3 * X + 3) and not V.contains(X)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(small_polys, min_size=1, max_size=5), st.randoms(use_true_random=False))
+    def test_flag_matches_reduce_reference(self, polys, rng):
+        """`Flag.from_basis` on a random basis of a span gives each element
+        reduced against its predecessors and monic, as the `_reduce`
+        reference does; `degree_flag` is the flag of the sorted echelon
+        basis."""
+        V = span(polys)
+        basis = list(V.basis)
+        rng.shuffle(basis)
+        basis = [b + sum((rng.randint(-2, 2) * c for c in basis[:i]), Poly())
+                 for i, b in enumerate(basis)]
+        assert Flag.from_basis(V, basis).basis == reduce_flag(basis)
+        by_degree = sorted(V.basis, key=lambda p: p.degree)
+        assert degree_flag(V) == Flag(V, reduce_flag(by_degree)) == Flag.from_basis(V, by_degree)
 
 
 class TestConstruction:
@@ -242,6 +284,45 @@ class TestExponents:
         assert schubert_index_finite(V, Fraction(0)) == (1, 0)
         assert schubert_index_infinity(V, 2) == (0, 0)
         assert pluecker_check(V, SL2.points)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.integers(0, 3), small_polys), max_size=5),
+           st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    @example([(1, X + 1), (1, 2 * X + 2), (2, ONE)], Fraction(1))
+    def test_matches_reversal_reference(self, factors, z):
+        """The pivots of the shifted coefficients are the orders of vanishing
+        that the reversal reference reads off reversed degrees, at z, where
+        each (x - z)^k r vanishes to order k or more, at z + 1 and at
+        infinity."""
+        V = span(Poly([-z, 1]) ** k * r for k, r in factors)
+        for at in (z, z + 1, "inf"):
+            assert exponents(V, at) == reversal_exponents(V, at)
+
+
+class TestIntegerPath:
+    @pytest.mark.parametrize("case", ["A3W", "B3"])
+    def test_no_fraction_coefficients(self, monkeypatch, case):
+        """`span`, `PolySpace.contains`, `Flag.from_basis`, `degree_flag` and
+        `exponents` read numerators only: no `Poly.__getitem__` and no
+        `Poly.leading` call on the A3w (6,8,6) space or the B3 folded
+        space."""
+        if case == "A3W":
+            V, points = fundamental_space(A3W, A3W_686), A3W.points
+        else:
+            V, points = bc_fundamental_space(instance("B3"), (ONE,) * 3).space, (0, Fraction(1, 2))
+        basis = [sum(V.basis[:i + 1], Poly()) for i in range(V.dim)][::-1]
+        calls = []
+        for name in ("__getitem__", "leading"):
+            fn = getattr(Poly, name)
+            monkeypatch.setattr(Poly, name, lambda *a, _fn=fn: calls.append(a) or _fn(*a))
+        assert span(basis) == V
+        assert all(map(V.contains, basis)) and not V.contains(X ** (max(V.degrees()) + 1))
+        assert Flag.from_basis(V, basis).space == degree_flag(V).space == V
+        for z in [*points, "inf"]:
+            exponents(V, z)
+        assert not calls
+        V.basis[0][0], V.basis[0].leading()
+        assert len(calls) == 2
 
 
 class TestGeneratingMorphism:

@@ -24,9 +24,10 @@ from critpop.poly import (
     wronskian,
     wronskian_minors,
 )
-from conftest import (euclid_gcd, fraction_divmod, fraction_shift, fraction_solve_combination,
-                      fraction_str, fraction_to_text, from_roots, is_squarefree,
-                      laplace_wronskian, schoolbook_mul, schoolbook_pow)
+from conftest import (euclid_gcd, fraction_coeffs, fraction_divmod, fraction_shift,
+                      fraction_solve_combination, fraction_solve_linear, fraction_str,
+                      fraction_to_text, from_roots, is_squarefree, laplace_wronskian,
+                      schoolbook_mul, schoolbook_pow)
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 
@@ -148,36 +149,37 @@ class TestRepresentation:
     @example(BIG, Poly([Fraction(-3, 2**61 - 1), 0, Fraction(7, 3**40)]), Fraction(-5, 3))
     @example(Poly([Fraction(1, 2), 0, Fraction(-3, 4)]), Poly([Fraction(-2, 3)]), Fraction(1, 2))
     def test_matches_fraction_references(self, p, q, z):
-        """Every operation returns the canonical form; `coeffs` round-trips;
+        """Every operation returns the canonical form; the Fraction view round-trips;
         divmod, shift, monic, eval and deriv equal the Fraction references."""
-        assert Poly(p.coeffs) == p and all(type(c) is Fraction for c in p.coeffs)
+        assert Poly(fraction_coeffs(p)) == p
         out = [p + q, p - q, p * q, -p, p * z, p.deriv(), p.shift(z), p.shift(z.numerator)]
         if q:
             assert divmod(p, q) == fraction_divmod(p, q)
             out += divmod(p, q)
         if p:
-            assert p.monic() == Poly([c / p.leading() for c in p.coeffs])
+            assert p.monic() == Poly([c / p.leading() for c in fraction_coeffs(p)])
             out.append(p.monic())
         for r in [p, q, *out]:
             assert_canonical(r)
         assert p.shift(z) == fraction_shift(p, z)
         assert p.shift(z.numerator) == fraction_shift(p, Fraction(z.numerator))
         for x in (z, z.numerator):
-            assert p.eval(x) == sum(c * x**i for i, c in enumerate(p.coeffs))
-        assert p.deriv() == Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+            assert p.eval(x) == sum(c * x**i for i, c in enumerate(fraction_coeffs(p)))
+        assert p.deriv() == Poly([i * c for i, c in enumerate(fraction_coeffs(p))][1:])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(small_polys, small_polys, st.integers(-2, 2))
     def test_equality_is_fraction_equality(self, p, q, k):
         """p == q exactly when the Fraction tuples are equal, and equal
         polynomials hash alike, also when built along different routes."""
-        assert (p == q) == (p.coeffs == q.coeffs)
+        assert (p == q) == (fraction_coeffs(p) == fraction_coeffs(q))
         if p == q:
             assert hash(p) == hash(q)
-        for same in (Poly([*p.coeffs, 0, Fraction(0, 3)]), p * (2 * k + 5) * Fraction(1, 2 * k + 5),
+        for same in (Poly([*fraction_coeffs(p), 0, Fraction(0, 3)]),
+                     p * (2 * k + 5) * Fraction(1, 2 * k + 5),
                      (p + q) - q):
             assert same == p and hash(same) == hash(p) and (same.num, same.den) == (p.num, p.den)
-        assert (p == k) == (p.coeffs == ((Fraction(k),) if k else ()))
+        assert (p == k) == (fraction_coeffs(p) == ((Fraction(k),) if k else ()))
 
 
 class TestProducts:
@@ -204,7 +206,6 @@ class TestProducts:
         assert p * k == k * p == schoolbook_mul(p, Poly([k]))
         assert p * c == c * p == schoolbook_mul(p, Poly([c]))
         assert p**n == schoolbook_pow(p, n)
-        assert all(type(v) is Fraction for v in (p * q).coeffs + (p**n).coeffs)
 
     def test_power_edges(self):
         assert ZERO**0 == ONE
@@ -346,6 +347,28 @@ class TestSqrt:
             assert r.leading() > 0
 
 
+linear_entries = st.one_of(st.integers(-3, 3),
+                           st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+
+@st.composite
+def linear_systems(draw):
+    """(rows, rhs) with up to 5 x 5 entries; sometimes a row is repeated
+    times a scalar (a duplicate, a multiple or zero), and sometimes the
+    right-hand side is A x, so that the system is consistent."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    rows = [draw(st.lists(linear_entries, min_size=n, max_size=n)) for _ in range(m)]
+    if rows and draw(st.booleans()):
+        k = draw(linear_entries)
+        rows.insert(draw(st.integers(0, m)), [k * v for v in draw(st.sampled_from(rows))])
+    if draw(st.booleans()):
+        x = draw(st.lists(linear_entries, min_size=n, max_size=n))
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:
+        rhs = draw(st.lists(linear_entries, min_size=len(rows), max_size=len(rows)))
+    return rows, rhs
+
+
 class TestLinearSolve:
     def test_unique(self):
         sol, ker = solve_linear([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(3)]],
@@ -360,6 +383,21 @@ class TestLinearSolve:
         assert len(ker) == 1
         v = ker[0]
         assert v[0] + v[1] == 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(linear_systems())
+    @example(([], []))
+    @example(([[], []], [0, 1]))
+    @example(([[1, 1], [2, 2], [1, 0]], [1, 2, 3]))  # row 2 vanishes against row 1
+    @example(([[1, 1], [2, 2]], [1, 3]))
+    @example(([[Fraction(1, 2), Fraction(1, 3)], [3, 2]], [Fraction(1, 6), 1]))
+    def test_matches_fraction_reference(self, system):
+        """The integer RREF gives the solution and kernel of Gauss-Jordan over
+        Fractions, or None with it: int and Fraction rows, no rows, no
+        columns, zero, duplicate and multiple rows, consistent and
+        inconsistent right-hand sides."""
+        rows, rhs = system
+        assert solve_linear(rows, rhs) == fraction_solve_linear(rows, rhs)
 
 
 class TestSolveCombination:
