@@ -44,7 +44,6 @@ from .fundamental import (
 from .poly import Poly, identity_suite
 from .reproduction import explore_population, is_fertile, weyl_degree_map
 from .roots import _ENUM_RANK_CAP, dominant_representative
-from .schubert import multiplicity_bound, population_count_report
 from .selfduality import SelfdualSpace, framing_of, quasi_witt_basis
 
 
@@ -247,6 +246,9 @@ def cmd_selfdual(args) -> int:
 
 
 def cmd_count(args) -> int:
+    # imported here: no other subcommand reads `schubert`, so start-up skips it
+    from .schubert import multiplicity_bound, population_count_report
+
     cfg = _load_config(args.config)
     pi = ProblemInstance.from_config(cfg)
     rep = Report(args.format)

@@ -36,7 +36,7 @@ from .core import (
 from .errors import ConstructionFailed, NotDivisible, NotInImage
 from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo,
                    _zrref, _zscaled, _zsub, divided_wronskian, divided_wronskians,
-                   solve_combination, t_ladder, wronskian_minors)
+                   solve_combination, t_ladder, wronskian_minors, wronskian_rows)
 from .reproduction import immediate_descendants, _sample_generic
 from .roots import dominant_representative
 
@@ -160,7 +160,7 @@ def fundamental_space(pi: ProblemInstance, y: TupleY) -> PolySpace:
     if pi.rd.kind != "A":
         raise ValueError("fundamental_space expects type-A data")
     y = monic_tuple(y)
-    n = pi.rd.rank
+    n = wronskian_rows(pi.rd.rank + 1) - 1  # refused before the basis is built
     us = [_basis_vector(pi, y, k) for k in range(1, n + 2)]
     ladder = t_ladder(pi.ts)
     prefixes = wronskian_minors(us, [(1 << i) - 1 for i in range(1, n + 2)])

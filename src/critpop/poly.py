@@ -54,6 +54,7 @@ from typing import NamedTuple
 from .errors import IdentityViolated, InvalidInstance, NotDivisible
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
+_WRONSKIAN_ROW_CAP = 13  # `wronskian_minors` builds 2^s minors; 14 rows take seconds
 
 
 def parse_rational(text: str) -> Fraction:
@@ -516,6 +517,13 @@ def solve_combination(gens: list[Poly], target: Poly):
 # -- Wronskians -------------------------------------------------------------
 
 
+def wronskian_rows(s: int) -> int:
+    """s, for a Wronskian of s rows; InvalidInstance above the row cap."""
+    if s > _WRONSKIAN_ROW_CAP:
+        raise InvalidInstance(f"Wronskians are capped at {_WRONSKIAN_ROW_CAP} rows, got {s}")
+    return s
+
+
 def wronskian_minors(gs: Sequence[Poly], masks: Sequence[int]) -> list[Poly]:
     """The Wronskian of the sublist of gs in each bit mask (bit i is gs[i]),
     in row order, from one Laplace expansion of W(gs).
@@ -534,7 +542,7 @@ def wronskian_minors(gs: Sequence[Poly], masks: Sequence[int]) -> list[Poly]:
     least 1, so B, the product over all rows, bounds every minor, also one
     that leaves out a zero row, and 2^(k-1) > B makes each read-back exact.
     """
-    s = len(gs)
+    s = wronskian_rows(len(gs))
     if s < 2:  # W() = 1 and W(g) = g: nothing to expand
         return [gs[0] if m else ONE for m in masks]
     table, den, bound = [], 1, 1

@@ -1,22 +1,27 @@
-"""Littlewood-Richardson expansions and the multiplicity upper bound on
-population counts.
+"""Littlewood-Richardson expansions, the multiplicity upper bound on
+population counts, and exact critical-point counts at rank one.
 
-LR expansions are computed by explicit lattice-word tableau
-enumeration; the tests cross-check them against a brute-force
-weight-multiplicity oracle (Kostka counts fed through an alternating Weyl
-sum), and a lex Groebner basis in shape position delivers exact critical-point
-counts at rank one.  That count works on sympy's sparse polynomial rings
-over QQ (`sympy.polys.rings`, `groebnertools.groebner`), never on symbolic
-expressions, and evaluates the bad locus (the discriminant times y at the
-marked points of weight 0) in QQ[t] modulo the eliminant; it is the only
-user of sympy, which it imports when called.
+LR expansions are computed by explicit lattice-word tableau enumeration;
+the tests cross-check them against a brute-force weight-multiplicity
+oracle (Kostka counts fed through an alternating Weyl sum).  The rank-one
+count reads the distinct critical polynomials off a lex Groebner basis in
+shape position.  It works on integer polynomials over Z (dicts of exponent
+tuples) with a fraction-free Buchberger algorithm, and evaluates the bad
+locus (the discriminant times y at the marked points of weight 0) in Q[t]
+modulo the eliminant on `Poly`.  The tests compare it with sympy's Groebner
+bases; no module of the library imports sympy.
 """
 
 from __future__ import annotations
 
-from math import prod
+from fractions import Fraction
+from functools import reduce
+from math import gcd as igcd
+from math import perm
+from operator import add, sub
 
 from .core import ProblemInstance, _lambda_inf
+from .poly import ONE, ZERO, Poly, gcd
 from .roots import Weight
 
 Partition = tuple[int, ...]
@@ -108,6 +113,143 @@ def multiplicity_bound(pi_a: ProblemInstance, lam_inf: Weight) -> int:
 
 
 # -- exact rank-one counting ------------------------------------------------------
+# Integer polynomials in Z[a_0, ..., a_{l-1}, t], with x in front while the
+# criterion is built: {exponent tuple: int} with no zero coefficients, {} for
+# zero.  Lex order with x > a_0 > ... > a_{l-1} > t is tuple order, so the
+# leading monomial of p is max(p).
+
+
+def _variables(l: int) -> list[tuple[int, ...]]:
+    """The exponents of a_0, ..., a_{l-1} and t."""
+    return [(0,) * i + (1,) + (0,) * (l - i) for i in range(l + 1)]
+
+
+def _divides(m, n) -> bool:
+    return all(a <= b for a, b in zip(m, n))
+
+
+def _add_term_times(p: dict, c: int, d, q: dict):
+    """p += c m q for the monomial m with exponents d, in place."""
+    for m, v in q.items():
+        k = tuple(map(add, m, d))
+        w = p.get(k, 0) + c * v
+        if w:
+            p[k] = w
+        else:
+            p.pop(k, None)
+
+
+def _mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for d, c in p.items():
+        _add_term_times(out, c, d, q)
+    return out
+
+
+def _normal_form(p: dict, basis: list[tuple[tuple, dict]]) -> dict:
+    """The primitive normal form of p modulo `basis`, pairs (lm(g), g) of
+    primitive polynomials with positive leading coefficients, fraction-free:
+    a term c m with lm(g) | m is cancelled as (lc(g)/k) p - (c/k) (m/lm(g)) g,
+    k = gcd(c, lc(g))."""
+    p, done = dict(p), {}
+    while p:
+        m = max(p)
+        c = p[m]
+        hit = next((h for h in basis if _divides(h[0], m)), None)
+        if hit is None:
+            done[m] = p.pop(m)
+            continue
+        lm, g = hit
+        k = igcd(c, g[lm])
+        if g[lm] != k:
+            s = g[lm] // k
+            p = {n: s * v for n, v in p.items()}
+            done = {n: s * v for n, v in done.items()}
+        _add_term_times(p, -(c // k), tuple(map(sub, m, lm)), g)
+    if done:  # over its content, with a positive leading coefficient
+        g = igcd(*done.values()) if done[max(done)] > 0 else -igcd(*done.values())
+        done = {n: c // g for n, c in done.items()}
+    return done
+
+
+def _groebner(polys: list[dict]) -> list[dict]:
+    """The reduced lex Groebner basis of the ideal of `polys`, each element
+    primitive with a positive leading coefficient, by Buchberger's algorithm
+    with normal selection (smallest lcm first) and the Gebauer-Moller
+    product and chain criteria (J. Symb. Comp. 6 (1988)); [1] for the unit
+    ideal.  The reduced basis over Q is unique, and so is its primitive form."""
+    gs: list[tuple[tuple, dict]] = []  # (lm, g) found; `active` indexes the basis
+    active: list[int] = []
+    pairs: dict[tuple[int, int], tuple] = {}  # (i, j) -> lcm of their leading monomials
+
+    def add(p: dict) -> bool:
+        """Reduce p and, unless it is 0, update the basis and the pairs (a
+        pair is coprime if its lcm has the degree of the product); True once
+        the basis is [1]."""
+        h = _normal_form(p, [gs[i] for i in active])
+        if not h:
+            return False
+        lh = max(h)
+        if not any(lh):
+            gs[:], active[:] = [(lh, h)], [0]
+            return True
+        lms = [gs[g][0] for g in active]
+        new, kept = [(g, lm, tuple(map(max, lh, lm))) for g, lm in zip(active, lms)], []
+        for i, (g, lm, L) in enumerate(new):  # a coprime pair stays here to block others
+            if (sum(L) == sum(lh) + sum(lm)
+                    or not any(_divides(M, L) for *_, M in new[i + 1:] + kept)):
+                kept.append((g, lm, L))
+        for (i, j), L in list(pairs.items()):  # the chain criterion on the old pairs
+            if _divides(lh, L) and all(tuple(map(max, gs[x][0], lh)) != L for x in (i, j)):
+                del pairs[i, j]
+        gs.append((lh, h))
+        pairs.update(((g, len(gs) - 1), L) for g, lm, L in kept if sum(L) != sum(lh) + sum(lm))
+        active[:] = [g for g, lm in zip(active, lms) if not _divides(lh, lm)] + [len(gs) - 1]
+        return False
+
+    if any(add(p) for p in polys if p):
+        return [gs[0][1]]
+    while pairs:
+        (i, j), L = min(pairs.items(), key=lambda kv: kv[::-1])
+        del pairs[i, j]
+        (lf, f), (lg, g) = gs[i], gs[j]
+        k = igcd(f[lf], g[lg])
+        s: dict = {}
+        _add_term_times(s, g[lg] // k, tuple(map(sub, L, lf)), f)
+        _add_term_times(s, -(f[lf] // k), tuple(map(sub, L, lg)), g)
+        if add(s):
+            return [gs[0][1]]
+    basis = [gs[i] for i in active]
+    return sorted((_normal_form(g, [b for b in basis if b[1] is not g]) for _, g in basis),
+                  key=max, reverse=True)
+
+
+def _discriminant(l: int) -> dict:
+    """disc(y) of the generic monic y = x^l + a_{l-1} x^{l-1} + ... + a_0,
+    as (-1)^(l(l-1)/2) Res_x(y, y'): the Sylvester determinant over Z[a],
+    by Bareiss's elimination, each step an exact division by the last pivot."""
+    one, a = (0,) * (l + 1), _variables(l)
+    ys = [{one: 1}] + [{a[i]: 1} for i in range(l - 1, -1, -1)]
+    dys = [{m: (l - i) * c for m, c in p.items()} for i, p in enumerate(ys[:-1])]
+    n = 2 * l - 1
+    rows = [[{}] * i + ys + [{}] * (n - l - 1 - i) for i in range(l - 1)]
+    rows += [[{}] * i + dys + [{}] * (n - l - i) for i in range(l)]
+    sign, last, lm = (-1) ** (l * (l - 1) // 2), {one: 1}, one
+    for k in range(n - 1):  # Res(y, y') != 0, so column k always has a pivot
+        r = next(r for r in range(k, n) if rows[r][k])
+        if r != k:
+            rows[k], rows[r], sign = rows[r], rows[k], -sign
+        p = rows[k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, n):
+                e, row[j] = _mul(p[k], row[j]), {}
+                _add_term_times(e, -1, one, _mul(row[k], p[j]))
+                while e:  # row[j] = e / last, by lex division, every step exact
+                    d, c = tuple(map(sub, max(e), lm)), e[max(e)] // last[lm]
+                    row[j][d] = c
+                    _add_term_times(e, -c, d, last)
+        last, lm = p[k], max(p[k])
+    return {m: sign * c for m, c in rows[-1][-1].items()}
 
 
 def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
@@ -119,45 +261,43 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     every coordinate is then a polynomial in the last one, and distinct
     critical polynomials are counted by gcd arithmetic on the squarefree
     eliminant, discarding the locus where the candidate has a multiple
-    root or vanishes at a marked point.  That bad locus is evaluated on
-    the coordinates in QQ[t] modulo the eliminant, one product at a time,
-    so it is never expanded.
+    root or vanishes at a marked point.
 
-    Everything is built on sympy's sparse polynomial rings over QQ, never
-    as symbolic expressions: y = x^l + a_{l-1} x^{l-1} + ... + a_0 lives in
-    QQ[x, a_0..a_{l-1}, t_sep], the system is read off the remainder of
-    f y'' - g y' by the monic y, and the bad locus is the discriminant of
-    y in x times y at each marked point of weight 0.  At a marked point z_s
-    of weight m_s != 0, f y'' - g y' = q y with y(z_s) = 0 gives
-    g(z_s) y'(z_s) = 0, where f(z_s) = 0 and g(z_s) = m_s prod_{r != s}
-    (z_s - z_r) != 0; so y has a double root at z_s and the discriminant
-    already vanishes there.
+    Everything is built over Z in the integer polynomials above, never in a
+    Fraction: y = x^l + a_{l-1} x^{l-1} + ... + a_0, the system is read off
+    the remainder of f y'' - g y' by the monic y, with f and g cleared of
+    denominators (each equation changes by one constant factor), and the
+    bad locus is the discriminant of y times den(z)^l y(z) at each marked
+    point z of weight 0.  At a marked point z_s of weight m_s != 0,
+    f y'' - g y' = q y with y(z_s) = 0 gives g(z_s) y'(z_s) = 0, where
+    f(z_s) = 0 and g(z_s) = m_s prod_{r != s} (z_s - z_r) != 0; so y has a
+    double root at z_s and the discriminant already vanishes there.
     """
     if pi.rd.rank != 1:
         raise ValueError("exact counting is rank-one only")
     if l == 0:
         return 1
-    # loaded here: only this count needs sympy, and it is most of a cold start
-    from sympy.polys.domains import QQ
-    from sympy.polys.orderings import lex
-    from sympy.polys.rings import ring
-
-    R, x, *gens = ring(["x", *(f"a{i}" for i in range(l)), "t_sep"], QQ, lex)
-    zs = [QQ(z.numerator, z.denominator) for z in pi.points]
-    f = prod((x - z for z in zs), start=R.one)
-    g = R.zero
-    for lam, z in zip(pi.weights, zs):
-        g += lam[0] * prod((x - w for w in zs if w != z), start=R.one)
-    y = x**l + sum((c * x**i for i, c in enumerate(gens[:-1])), R.zero)
-    dy = y.diff(x)
-    rem = (f * dy.diff(x) - g * dy).rem(y)  # y is monic in x, the first generator
-    system = [e for i in range(l) if (e := rem.coeff_wrt(x, i).drop(x))]
+    # y = x^l + sum a_i x^i, f and g over Z in the variables x, a_0..a_{l-1}, t
+    one, a = (0,) * (l + 1), _variables(l)
+    y = {(l, *one): 1} | {(i, *a[i]): 1 for i in range(l)}
+    unit, lins = {(0, *one): 1}, [{(1, *one): z.denominator, (0, *one): -z.numerator}
+                                  for z in pi.points]  # den x - num
+    f, g = reduce(_mul, lins, unit), {}
+    for s, (lam, z) in enumerate(zip(pi.weights, pi.points)):
+        _add_term_times(g, lam[0] * z.denominator, (0, *one),
+                        reduce(_mul, lins[:s] + lins[s + 1:], unit))
+    dy, ddy = ({(i - k, *m): perm(i, k) * c for (i, *m), c in y.items() if i >= k} for k in (1, 2))
+    rem = _mul(f, ddy)
+    _add_term_times(rem, -1, (0, *one), _mul(g, dy))
+    rem = _normal_form(rem, [(max(y), y)])  # y is monic in x, the first variable
+    system = [p for i in range(l) if (p := {m[1:]: c for m, c in rem.items() if m[0] == i})]
     if not system:
         raise ValueError("degenerate criterion system")
-    bad = y.discriminant()
-    for lam, z in zip(pi.weights, zs):
-        if not lam[0]:
-            bad *= y.evaluate(x, z)
+    bad = _discriminant(l)
+    for lam, z in zip(pi.weights, pi.points):
+        if not lam[0]:  # times den(z)^l y(z)
+            n, d = z.numerator, z.denominator
+            bad = _mul(bad, {m[1:]: c * n ** m[0] * d ** (l - m[0]) for m, c in y.items()})
     for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
         got = _shape_count(system, bad, lam)
         if got is not None:
@@ -165,59 +305,59 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     raise ValueError("no separating linear form found")
 
 
-def _shape_count(system, bad, lam: int) -> int | None:
+def _shape_count(system: list[dict], bad: dict, lam: int) -> int | None:
     """Distinct good points of a zero-dimensional system via a shape-position
     eliminant in the separating form t = a_{l-1} + lam * (a_0 + 2 a_1 + ...).
 
-    `system` and `bad` lie in the lex ring QQ[a_0..a_{l-1}, t_sep] and do not
-    involve t_sep; shape position is read off exponent vectors.
+    `system` and `bad` are integer polynomials in a_0..a_{l-1}, t that do
+    not involve t; shape position is read off exponent vectors.  The bad
+    locus is evaluated on the coordinates in Q[t] modulo the eliminant, one
+    product at a time, so it is never expanded.
     """
-    from sympy.polys.groebnertools import groebner
-
-    S = bad.ring
-    *coeffs, t = S.gens
-    l = len(coeffs)
-    sep = coeffs[-1] + lam * sum((i + 1) * c for i, c in enumerate(coeffs[:-1]))
-    gb = groebner([*system, t - sep], S)
-    if gb == [S.one]:
+    l = len(next(iter(bad))) - 1
+    one, a = (0,) * (l + 1), _variables(l)
+    sep = {a[l]: 1, a[l - 1]: -1} | {a[i]: -lam * (i + 1) for i in range(l - 1) if lam}
+    gb = _groebner([*system, sep])
+    if gb == [{one: 1}]:
         return 0  # inconsistent system: no critical polynomial of this degree
-    univ = [p for p in gb if not any(any(m[:l]) for m in p.itermonoms())]
+    univ = [p for p in gb if not any(any(m[:l]) for m in p)]
     if len(univ) != 1:
         return None
-    T = S[l:]  # QQ[t_sep]
-    elim = univ[0].set_ring(T)
-    subs = {}
+
+    def in_t(p: dict) -> Poly:  # p involves t alone
+        return Poly([p.get((*one[:l], k), 0) for k in range(max((m[l] for m in p), default=0) + 1)])
+
+    elim, subs = in_t(univ[0]), {}
     for p in gb:
         if p is univ[0]:
             continue
-        head = {i for m in p.itermonoms() for i in range(l) if m[i]}
+        head = {i for m in p for i in range(l) if m[i]}
         if len(head) != 1:
             return None
         (h,) = head
         # linear in a_h with a constant coefficient: one term involves a_h,
         # and it is c a_h
-        lin = [(m, c) for m, c in p.iterterms() if m[h]]
+        lin = [(m, c) for m, c in p.items() if m[h]]
         if len(lin) != 1 or sum(lin[0][0]) != 1:
             return None
-        c = lin[0][1]
-        subs[h] = (c * coeffs[h] - p).set_ring(T).quo_ground(c)
+        subs[h] = in_t({m: c for m, c in p.items() if not m[h]}) * Fraction(-1, lin[0][1])
     if len(subs) != l:
         return None
-    # bad(subs) mod elim, reduced in QQ[t] after every product: no product
+    # bad(subs) mod elim, reduced in Q[t] after every product: no product
     # reaches degree 2 deg(elim), where bad(subs) expanded has degree up
     # to deg(bad) (deg(elim) - 1)
-    powers = [[T.one, subs[i].rem(elim)] for i in range(l)]
-    bad_t = T.zero
-    for monom, a in bad.iterterms():
-        term = T.one * a
+    powers = [[ONE, subs[i] % elim] for i in range(l)]
+    bad_t = ZERO
+    for monom, c in bad.items():
+        term = Poly([c])
         for pw, e in zip(powers, monom):
             if e:
                 while len(pw) <= e:
-                    pw.append((pw[-1] * pw[1]).rem(elim))
-                term = (term * pw[e]).rem(elim)
+                    pw.append(pw[-1] * pw[1] % elim)
+                term = term * pw[e] % elim
         bad_t += term
-    elim_sf = elim.sqf_part()
-    return elim_sf.degree() - elim_sf.gcd(bad_t).degree()
+    elim_sf = elim.exact_div(gcd(elim, elim.deriv()))
+    return elim_sf.degree - gcd(elim_sf, bad_t).degree
 
 
 def population_count_report(pi: ProblemInstance, l: int):

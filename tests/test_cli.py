@@ -387,12 +387,13 @@ class TestCount:
             assert proc.stderr == "[error] InvalidInstance: rank is capped at 512, got 513\n"
 
     def test_import_leaves_sympy_unloaded(self):
-        """sympy is imported by the rank-one exact count only, not at start-up;
-        and no record is a dataclass, so start-up loads neither `dataclasses`
-        nor the `inspect`, `ast`, `dis` and `tokenize` that it imports."""
+        """Start-up loads neither sympy nor `critpop.schubert`, which only the
+        `count` subcommand imports; and no record is a dataclass, so start-up
+        loads neither `dataclasses` nor the `inspect`, `ast`, `dis` and
+        `tokenize` that it imports."""
         src = str(Path(critpop.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        names = ("sympy", "dataclasses", "inspect", "ast", "dis", "tokenize")
+        names = ("sympy", "critpop.schubert", "dataclasses", "inspect", "ast", "dis", "tokenize")
         proc = subprocess.run(
             [sys.executable, "-c",
              f"import sys, critpop.cli; print([m for m in {names!r} if m in sys.modules])"],
@@ -401,9 +402,9 @@ class TestCount:
         assert proc.stdout == "[]\n"
 
     def test_count_builds_no_expressions(self):
-        """The count works in sympy's polynomial rings, not on expressions:
-        the first sum of two sympy expressions imports sympy.tensor.tensor
-        (in Add.flatten), and the l = 1, 2 counts on A1x5 leave it unloaded."""
+        """The count works on its own integer polynomials: the l = 1, 2 counts
+        on A1x5 leave sympy unloaded, and with it sympy.tensor.tensor, which
+        the first sum of two sympy expressions imports (in Add.flatten)."""
         src = str(Path(critpop.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         code = ("import sys\n"
@@ -415,7 +416,7 @@ class TestCount:
                 "      'sympy.tensor.tensor' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert proc.stdout == "[4, 5] True False\n", proc.stderr
+        assert proc.stdout == "[4, 5] False False\n", proc.stderr
 
     @pytest.mark.parametrize("weight", [2, 3])
     def test_sl2_inconsistent_system(self, tmp_path, capsys, weight):
@@ -534,6 +535,24 @@ class TestInvalidInput:
         )
         assert proc.returncode == 2
         assert proc.stderr == "[error] InvalidInstance: populate supports rank at most 6\n"
+
+    @pytest.mark.parametrize("command, code, rows", [("fundamental", "A13", 14),
+                                                     ("selfdual", "B7", 14),
+                                                     ("selfdual", "C512", 1025)])
+    def test_wronskian_row_cap(self, tmp_path, command, code, rows):
+        """A Wronskian of more than 13 rows is refused before its 2^s minors
+        are built, and a fundamental space of more than 13 dimensions before
+        its basis is: A13 and the folded B7 have 14 rows and the folded C512
+        1025, and each run exits 2 at once with a one-line message and no
+        traceback."""
+        cfg = write_cfg(tmp_path, "cfg.json", {"root_system": code, "weights": [], "points": []})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "critpop.cli", command, "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"[error] InvalidInstance: Wronskians are capped at 13 rows, got {rows}\n")
 
     @pytest.mark.parametrize("target", ["missing_dir/a.json", "."], ids=["missing-dir", "dir"])
     def test_unwritable_output(self, tmp_path, capsys, target):

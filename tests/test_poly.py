@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import gcd as igcd
@@ -275,6 +276,13 @@ class TestWronskian:
         and W(x, x^2) = x^2 would be read back wrong."""
         assert wronskian_minors([ZERO, X, X * X], [0b110, 0b010, 0b111, 0]) == [
             X * X, X, ZERO, ONE]
+
+    def test_row_cap(self):
+        """13 rows are expanded, W(1, x, ..., x^12) = 0! 1! ... 12!, and 14
+        are refused before any minor is built."""
+        assert wronskian([X**i for i in range(13)]) == math.prod(map(math.factorial, range(13)))
+        with pytest.raises(InvalidInstance, match="capped at 13 rows, got 14"):
+            wronskian_minors([X**i for i in range(14)], [0])
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs, coeffs, coeffs)

@@ -3,10 +3,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from critpop import schubert
 from critpop.errors import CritpopError
@@ -125,6 +127,114 @@ def lr_coefficient(lam, mu, nu) -> int:
     return exp.get(tuple(x for x in nu if x), 0)
 
 
+def ring_count_critical_sl2(pi, l):
+    """Reference for `count_critical_sl2` on sympy's sparse polynomial rings
+    over QQ (`sympy.polys.rings`, `groebnertools.groebner`): the same
+    criterion system, bad locus and separating forms."""
+    if pi.rd.rank != 1:
+        raise ValueError("exact counting is rank-one only")
+    if l == 0:
+        return 1
+    from sympy.polys.domains import QQ
+    from sympy.polys.orderings import lex
+    from sympy.polys.rings import ring
+
+    R, x, *gens = ring(["x", *(f"a{i}" for i in range(l)), "t_sep"], QQ, lex)
+    zs = [QQ(z.numerator, z.denominator) for z in pi.points]
+    f = math.prod((x - z for z in zs), start=R.one)
+    g = R.zero
+    for lam, z in zip(pi.weights, zs):
+        g += lam[0] * math.prod((x - w for w in zs if w != z), start=R.one)
+    y = x**l + sum((c * x**i for i, c in enumerate(gens[:-1])), R.zero)
+    dy = y.diff(x)
+    rem = (f * dy.diff(x) - g * dy).rem(y)  # y is monic in x, the first generator
+    system = [e for i in range(l) if (e := rem.coeff_wrt(x, i).drop(x))]
+    if not system:
+        raise ValueError("degenerate criterion system")
+    bad = y.discriminant()
+    for lam, z in zip(pi.weights, zs):
+        if not lam[0]:
+            bad *= y.evaluate(x, z)
+    for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
+        got = ring_shape_count(system, bad, lam)
+        if got is not None:
+            return got
+    raise ValueError("no separating linear form found")
+
+
+def ring_shape_count(system, bad, lam: int) -> int | None:
+    """Reference for `schubert._shape_count` in the lex ring
+    QQ[a_0..a_{l-1}, t_sep]: sympy's Groebner basis and QQ[t] arithmetic."""
+    from sympy.polys.groebnertools import groebner
+
+    S = bad.ring
+    *coeffs, t = S.gens
+    l = len(coeffs)
+    sep = coeffs[-1] + lam * sum((i + 1) * c for i, c in enumerate(coeffs[:-1]))
+    gb = groebner([*system, t - sep], S)
+    if gb == [S.one]:
+        return 0  # inconsistent system: no critical polynomial of this degree
+    univ = [p for p in gb if not any(any(m[:l]) for m in p.itermonoms())]
+    if len(univ) != 1:
+        return None
+    T = S[l:]  # QQ[t_sep]
+    elim = univ[0].set_ring(T)
+    subs = {}
+    for p in gb:
+        if p is univ[0]:
+            continue
+        head = {i for m in p.itermonoms() for i in range(l) if m[i]}
+        if len(head) != 1:
+            return None
+        (h,) = head
+        # linear in a_h with a constant coefficient: one term involves a_h,
+        # and it is c a_h
+        lin = [(m, c) for m, c in p.iterterms() if m[h]]
+        if len(lin) != 1 or sum(lin[0][0]) != 1:
+            return None
+        c = lin[0][1]
+        subs[h] = (c * coeffs[h] - p).set_ring(T).quo_ground(c)
+    if len(subs) != l:
+        return None
+    # bad(subs) mod elim, reduced in QQ[t] after every product: no product
+    # reaches degree 2 deg(elim), where bad(subs) expanded has degree up
+    # to deg(bad) (deg(elim) - 1)
+    powers = [[T.one, subs[i].rem(elim)] for i in range(l)]
+    bad_t = T.zero
+    for monom, a in bad.iterterms():
+        term = T.one * a
+        for pw, e in zip(powers, monom):
+            if e:
+                while len(pw) <= e:
+                    pw.append((pw[-1] * pw[1]).rem(elim))
+                term = (term * pw[e]).rem(elim)
+        bad_t += term
+    elim_sf = elim.sqf_part()
+    return elim_sf.degree() - elim_sf.gcd(bad_t).degree()
+
+
+def gens_of(l):
+    """The symbols a_0..a_{l-1}, t_sep of the count's integer polynomials."""
+    return [*sympy.symbols(f"a0:{l}"), sympy.Symbol("t_sep")]
+
+
+def as_expr(p, gens=None):
+    """The sympy expression of a nonzero integer polynomial of `schubert`,
+    {exponent tuple: int}, in `gens` (by default a_0..a_{l-1}, t_sep)."""
+    gens = gens or gens_of(len(next(iter(p))) - 1)
+    return sympy.Add(*(c * sympy.Mul(*(v**e for v, e in zip(gens, m))) for m, c in p.items()))
+
+
+def primitive_terms(expr, gens):
+    """{exponent tuple: int} of expr times the rational that makes it
+    primitive over Z with a positive lex-leading coefficient."""
+    terms = {m: Fraction(str(c)) for m, c in sympy.Poly(expr, *gens).as_dict().items()}
+    d = math.lcm(*(c.denominator for c in terms.values()))
+    g = math.gcd(*(int(c * d) for c in terms.values()))
+    g = g if terms[max(terms)] > 0 else -g
+    return {m: int(c * d) // g for m, c in terms.items()}
+
+
 def expr_count_critical_sl2(pi, l):
     """Reference for `count_critical_sl2`: the same criterion system, bad
     locus and separating forms, built as sympy expressions."""
@@ -199,16 +309,16 @@ def expr_shape_count(system, coeffs, bad, lam, expand=False):
 @pytest.fixture
 def shape_log(monkeypatch):
     """Runs `_shape_count` and the expanding reference, on the expressions
-    of its ring arguments, on every separating form the count tries,
-    asserts they agree, and logs (arguments, result)."""
+    of its integer-polynomial arguments, on every separating form the
+    count tries, asserts they agree, and logs (arguments, result)."""
     log = []
     new = schubert._shape_count
 
     def both(system, bad, lam):
         got = new(system, bad, lam)
-        coeffs = list(bad.ring.symbols[:-1])
-        exprs = [p.as_expr() for p in system]
-        assert got == expr_shape_count(exprs, coeffs, bad.as_expr(), lam, expand=True), lam
+        coeffs = gens_of(len(next(iter(bad))) - 1)[:-1]
+        exprs = [as_expr(p) for p in system]
+        assert got == expr_shape_count(exprs, coeffs, as_expr(bad), lam, expand=True), lam
         log.append(((system, bad, lam), got))
         return got
 
@@ -439,6 +549,39 @@ class TestRamification:
             convert_ramification(d=1, point_kind="finite", a=(3, 0))
 
 
+@st.composite
+def integer_systems(draw):
+    """(n, polys): 1-3 integer polynomials in 2-3 variables of degree <= 2,
+    each with 1-4 terms and coefficients in -3..3."""
+    n = draw(st.integers(2, 3))
+    monoms = st.sampled_from([m for m in product(range(3), repeat=n) if sum(m) <= 2])
+    poly = st.dictionaries(monoms, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    return n, draw(st.lists(poly, min_size=1, max_size=3))
+
+
+class TestIntegerBasis:
+    """The count's private Groebner basis and discriminant against sympy's."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(integer_systems())
+    @example((2, [{(1, 0): 1}, {(1, 0): 1, (0, 0): -1}]))  # x, x - 1: inconsistent
+    @example((3, [{(0, 2, 0): 1, (1, 0, 0): -1}, {(0, 0, 2): 1, (0, 1, 0): -1},
+                  {(1, 0, 0): 2, (0, 0, 1): -1}]))
+    def test_groebner_matches_sympy(self, system):
+        n, polys = system
+        gens = sympy.symbols(f"v0:{n}")
+        want = sympy.groebner([as_expr(p, gens) for p in polys], *gens, order="lex")
+        assert schubert._groebner(polys) == [primitive_terms(e, gens) for e in want.exprs]
+
+    @settings(deadline=None)
+    @given(st.integers(1, 5))
+    def test_discriminant_matches_sympy(self, l):
+        gens, x = gens_of(l), sympy.Symbol("x")
+        y = x**l + sum(c * x**i for i, c in enumerate(gens[:-1]))
+        want = sympy.Poly(sympy.discriminant(y, x), *gens).as_dict()
+        assert schubert._discriminant(l) == {m: int(c) for m, c in want.items()}
+
+
 class TestExactCounts:
     def test_midpoint_unique(self):
         pi = instance("A1", [(1,), (1,)], ["0", "2"])
@@ -479,9 +622,9 @@ class TestExactCounts:
         assert len(shape_log) == 17 and [got for _, got in shape_log].count(None) == 2
 
     def test_matches_expr_reference(self):
-        """The ring count equals the count built on sympy expressions on a
-        seeded A1 battery: weights 1-3, 2-5 points with halves among them,
-        l <= 2, and l = 3 on up to 3 points."""
+        """The count equals the ring count and the count built on sympy
+        expressions on a seeded A1 battery: weights 1-3, 2-5 points with
+        halves among them, l <= 2, and l = 3 on up to 3 points."""
         rng = random.Random(13)
         checked, halves = [], 0  # the l of each count, instances with a half
         for n in (2, 3, 4, 5) * 4:
@@ -493,9 +636,33 @@ class TestExactCounts:
             pi = instance("A1", ws, [str(z) for z in sorted(pts)])
             for l in (1, 2, 3) if n <= 3 else (1, 2):
                 if sum(w[0] for w in ws) >= 2 * l:
-                    assert count_critical_sl2(pi, l) == expr_count_critical_sl2(pi, l), (pi, l)
+                    got = count_critical_sl2(pi, l)
+                    assert got == ring_count_critical_sl2(pi, l), (pi, l)
+                    assert got == expr_count_critical_sl2(pi, l), (pi, l)
                     checked.append(l)
         assert (len(checked), checked.count(3), halves) == (34, 3, 12)
+
+    def test_matches_ring_reference(self):
+        """The count equals the count on sympy's rings on a seeded A1 battery
+        with weight 0 among the weights 0-3: 2-5 points with halves among
+        them, l <= 2, and l = 3 on up to 3 points."""
+        rng = random.Random(24)
+        checked, halves, zeros = [], 0, 0  # (l, count) of each count
+        for n in (2, 3, 4, 5) * 4:
+            pts = set()
+            while len(pts) < n:
+                pts.add(Fraction(rng.randint(-9, 9), rng.choice([1, 2])))
+            halves += any(z.denominator == 2 for z in pts)
+            ws = [(rng.randint(0, 3),) for _ in range(n)]
+            zeros += (0,) in ws
+            pi = instance("A1", ws, [str(z) for z in sorted(pts)])
+            for l in (1, 2, 3) if n <= 3 else (1, 2):
+                if sum(w[0] for w in ws) >= 2 * l:
+                    got = count_critical_sl2(pi, l)
+                    assert got == ring_count_critical_sl2(pi, l), (pi, l)
+                    checked.append((l, got))
+        assert (len(checked), [l for l, _ in checked].count(3), halves, zeros) == (26, 2, 9, 8)
+        assert sum(c for _, c in checked) == 59
 
     def test_zero_weight_points(self):
         """y at a marked point of weight 0 stays in the bad locus: with the
@@ -514,13 +681,13 @@ class TestExactCounts:
 
         def both(system, bad, lam):
             got = new(system, bad, lam)
-            *coeffs, _ = bad.ring.gens
-            full = bad
+            gens = gens_of(l)
+            full = as_expr(bad)
             for w, z in zip(pi.weights, pi.points):
                 if w[0]:
-                    z = sympy.QQ(z.numerator, z.denominator)
-                    full *= z**l + sum(c * z**i for i, c in enumerate(coeffs))
-            assert new(system, full, lam) == got, (pi, l, lam)
+                    z = sympy.Rational(z.numerator, z.denominator)
+                    full *= z**l + sum(c * z**i for i, c in enumerate(gens[:-1]))
+            assert new(system, primitive_terms(full, gens), lam) == got, (pi, l, lam)
             tried.append(got)
             return got
 
@@ -544,9 +711,8 @@ class TestExactCounts:
         # other bad loci on the same system: a root is counted once, and
         # removed once it is bad (at lam = 0 the separating form is a1)
         system, bad, _ = shape_log[0][0]
-        ring = bad.ring
-        a1 = ring.gens[1]
-        for bad, want in ((ring.one, 2), (a1 + 2, 1), (a1 + 4, 1)):
+        one, a1 = (0, 0, 0), (0, 1, 0)
+        for bad, want in (({one: 1}, 2), ({a1: 1, one: 2}, 1), ({a1: 1, one: 4}, 1)):
             assert schubert._shape_count(system, bad, 0) == want
 
     def test_separating_form_retry(self, shape_log):
