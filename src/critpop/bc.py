@@ -5,7 +5,11 @@ is computed on the folded A side, where the type-A machinery applies
 verbatim and is called directly.  `fold` returns the folded tuple
 (y_1..y_{N-1}, y_N, y_{N-1}..y_1) for B_N and (y_1..y_{N-1}, y_N^2, y_N^2,
 y_{N-1}..y_1) for C_N; `folded_instance` builds the matching A-series
-instance, and so its T-polynomials, once per B/C instance.
+instance, and so its T-polynomials, once per B/C instance.  B and C take
+one path to the fundamental space: `fold_equivalence` certifies the folded
+tuple on the A side (the criterion for B; for C, whose folded tuple is not
+generic, fertility in every direction), and the space is the kernel of the
+folded tuple's operator, which needs no generic member.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from typing import NamedTuple
 from .core import ProblemInstance, TupleY, heine_stieltjes_test, monic_tuple
 from .errors import ConstructionFailed, NotFertile, NotGeneric, SquareRootMissing
 from .fundamental import Flag, fundamental_space, generating_morphism, verify_dp
-from .poly import Poly, poly_sqrt, wronskian
-from .reproduction import immediate_descendants, is_fertile, param_candidates
+from .poly import poly_sqrt
+from .reproduction import is_fertile
 from .roots import fold_weight_B, fold_weight_C, root_data
 from .selfduality import (IsotropicFamily, SelfdualSpace, antidiagonal_basis, framing_of,
                           is_isotropic)
@@ -112,80 +116,17 @@ def fold_equivalence(pi: ProblemInstance, y: TupleY, native: bool) -> bool:
     return is_fertile(pia, folded)
 
 
-def c_bridge_tuples(pi: ProblemInstance, y: TupleY, c: Fraction,
-                    ytil: Poly | None = None):
-    """The two bridge tuples linking a C_N critical point to its folded
-    A-population, with their defining Wronskian identities verified.
-
-    `ytil` must solve the direction-N Wronskian equation; by default the
-    base of the solution line is used.
-    """
-    if pi.rd.kind != "C":
-        raise ValueError("c_bridge_tuples expects C data")
-    if c == 0:
-        raise ValueError("bridge parameter must be nonzero")
-    y = monic_tuple(y)
-    n = pi.rd.rank
-    if ytil is None:
-        ytil = immediate_descendants(pi, y, n - 1).base
-    ts = pi.ts
-    yn = y[n - 1]
-    if wronskian([yn * yn, yn * ytil]) != ts[n - 1] * y[n - 2] * yn * yn:
-        raise ConstructionFailed("first bridge identity failed")
-    if wronskian([yn * yn, yn * yn + c * ytil * ytil]) != (
-        2 * c * ts[n - 1] * y[n - 2] * yn * ytil
-    ):
-        raise ConstructionFailed("second bridge identity failed")
-    head = y[: n - 1]
-    tail = y[: n - 1][::-1]
-    y_a1 = head + (yn * ytil, yn * yn) + tail
-    y_a2 = head + (yn * ytil, yn * yn + c * ytil * ytil) + tail
-    return monic_tuple(y_a1), monic_tuple(y_a2)
-
-
-def _sample_bridge(pi: ProblemInstance, y: TupleY):
-    """A generic A-side member of the folded population of a C-type point.
-
-    Both the direction-N sibling (along its solution line) and the bridge
-    parameter are sampled from the canonical sequence.
-    """
-    pia = folded_instance(pi)
-    n = pi.rd.rank
-    y = monic_tuple(y)
-    fam = immediate_descendants(pi, y, n - 1)
-    sib_params = [t for _, t in zip(range(8), param_candidates())]
-    for t in sib_params:
-        ytil = fam.member(t)
-        for _, c in zip(range(16), param_candidates()):
-            if c == 0:
-                continue
-            _, y_a2 = c_bridge_tuples(pi, y, c, ytil)
-            try:
-                if heine_stieltjes_test(pia, y_a2):
-                    return y_a2
-            except NotGeneric:
-                pass
-    raise ConstructionFailed("no generic bridge parameter found")
-
-
 def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
     """Fundamental space of the folded population with its framing and
-    canonical form; building the `SelfdualSpace` certifies it selfdual."""
-    kind = pi.rd.kind
+    canonical form: the kernel of the folded tuple's operator, once
+    `fold_equivalence` certifies the folded tuple on the A side.  Building
+    the `SelfdualSpace` certifies it selfdual."""
     if not bc_critical_test(pi, y):
         raise NotFertile("tuple is not a B/C critical point")
+    if not fold_equivalence(pi, y, True):
+        raise ConstructionFailed("folded tuple fails the A-side certificate")
     pia = folded_instance(pi)
-    if kind == "B":
-        folded = fold(y, "B")
-        if not heine_stieltjes_test(pia, folded):
-            raise ConstructionFailed("folded tuple fails the A-side criterion")
-        space = fundamental_space(pia, folded)
-    else:
-        member = _sample_bridge(pi, y)
-        space = fundamental_space(pia, member)
-    expected_dim = 2 * pi.rd.rank if kind == "B" else 2 * pi.rd.rank + 1
-    if space.dim != expected_dim:
-        raise ConstructionFailed("folded fundamental space has wrong dimension")
+    space = fundamental_space(pia, fold(y, pi.rd.kind))
     # gram raises NotSelfdual unless V = V+, and rejects a form of the wrong parity
     return SelfdualSpace(space, framing_of(space, pia.points))
 

@@ -42,7 +42,7 @@ from .fundamental import (
     verify_dp,
 )
 from .poly import Poly, identity_suite
-from .reproduction import explore_population, is_fertile, weyl_degree_map
+from .reproduction import explore_population, immediate_descendants, is_fertile, weyl_degree_map
 from .roots import _ENUM_RANK_CAP, dominant_representative
 from .selfduality import SelfdualSpace, framing_of, quasi_witt_basis
 
@@ -197,8 +197,11 @@ def cmd_fundamental(args) -> int:
     # flag_from_tuple raises NotInImage unless y_1 lies in the space and beta(F) = y
     flag_from_tuple(space, y, pi.ts)
     rep.add("pol-crit", "generating morphism round trip")
+    # independence of the member: each immediate descendant's operator annihilates V
+    descendants = [y[:i] + (immediate_descendants(pi, y, i).base,) + y[i + 1:]
+                   for i in range(pi.rd.rank)]
     rep.add("ind-thm", "factored operator annihilates the space",
-            verify_dp(pi, [space], y))
+            all(verify_dp(pi, [space], d) for d in descendants))
     rep.add("first-coor", "y_1 lies in the space")
     return rep.emit()
 

@@ -7,24 +7,25 @@ reduces integer numerators for span construction, membership (a rank
 test) and flag canonicalization, and its pivot columns on the
 coefficients of p(x + z) are the exponents at z.  A member's coordinates
 are its numerators at the pivot degrees, a `QVec` over its denominator,
-and `member` maps them back by one integer combination.  The
-fundamental space of a critical tuple is built by the sibling recursion,
-and its Wronskian ladder W(u_1..u_i) ~ y_i L_i, L_i = prod_{j<i} T_j^(i-j)
-(`poly.t_ladder`), is checked on the prefixes of one Laplace expansion.
-`verify_dp` checks that the order-(N+1) operator of a member annihilates
-it: the operator's first-order factors are composed once, over Z[x], into
-L = (1/D) sum_j n_j d^j with D = n_{N+1}, which the Frobenius-Polya
-factorization identifies with W(V) (G. Polya, Trans. AMS 24 (1922)), and
-each basis vector then costs one sum and one gcd.  The same ladder
-predicts the denominator of each partial composition, so a fold is
-exact quotients by the previous one, with no gcd; a quotient that is not
-exact shows that the operator annihilates no full polynomial space.
+and `member` maps them back by one integer combination.
+
+The fundamental space of a critical tuple y is the kernel of its operator
+D_y, the same for every member of the population.  `_operator_chain`
+composes the first-order factors over Z[x], rightmost first, into
+L = (1/D) sum_j n_j d^j; D = n_{N+1} is W(V) by the Frobenius-Polya
+factorization (G. Polya, Trans. AMS 24 (1922)), and the Wronskian ladder
+W(u_1..u_i) ~ y_i L_i (`poly.t_ladder`) predicts each partial denominator,
+so a fold is exact quotients, with no gcd.  `_kernel` solves for the
+polynomial kernel of an operator by its indicial equation at infinity: of
+D_y for `fundamental_space`, and of the k-th partial operator, F_k of the
+flag with beta(F) = y, for `flag_from_tuple`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from math import lcm
+from math import gcd as igcd
+from math import lcm, perm
 from typing import NamedTuple
 
 from .core import (
@@ -33,11 +34,9 @@ from .core import (
     monic_tuple,
     weight_at_infinity,
 )
-from .errors import ConstructionFailed, NotDivisible, NotInImage
+from .errors import ConstructionFailed, NotInImage
 from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo,
-                   _zrref, _zscaled, _zsub, divided_wronskian, divided_wronskians,
-                   solve_combination, t_ladder, wronskian_minors, wronskian_rows)
-from .reproduction import immediate_descendants, _sample_generic
+                   _zrref, _zscaled, _zsub, divided_wronskians, t_ladder, wronskian_rows)
 from .roots import dominant_representative
 
 
@@ -136,43 +135,64 @@ def degree_flag(space: PolySpace) -> Flag:
 # -- fundamental space --------------------------------------------------------
 
 
-def _basis_vector(pi: ProblemInstance, y: TupleY, k: int) -> Poly:
-    """u_k of the sibling recursion (1-based k): u_1 = y_1, u_2 solves
-    W(y_1, u) = T_1 y_2, and u_{k} = u_{k-1} of the tuple with y_{k-1}
-    replaced by a generic sibling."""
-    if k == 1:
-        return y[0]
-    if k == 2:
-        return immediate_descendants(pi, monic_tuple(y), 0).base
-    fam = immediate_descendants(pi, monic_tuple(y), k - 2)
-    want = max(int(fam.base.degree), int(fam.fiber.degree))
-    sib, _ = _sample_generic(pi, monic_tuple(y), k - 2, fam, want)
-    return _basis_vector(pi, sib, k - 1)
+def _kernel(op: list[list[int]]) -> PolySpace:
+    """Polynomial solutions of L u = 0, L = (1/n_k) sum_j n_j d^j, by the
+    Frobenius method at infinity (the indicial equation: E. L. Ince,
+    Ordinary Differential Equations (1926), ch. XVI).
+
+    With s = max_j (deg n_j - j), x^m first enters L u at x^(m+s), with
+    the indicial value I(m) = sum_j n_j[s+j] m!/(m-j)!, so a member's
+    degree is a root of I, at most deg n_k + k - 1 if the kernel V has
+    dimension k (deg W(V) = sum(degrees) - k(k-1)/2).  Each root e is solved
+    from the top down, fraction-free as in `solve_wronskian_equation`, on
+    one dense image L x^m per m: where I(m) != 0 the x^(m+s) equation fixes
+    the x^m coefficient, at any other root it is 0, and the residual must
+    vanish, or e gives no member.  When the kernel has dimension k, every
+    root is one of its degrees, and the members are its reduced echelon
+    basis; callers check the dimension.
+    """
+    k = len(op) - 1
+    s = max(len(n) - 1 - j for j, n in enumerate(op) if n)
+    lead = [n[s + j] if 0 <= s + j < len(n) else 0 for j, n in enumerate(op)]
+    roots = [m for m in range(len(op[-1]) + k - 1)
+             if not sum(c * perm(m, j) for j, c in enumerate(lead))]
+    images = []
+    for m in range(roots[-1] + 1 if roots else 0):
+        im = [0] * max(m + s + 1, 0)
+        for j, n in enumerate(op):
+            if f := perm(m, j):
+                im[m - j:m - j + len(n)] = [a + f * c for a, c in zip(im[m - j:], n)]
+        images.append(im)
+    basis = []
+    for e in reversed(roots):
+        u, res = [0] * e + [1], images[e][:]
+        for m in range(e - 1, -1, -1):
+            piv = images[m][-1] if images[m] else 0  # I(m), at x^(m+s)
+            if piv:
+                r = res[m + s]
+                if r % piv:
+                    g = abs(piv) // igcd(piv, r)
+                    u, res, r = [g * v for v in u], [g * v for v in res], r * g
+                if c := -r // piv:
+                    u[m], im = c, images[m]
+                    res[:len(im)] = [v + c * a for v, a in zip(res, im)]
+        if not any(res):
+            basis.append(_zscaled(u, u[e]))
+    return PolySpace(tuple(basis))
 
 
 def fundamental_space(pi: ProblemInstance, y: TupleY) -> PolySpace:
-    """The (N+1)-dimensional space attached to a type-A critical tuple.
-
-    Builds u_1, ..., u_{N+1} by the sibling recursion and checks the
-    prescribed Wronskian ladder W(u_1..u_i) ~ y_i T_1^{i-1} ... T_{i-1}
-    for every i, plus absence of base points.
-    """
+    """The (N+1)-dimensional space attached to a type-A critical tuple:
+    the kernel of y's operator D_y (`_operator_factors`), checked for full
+    dimension and for absence of base points.  The kernel consists of
+    polynomials and is the same for every member of the population."""
     if pi.rd.kind != "A":
         raise ValueError("fundamental_space expects type-A data")
-    y = monic_tuple(y)
-    n = wronskian_rows(pi.rd.rank + 1) - 1  # refused before the basis is built
-    us = [_basis_vector(pi, y, k) for k in range(1, n + 2)]
-    ladder = t_ladder(pi.ts)
-    prefixes = wronskian_minors(us, [(1 << i) - 1 for i in range(1, n + 2)])
-    for i, w in enumerate(prefixes, 1):
-        expected = (y[i - 1] if i <= n else ONE) * ladder[i]
-        if w.is_zero() or expected.is_zero():
-            raise ConstructionFailed("degenerate Wronskian ladder")
-        if w.monic() != expected.monic():
-            raise ConstructionFailed(f"Wronskian ladder failed at level {i}")
-    space = span(us)
-    if space.dim != n + 1:
-        raise ConstructionFailed("fundamental space has wrong dimension")
+    n = wronskian_rows(pi.rd.rank + 1) - 1  # refused before the operator is composed
+    op = _operator_factors(pi, monic_tuple(y))
+    space = None if op is None else _kernel(op)
+    if space is None or space.dim != n + 1:
+        raise ConstructionFailed("the operator has no polynomial kernel of full dimension")
     for z in pi.points:
         if all(b.eval(z) == 0 for b in space.basis):
             raise ConstructionFailed(f"base point at {z}")
@@ -264,38 +284,25 @@ def generating_morphism(basis, ts) -> TupleY:
 
 
 def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
-    """The unique flag with beta(F) = y, reconstructed greedily."""
+    """The unique flag with beta(F) = y.  F_k is the kernel of y's k-th
+    partial operator (Frobenius-Polya), of dimension k and inside the
+    space, and flag element k is the echelon element of F_k of the degree
+    that F_{k-1} lacks, the one `Flag.from_basis` picks."""
     n = space.dim - 1
     y = monic_tuple(y)
     if len(y) != n:
         raise NotInImage("tuple length does not match the space")
-    if not space.contains(y[0]):
-        raise NotInImage("y_1 is not a member of the space")
-    us = [y[0]]
-    for i in range(1, n):
-        # solve W+(u_1..u_i, v) = c * y_{i+1} for (v, c), v in the space
-        try:
-            cols = [divided_wronskian(us + [b], ts) for b in space.basis]
-        except NotDivisible as exc:
-            raise NotInImage(str(exc)) from exc
-        solved = solve_combination(cols + [-y[i]], Poly())
-        assert solved is not None
-        _, kernel = solved
-        pick = None
-        for vec in kernel:
-            if vec[-1]:
-                pick = vec
-                break
-        if pick is None:
-            raise NotInImage(f"no flag level matches y_{i + 1}")
-        v = space.member(QVec.of([a / pick[-1] for a in pick[:-1]]))
-        us.append(v)
-    # complete to a full basis with the leftover echelon element
-    part = span(us)
-    us += [b for b in space.basis if not part.contains(b)][:1]
-    if len(us) != space.dim:
-        raise NotInImage("flag reconstruction did not complete")
-    flag = Flag.from_basis(space, us)
+    basis, old = [], set()
+    for k, op in enumerate(_operator_chain(ts, y), 1):
+        part = None if op is None else _kernel(op)
+        if part is None or part.dim != k:
+            raise NotInImage(f"no flag level matches y_{k}")
+        basis.append(next(b for b in part.basis if b.degree not in old))
+        old = set(part.degrees())
+    basis.append(next(b for b in space.basis if b.degree not in old))
+    if not all(map(space.contains, basis[:-1])):
+        raise NotInImage("the flag of y leaves the space")
+    flag = Flag(space, tuple(basis))
     if generating_morphism(flag.basis, ts) != y:
         raise NotInImage("reconstructed flag does not map back to the tuple")
     return flag
@@ -324,7 +331,16 @@ def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool
 def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[list[int]] | None:
     """The order-(N+1) operator of y, composed once: integer polynomials
     n_0..n_{N+1} with no common factor and L = (1/n_{N+1}) sum_j n_j d^j,
-    or None if L has no polynomial kernel of dimension N+1.
+    or None if L has no polynomial kernel of dimension N+1: the last
+    entry of `_operator_chain` of (y_1, ..., y_N, 1)."""
+    return _operator_chain(pi.ts, (*y, ONE))[-1]
+
+
+def _operator_chain(ts, y) -> list[list[list[int]] | None]:
+    """The partial operators after each fold, one fold per entry of y,
+    rightmost factor first: entry k-1 is n_0..n_k of the order-k operator,
+    whose kernel is F_k of the flag with beta(F) = y, and None from the
+    first fold that is not exact.
 
     L is the product of N+1 monic first-order factors d - R'/R, the k-th
     (k = 0..N, rightmost first) with R = y_{k+1} T_1...T_k / y_k,
@@ -335,20 +351,19 @@ def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[list[int]] | None:
     an (N+1)-dimensional polynomial space V, every partial operator is
     f -> W(u_1..u_{k+1}, f)/W_{k+1} for a flag u of V (Frobenius-Polya),
     with polynomial numerators and W_{k+1} ~ P, so each new n_j is an exact
-    quotient by the primitive D, which `_zquo` checks; a miss returns None.
-    n_{N+1} ends as the primitive associate of W(V).
+    quotient by the primitive D, which `_zquo` checks.  n_{N+1} ends as
+    the primitive associate of W(V).
     """
-    zs = [_zpoly(p) for p in y] + [[1]]
-    ns = [[1]]
-    for c, lad in zip(zs, t_ladder(pi.ts)[1:]):
-        d, p = ns[-1], _zmul(c, _zpoly(lad))
-        dp = _zderiv(p)
-        ns = [_zquo(_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), p), _zmul(n, dp)), d)
-              for prev, n in zip([[], *ns], ns)]
-        if None in ns:
-            return None
-        ns.append(p)
-    return ns
+    ns, chain = [[1]], []
+    for c, lad in zip(y, t_ladder(tuple(ts))[1:]):
+        if ns is not None:
+            d, p = ns[-1], _zmul(_zpoly(c), _zpoly(lad))
+            dp = _zderiv(p)
+            ns = [_zquo(_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), p), _zmul(n, dp)), d)
+                  for prev, n in zip([[], *ns], ns)]
+            ns = None if None in ns else [*ns, p]
+        chain.append(ns)
+    return chain
 
 
 def _apply_factored_operator(op, u: Poly) -> Poly:

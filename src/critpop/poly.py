@@ -600,11 +600,6 @@ def divided_wronskians(gs: Sequence[Poly], masks: Sequence[int], ts: Sequence[Po
     return [w.exact_div(ladder[m.bit_count()]) for w, m in zip(wronskian_minors(gs, masks), masks)]
 
 
-def divided_wronskian(us: Sequence[Poly], ts: Sequence[Poly]) -> Poly:
-    """Wronskian of us divided exactly by prod_{j<i} T_j^(i-j), i = len(us)."""
-    return divided_wronskians(us, [(1 << len(us)) - 1], ts)[0]
-
-
 # -- appendix identity suite -------------------------------------------------
 
 

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from critpop.core import ProblemInstance, is_generic, monic_tuple
-from critpop.errors import ConstructionFailed, NotDivisible
-from critpop.fundamental import PolySpace, span
-from critpop.poly import ONE, ZERO, Poly, divided_wronskian, gcd
+from critpop.errors import ConstructionFailed, NotDivisible, NotInImage
+from critpop.fundamental import Flag, PolySpace, generating_morphism, span
+from critpop.poly import (ONE, ZERO, Poly, QVec, divided_wronskians, gcd, solve_combination,
+                          t_ladder, wronskian_minors, wronskian_rows)
+from critpop.reproduction import _sample_generic, immediate_descendants
 from critpop.roots import WeylElement, root_data
 
 
@@ -23,6 +25,11 @@ A3W = instance("A3", [(1, 0, 0), (0, 1, 0), (0, 0, 1)], ["0", "1", "3"])
 # the (6,8,6) member of the A3W atlas
 A3W_686 = tuple(Poly.from_text(t) for t in (
     "54 0 -12 48 0 -56/5 1", "48 -72 -108 96 0 -24 448/15 -48/5 1", "6 -72 84 -40 12 -26/5 1"))
+
+
+def divided_wronskian(us, ts):
+    """Wronskian of us divided exactly by prod_{j<i} T_j^(i-j), i = len(us)."""
+    return divided_wronskians(us, [(1 << len(us)) - 1], ts)[0]
 
 
 def seeded_points(rng, n):
@@ -474,3 +481,78 @@ def folded_weyl_embed(kind, rank, w):
 def is_centro_symmetric(perm):
     m = len(perm)
     return all(perm[i] + perm[m - 1 - i] == m - 1 for i in range(m))
+
+
+# -- the constructive proof: the reference for the kernel of the operator
+
+
+def _basis_vector(pi, y, k):
+    """u_k of the sibling recursion (1-based k): u_1 = y_1, u_2 solves
+    W(y_1, u) = T_1 y_2, and u_{k} = u_{k-1} of the tuple with y_{k-1}
+    replaced by a generic sibling."""
+    if k == 1:
+        return y[0]
+    if k == 2:
+        return immediate_descendants(pi, monic_tuple(y), 0).base
+    fam = immediate_descendants(pi, monic_tuple(y), k - 2)
+    want = max(int(fam.base.degree), int(fam.fiber.degree))
+    sib, _ = _sample_generic(pi, monic_tuple(y), k - 2, fam, want)
+    return _basis_vector(pi, sib, k - 1)
+
+
+def sibling_fundamental_space(pi, y):
+    """The fundamental space by the sibling recursion: builds u_1, ...,
+    u_{N+1} from generic siblings and checks the prescribed Wronskian ladder
+    W(u_1..u_i) ~ y_i T_1^{i-1} ... T_{i-1} for every i, plus absence of
+    base points.  The reference for `fundamental_space`."""
+    if pi.rd.kind != "A":
+        raise ValueError("fundamental_space expects type-A data")
+    y = monic_tuple(y)
+    n = wronskian_rows(pi.rd.rank + 1) - 1
+    us = [_basis_vector(pi, y, k) for k in range(1, n + 2)]
+    ladder = t_ladder(pi.ts)
+    prefixes = wronskian_minors(us, [(1 << i) - 1 for i in range(1, n + 2)])
+    for i, w in enumerate(prefixes, 1):
+        expected = (y[i - 1] if i <= n else ONE) * ladder[i]
+        if w.is_zero() or expected.is_zero():
+            raise ConstructionFailed("degenerate Wronskian ladder")
+        if w.monic() != expected.monic():
+            raise ConstructionFailed(f"Wronskian ladder failed at level {i}")
+    space = span(us)
+    if space.dim != n + 1:
+        raise ConstructionFailed("fundamental space has wrong dimension")
+    for z in pi.points:
+        if all(b.eval(z) == 0 for b in space.basis):
+            raise ConstructionFailed(f"base point at {z}")
+    return space
+
+
+def wronskian_flag_from_tuple(space, y, ts):
+    """The flag with beta(F) = y, reconstructed greedily: u_{i+1} solves
+    W(u_1..u_i, v) / L_{i+1} = c y_{i+1} for v in the space.  The reference
+    for `flag_from_tuple`."""
+    n = space.dim - 1
+    y = monic_tuple(y)
+    if len(y) != n:
+        raise NotInImage("tuple length does not match the space")
+    if not space.contains(y[0]):
+        raise NotInImage("y_1 is not a member of the space")
+    us = [y[0]]
+    for i in range(1, n):
+        try:
+            cols = [divided_wronskian(us + [b], ts) for b in space.basis]
+        except NotDivisible as exc:
+            raise NotInImage(str(exc)) from exc
+        _, kernel = solve_combination(cols + [-y[i]], Poly())
+        pick = next((vec for vec in kernel if vec[-1]), None)
+        if pick is None:
+            raise NotInImage(f"no flag level matches y_{i + 1}")
+        us.append(space.member(QVec.of([a / pick[-1] for a in pick[:-1]])))
+    part = span(us)
+    us += [b for b in space.basis if not part.contains(b)][:1]
+    if len(us) != space.dim:
+        raise NotInImage("flag reconstruction did not complete")
+    flag = Flag.from_basis(space, us)
+    if generating_morphism(flag.basis, ts) != y:
+        raise NotInImage("reconstructed flag does not map back to the tuple")
+    return flag

@@ -8,23 +8,76 @@ from critpop.bc import (
     bc_critical_test,
     bc_fundamental_space,
     bc_population_as_isotropic_flags,
-    c_bridge_tuples,
     fold,
     fold_equivalence,
     folded_instance,
     unfold,
 )
 from critpop.core import heine_stieltjes_test, is_generic, monic_tuple, weight_at_infinity
-from critpop.errors import ConstructionFailed, NotFertile
+from critpop.errors import ConstructionFailed, NotFertile, NotGeneric
 from critpop.fundamental import fundamental_space
-from critpop.poly import ONE, X, Poly, QVec
-from critpop.reproduction import explore_population, is_fertile, param_candidates, weyl_degree_map
+from critpop.poly import ONE, X, Poly, QVec, wronskian
+from critpop.reproduction import (explore_population, immediate_descendants, is_fertile,
+                                  param_candidates, weyl_degree_map)
 from critpop.roots import dominant_representative
 from critpop.selfduality import is_isotropic, quasi_witt_basis
-from conftest import folded_weyl_embed, instance, is_centro_symmetric, is_selfdual
+from conftest import (folded_weyl_embed, instance, is_centro_symmetric, is_selfdual,
+                      sibling_fundamental_space)
 
 B2 = instance("B2")
 C2 = instance("C2")
+
+
+def c_bridge_tuples(pi, y, c, ytil=None):
+    """The two bridge tuples linking a C_N critical point to its folded
+    A-population, with their defining Wronskian identities verified.
+
+    `ytil` must solve the direction-N Wronskian equation; by default the
+    base of the solution line is used.
+    """
+    if pi.rd.kind != "C":
+        raise ValueError("c_bridge_tuples expects C data")
+    if c == 0:
+        raise ValueError("bridge parameter must be nonzero")
+    y = monic_tuple(y)
+    n = pi.rd.rank
+    if ytil is None:
+        ytil = immediate_descendants(pi, y, n - 1).base
+    ts = pi.ts
+    yn = y[n - 1]
+    if wronskian([yn * yn, yn * ytil]) != ts[n - 1] * y[n - 2] * yn * yn:
+        raise ConstructionFailed("first bridge identity failed")
+    if wronskian([yn * yn, yn * yn + c * ytil * ytil]) != (
+        2 * c * ts[n - 1] * y[n - 2] * yn * ytil
+    ):
+        raise ConstructionFailed("second bridge identity failed")
+    head = y[: n - 1]
+    tail = y[: n - 1][::-1]
+    y_a1 = head + (yn * ytil, yn * yn) + tail
+    y_a2 = head + (yn * ytil, yn * yn + c * ytil * ytil) + tail
+    return monic_tuple(y_a1), monic_tuple(y_a2)
+
+
+def sample_bridge(pi, y):
+    """A generic A-side member of the folded population of a C-type point:
+    the direction-N sibling (along its solution line) and the bridge
+    parameter are both sampled from the canonical sequence."""
+    pia = folded_instance(pi)
+    n = pi.rd.rank
+    y = monic_tuple(y)
+    fam = immediate_descendants(pi, y, n - 1)
+    for _, t in zip(range(8), param_candidates()):
+        ytil = fam.member(t)
+        for _, c in zip(range(16), param_candidates()):
+            if c == 0:
+                continue
+            _, y_a2 = c_bridge_tuples(pi, y, c, ytil)
+            try:
+                if heine_stieltjes_test(pia, y_a2):
+                    return y_a2
+            except NotGeneric:
+                pass
+    raise ConstructionFailed("no generic bridge parameter found")
 
 
 class TestFolding:
@@ -131,6 +184,31 @@ class TestFundamentalSpaces:
     def test_rejects_non_critical(self):
         with pytest.raises(NotFertile):
             bc_fundamental_space(B2, (X, X))
+
+    @pytest.mark.parametrize("pi", [B2, C2], ids=["B2", "C2"])
+    def test_needs_the_fold_certificate(self, monkeypatch, pi):
+        """B and C take one path: a folded tuple that `fold_equivalence`
+        does not certify gets no space."""
+        monkeypatch.setattr(bcmod, "fold_equivalence", lambda pi, y, native: False)
+        with pytest.raises(ConstructionFailed, match="A-side certificate"):
+            bc_fundamental_space(pi, (ONE, ONE))
+
+    @pytest.mark.parametrize("case", ["C2", "C3w"])
+    def test_c_kernel_matches_bridge_space(self, case):
+        """The kernel of the non-generic folded C tuple's operator is the
+        space that the sibling recursion builds from a generic bridge
+        member of the folded population."""
+        if case == "C2":
+            pi = C2
+            ys = [(ONE, ONE), explore_population(C2, (ONE, ONE), 8, seed=0).members[(1, 0)].tuple_y]
+        else:
+            pi = instance("C3", [(0, 1, 0), (1, 0, 0)], ["0", "-1"])
+            ys = [(ONE,) * 3]
+        pia = folded_instance(pi)
+        for y in ys:
+            space = fundamental_space(pia, fold(y, "C"))
+            assert space == sibling_fundamental_space(pia, sample_bridge(pi, y))
+            assert bc_fundamental_space(pi, y).space == space
 
 
 class TestIsotropicSampling:

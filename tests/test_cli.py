@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import critpop
 from critpop import cli, core, fundamental, reproduction, roots, selfduality
 from critpop.cli import main
-from critpop.poly import ONE
+from critpop.poly import ONE, Poly
 from conftest import count_calls
 
 
@@ -206,6 +206,20 @@ class TestFundamental:
         assert "[pol-crit] generating morphism round trip : PASS" in out
         assert "[first-coor] y_1 lies in the space : PASS" in out
         assert len(calls) == 1
+
+    def test_independence_reads_each_descendant(self, tmp_path, monkeypatch, capsys):
+        """The space is the kernel of y's own operator, so [ind-thm] checks
+        the paper's independence statement instead: the operator of each
+        immediate descendant of y annihilates it.  `verify_dp` gets N
+        tuples, the i-th y with only coordinate i replaced."""
+        cfg = write_cfg(tmp_path, "a3w.json", A3W_686)
+        calls = count_calls(monkeypatch, fundamental, "verify_dp")
+        assert run(["fundamental", "--config", cfg]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "[ind-thm] factored operator annihilates the space : PASS" in out
+        y = tuple(Poly.from_text(t) for t in A3W_686["tuple"])
+        changed = [[i for i, (a, b) in enumerate(zip(args[2], y)) if a != b] for args in calls]
+        assert changed == [[0], [1], [2]]
 
     def test_json_format(self, sl2_cfg, capsys):
         assert run(["fundamental", "--config", sl2_cfg, "--format", "json"]) == 0

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from math import factorial, lcm, perm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critpop.core import heine_stieltjes_test, monic_tuple, t_polys, weight_at_infinity
-from critpop.errors import NotInImage
+from critpop.errors import ConstructionFailed, NotInImage
 from critpop.fundamental import (
     Flag,
     PolySpace,
@@ -23,6 +24,7 @@ from critpop.fundamental import (
     span,
     verify_dp,
     _apply_factored_operator,
+    _kernel,
     _operator_factors,
 )
 from critpop import poly
@@ -31,7 +33,8 @@ from critpop.poly import ONE, X, Poly, QVec, _zpoly, wronskian
 from critpop.reproduction import explore_population
 from critpop.roots import dominant_representative, shifted_action
 from conftest import (A3W, A3W_686, bruhat_index, count_calls, euclid_gcd, instance, perm_to_weyl,
-                      random_monic, reduce_flag, reduce_span, reversal_exponents)
+                      random_monic, reduce_flag, reduce_span, reversal_exponents,
+                      sibling_fundamental_space, wronskian_flag_from_tuple)
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
 SL3 = instance("A2")
@@ -116,6 +119,85 @@ class TestConstruction:
         for member in atlas.members.values():
             if member.generic:
                 assert V.contains(member.tuple_y[0])
+
+
+def wronskian_operator(basis):
+    """Integer n_0..n_k of f -> W(u_1..u_k, f), read off its values on
+    x^m, m = 0..k: W(u, x^m) = sum_{j<=m} n_j m!/(m-j)! x^(m-j)."""
+    ns = []
+    for m in range(len(basis) + 1):
+        w = wronskian([*basis, X ** m])
+        for j, n in enumerate(ns):
+            w = w - perm(m, j) * n * X ** (m - j)
+        ns.append(w * Fraction(1, factorial(m)))
+    d = lcm(*(n.den for n in ns))
+    return [[c * (d // n.den) for c in n.num] for n in ns]
+
+
+class TestKernel:
+    def test_second_derivative(self):
+        assert _kernel([[], [], [1]]).basis == (X, ONE)
+
+    def test_inconsistent_root_gives_no_member(self):
+        """x^2 d^2 + d: I(m) = m(m - 1), but L x = 1 is not zero, so the
+        root 1 gives no member and the kernel is the constants."""
+        assert _kernel([[], [1], [0, 0, 1]]).basis == (ONE,)
+
+    def test_negative_shift(self):
+        """d^3 - d^2 / 2: s = -2, the kernel is 1 and x and nothing else."""
+        assert _kernel([[], [], [-1], [2]]).basis == (X, ONE)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.lists(small_polys, min_size=1, max_size=4), st.integers(1, 3), st.booleans())
+    def test_kernel_of_a_wronskian_operator(self, polys, c, flip):
+        """The kernel of f -> c W(u_1..u_k, f), for any basis u of a space V
+        and c != 0, is V in its reduced echelon form."""
+        V = span(polys)
+        if V.dim:
+            op = [[(-c if flip else c) * a for a in n] for n in wronskian_operator(V.basis)]
+            assert _kernel(op) == V
+
+    def test_exact_folds_with_a_deficient_kernel(self):
+        """A1 with weight 3 at 0 and y = x^2: both folds are exact, but the
+        second solution is x^2 log x, so the kernel is the line of x^2 and
+        `fundamental_space` refuses it for its dimension, before any base
+        point is looked for."""
+        pi, y = instance("A1", [(3,)], ["0"]), (X * X,)
+        op = _operator_factors(pi, y)
+        assert op is not None and _kernel(op).basis == (X * X,)
+        with pytest.raises(ConstructionFailed, match="full dimension"):
+            fundamental_space(pi, y)
+
+    def test_deficient_flag_level_is_not_in_image(self):
+        """The same kernel one level up: with T_1 = x^3, the second fold of
+        y = (x^2, 1) is exact, but its kernel is the line of x^2, so no flag
+        level matches y_2."""
+        with pytest.raises(NotInImage, match="y_2"):
+            flag_from_tuple(span([ONE, X, X * X]), (X * X, ONE), (X ** 3, ONE))
+
+    @pytest.mark.parametrize("case", ["SL3", "A2W", "A3W", "B2", "B3", "A3-20"])
+    def test_matches_sibling_recursion(self, case):
+        """The kernel of the operator is the space the sibling recursion
+        builds, with its Wronskian ladder: every generic member of the SL3
+        and weighted A2 atlases, the (6,8,6) A3w member, the folded B2 and
+        B3 tuples, and A3 with weights 20 and 5 at 0, 1 (degrees to 78)."""
+        if case in ("SL3", "A2W"):
+            pi = SL3 if case == "SL3" else instance("A2", [(1, 0), (0, 1)], ["0", "1"])
+            atlas = explore_population(pi, (ONE, ONE), 2 if case == "SL3" else 4, seed=0)
+            cases = [(pi, m.tuple_y) for m in atlas.members.values() if m.generic]
+        elif case == "A3W":
+            cases = [(A3W, A3W_686)]
+        elif case == "A3-20":
+            cases = [(instance("A3", [(20, 20, 20), (5, 5, 5)], ["0", "1"]), (ONE,) * 3)]
+        else:
+            pi = instance(case)
+            ys = [(ONE,) * pi.rd.rank]
+            if case == "B2":
+                ys.append(explore_population(pi, ys[0], 4, seed=0).members[(3, 3)].tuple_y)
+            cases = [(folded_instance(pi), fold(y, "B")) for y in ys]
+        assert len(cases) >= (5 if case in ("SL3", "A2W") else 1)
+        for pi, y in cases:
+            assert fundamental_space(pi, y) == sibling_fundamental_space(pi, y)
 
 
 class TestDPInvariance:
@@ -426,3 +508,31 @@ class TestBruhat:
             welt = perm_to_weyl(SL3.rd, w)
             predicted = shifted_action(SL3.rd, welt, lam_t)
             assert tuple(-c for c in SL3.rd.root_coroot_coords(lvec)) == predicted
+
+
+class TestFlagOracle:
+    """`flag_from_tuple` against the Wronskian-solve reconstruction."""
+
+    def test_random_flags(self):
+        rng = random.Random(7)
+        for pi, y in ((SL3, (X, Poly([-2, 0, 1]))), (SL2, (Poly([-1, 1]),))):
+            V, ts = fundamental_space(pi, y), t_polys(pi)
+            for _ in range(25):
+                while True:
+                    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(V.dim)]
+                            for _ in range(V.dim)]
+                    try:
+                        flag = Flag.from_basis(V, [V.member(QVec.of(row)) for row in rows])
+                        break
+                    except ValueError:
+                        continue
+                tup = generating_morphism(flag.basis, ts)
+                assert flag_from_tuple(V, tup, ts) == wronskian_flag_from_tuple(V, tup, ts) == flag
+
+    def test_bruhat_lemma_members(self):
+        atlas = explore_population(SL3, (ONE, ONE), 2, seed=0)
+        V = fundamental_space(SL3, atlas.members[(2, 2)].tuple_y)
+        ts = t_polys(SL3)
+        for member in atlas.members.values():
+            y = member.tuple_y
+            assert flag_from_tuple(V, y, ts) == wronskian_flag_from_tuple(V, y, ts)

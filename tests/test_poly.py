@@ -16,7 +16,6 @@ from critpop.poly import (
     Poly,
     _zmul,
     _zquo,
-    divided_wronskian,
     gcd,
     identity_suite,
     poly_sqrt,
@@ -25,10 +24,10 @@ from critpop.poly import (
     wronskian,
     wronskian_minors,
 )
-from conftest import (euclid_gcd, fraction_coeffs, fraction_divmod, fraction_shift,
-                      fraction_solve_combination, fraction_solve_linear, fraction_str,
-                      fraction_to_text, from_roots, is_squarefree, laplace_wronskian,
-                      schoolbook_mul, schoolbook_pow)
+from conftest import (divided_wronskian, euclid_gcd, fraction_coeffs, fraction_divmod,
+                      fraction_shift, fraction_solve_combination, fraction_solve_linear,
+                      fraction_str, fraction_to_text, from_roots, is_squarefree,
+                      laplace_wronskian, schoolbook_mul, schoolbook_pow)
 
 coeffs = st.lists(st.integers(-6, 6), min_size=0, max_size=5)
 

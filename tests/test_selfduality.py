@@ -10,8 +10,7 @@ from critpop import poly
 from critpop.bc import bc_fundamental_space
 from critpop.core import t_polys
 from critpop.fundamental import Flag, degree_flag, fundamental_space, generating_morphism, span
-from critpop.poly import (ONE, X, Poly, QVec, divided_wronskian, poly_sqrt, solve_combination,
-                          wronskian)
+from critpop.poly import ONE, X, Poly, QVec, poly_sqrt, solve_combination, wronskian
 from critpop.reproduction import explore_population
 from critpop.errors import ConstructionFailed, NotSelfdual, SquareRootMissing
 from critpop.selfduality import (
@@ -29,8 +28,8 @@ from critpop.selfduality import (
     quasi_witt_basis,
     sqrt_scalar,
 )
-from conftest import (_omit, count_calls, dual_space, fraction_solve_combination, instance,
-                      is_selfdual, quad_square)
+from conftest import (_omit, count_calls, divided_wronskian, dual_space,
+                      fraction_solve_combination, instance, is_selfdual, quad_square)
 
 
 def verify_witt(framing, result):
