@@ -183,17 +183,17 @@ def cmd_fundamental(args) -> int:
     space = fundamental_space(pi, y)
     rep.add("wr-u-lem", f"basis {[str(b) for b in space.basis]}")
     d = max(space.degrees())
-    for s, z in enumerate(pi.points):
-        got = exponents(space, z)
+    finite_exps = [exponents(space, z) for z in pi.points]
+    for s, (z, got) in enumerate(zip(pi.points, finite_exps)):
         want = expected_exponents_finite(pi, s)
         rep.add("z-exp", f"exponents at z={z}: {got}", got == want)
-        rep.add("ram-a", f"a({z}) = {schubert_index_finite(space, z)}")
+        rep.add("ram-a", f"a({z}) = {schubert_index_finite(got)}")
     got_inf = exponents(space, "inf")
     want_inf = expected_exponents_infinity(pi, y)
     rep.add("inf-exp", f"exponents at infinity: {got_inf}", got_inf == want_inf)
     rep.add("ram-a", f"a(inf) = {schubert_index_infinity(space, d)}")
     rep.add("pluecker", "sum of ramification codimensions",
-            pluecker_check(space, pi.points, d))
+            pluecker_check(space, finite_exps, d))
     # flag_from_tuple raises NotInImage unless y_1 lies in the space and beta(F) = y
     flag_from_tuple(space, y, pi.ts)
     rep.add("pol-crit", "generating morphism round trip")

@@ -247,11 +247,10 @@ def expected_exponents_infinity(pi: ProblemInstance, y: TupleY) -> list[int]:
     return out
 
 
-def schubert_index_finite(space: PolySpace, z) -> tuple[int, ...]:
-    """Non-increasing a-vector of the space at a finite point."""
-    e = exponents(space, z)
-    n1 = space.dim
-    return tuple(e[n1 - 1 - i] - (n1 - 1 - i) for i in range(n1))
+def schubert_index_finite(e: list[int]) -> tuple[int, ...]:
+    """Non-increasing a-vector at a finite point, from the space's
+    `exponents` e there."""
+    return tuple(e[j] - j for j in reversed(range(len(e))))
 
 
 def schubert_index_infinity(space: PolySpace, d: int) -> tuple[int, ...]:
@@ -260,12 +259,13 @@ def schubert_index_infinity(space: PolySpace, d: int) -> tuple[int, ...]:
     return tuple(d - (n1 - 1) + i - degs[i] for i in range(n1))
 
 
-def pluecker_check(space: PolySpace, points, d: int | None = None) -> bool:
-    """Sum of ramification codimensions equals dim Gr(N+1, C_d[x])."""
+def pluecker_check(space: PolySpace, finite_exps, d: int | None = None) -> bool:
+    """Sum of ramification codimensions equals dim Gr(N+1, C_d[x]), given
+    the space's `exponents` at each finite point."""
     if d is None:
         d = max(space.degrees())
     n1 = space.dim
-    total = sum(sum(schubert_index_finite(space, z)) for z in points)
+    total = sum(sum(schubert_index_finite(e)) for e in finite_exps)
     total += sum(schubert_index_infinity(space, d))
     return total == n1 * (d - (n1 - 1))
 

@@ -37,8 +37,8 @@ it saves (Kronecker products made the `populate` workload slower).
 One memoized Laplace expansion forms the Wronskian of every sublist of a
 basis (`wronskian_minors`; `wronskian` is its full-mask case), and
 `divided_wronskians` divides each by its entry of one `t_ladder`.  The
-identity suite, this expansion's oracle, calls `wronskian` on separate
-lists.
+identity suite, this expansion's oracle, reads its right-hand sides from
+one expansion per trial and its left sides from separate `wronskian` calls.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as igcd
-from math import isqrt, lcm, prod
+from math import isqrt, lcm, perm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import IdentityViolated, InvalidInstance, NotDivisible
@@ -538,41 +539,45 @@ def wronskian_minors(gs: Sequence[Poly], masks: Sequence[int]) -> list[Poly]:
     becomes one int, each polynomial product one big-int product, and each
     minor is read back from its value.  The 1-norm of a determinant is at
     most the permanent of its entries' 1-norms, hence at most
-    prod_i sum_j ||g_i^(j)||_1 over its rows.  Every factor is taken at
-    least 1, so B, the product over all rows, bounds every minor, also one
-    that leaves out a zero row, and 2^(k-1) > B makes each read-back exact.
+    prod_i sum_j ||g_i^(j)||_1 over its rows, each sum read off g_i's
+    coefficients by `_deriv_weight`.  Every factor is taken at least 1, so
+    B, the product over all rows, bounds every minor, also one that leaves
+    out a zero row, and 2^(k-1) > B makes each read-back exact.
     """
     s = wronskian_rows(len(gs))
     if s < 2:  # W() = 1 and W(g) = g: nothing to expand
         return [gs[0] if m else ONE for m in masks]
-    table, den, bound = [], 1, 1
-    for g in gs:
+    weights = [_deriv_weight(s, n) for n in range(max(len(g.num) for g in gs))]
+    k = prod(sum(map(mul, map(abs, g.num), weights)) or 1 for g in gs).bit_length() + 1
+    # cols[j][1 << i] = g_i^(j)(2^k), each derivative packed as it is formed
+    cols = [{} for _ in range(s)]
+    for i, g in enumerate(gs):
         cur = g.num
-        row = [cur]
-        for _ in range(s - 1):
+        for col in cols:
+            col[1 << i] = _zpack(cur, k)
             cur = _zderiv(cur)
-            row.append(cur)
-        table.append(row)
-        den *= g.den
-        bound *= sum(sum(map(abs, a)) for a in row) or 1  # a zero row counts 1
-    k = bound.bit_length() + 1
-    vals = [[_zpack(a, k) for a in row] for row in table]
     # Laplace expansion along columns, memoized on row subsets: minors[m] is
     # the minor on the rows in bit mask m and the first popcount(m) columns,
     # that is W of those rows, computed after its subsets.  The 2^s minors
     # take s 2^(s-1) products.
     minors = [1] * (1 << s)
     for m in range(1, 1 << s):
-        col, acc = m.bit_count() - 1, 0
+        col, acc, rest = cols[m.bit_count() - 1], 0, m
         # acc = term - acc alternates the signs so the last row enters with +
-        for ri in range(s):
-            if m >> ri & 1:
-                acc = vals[ri][col] * minors[m ^ (1 << ri)] - acc
+        while rest:
+            low = rest & -rest
+            acc = col[low] * minors[m ^ low] - acc
+            rest ^= low
         minors[m] = acc
-    full = (1 << s) - 1
-    return [_zscaled(_zunpack(minors[m], k),
-                     den if m == full else prod(g.den for i, g in enumerate(gs) if m >> i & 1))
+    return [_zscaled(_zunpack(minors[m], k), prod(g.den for i, g in enumerate(gs) if m >> i & 1))
             for m in masks]
+
+
+@lru_cache(maxsize=None)
+def _deriv_weight(s: int, n: int) -> int:
+    """sum_{j<s} n!/(n-j)!, the sum of the 1-norms of x^n, ..., (x^n)^(s-1):
+    sum_{j<s} ||g^(j)||_1 = sum_n |g_n| _deriv_weight(s, n)."""
+    return sum(perm(n, j) for j in range(s))
 
 
 def wronskian(gs: Sequence[Poly]) -> Poly:
@@ -626,6 +631,11 @@ def identity_suite(seed: int, trials: int) -> IdentityReport:
     Orders s <= 4, k <= s, degrees <= 5.  Raises IdentityViolated on the
     first failure (and reports it), since a failure means a bug in
     `wronskian` itself.
+
+    One `wronskian_minors` call per trial gives the right-hand sides of
+    common-factor, wr-id-2 and wr-id-1 and their inner V and W_s; the left
+    sides, one-in-front and two-generators call `wronskian`.  No weaker than
+    a call per sublist: a wrong proper minor now breaks an identity.
     """
     if trials < 1:
         raise InvalidInstance("trials must be >= 1")
@@ -650,9 +660,15 @@ def identity_suite(seed: int, trials: int) -> IdentityReport:
             fail("one-in-front", f"s={s} gs={gs[:s]}")
         checks["one-in-front"] += 1
 
+        # W_s(g_1..g_s), W_{s-k}(g_1..g_{s-k}), W_{s+1}(g), each V and W_s
+        full, h = (1 << (s + 1)) - 1, (1 << (s - k)) - 1
+        w_first, w_head, w_all, *rest = wronskian_minors(gs, [full >> 1, h, full, *(
+            h | 1 << i for i in range(s - k, s + 1)), *(full ^ 1 << i for i in range(s + 1))])
+        vs, ws = rest[: k + 1], rest[k + 1 :]
+
         # W_s(f g_1..f g_s) = f^s W_s(g_1..g_s)
         lhs = wronskian([f * p for p in gs[:s]])
-        rhs = f**s * wronskian(gs[:s])
+        rhs = f**s * w_first
         if lhs != rhs:
             fail("common-factor", f"s={s} f={f}")
         checks["common-factor"] += 1
@@ -665,19 +681,16 @@ def identity_suite(seed: int, trials: int) -> IdentityReport:
         checks["two-generators"] += 1
 
         # W_{k+1}(V(s-k+1),...,V(s+1)) = W_{s-k}(g_1..g_{s-k})^k W_{s+1}(g)
-        head = gs[: s - k]
-        vs = [wronskian(head + [gs[i]]) for i in range(s - k, s + 1)]
         lhs = wronskian(vs)
-        rhs = wronskian(head) ** k * wronskian(gs)
+        rhs = w_head**k * w_all
         if lhs != rhs:
             fail("wr-id-2", f"s={s} k={k}")
         checks["wr-id-2"] += 1
 
         # W_{k+1}(W_s(s+1), W_s(s), ..., W_s(s-k+1))
         #   = W_{s-k}(g_1..g_{s-k}) W_{s+1}(g)^k
-        ws = [wronskian(gs[:i] + gs[i + 1 :]) for i in range(s + 1)]
         lhs = wronskian([ws[i] for i in range(s, s - k - 1, -1)])
-        rhs = wronskian(head) * wronskian(gs) ** k
+        rhs = w_head * w_all**k
         if lhs != rhs:
             fail("wr-id-1", f"s={s} k={k}")
         checks["wr-id-1"] += 1

@@ -221,6 +221,17 @@ class TestFundamental:
         changed = [[i for i, (a, b) in enumerate(zip(args[2], y)) if a != b] for args in calls]
         assert changed == [[0], [1], [2]]
 
+    @pytest.mark.parametrize("name", ["A3w-686", "A3-20-5"])
+    def test_exponents_once_per_point(self, tmp_path, monkeypatch, capsys, name):
+        """[z-exp], [ram-a] and [pluecker] read one `exponents` list per
+        finite point, and [inf-exp] one at infinity."""
+        payload = {"A3w-686": A3W_686, "A3-20-5": A3_20_5}[name]
+        cfg = write_cfg(tmp_path, "cfg.json", payload)
+        calls = count_calls(monkeypatch, fundamental, "exponents")
+        assert run(["fundamental", "--config", cfg]) == 0
+        assert "[pluecker] sum of ramification codimensions : PASS" in capsys.readouterr().out
+        assert [at == "inf" for _, at in calls] == [False] * len(payload["points"]) + [True]
+
     def test_json_format(self, sl2_cfg, capsys):
         assert run(["fundamental", "--config", sl2_cfg, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -469,6 +480,8 @@ A3W_686 = {"root_system": "A3", "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
            "points": ["0", "1", "3"],
            "tuple": ["54 0 -12 48 0 -56/5 1", "48 -72 -108 96 0 -24 448/15 -48/5 1",
                      "6 -72 84 -40 12 -26/5 1"]}
+# the A3 probe with two heavily weighted points and the ones tuple
+A3_20_5 = {"root_system": "A3", "weights": [[20, 20, 20], [5, 5, 5]], "points": ["0", "1"]}
 # a critical start tuple of degree 3
 A1_CUBIC = {"root_system": "A1", "weights": [[2]], "points": ["0"], "tuple": ["3 0 0 1"]}
 

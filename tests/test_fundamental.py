@@ -359,13 +359,13 @@ class TestExponents:
         for s, z in enumerate(pi.points):
             assert exponents(V, z) == expected_exponents_finite(pi, s)
         assert exponents(V, "inf") == expected_exponents_infinity(pi, member.tuple_y)
-        assert pluecker_check(V, pi.points)
+        assert pluecker_check(V, [exponents(V, z) for z in pi.points])
 
     def test_schubert_indices(self):
         V = fundamental_space(SL2, (Poly([-1, 1]),))
-        assert schubert_index_finite(V, Fraction(0)) == (1, 0)
+        assert schubert_index_finite(exponents(V, Fraction(0))) == (1, 0)
         assert schubert_index_infinity(V, 2) == (0, 0)
-        assert pluecker_check(V, SL2.points)
+        assert pluecker_check(V, [exponents(V, z) for z in SL2.points])
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(st.integers(0, 3), small_polys), max_size=5),

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from math import gcd as igcd
 
@@ -8,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from critpop import poly
-from critpop.errors import InvalidInstance, NotDivisible
+from critpop.errors import IdentityViolated, InvalidInstance, NotDivisible
 from critpop.poly import (
     ONE,
     X,
     ZERO,
     Poly,
+    _deriv_weight,
     _zmul,
     _zquo,
     gcd,
@@ -283,6 +286,25 @@ class TestWronskian:
         with pytest.raises(InvalidInstance, match="capped at 13 rows, got 14"):
             wronskian_minors([X**i for i in range(14)], [0])
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.integers(-6, 6), st.integers(-10**20, 10**20)), max_size=9),
+           st.integers(0, 13))
+    @example([], 13)
+    @example([5], 13)
+    @example([-3], 1)
+    @example([0, 0, 0, 0, 1], 13)
+    def test_kronecker_weight_bounds_derivatives(self, cs, s):
+        """The Kronecker bound's per-row factor, sum_n |g_n| `_deriv_weight`(s,
+        n), is sum_{j<s} ||g^(j)||_1 and at most ||g||_1 times the weight at
+        deg g (deg 0 for a zero or constant row), for s <= 13."""
+        g = Poly(cs)
+        norms, d = [], g
+        for _ in range(s):
+            norms.append(sum(abs(d[i]) for i in range(len(d.num))))
+            d = d.deriv()
+        assert sum(abs(c) * _deriv_weight(s, n) for n, c in enumerate(cs)) == sum(norms)
+        assert sum(map(abs, cs)) * _deriv_weight(s, max(g.degree, 0)) >= sum(norms)
+
     @settings(max_examples=40, deadline=None)
     @given(coeffs, coeffs, coeffs)
     def test_alternating_and_linear(self, a, b, c):
@@ -462,3 +484,55 @@ class TestIdentitySuite:
     def test_rejects_bad_trials(self):
         with pytest.raises(InvalidInstance):
             identity_suite(seed=1, trials=0)
+
+    def test_draws_pinned(self, monkeypatch):
+        """The suite checks the same polynomials as before its Wronskians
+        shared one expansion: a digest of every `_rand_poly` draw of seed
+        2024 over 5 trials, in order."""
+        draws, real = [], poly._rand_poly
+        monkeypatch.setattr(poly, "_rand_poly", lambda *a: draws.append(real(*a)) or draws[-1])
+        identity_suite(seed=2024, trials=5)
+        digest = hashlib.sha256(repr([(p.num, p.den) for p in draws]).encode()).hexdigest()
+        assert (len(draws), digest) == (
+            31, "7f7ded6f4cadcf1fb99034c8f489aacd100892409a0bd2c2ae8122fa6f6e6fe5")
+
+    def test_one_expansion_per_trial(self, monkeypatch):
+        """Each trial makes at most 8 `wronskian_minors` calls: one per
+        `wronskian` call (three left sides, and both sides of one-in-front
+        and of two-generators) and one expansion of W(gs), the only call
+        that requests a proper mask.  Trials are told apart by their
+        `_rand_poly` draws, which come before any Wronskian."""
+        events, real_draw, real_minors = [], poly._rand_poly, poly.wronskian_minors
+
+        def minors(gs, masks):
+            events.append("p" if any(m != (1 << len(gs)) - 1 for m in masks) else "f")
+            return real_minors(gs, masks)
+
+        monkeypatch.setattr(poly, "_rand_poly", lambda *a: events.append("d") or real_draw(*a))
+        monkeypatch.setattr(poly, "wronskian_minors", minors)
+        identity_suite(seed=2024, trials=20)
+        trials = re.split("d+", "".join(events))[1:]
+        assert len(trials) == 20
+        assert all(len(t) <= 8 and t.count("p") == 1 for t in trials)
+
+    @pytest.mark.parametrize("mutant", ["proper-negated", "proper-doubled", "full-negated-2",
+                                        "full-negated-3"])
+    def test_kills_minor_mutants(self, monkeypatch, mutant):
+        """The suite is the expansion's oracle, so each wrong minor must fail
+        it: proper minors negated or doubled (only the shared expansion
+        requests them), or the full minor negated at 2 or 3 rows."""
+        real = poly.wronskian_minors
+
+        def wrong(gs, masks):
+            full = (1 << len(gs)) - 1
+            out = real(gs, masks)
+            for i, m in enumerate(masks):
+                if mutant.startswith("proper") and m != full:
+                    out[i] = -out[i] if mutant == "proper-negated" else 2 * out[i]
+                elif mutant == f"full-negated-{len(gs)}" and m == full:
+                    out[i] = -out[i]
+            return out
+
+        monkeypatch.setattr(poly, "wronskian_minors", wrong)
+        with pytest.raises(IdentityViolated):
+            identity_suite(seed=0, trials=100)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from critpop import schubert
 from critpop.errors import CritpopError
-from critpop.fundamental import fundamental_space, schubert_index_finite, schubert_index_infinity
+from critpop.fundamental import (exponents, fundamental_space, schubert_index_finite,
+                                 schubert_index_infinity)
 from critpop.core import weight_at_infinity
 from critpop.poly import ONE, Poly
 from critpop.reproduction import explore_population
@@ -509,11 +510,11 @@ class TestRamification:
         pi = instance("A1", [(1,), (1,)], ["0", "2"])
         V = fundamental_space(pi, (Poly([-1, 1]),))
         d = max(V.degrees())
-        a0 = schubert_index_finite(V, Fraction(0))
+        a0 = schubert_index_finite(exponents(V, Fraction(0)))
         t = convert_ramification(d=d, point_kind="finite", a=a0)
         assert t.lam == (1,)
         ainf = schubert_index_infinity(V, d)
-        total = sum(a0) + sum(schubert_index_finite(V, Fraction(2))) + sum(ainf)
+        total = sum(a0) + sum(schubert_index_finite(exponents(V, Fraction(2)))) + sum(ainf)
         assert total == V.dim * (d - V.dim + 1)
 
     def test_matches_fundamental_schubert_indices(self):
@@ -534,7 +535,7 @@ class TestRamification:
                 d = max(V.degrees())
                 for lam, z in zip(pi.weights, pi.points):
                     t = convert_ramification(d=d, point_kind="finite", lam=lam)
-                    assert t.a == schubert_index_finite(V, z)
+                    assert t.a == schubert_index_finite(exponents(V, z))
                 t = convert_ramification(d=d, point_kind="infinity", lam=dom[0])
                 assert t.a == schubert_index_infinity(V, d)
                 checked += 1
