@@ -201,7 +201,7 @@ def cmd_fundamental(args) -> int:
     descendants = [y[:i] + (immediate_descendants(pi, y, i).base,) + y[i + 1:]
                    for i in range(pi.rd.rank)]
     rep.add("ind-thm", "factored operator annihilates the space",
-            all(verify_dp(pi, [space], d) for d in descendants))
+            all(verify_dp(pi, [space], desc) for desc in descendants))
     rep.add("first-coor", "y_1 lies in the space")
     return rep.emit()
 

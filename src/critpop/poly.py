@@ -55,7 +55,10 @@ from typing import NamedTuple
 from .errors import IdentityViolated, InvalidInstance, NotDivisible
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
-_WRONSKIAN_ROW_CAP = 13  # `wronskian_minors` builds 2^s minors; 14 rows take seconds
+# `wronskian_minors` builds 2^s minors, and their cost grows with the rows'
+# density: on one core, W(1, x, ..., x^12) takes about 0.1 s, and 13 dense
+# rows of degree 19 with coefficients in -9..9 take 17-30 s
+_WRONSKIAN_ROW_CAP = 13
 
 
 def parse_rational(text: str) -> Fraction:

@@ -6,10 +6,12 @@ the tests cross-check them against a brute-force weight-multiplicity
 oracle (Kostka counts fed through an alternating Weyl sum).  The rank-one
 count reads the distinct critical polynomials off a lex Groebner basis in
 shape position.  It works on integer polynomials over Z (dicts of exponent
-tuples) with a fraction-free Buchberger algorithm, and evaluates the bad
-locus (the discriminant times y at the marked points of weight 0) in Q[t]
-modulo the eliminant on `Poly`.  The tests compare it with sympy's Groebner
-bases; no module of the library imports sympy.
+tuples) with a fraction-free Buchberger algorithm.  The bad locus (the
+discriminant times y at the marked points of weight 0) is computed once the
+coefficients of y are polynomials in the separating variable t, in Q[t] on
+`Poly`, and reduced modulo the eliminant.  The tests compare the count with
+sympy's Groebner bases and discriminants; no module of the library imports
+sympy.
 """
 
 from __future__ import annotations
@@ -224,32 +226,28 @@ def _groebner(polys: list[dict]) -> list[dict]:
                   key=max, reverse=True)
 
 
-def _discriminant(l: int) -> dict:
-    """disc(y) of the generic monic y = x^l + a_{l-1} x^{l-1} + ... + a_0,
-    as (-1)^(l(l-1)/2) Res_x(y, y'): the Sylvester determinant over Z[a],
-    by Bareiss's elimination, each step an exact division by the last pivot."""
-    one, a = (0,) * (l + 1), _variables(l)
-    ys = [{one: 1}] + [{a[i]: 1} for i in range(l - 1, -1, -1)]
-    dys = [{m: (l - i) * c for m, c in p.items()} for i, p in enumerate(ys[:-1])]
+def _discriminant(c: list[Poly]) -> Poly:
+    """Res_x(y, y') up to sign for y = c_l x^l + ... + c_0 with c_l = 1 and
+    coefficients c = [c_0, ..., c_l] in Q[t]: the Sylvester determinant by
+    Bareiss's elimination over the domain Q[t], each step an exact division
+    by the last pivot.  ZERO if a column has no pivot."""
+    l, ys = len(c) - 1, c[::-1]
+    dys = [(l - i) * p for i, p in enumerate(ys[:-1])]
     n = 2 * l - 1
-    rows = [[{}] * i + ys + [{}] * (n - l - 1 - i) for i in range(l - 1)]
-    rows += [[{}] * i + dys + [{}] * (n - l - i) for i in range(l)]
-    sign, last, lm = (-1) ** (l * (l - 1) // 2), {one: 1}, one
-    for k in range(n - 1):  # Res(y, y') != 0, so column k always has a pivot
-        r = next(r for r in range(k, n) if rows[r][k])
-        if r != k:
-            rows[k], rows[r], sign = rows[r], rows[k], -sign
+    rows = [[ZERO] * i + ys + [ZERO] * (n - l - 1 - i) for i in range(l - 1)]
+    rows += [[ZERO] * i + dys + [ZERO] * (n - l - i) for i in range(l)]
+    last = ONE
+    for k in range(n - 1):
+        r = next((r for r in range(k, n) if rows[r][k]), None)
+        if r is None:
+            return ZERO
+        rows[k], rows[r] = rows[r], rows[k]
         p = rows[k]
         for row in rows[k + 1:]:
             for j in range(k + 1, n):
-                e, row[j] = _mul(p[k], row[j]), {}
-                _add_term_times(e, -1, one, _mul(row[k], p[j]))
-                while e:  # row[j] = e / last, by lex division, every step exact
-                    d, c = tuple(map(sub, max(e), lm)), e[max(e)] // last[lm]
-                    row[j][d] = c
-                    _add_term_times(e, -c, d, last)
-        last, lm = p[k], max(p[k])
-    return {m: sign * c for m, c in rows[-1][-1].items()}
+                row[j] = (p[k] * row[j] - row[k] * p[j]).exact_div(last)
+        last = p[k]
+    return rows[-1][-1]
 
 
 def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
@@ -263,12 +261,13 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     eliminant, discarding the locus where the candidate has a multiple
     root or vanishes at a marked point.
 
-    Everything is built over Z in the integer polynomials above, never in a
-    Fraction: y = x^l + a_{l-1} x^{l-1} + ... + a_0, the system is read off
-    the remainder of f y'' - g y' by the monic y, with f and g cleared of
-    denominators (each equation changes by one constant factor), and the
-    bad locus is the discriminant of y times den(z)^l y(z) at each marked
-    point z of weight 0.  At a marked point z_s of weight m_s != 0,
+    The system is built over Z in the integer polynomials above, never in a
+    Fraction: y = x^l + a_{l-1} x^{l-1} + ... + a_0, and the system is read
+    off the remainder of f y'' - g y' by the monic y, with f and g cleared
+    of denominators (each equation changes by one constant factor).  The
+    bad locus is the discriminant of y times y(z) at each marked point z of
+    weight 0; `_shape_count` takes it in Q[t] after the substitution
+    a_i = g_i(t).  At a marked point z_s of weight m_s != 0,
     f y'' - g y' = q y with y(z_s) = 0 gives g(z_s) y'(z_s) = 0, where
     f(z_s) = 0 and g(z_s) = m_s prod_{r != s} (z_s - z_r) != 0; so y has a
     double root at z_s and the discriminant already vanishes there.
@@ -293,28 +292,25 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     system = [p for i in range(l) if (p := {m[1:]: c for m, c in rem.items() if m[0] == i})]
     if not system:
         raise ValueError("degenerate criterion system")
-    bad = _discriminant(l)
-    for lam, z in zip(pi.weights, pi.points):
-        if not lam[0]:  # times den(z)^l y(z)
-            n, d = z.numerator, z.denominator
-            bad = _mul(bad, {m[1:]: c * n ** m[0] * d ** (l - m[0]) for m, c in y.items()})
+    zeros = [z for lam, z in zip(pi.weights, pi.points) if not lam[0]]
     for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
-        got = _shape_count(system, bad, lam)
+        got = _shape_count(system, zeros, lam)
         if got is not None:
             return got
     raise ValueError("no separating linear form found")
 
 
-def _shape_count(system: list[dict], bad: dict, lam: int) -> int | None:
+def _shape_count(system: list[dict], zeros: list[Fraction], lam: int) -> int | None:
     """Distinct good points of a zero-dimensional system via a shape-position
     eliminant in the separating form t = a_{l-1} + lam * (a_0 + 2 a_1 + ...).
 
-    `system` and `bad` are integer polynomials in a_0..a_{l-1}, t that do
-    not involve t; shape position is read off exponent vectors.  The bad
-    locus is evaluated on the coordinates in Q[t] modulo the eliminant, one
-    product at a time, so it is never expanded.
+    `system` holds integer polynomials in a_0..a_{l-1}, t that do not
+    involve t; shape position is read off exponent vectors.  Once every a_i
+    is g_i(t) modulo the eliminant, the bad locus is taken in Q[t]: the
+    discriminant of y_t = x^l + g_{l-1}(t) x^{l-1} + ... + g_0(t), times
+    y_t(z) at each z in `zeros`, each product reduced modulo the eliminant.
     """
-    l = len(next(iter(bad))) - 1
+    l = len(next(iter(system[0]))) - 1
     one, a = (0,) * (l + 1), _variables(l)
     sep = {a[l]: 1, a[l - 1]: -1} | {a[i]: -lam * (i + 1) for i in range(l - 1) if lam}
     gb = _groebner([*system, sep])
@@ -343,19 +339,10 @@ def _shape_count(system: list[dict], bad: dict, lam: int) -> int | None:
         subs[h] = in_t({m: c for m, c in p.items() if not m[h]}) * Fraction(-1, lin[0][1])
     if len(subs) != l:
         return None
-    # bad(subs) mod elim, reduced in Q[t] after every product: no product
-    # reaches degree 2 deg(elim), where bad(subs) expanded has degree up
-    # to deg(bad) (deg(elim) - 1)
-    powers = [[ONE, subs[i] % elim] for i in range(l)]
-    bad_t = ZERO
-    for monom, c in bad.items():
-        term = Poly([c])
-        for pw, e in zip(powers, monom):
-            if e:
-                while len(pw) <= e:
-                    pw.append(pw[-1] * pw[1] % elim)
-                term = term * pw[e] % elim
-        bad_t += term
+    c = [subs[i] for i in range(l)] + [ONE]
+    bad_t = _discriminant(c) % elim
+    for z in zeros:
+        bad_t = bad_t * sum((ci * z**i for i, ci in enumerate(c)), ZERO) % elim
     elim_sf = elim.exact_div(gcd(elim, elim.deriv()))
     return elim_sf.degree - gcd(elim_sf, bad_t).degree
 

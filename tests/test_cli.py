@@ -370,6 +370,21 @@ class TestCount:
         assert run(["count", "--config", write_cfg(tmp_path, "a2.json", A2)]) == 0
         assert capsys.readouterr().out == "[estimate] multiplicity bound 1 : PASS\n"
 
+    def test_high_degree_count(self, tmp_path):
+        """A1 [[8],[8]] at 0,1 with the default --max-degree 8 counts every
+        degree up to l = 8 within the timeout: the bad locus is taken in
+        Q[t], never expanded over the coefficients of the candidate."""
+        cfg = write_cfg(tmp_path, "count.json",
+                        {"root_system": "A1", "weights": [[8], [8]], "points": ["0", "1"]})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "critpop.cli", "count", "--config", cfg],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 9 and all(
+            s.startswith(f"[estimate] l={l}: ") and s.endswith(" : PASS") for l, s in enumerate(lines))
+
     def test_huge_max_degree(self, tmp_path):
         """The rank-1 loop stops at the first negative weight, so its time
         does not grow with the digits of --max-degree."""
