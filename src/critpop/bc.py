@@ -21,11 +21,11 @@ from typing import NamedTuple
 
 from .core import ProblemInstance, TupleY, heine_stieltjes_test, monic_tuple
 from .errors import ConstructionFailed, NotFertile, NotGeneric, SquareRootMissing
-from .fundamental import Flag, fundamental_space, generating_morphism, verify_dp
+from .fundamental import fundamental_space, generating_morphism, verify_dp
 from .poly import poly_sqrt
 from .reproduction import is_fertile
 from .roots import fold_weight_B, fold_weight_C, root_data
-from .selfduality import (IsotropicFamily, SelfdualSpace, antidiagonal_basis, framing_of,
+from .selfduality import (IsotropicFamily, QuasiWittResult, SelfdualSpace, framing_of,
                           is_isotropic)
 
 
@@ -142,22 +142,22 @@ class IsotropicSampleReport(NamedTuple):
 def bc_population_as_isotropic_flags(
     pi: ProblemInstance,
     sd: SelfdualSpace,
-    start: Flag,
+    start: QuasiWittResult,
     samples: int,
     seed: int,
 ) -> IsotropicSampleReport:
-    """Sample isotropic flags by sweeps of generator moves from the isotropic
-    flag `start`, push them through the generating morphism, unfold and
-    re-test criticality; also verify the displayed B/C operator by kernel
-    equality on at least three samples.  `start` is anti-diagonalized once,
-    which raises unless it is isotropic; every sweep moves that basis as
-    coordinate vectors with the anti-diagonal values read then,
-    `is_isotropic` on the vectors it ends with certifies it, and their
-    polynomials are the adapted basis that the generating morphism reads."""
+    """Sample isotropic flags by sweeps of generator moves from the
+    quasi-Witt flag `start`, push them through the generating morphism,
+    unfold and re-test criticality; also verify the displayed B/C operator
+    by kernel equality on at least three samples.  `start` is
+    anti-diagonalized once, in `quasi_witt_basis`, which raises unless it
+    is isotropic; every sweep moves that basis as coordinate vectors with
+    its values g, `is_isotropic` on the vectors it ends with certifies
+    it, and their polynomials are the basis the morphism reads."""
     rng = random.Random(seed)
     kind = pi.rd.kind
     k = sd.dim // 2
-    base, g = antidiagonal_basis(sd, start)
+    base, g = start.base, start.g
     hits = 0
     op_checks = 0
     all_symmetric = True

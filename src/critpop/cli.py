@@ -240,8 +240,7 @@ def cmd_selfdual(args) -> int:
     # antidiagonal_basis raises unless the quasi-Witt flag is isotropic
     rep.add("isotropic", "quasi-Witt flag is isotropic")
     if pi.rd.kind in "BC":
-        report = bcmod.bc_population_as_isotropic_flags(pi, sd, qw.flag, args.samples,
-                                                        args.seed)
+        report = bcmod.bc_population_as_isotropic_flags(pi, sd, qw, args.samples, args.seed)
         rep.add("cor-so" if pi.rd.kind == "B" else "cor-sp",
                 f"{report.generic_hits} isotropic flag samples unfold to critical tuples",
                 report.all_critical and report.all_symmetric)

@@ -2,28 +2,27 @@
 
 A `PolySpace` is kept in a canonical reduced echelon form (monic basis of
 strictly decreasing degrees, each fully reduced against the others), so
-space equality is plain basis equality.  One routine, `poly._zrref`,
-reduces integer numerators for span construction, membership (a rank
-test) and flag canonicalization, and its pivot columns on the
-coefficients of p(x + z) are the exponents at z.  A member's coordinates
-are its numerators at the pivot degrees, a `QVec` over its denominator,
-and `member` maps them back by one integer combination.
+space equality is plain basis equality.  A member's coordinates are its
+numerators at the pivot degrees, a `QVec` over its denominator, `member`
+maps them back by one integer combination, and membership is that round
+trip.  The pivot columns of `poly._zrref` on p(x + z) are the exponents at z.
 
 The fundamental space of a critical tuple y is the kernel of its operator
-D_y, the same for every member of the population.  `_operator_chain`
-composes the first-order factors over Z[x], rightmost first, into
+D_y, the same for every member of the population.  `_operator` folds
+the first-order factors over Z[x], rightmost first, into
 L = (1/D) sum_j n_j d^j; D = n_{N+1} is W(V) by the Frobenius-Polya
 factorization (G. Polya, Trans. AMS 24 (1922)), and the Wronskian ladder
 W(u_1..u_i) ~ y_i L_i (`poly.t_ladder`) predicts each partial denominator,
-so a fold is exact quotients, with no gcd.  `_kernel` solves for the
-polynomial kernel of an operator by its indicial equation at infinity: of
-D_y for `fundamental_space`, and of the k-th partial operator, F_k of the
-flag with beta(F) = y, for `flag_from_tuple`.
+so a fold is exact quotients, with no gcd; it is memoized per tuple
+prefix, which y's flag levels and its descendants share.  `_kernel`
+solves for the polynomial kernel of an operator by its indicial equation
+at infinity: of D_y for `fundamental_space`, and of the k-th partial
+operator, F_k of the flag with beta(F) = y, for `flag_from_tuple`.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd as igcd
 from math import lcm, perm
 from typing import NamedTuple
@@ -62,7 +61,7 @@ class PolySpace:
         return sorted(int(p.degree) for p in self.basis)
 
     def contains(self, p: Poly) -> bool:
-        return span([*self.basis, p]).dim == self.dim
+        return self.coords(p) is not None
 
     def coords(self, p: Poly) -> QVec | None:
         """Coordinates of p in the echelon basis, or None.
@@ -92,16 +91,6 @@ class PolySpace:
         return [[c * (d // b.den) for c in b.num] for b in self.basis], d
 
 
-def span(polys) -> PolySpace:
-    """Canonical reduced span of the given polynomials: the `_zrref` of
-    their numerators, columns from the highest degree down, each row over
-    its pivot entry, which is its leading coefficient."""
-    nums = [p.num for p in polys]
-    n = max(map(len, nums), default=0)
-    rows, pivots = _zrref([(0,) * (n - len(a)) + a[::-1] for a in nums])
-    return PolySpace(tuple(_zscaled(r[::-1], r[c]) for r, c in zip(rows, pivots)))
-
-
 class Flag(NamedTuple):
     """Full flag of a PolySpace as a canonical adjusted basis.
 
@@ -111,20 +100,6 @@ class Flag(NamedTuple):
 
     space: PolySpace
     basis: tuple[Poly, ...]
-
-    @staticmethod
-    def from_basis(space: PolySpace, basis) -> "Flag":
-        """Element i is the row of span(basis[:i+1]) of the degree that
-        basis[i] adds to span(basis[:i])."""
-        canon, part = [], span([])
-        for u in basis:
-            if not space.contains(u):
-                raise ValueError("flag basis element outside the space")
-            old, part = part.degrees(), span([*part.basis, u])
-            if part.dim == len(old):
-                raise ValueError("flag basis is dependent")
-            canon.append(next(b for b in part.basis if b.degree not in old))
-        return Flag(space, tuple(canon))
 
 
 def degree_flag(space: PolySpace) -> Flag:
@@ -183,13 +158,13 @@ def _kernel(op: list[list[int]]) -> PolySpace:
 
 def fundamental_space(pi: ProblemInstance, y: TupleY) -> PolySpace:
     """The (N+1)-dimensional space attached to a type-A critical tuple:
-    the kernel of y's operator D_y (`_operator_factors`), checked for full
-    dimension and for absence of base points.  The kernel consists of
+    the kernel of D_y, the `_operator` of (y_1, ..., y_N, 1), checked for
+    full dimension and for absence of base points.  The kernel consists of
     polynomials and is the same for every member of the population."""
     if pi.rd.kind != "A":
         raise ValueError("fundamental_space expects type-A data")
     n = wronskian_rows(pi.rd.rank + 1) - 1  # refused before the operator is composed
-    op = _operator_factors(pi, monic_tuple(y))
+    op = _operator(pi.ts, (*monic_tuple(y), ONE))
     space = None if op is None else _kernel(op)
     if space is None or space.dim != n + 1:
         raise ConstructionFailed("the operator has no polynomial kernel of full dimension")
@@ -284,16 +259,17 @@ def generating_morphism(basis, ts) -> TupleY:
 
 
 def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
-    """The unique flag with beta(F) = y.  F_k is the kernel of y's k-th
-    partial operator (Frobenius-Polya), of dimension k and inside the
-    space, and flag element k is the echelon element of F_k of the degree
-    that F_{k-1} lacks, the one `Flag.from_basis` picks."""
+    """The unique flag with beta(F) = y.  F_k is the kernel of the
+    `_operator` of y_1..y_k (Frobenius-Polya), a prefix of D_y, of
+    dimension k and inside the space, and flag element k is the echelon
+    element of F_k of the degree that F_{k-1} lacks, monic and reduced."""
     n = space.dim - 1
     y = monic_tuple(y)
     if len(y) != n:
         raise NotInImage("tuple length does not match the space")
-    basis, old = [], set()
-    for k, op in enumerate(_operator_chain(ts, y), 1):
+    basis, old, ts = [], set(), tuple(ts)
+    for k in range(1, n + 1):
+        op = _operator(ts, y[:k])
         part = None if op is None else _kernel(op)
         if part is None or part.dim != k:
             raise NotInImage(f"no flag level matches y_{k}")
@@ -312,8 +288,8 @@ def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool
     """Operator invariance: all spaces coincide as reduced spaces, and the
     operator built from a member annihilates the common space.
 
-    The operator is composed once by `_operator_factors` and applied to
-    each echelon basis vector by `_apply_factored_operator`.
+    The operator is the `_operator` of (member, 1), applied to each
+    echelon basis vector by `_apply_factored_operator`.
     """
     spaces = list(spaces)
     if not spaces:
@@ -322,25 +298,19 @@ def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool
     if any(sp != first for sp in spaces[1:]):
         return False
     if member is not None:
-        op = _operator_factors(pi, member)
+        op = _operator(pi.ts, (*member, ONE))
         return op is not None and all(_apply_factored_operator(op, u).is_zero()
                                       for u in first.basis)
     return True
 
 
-def _operator_factors(pi: ProblemInstance, y: TupleY) -> list[list[int]] | None:
-    """The order-(N+1) operator of y, composed once: integer polynomials
-    n_0..n_{N+1} with no common factor and L = (1/n_{N+1}) sum_j n_j d^j,
-    or None if L has no polynomial kernel of dimension N+1: the last
-    entry of `_operator_chain` of (y_1, ..., y_N, 1)."""
-    return _operator_chain(pi.ts, (*y, ONE))[-1]
-
-
-def _operator_chain(ts, y) -> list[list[list[int]] | None]:
-    """The partial operators after each fold, one fold per entry of y,
-    rightmost factor first: entry k-1 is n_0..n_k of the order-k operator,
-    whose kernel is F_k of the flag with beta(F) = y, and None from the
-    first fold that is not exact.
+@lru_cache(maxsize=256)
+def _operator(ts: tuple[Poly, ...], y: TupleY) -> tuple[tuple[int, ...], ...] | None:
+    """The partial operator after one fold per entry of y, rightmost factor
+    first: integer polynomials n_0..n_k, k = len(y), with no common factor
+    and L = (1/n_k) sum_j n_j d^j, whose kernel is F_k of the flag with
+    beta(F) = y, or None once a fold is not exact.  Memoized, so a tuple
+    that shares a prefix with an earlier one reuses its folds.
 
     L is the product of N+1 monic first-order factors d - R'/R, the k-th
     (k = 0..N, rightmost first) with R = y_{k+1} T_1...T_k / y_k,
@@ -351,23 +321,23 @@ def _operator_chain(ts, y) -> list[list[list[int]] | None]:
     an (N+1)-dimensional polynomial space V, every partial operator is
     f -> W(u_1..u_{k+1}, f)/W_{k+1} for a flag u of V (Frobenius-Polya),
     with polynomial numerators and W_{k+1} ~ P, so each new n_j is an exact
-    quotient by the primitive D, which `_zquo` checks.  n_{N+1} ends as
-    the primitive associate of W(V).
+    quotient by the primitive D, which `_zquo` checks.  With y_{N+1} = 1
+    appended, n_{N+1} ends as the primitive associate of W(V).
     """
-    ns, chain = [[1]], []
-    for c, lad in zip(y, t_ladder(tuple(ts))[1:]):
-        if ns is not None:
-            d, p = ns[-1], _zmul(_zpoly(c), _zpoly(lad))
-            dp = _zderiv(p)
-            ns = [_zquo(_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), p), _zmul(n, dp)), d)
-                  for prev, n in zip([[], *ns], ns)]
-            ns = None if None in ns else [*ns, p]
-        chain.append(ns)
-    return chain
+    if not y:
+        return ((1,),)
+    ns = _operator(ts, y[:-1])
+    if ns is None:
+        return None
+    d, p = [*ns[-1]], _zmul(_zpoly(y[-1]), _zpoly(t_ladder(ts)[len(y)]))
+    dp = _zderiv(p)
+    out = [_zquo(_zsub(_zmul(_zsub(_zderiv(n), [-x for x in prev]), p), _zmul(n, dp)), d)
+           for prev, n in zip([(), *ns], ns)]
+    return None if None in out else (*map(tuple, out), tuple(p))
 
 
 def _apply_factored_operator(op, u: Poly) -> Poly:
-    """The numerator of L u for the composed operator of `_operator_factors`.
+    """The numerator of L u for a full operator of `_operator`.
 
     Forms sum_j n_j u^(j), divides out its gcd with the denominator n_{N+1}
     and makes it primitive: the reduced numerator of L u up to a nonzero

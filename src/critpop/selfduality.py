@@ -263,10 +263,14 @@ def is_isotropic(sd: SelfdualSpace, u) -> bool:
 
 
 class QuasiWittResult(NamedTuple):
+    """`base` and `g` are `antidiagonal_basis` of `flag`, kept for the sampler."""
+
     flag: Flag
     ratios: tuple[Fraction, ...]  # a_i with W+(q_1..q_i) = a_i W+(q_1..q_{N+1-i})
     witt_polys: tuple[Poly, ...] | None
     witt_scalars: tuple | None  # Fraction or QuadExt per basis element
+    base: list  # coordinate vectors of q_1..q_{N+1}
+    g: QVec  # g_j = (q_j, q_{N+2-j})
 
     @property
     def status(self) -> str:
@@ -288,10 +292,10 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     every element pairs to zero with everything except its mirror partner,
     so its flag is isotropic, the mirrored relation holds exactly, and
     every omitted divided Wronskian is an exact multiple of the partner
-    element.
+    element.  Clearing only subtracts lower-degree vectors, so q is canonical.
     """
     n1, full = sd.dim, (1 << sd.dim) - 1
-    u, _ = antidiagonal_basis(sd, degree_flag(sd.space))
+    u, g = antidiagonal_basis(sd, degree_flag(sd.space))
     q = [sd.space.member(v) for v in u][::-1]
     # W+(q_1..q_i) for i < N+1, then W+ of q without q_i for i <= N
     ws = divided_wronskians(q, [(1 << i) - 1 for i in range(n1)]
@@ -320,7 +324,8 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
         witt_polys, witt_scalars = None, None
     else:
         witt_polys, witt_scalars = tuple(q), tuple(scalars)
-    return QuasiWittResult(Flag.from_basis(sd.space, q), tuple(ratios), witt_polys, witt_scalars)
+    return QuasiWittResult(Flag(sd.space, tuple(q)), tuple(ratios), witt_polys, witt_scalars,
+                           u[::-1], QVec(g.num[::-1], g.den))
 
 
 def _witt_scalars(gammas: list[Fraction]):

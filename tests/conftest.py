@@ -7,9 +7,9 @@ import pytest
 
 from critpop.core import ProblemInstance, is_generic, monic_tuple
 from critpop.errors import ConstructionFailed, NotDivisible, NotInImage
-from critpop.fundamental import Flag, PolySpace, generating_morphism, span
-from critpop.poly import (ONE, ZERO, Poly, QVec, divided_wronskians, gcd, solve_combination,
-                          t_ladder, wronskian_minors, wronskian_rows)
+from critpop.fundamental import Flag, PolySpace, generating_morphism
+from critpop.poly import (ONE, ZERO, Poly, QVec, _zrref, _zscaled, divided_wronskians, gcd,
+                          solve_combination, t_ladder, wronskian_minors, wronskian_rows)
 from critpop.reproduction import _sample_generic, immediate_descendants
 from critpop.roots import WeylElement, root_data
 
@@ -341,9 +341,34 @@ def reduce_span(polys):
     return PolySpace(tuple(_reduce(q, rows[k + 1:]) for k, q in enumerate(rows)))
 
 
+def span(polys) -> PolySpace:
+    """Canonical reduced span of the given polynomials: the `_zrref` of
+    their numerators, columns from the highest degree down, each row over
+    its pivot entry, which is its leading coefficient."""
+    nums = [p.num for p in polys]
+    n = max(map(len, nums), default=0)
+    rows, pivots = _zrref([(0,) * (n - len(a)) + a[::-1] for a in nums])
+    return PolySpace(tuple(_zscaled(r[::-1], r[c]) for r, c in zip(rows, pivots)))
+
+
+def flag_from_basis(space, basis):
+    """The canonical `Flag` of an independent basis inside the space:
+    element i is the row of span(basis[:i+1]) of the degree that basis[i]
+    adds to span(basis[:i])."""
+    canon, part = [], span([])
+    for u in basis:
+        if not space.contains(u):
+            raise ValueError("flag basis element outside the space")
+        old, part = part.degrees(), span([*part.basis, u])
+        if part.dim == len(old):
+            raise ValueError("flag basis is dependent")
+        canon.append(next(b for b in part.basis if b.degree not in old))
+    return Flag(space, tuple(canon))
+
+
 def reduce_flag(basis):
     """Each element reduced by `_reduce` against its predecessors and made
-    monic: the reference for `Flag.from_basis` on an independent basis."""
+    monic: the reference for `flag_from_basis` on an independent basis."""
     canon = []
     for u in basis:
         canon.append(_reduce(u, canon).monic())
@@ -563,7 +588,7 @@ def wronskian_flag_from_tuple(space, y, ts):
     us += [b for b in space.basis if not part.contains(b)][:1]
     if len(us) != space.dim:
         raise NotInImage("flag reconstruction did not complete")
-    flag = Flag.from_basis(space, us)
+    flag = flag_from_basis(space, us)
     if generating_morphism(flag.basis, ts) != y:
         raise NotInImage("reconstructed flag does not map back to the tuple")
     return flag

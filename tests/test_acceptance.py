@@ -18,7 +18,6 @@ from critpop.core import (
     weight_at_infinity,
 )
 from critpop.fundamental import (
-    Flag,
     exponents,
     expected_exponents_finite,
     expected_exponents_infinity,
@@ -33,8 +32,8 @@ from critpop.reproduction import explore_population, is_fertile, weyl_degree_map
 from critpop.roots import dominant_representative, shifted_action
 from critpop.schubert import lr_expand, population_count_report
 from critpop.selfduality import is_isotropic, quasi_witt_basis
-from conftest import (bruhat_index, hook_content_dim, instance, is_selfdual, perm_to_weyl,
-                      random_generic_tuple, seeded_points)
+from conftest import (bruhat_index, flag_from_basis, hook_content_dim, instance, is_selfdual,
+                      perm_to_weyl, random_generic_tuple, seeded_points)
 
 
 def report(num, name, ok):
@@ -161,7 +160,7 @@ def test_06_round_trip_and_bruhat():
         for _ in range(50):
             while True:
                 try:
-                    flag = Flag.from_basis(
+                    flag = flag_from_basis(
                         V,
                         [
                             V.member(QVec.of([Fraction(rng.randint(-3, 3)) for _ in range(n1)]))
@@ -243,7 +242,7 @@ def test_08_bc_selfduality():
             ok = ok and is_isotropic(sd, [sd.space.coords(p) for p in qw.flag.basis])
             if kind == "C":
                 rep = bc_population_as_isotropic_flags(
-                    pi, sd, qw.flag, samples=2, seed=rng.randint(0, 99)
+                    pi, sd, qw, samples=2, seed=rng.randint(0, 99)
                 )
                 ok = ok and rep.all_symmetric and rep.all_critical
             done += 1

@@ -51,6 +51,14 @@ STRESS = [
      "b0f11be581b7604e"),
 ]
 
+# the `fundamental` probes: (name, first 16 hex digits of the SHA-256 of the
+# seed-0 stdout, folds of the operators: N(N+3)/2 + N + 1 for rank N)
+FUNDAMENTAL_PROBES = [
+    ("A3-20-5", "754a8d2a66461202", 13),
+    ("A1-60", "50ae35cc5e8e3dcb", 4),
+    ("A3w-686", "6c232f7d6ba70b08", 13),
+]
+
 
 class TestVerify:
     def test_critical_tuple(self, sl2_cfg, capsys):
@@ -232,6 +240,20 @@ class TestFundamental:
         assert "[pluecker] sum of ramification codimensions : PASS" in capsys.readouterr().out
         assert [at == "inf" for _, at in calls] == [False] * len(payload["points"]) + [True]
 
+    @pytest.mark.parametrize("name, digest, folds", FUNDAMENTAL_PROBES,
+                             ids=[job[0] for job in FUNDAMENTAL_PROBES])
+    def test_probe_output(self, tmp_path, capsys, name, digest, folds):
+        """The seed-0 table of each probe is pinned, and its operators take
+        one fold per distinct tuple prefix: y's N+1, none more for the flag
+        levels, and N+1-i for descendant i, which shares y's first i.  The
+        cache also holds the empty prefix."""
+        payload = {"A3-20-5": A3_20_5, "A1-60": A1_60, "A3w-686": A3W_686}[name]
+        cfg = write_cfg(tmp_path, f"{name}.json", payload)
+        fundamental._operator.cache_clear()
+        assert run(["fundamental", "--config", cfg, "--seed", "0"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+        assert fundamental._operator.cache_info().misses - 1 == folds
+
     def test_json_format(self, sl2_cfg, capsys):
         assert run(["fundamental", "--config", sl2_cfg, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -262,9 +284,9 @@ class TestSelfdual:
     def test_coordinates_solved_once_per_flag_element(self, tmp_path, monkeypatch, capsys):
         """The isotropic layer solves for each flag element's coordinates once
         per anti-diagonalization, and never per pairing, per move or per
-        isotropy test: one anti-diagonalization for the quasi-Witt basis and
-        one per sampling run; each sample's isotropy test reads the
-        coordinate vectors its sweep carries."""
+        isotropy test: one anti-diagonalization for the quasi-Witt basis,
+        which the sampling run starts from; each sample's isotropy test reads
+        the coordinate vectors its sweep carries."""
         cfg = write_cfg(tmp_path, "b2.json", B2)
         solves = []
         coords = fundamental.PolySpace.coords
@@ -273,8 +295,8 @@ class TestSelfdual:
         adjusted = count_calls(monkeypatch, selfduality, "antidiagonal_basis")
         tested = count_calls(monkeypatch, selfduality, "is_isotropic")
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
-        assert len(adjusted) == 2 and len(tested) == 5
-        assert len(solves) == 4 * len(adjusted) == 8
+        assert len(adjusted) == 1 and len(tested) == 5
+        assert len(solves) == 4 * len(adjusted) == 4
 
     def test_type_a_selfdual(self, sl3_cfg, monkeypatch, capsys):
         # antidiagonal_basis certifies the quasi-Witt flag; nothing re-tests it
@@ -321,15 +343,15 @@ class TestSelfdual:
 
     def test_operator_prediction_holds(self, tmp_path, monkeypatch, capsys):
         """The operator's predicted divisor divides every fold of the four
-        benchmark `selfdual` jobs and of the stress jobs: `_operator_factors`
-        never returns None."""
+        benchmark `selfdual` jobs and of the stress jobs: `_operator` never
+        returns None, on a full tuple or on any of its prefixes."""
         jobs = [["fundamental", "--config", write_cfg(tmp_path, "a3w.json", A3W_686)]] + [
             ["selfdual", "--config", write_cfg(tmp_path, f"{name}.json", cfg), "--samples", "5"]
             for name, cfg in [(c, {"root_system": c, "weights": [], "points": []})
                               for c in ("B2", "C2", "B3")] + [job[:2] for job in STRESS]]
-        ops, compose = [], fundamental._operator_factors
-        monkeypatch.setattr(fundamental, "_operator_factors",
-                            lambda pi, y: ops.append(compose(pi, y)) or ops[-1])
+        ops, compose = [], fundamental._operator
+        monkeypatch.setattr(fundamental, "_operator",
+                            lambda ts, y: ops.append(compose(ts, y)) or ops[-1])
         for argv in jobs:
             assert run([*argv, "--seed", "0"]) == 0
         assert len(ops) >= len(jobs) and None not in ops
@@ -497,6 +519,8 @@ A3W_686 = {"root_system": "A3", "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                      "6 -72 84 -40 12 -26/5 1"]}
 # the A3 probe with two heavily weighted points and the ones tuple
 A3_20_5 = {"root_system": "A3", "weights": [[20, 20, 20], [5, 5, 5]], "points": ["0", "1"]}
+# the A1 probe with two points of weight 60 and the ones tuple
+A1_60 = {"root_system": "A1", "weights": [[60], [60]], "points": ["0", "1"]}
 # a critical start tuple of degree 3
 A1_CUBIC = {"root_system": "A1", "weights": [[2]], "points": ["0"], "tuple": ["3 0 0 1"]}
 

@@ -21,20 +21,20 @@ from critpop.fundamental import (
     pluecker_check,
     schubert_index_finite,
     schubert_index_infinity,
-    span,
     verify_dp,
     _apply_factored_operator,
     _kernel,
-    _operator_factors,
+    _operator,
 )
 from critpop import poly
 from critpop.bc import bc_fundamental_space, fold, folded_instance
 from critpop.poly import ONE, X, Poly, QVec, _zpoly, wronskian
-from critpop.reproduction import explore_population
+from critpop.reproduction import explore_population, immediate_descendants
 from critpop.roots import dominant_representative, shifted_action
-from conftest import (A3W, A3W_686, bruhat_index, count_calls, euclid_gcd, instance, perm_to_weyl,
-                      random_monic, reduce_flag, reduce_span, reversal_exponents,
-                      sibling_fundamental_space, wronskian_flag_from_tuple)
+from conftest import (A3W, A3W_686, bruhat_index, count_calls, euclid_gcd, flag_from_basis,
+                      instance, perm_to_weyl, random_monic, reduce_flag, reduce_span,
+                      reversal_exponents, sibling_fundamental_space, span,
+                      wronskian_flag_from_tuple)
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
 SL3 = instance("A2")
@@ -81,7 +81,7 @@ class TestSpan:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(small_polys, min_size=1, max_size=5), st.randoms(use_true_random=False))
     def test_flag_matches_reduce_reference(self, polys, rng):
-        """`Flag.from_basis` on a random basis of a span gives each element
+        """`flag_from_basis` on a random basis of a span gives each element
         reduced against its predecessors and monic, as the `_reduce`
         reference does; `degree_flag` is the flag of the sorted echelon
         basis."""
@@ -90,9 +90,9 @@ class TestSpan:
         rng.shuffle(basis)
         basis = [b + sum((rng.randint(-2, 2) * c for c in basis[:i]), Poly())
                  for i, b in enumerate(basis)]
-        assert Flag.from_basis(V, basis).basis == reduce_flag(basis)
+        assert flag_from_basis(V, basis).basis == reduce_flag(basis)
         by_degree = sorted(V.basis, key=lambda p: p.degree)
-        assert degree_flag(V) == Flag(V, reduce_flag(by_degree)) == Flag.from_basis(V, by_degree)
+        assert degree_flag(V) == Flag(V, reduce_flag(by_degree)) == flag_from_basis(V, by_degree)
 
 
 class TestConstruction:
@@ -163,7 +163,7 @@ class TestKernel:
         `fundamental_space` refuses it for its dimension, before any base
         point is looked for."""
         pi, y = instance("A1", [(3,)], ["0"]), (X * X,)
-        op = _operator_factors(pi, y)
+        op = _operator(pi.ts, (*y, ONE))
         assert op is not None and _kernel(op).basis == (X * X,)
         with pytest.raises(ConstructionFailed, match="full dimension"):
             fundamental_space(pi, y)
@@ -227,7 +227,7 @@ class TestDPInvariance:
         y = atlas.members[(2, 2)].tuple_y
         V = fundamental_space(SL3, y)
         d = max(V.degrees())
-        assert not _apply_factored_operator(_operator_factors(SL3, y), X ** (d + 1)).is_zero()
+        assert not _apply_factored_operator(_operator(SL3.ts, (*y, ONE)), X ** (d + 1)).is_zero()
         pi = instance("A2", [(1, 0), (0, 1)], ["0", "1"])
         other = (ONE, ONE)
         assert verify_dp(pi, [fundamental_space(pi, other)], other)
@@ -243,7 +243,7 @@ class TestDPInvariance:
             u = V.basis[0]
             rng = random.Random(d)
             outsiders = [u + X ** (d + 1), u * X, random_monic(rng, d + 1)]
-            factors = _operator_factors(pi, y)
+            factors = _operator(pi.ts, (*y, ONE))
             for p in [*V.basis, *outsiders]:
                 got, want = _apply_factored_operator(factors, p), reference_operator(pi, y, p)
                 assert got.is_zero() == want.is_zero() == V.contains(p)
@@ -262,17 +262,37 @@ class TestDPInvariance:
         that is W(V) (Frobenius-Polya): checked against the composition
         over Fraction coefficients, which keeps the denominator apart."""
         for pi, y, V in operator_cases(case):
-            op = _operator_factors(pi, y)
+            op = _operator(pi.ts, (*y, ONE))
             ns, den = reference_composition(pi, y)
             assert den.monic() == ns[-1].monic() == Poly(op[-1]).monic()
-            assert op[-1] == _zpoly(wronskian(V.basis))
+            assert list(op[-1]) == _zpoly(wronskian(V.basis))
 
+
+    @pytest.mark.parametrize("case", ["SL3", "A2W"])
+    def test_descendant_reuses_the_folds_of_y(self, case):
+        """Each immediate descendant of every generic member of the seeded
+        SL3 and weighted A2 atlases: read after y's operator, its operator
+        reuses y's folds before the changed entry (one cache hit, at that
+        prefix) and equals the operator folded from an empty cache."""
+        pi = SL3 if case == "SL3" else instance("A2", [(1, 0), (0, 1)], ["0", "1"])
+        atlas = explore_population(pi, (ONE, ONE), 2 if case == "SL3" else 4, seed=0)
+        ys = [m.tuple_y for m in atlas.members.values() if m.generic]
+        assert len(ys) >= 5
+        for y in ys:
+            for i in range(pi.rd.rank):
+                desc = y[:i] + (immediate_descendants(pi, y, i).base,) + y[i + 1:]
+                _operator.cache_clear()
+                _operator(pi.ts, (*y, ONE))
+                warm = _operator(pi.ts, (*desc, ONE))
+                assert warm is not None and _operator.cache_info().hits == 1
+                _operator.cache_clear()
+                assert _operator(pi.ts, (*desc, ONE)) == warm
 
     @pytest.mark.parametrize("case", ["SL3", "A3W", "B2"])
     def test_outsider_tuple_has_no_operator(self, case):
         """y_1 times x - 7 moves a tuple with a nonconstant entry off its
         space: a fold of its operator is not an exact quotient, so
-        `_operator_factors` gives None and the verdict is False, while the
+        `_operator` gives None and the verdict is False, while the
         tuple itself, also scaled by 2, keeps its True verdict."""
         cases = [(pi, y, V) for pi, y, V in operator_cases(case)
                  if any(len(p.num) > 1 for p in y)]
@@ -280,7 +300,7 @@ class TestDPInvariance:
         for pi, y, V in cases:
             assert verify_dp(pi, [V], y) and verify_dp(pi, [V], tuple(p * 2 for p in y))
             z = (y[0] * Poly([-7, 1]), *y[1:])
-            assert _operator_factors(pi, z) is None
+            assert _operator(pi.ts, (*z, ONE)) is None
             assert not verify_dp(pi, [V], z)
 
 
@@ -384,7 +404,7 @@ class TestExponents:
 class TestIntegerPath:
     @pytest.mark.parametrize("case", ["A3W", "B3"])
     def test_no_fraction_coefficients(self, monkeypatch, case):
-        """`span`, `PolySpace.contains`, `Flag.from_basis`, `degree_flag` and
+        """`span`, `PolySpace.contains`, `flag_from_basis`, `degree_flag` and
         `exponents` read numerators only: no `Poly.__getitem__` and no
         `Poly.leading` call on the A3w (6,8,6) space or the B3 folded
         space."""
@@ -399,7 +419,7 @@ class TestIntegerPath:
             monkeypatch.setattr(Poly, name, lambda *a, _fn=fn: calls.append(a) or _fn(*a))
         assert span(basis) == V
         assert all(map(V.contains, basis)) and not V.contains(X ** (max(V.degrees()) + 1))
-        assert Flag.from_basis(V, basis).space == degree_flag(V).space == V
+        assert flag_from_basis(V, basis).space == degree_flag(V).space == V
         for z in [*points, "inf"]:
             exponents(V, z)
         assert not calls
@@ -416,9 +436,9 @@ class TestGeneratingMorphism:
     def test_sl2_flags(self):
         V = fundamental_space(SL2, (Poly([-1, 1]),))
         ts = t_polys(SL2)
-        up = Flag.from_basis(V, [Poly([-1, 1]), Poly([0, 0, 1])])
+        up = flag_from_basis(V, [Poly([-1, 1]), Poly([0, 0, 1])])
         assert generating_morphism(up.basis, ts) == (Poly([-1, 1]),)
-        down = Flag.from_basis(V, [Poly([0, 0, 1]), Poly([-1, 1])])
+        down = flag_from_basis(V, [Poly([0, 0, 1]), Poly([-1, 1])])
         assert generating_morphism(down.basis, ts) == (Poly([0, 0, 1]),)
 
     def test_round_trip_50_random_flags(self):
@@ -438,7 +458,7 @@ class TestGeneratingMorphism:
                     ]
                     try:
                         basis = [V.member(QVec.of(row)) for row in mat]
-                        flag = Flag.from_basis(V, basis)
+                        flag = flag_from_basis(V, basis)
                         break
                     except ValueError:
                         continue
@@ -495,7 +515,7 @@ class TestBruhat:
                         V.member(QVec.of([Fraction(rng.randint(-3, 3)) for _ in range(3)]))
                         for _ in range(3)
                     ]
-                    flag = Flag.from_basis(V, basis)
+                    flag = flag_from_basis(V, basis)
                     break
                 except ValueError:
                     continue
@@ -522,7 +542,7 @@ class TestFlagOracle:
                     rows = [[Fraction(rng.randint(-3, 3)) for _ in range(V.dim)]
                             for _ in range(V.dim)]
                     try:
-                        flag = Flag.from_basis(V, [V.member(QVec.of(row)) for row in rows])
+                        flag = flag_from_basis(V, [V.member(QVec.of(row)) for row in rows])
                         break
                     except ValueError:
                         continue

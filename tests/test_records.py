@@ -7,12 +7,11 @@ import pytest
 
 from critpop.bc import folded_instance
 from critpop.core import ProblemInstance
-from critpop.fundamental import span
 from critpop.poly import Poly
 from critpop.reproduction import PopulationAtlas
 from critpop.roots import RootData, WeylElement, generator, root_data
 from critpop.selfduality import QuadExt
-from conftest import quad_square
+from conftest import quad_square, span
 
 B2_CFG = {"root_system": "B2", "weights": [[1, 0], [0, 1]], "points": ["0", "1/2"]}
 

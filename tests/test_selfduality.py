@@ -9,7 +9,7 @@ import pytest
 from critpop import poly
 from critpop.bc import bc_fundamental_space
 from critpop.core import t_polys
-from critpop.fundamental import Flag, degree_flag, fundamental_space, generating_morphism, span
+from critpop.fundamental import degree_flag, fundamental_space, generating_morphism
 from critpop.poly import ONE, X, Poly, QVec, poly_sqrt, solve_combination, wronskian
 from critpop.reproduction import explore_population
 from critpop.errors import ConstructionFailed, NotSelfdual, SquareRootMissing
@@ -28,8 +28,8 @@ from critpop.selfduality import (
     quasi_witt_basis,
     sqrt_scalar,
 )
-from conftest import (_omit, count_calls, divided_wronskian, dual_space,
-                      fraction_solve_combination, instance, is_selfdual, quad_square)
+from conftest import (_omit, count_calls, divided_wronskian, dual_space, flag_from_basis,
+                      fraction_solve_combination, instance, is_selfdual, quad_square, span)
 
 
 def verify_witt(framing, result):
@@ -411,9 +411,24 @@ class TestQuasiWitt:
             assert all(a != 0 for a in qw.ratios)
             assert is_isotropic(sd, [V.coords(p) for p in qw.flag.basis])
 
+    @pytest.mark.parametrize("name", ["B2", "C2", "B3", "B4", "C3w", "A2"])
+    def test_carries_its_antidiagonal_basis(self, name):
+        """`base` and `g` are what `antidiagonal_basis` returns on the
+        quasi-Witt flag, in flag order, and the flag's basis is already its
+        canonical one, so the sampler starts from them as they are: the
+        folded spaces and the selfdual SL3 space of the ones tuple."""
+        if name == "A2":
+            V = fundamental_space(instance("A2"), (ONE, ONE))
+            sd = SelfdualSpace(V, framing_of(V, ()))
+        else:
+            sd = folded_space(name)
+        qw = quasi_witt_basis(sd)
+        assert (qw.base, qw.g) == antidiagonal_basis(sd, qw.flag)
+        assert qw.flag == flag_from_basis(sd.space, qw.flag.basis)
+
     def test_dim2_any_flag_isotropic(self):
         sd = SelfdualSpace(V2, framing_of(V2, SL2.points))
-        fl = Flag.from_basis(V2, [Poly([-1, 1, 1]), Poly([0, 0, 1])])
+        fl = flag_from_basis(V2, [Poly([-1, 1, 1]), Poly([0, 0, 1])])
         assert is_isotropic(sd, [V2.coords(p) for p in fl.basis])
 
     def test_witt_normalization_exact(self):
@@ -454,7 +469,7 @@ class TestIsotropy:
                     V.member(QVec.of([Fraction(rng.randint(-3, 3)) for _ in range(4)]))
                     for _ in range(4)
                 ]
-                flag = Flag.from_basis(V, basis)
+                flag = flag_from_basis(V, basis)
             except ValueError:
                 continue
             tup = generating_morphism(flag.basis, ts)
@@ -575,7 +590,7 @@ class TestGenerators:
                 (s if isinstance(s, Fraction) else s.a) * b
                 for s, b in zip(qw5.witt_scalars, qw5.witt_polys)
             ]
-            wfl = Flag.from_basis(V, polys)
+            wfl = flag_from_basis(V, polys)
             fam_w = isotropic_generators(sd, wfl, 2)
             p2, q2, wr2 = middle_square_data(sd, fam_w)
             assert wr2.monic() == (fr[1] * tuple_at(sd, fam_w, Fraction(0))[0]).monic()
