@@ -15,15 +15,15 @@ factorization (G. Polya, Trans. AMS 24 (1922)), and the Wronskian ladder
 W(u_1..u_i) ~ y_i L_i (`poly.t_ladder`) predicts each partial denominator,
 so a fold is exact quotients, with no gcd; it is memoized per tuple
 prefix, which y's flag levels and its descendants share.  `_kernel`
-solves for the polynomial kernel of an operator by its indicial equation
-at infinity: of D_y for `fundamental_space`, and of the k-th partial
-operator, F_k of the flag with beta(F) = y, for `flag_from_tuple`.
+solves for the polynomial kernel of an operator with `poly._zsolve`, the
+solver of the reproduction step's Wronskian equation: of D_y for
+`fundamental_space`, and of the k-th partial operator, F_k of the flag
+with beta(F) = y, for `flag_from_tuple`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from math import gcd as igcd
 from math import lcm, perm
 from typing import NamedTuple
 
@@ -34,8 +34,9 @@ from .core import (
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotInImage
-from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zmul, _zpoly, _zprimitive, _zquo,
-                   _zrref, _zscaled, _zsub, divided_wronskians, t_ladder, wronskian_rows)
+from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zimage, _zindicial, _zmul,
+                   _zpoly, _zprimitive, _zquo, _zrref, _zscaled, _zsolve, _zsub,
+                   divided_wronskians, t_ladder, wronskian_rows)
 from .roots import dominant_representative
 
 
@@ -112,47 +113,26 @@ def degree_flag(space: PolySpace) -> Flag:
 
 def _kernel(op: list[list[int]]) -> PolySpace:
     """Polynomial solutions of L u = 0, L = (1/n_k) sum_j n_j d^j, by the
-    Frobenius method at infinity (the indicial equation: E. L. Ince,
-    Ordinary Differential Equations (1926), ch. XVI).
+    indicial equation at infinity (`poly._zindicial`).
 
-    With s = max_j (deg n_j - j), x^m first enters L u at x^(m+s), with
-    the indicial value I(m) = sum_j n_j[s+j] m!/(m-j)!, so a member's
-    degree is a root of I, at most deg n_k + k - 1 if the kernel V has
-    dimension k (deg W(V) = sum(degrees) - k(k-1)/2).  Each root e is solved
-    from the top down, fraction-free as in `solve_wronskian_equation`, on
-    one dense image L x^m per m: where I(m) != 0 the x^(m+s) equation fixes
-    the x^m coefficient, at any other root it is 0, and the residual must
-    vanish, or e gives no member.  When the kernel has dimension k, every
-    root is one of its degrees, and the members are its reduced echelon
-    basis; callers check the dimension.
+    A member's degree is a root of I, at most deg n_k + k - 1 if the kernel
+    V has dimension k (deg W(V) = sum(degrees) - k(k-1)/2).  Each root e, in
+    descending order, gives the member x^e + v for the (v, S) of
+    `poly._zsolve` on -L x^e, cut at e and made monic, or no member if
+    `_zsolve` finds none.  When the kernel has dimension k, every root is
+    one of its degrees, and the members are its reduced echelon basis;
+    callers check the dimension.
     """
     k = len(op) - 1
-    s = max(len(n) - 1 - j for j, n in enumerate(op) if n)
-    lead = [n[s + j] if 0 <= s + j < len(n) else 0 for j, n in enumerate(op)]
-    roots = [m for m in range(len(op[-1]) + k - 1)
-             if not sum(c * perm(m, j) for j, c in enumerate(lead))]
-    images = []
-    for m in range(roots[-1] + 1 if roots else 0):
-        im = [0] * max(m + s + 1, 0)
-        for j, n in enumerate(op):
-            if f := perm(m, j):
-                im[m - j:m - j + len(n)] = [a + f * c for a, c in zip(im[m - j:], n)]
-        images.append(im)
+    s, lead = _zindicial(op)
     basis = []
-    for e in reversed(roots):
-        u, res = [0] * e + [1], images[e][:]
-        for m in range(e - 1, -1, -1):
-            piv = images[m][-1] if images[m] else 0  # I(m), at x^(m+s)
-            if piv:
-                r = res[m + s]
-                if r % piv:
-                    g = abs(piv) // igcd(piv, r)
-                    u, res, r = [g * v for v in u], [g * v for v in res], r * g
-                if c := -r // piv:
-                    u[m], im = c, images[m]
-                    res[:len(im)] = [v + c * a for v, a in zip(res, im)]
-        if not any(res):
-            basis.append(_zscaled(u, u[e]))
+    for e in reversed(range(len(op[-1]) + k - 1)):
+        if not sum(c * perm(e, j) for j, c in enumerate(lead)):
+            f = [0] * (e + s + 1)  # -L x^e, zero at x^(e+s) since I(e) = 0
+            _zimage(f, op, e, -1)
+            if sol := _zsolve(op, f):
+                v, scale = sol  # at least e + 1 entries, v_e = 0
+                basis.append(_zscaled(v[:e] + [scale], scale))
     return PolySpace(tuple(basis))
 
 

@@ -7,12 +7,13 @@ content of `num`.  That form is canonical, so equality and hashing compare
 `(num, den)`; the zero polynomial is `((), 1)`.  The `Fraction`
 coefficients `p[k]` and `leading` are made on demand.  This module is
 the arithmetic substrate for everything else: Wronskians, divided
-Wronskians, exact division, gcd, square roots and the one elimination,
-`_zrref` over Z, that `solve_linear` and every span, membership, flag and
-exponent computation in `fundamental` go through.
-`QVec` keeps a rational vector in the same layout, and
-`solve_combination` hands `solve_linear` integer rows scaled to one
-common denominator.
+Wronskians, exact division, gcd, square roots, the one elimination,
+`_zrref` over Z, that `solve_linear` and `fundamental.exponents` go
+through, and the one solver of L u = f for polynomial u, `_zsolve`, that
+the Wronskian equation of a reproduction step and the operator kernels
+of `fundamental` share.  `QVec` keeps a rational vector in the same
+layout, and `solve_combination` hands `solve_linear` integer rows scaled
+to one common denominator.
 
 Every ring operation works on the numerators over Z and makes one
 canonical `Poly` at the end (`_zscaled`: one gcd and a sign fix).  Sums
@@ -451,6 +452,49 @@ def _zrref(rows) -> tuple[list[list[int]], list[int]]:
         done, rest = cleared[:len(done)] + [p], cleared[len(done):]
         pivots.append(c)
     return done, pivots
+
+
+def _zindicial(op) -> tuple[int, list[int]]:
+    """(s, c) for L = sum_j n_j d^j with int lists n_j: s = max_j (deg n_j - j)
+    and c_j = n_j[s+j].  x^m first enters L x^m at x^(m+s), with the
+    indicial value I(m) = sum_j c_j m!/(m-j)!."""
+    s = max(len(n) - 1 - j for j, n in enumerate(op) if n)
+    return s, [n[s + j] if 0 <= s + j < len(n) else 0 for j, n in enumerate(op)]
+
+
+def _zsolve(op, f) -> tuple[list[int], int] | None:
+    """(U, S) with S > 0 and sum_j n_j U^(j) = S f over Z, U_m = 0 at every
+    root m of the indicial polynomial of `_zindicial`, or None if there is
+    no such U: the indicial equation at infinity (E. L. Ince, Ordinary
+    Differential Equations (1926), ch. XVI).
+
+    Top-down: where I(m) != 0 the x^(m+s) coefficient of the residual
+    S f - L U fixes U_m, and where I(m) does not divide it, U, S and the
+    residual are scaled by |I(m)|/gcd; U_m = c takes c L x^m (`_zimage`)
+    off the residual.  The residual must end at zero."""
+    s, lead = _zindicial(op)
+    u, r, scale = [0] * max(len(f) - s, 0), list(f), 1
+    for m in range(len(u) - 1, -1, -1):
+        piv = 0  # I(m), by Horner's rule in the factors m - j of m!/(m-j)!
+        for j in range(len(op) - 1, -1, -1):
+            piv = lead[j] + (m - j) * piv
+        if piv and (t := r[m + s]):
+            if t % piv:
+                g = abs(piv) // igcd(piv, t)
+                u, r, scale, t = [g * v for v in u], [g * v for v in r], scale * g, t * g
+            u[m] = c = t // piv
+            _zimage(r, op, m, -c)
+    return None if any(r) else (u, scale)
+
+
+def _zimage(r: list[int], op, m: int, c: int) -> None:
+    """Add c L x^m = sum_j c n_j m!/(m-j)! x^(m-j) to r, in place."""
+    for j, n in enumerate(op):
+        for i, a in enumerate(n, m - j):
+            r[i] += c * a
+        c *= m - j
+        if not c:
+            return
 
 
 def gcd(a: Poly, b: Poly) -> Poly:

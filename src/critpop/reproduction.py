@@ -1,8 +1,8 @@
 """Reproduction procedure and population exploration.
 
-`solve_wronskian_equation` solves W(y, ytilde) = R by a fraction-free
-back-substitution over Z[x] and makes the rational coefficients of its
-answer only at the end; the solution set is a line {base + c*y}.
+`solve_wronskian_equation` solves W(y, ytilde) = R, a first-order
+equation, by `poly._zsolve` over Z[x] and makes the rational coefficients
+of its answer only at the end; the solution set is a line {base + c*y}.
 Replacing a coordinate by a member of that line is the simple reproduction
 step; the breadth-first closure of these steps over all directions,
 bookkept by degree vector, is a population atlas.  `explore_population`
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd as igcd
 from math import lcm
 from typing import NamedTuple
 
@@ -31,7 +30,7 @@ from .core import (
 )
 from .errors import (ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile,
                      NotGeneric)
-from .poly import Poly, _zscaled
+from .poly import Poly, _zderiv, _zscaled, _zsolve
 from .roots import enumerate_weyl, shifted_action
 
 RETRY_CAP = 64
@@ -71,44 +70,20 @@ class DescendantFamily(NamedTuple):
 
 
 def solve_wronskian_equation(y: Poly, rhs: Poly) -> DescendantFamily | None:
-    """Solve y u' - y' u = rhs in polynomials u by back-substitution.
+    """Solve y u' - y' u = rhs in polynomials u, or return None.
 
-    With d = deg y, the x^(j+d-1) equation has pivot (j - d) lc(y) on u_j and
-    no other unknown below j; u_d, the zero pivot, stays 0 (the fiber is y).
-    The pivot-free equations x^k, k < d - 1 or k = 2d - 1, decide fertility:
-    a nonzero residual there returns None.
-
-    The substitution is fraction-free.  With y = Y/a and rhs = R/b, the
-    `num`/`den` of each, it solves Y U' - Y' U = S R for integer U and a
-    scale S that starts at 1: where a pivot does not divide its residual, U
-    and S are multiplied by pivot/gcd.  Then u = a U / (b S), made exact
-    only once, at the end.
+    With y = Y/a and rhs = R/b, the `num`/`den` of each, `poly._zsolve`
+    solves Y U' - Y' U = S R over Z for integer U and a scale S > 0, with
+    U zero at the indicial root deg y (the fiber is y), and u = a U / (b S)
+    is made exact only once, at the end.
     """
     if y.is_zero() or rhs.is_zero():
         raise ValueError("y and rhs must be nonzero")
-    ys, a, rs, b = y.num, y.den, rhs.num, rhs.den
-    d = len(ys) - 1
-    n = max(len(rs) - d, d)
-    u, scale = [0] * (n + 1), 1
-
-    def residual(k: int) -> int:
-        """x^k coefficient of Y U' - Y' U - S R: sum_{a+j=k+1} (j - a) Y_a U_j - S R_k."""
-        return sum(((k + 1 - 2 * i) * ys[i] * u[k + 1 - i]
-                    for i in range(max(0, k + 1 - n), min(d, k + 1) + 1)),
-                   -scale * rs[k] if k < len(rs) else 0)
-
-    for j in range(n, -1, -1):
-        if j != d:
-            res, piv = residual(j + d - 1), (d - j) * ys[d]
-            if res % piv:
-                m = abs(piv) // igcd(piv, res)
-                u, scale, res = [m * v for v in u], scale * m, res * m
-            u[j] = res // piv
-    if d and any(residual(k) for k in [*range(d - 1), 2 * d - 1]):
+    sol = _zsolve([[-c for c in _zderiv(y.num)], y.num], rhs.num)
+    if sol is None:
         return None
-    if not any(u):
-        raise ConstructionFailed("degenerate base solution")
-    return DescendantFamily(_zscaled([a * v for v in u], b * scale), y)
+    u, scale = sol
+    return DescendantFamily(_zscaled([y.den * v for v in u], rhs.den * scale), y)
 
 
 def immediate_descendants(pi: ProblemInstance, y: TupleY, i: int) -> DescendantFamily:

@@ -267,18 +267,15 @@ class QuasiWittResult(NamedTuple):
 
     flag: Flag
     ratios: tuple[Fraction, ...]  # a_i with W+(q_1..q_i) = a_i W+(q_1..q_{N+1-i})
-    witt_polys: tuple[Poly, ...] | None
-    witt_scalars: tuple | None  # Fraction or QuadExt per basis element
+    witt_scalars: tuple | None  # Fraction or QuadExt per element of flag.basis
     base: list  # coordinate vectors of q_1..q_{N+1}
     g: QVec  # g_j = (q_j, q_{N+2-j})
 
     @property
     def status(self) -> str:
-        if self.witt_polys is None:
+        if self.witt_scalars is None:
             return "quasi"
-        if self.witt_scalars and any(
-            isinstance(s, QuadExt) and not s.is_rational() for s in self.witt_scalars
-        ):
+        if any(isinstance(s, QuadExt) and not s.is_rational() for s in self.witt_scalars):
             return "witt-quadratic"
         return "witt"
 
@@ -320,11 +317,8 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
         if gammas[i] != gammas[n1 - 1 - i]:
             raise ConstructionFailed("asymmetric Witt constants")
     scalars = _witt_scalars(gammas)
-    if scalars is None:
-        witt_polys, witt_scalars = None, None
-    else:
-        witt_polys, witt_scalars = tuple(q), tuple(scalars)
-    return QuasiWittResult(Flag(sd.space, tuple(q)), tuple(ratios), witt_polys, witt_scalars,
+    return QuasiWittResult(Flag(sd.space, tuple(q)), tuple(ratios),
+                           None if scalars is None else tuple(scalars),
                            u[::-1], QVec(g.num[::-1], g.den))
 
 

@@ -3,7 +3,8 @@ method of such a class, has a use in the library: a reference in `src/`
 outside its own definition, or a place in the benchmark's traced layers
 (`bench/spans.py` `LAYERS`).  A method counts as referenced only through
 an attribute (`x.name`): a bare local name that happens to match it is no
-use of it.  Test-only helpers live in `tests/`."""
+use of it.  Test-only helpers live in `tests/`.  Every name a module
+imports is read in it, except the re-exports of `__init__.py`."""
 
 import ast
 from pathlib import Path
@@ -88,3 +89,31 @@ def test_guard_sees_a_helper_used_only_by_itself():
     tree = ast.parse("def helper(n):\n    return helper(n - 1) if n else 0\n")
     (qual, name, node), = definitions(tree, "m")
     assert name not in references(tree, skip=node)
+
+
+def unread_imports(tree: ast.Module) -> list[str]:
+    """The names a module's imports bind and it never reads; a `__future__`
+    import binds none."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]  # `import a.b` binds a
+                if name not in read:
+                    out.append(name)
+    return out
+
+
+def test_every_import_is_read():
+    assert [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
+            for name in unread_imports(ast.parse(p.read_text()))] == []
+
+
+def test_guard_sees_an_unread_import():
+    tree = ast.parse("from __future__ import annotations\nimport os.path\n"
+                     "from math import gcd as igcd, lcm\nx = lcm(2, 3)\nigcd = 4\n")
+    assert unread_imports(tree) == ["os", "igcd"]
+    assert unread_imports(ast.parse("import os.path\nprint(os.sep)\n")) == []

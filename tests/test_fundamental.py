@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from critpop.core import heine_stieltjes_test, monic_tuple, t_polys, weight_at_infinity
@@ -28,13 +28,14 @@ from critpop.fundamental import (
 )
 from critpop import poly
 from critpop.bc import bc_fundamental_space, fold, folded_instance
-from critpop.poly import ONE, X, Poly, QVec, _zpoly, wronskian
-from critpop.reproduction import explore_population, immediate_descendants
+from critpop.poly import ONE, X, Poly, QVec, _zpoly, _zsolve, wronskian
+from critpop.reproduction import (explore_population, immediate_descendants,
+                                  solve_wronskian_equation)
 from critpop.roots import dominant_representative, shifted_action
 from conftest import (A3W, A3W_686, bruhat_index, count_calls, euclid_gcd, flag_from_basis,
-                      instance, perm_to_weyl, random_monic, reduce_flag, reduce_span,
-                      reversal_exponents, sibling_fundamental_space, span,
-                      wronskian_flag_from_tuple)
+                      fraction_solve_combination, instance, perm_to_weyl, random_monic,
+                      reduce_flag, reduce_span, reversal_exponents, sibling_fundamental_space,
+                      span, wronskian_flag_from_tuple)
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
 SL3 = instance("A2")
@@ -198,6 +199,91 @@ class TestKernel:
         assert len(cases) >= (5 if case in ("SL3", "A2W") else 1)
         for pi, y in cases:
             assert fundamental_space(pi, y) == sibling_fundamental_space(pi, y)
+
+
+def apply_operator(op, u):
+    """sum_j n_j u^(j) over Fraction polynomials: the reference for L u."""
+    out = Poly()
+    for n in op:
+        out, u = out + Poly(n) * u, u.deriv()
+    return out
+
+
+def reduced(u, V):
+    """u with its coefficients at the degrees of V's echelon basis cleared."""
+    for b in V.basis:
+        u = u - u[int(b.degree)] * b
+    return u
+
+
+class TestZsolve:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.lists(small_polys, min_size=1, max_size=4),
+           st.lists(st.integers(-4, 4), max_size=7))
+    def test_solves_an_image(self, polys, coeffs):
+        """For L = W(V's basis, .) of order 1-4 and f = L u, `_zsolve` gives
+        L U = S f with S > 0, and U / S is u reduced against V."""
+        V = span(polys)
+        assume(V.dim)
+        op, u = wronskian_operator(V.basis), Poly(coeffs)
+        f = apply_operator(op, u)
+        U, S = _zsolve(op, list(f.num))
+        assert S > 0 and apply_operator(op, Poly(U)) == S * f
+        assert Poly(U) * Fraction(1, S) == reduced(u, V)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.lists(small_polys, min_size=1, max_size=4),
+           st.lists(st.integers(-3, 3), max_size=7))
+    @example([X], [1])  # f = 1 below x^s = x^0 of x d - 1: solved by u = -1
+    @example([X * X], [1])  # f = 1 below x^s = x of x^2 d - 2x: no solution
+    def test_none_exactly_without_a_solution(self, polys, f):
+        """For arbitrary f, None exactly when the rational system on the
+        images L x^m of every monomial up to past any solution's degree has
+        no solution; a solution is zero at the indicial roots, V's degrees."""
+        V = span(polys)
+        assume(V.dim)
+        op = wronskian_operator(V.basis)
+        sol = _zsolve(op, f)
+        images = [apply_operator(op, X ** m) for m in range(len(f) + max(V.degrees()) + 1)]
+        assert (sol is None) == (fraction_solve_combination(images, Poly(f)) is None)
+        if sol is not None:
+            U, S = sol
+            assert S > 0 and apply_operator(op, Poly(U)) == S * Poly(f)
+            assert all(Poly(U)[e] == 0 for e in V.degrees())
+
+    def test_negative_shift(self):
+        """d^2 u = 1: s = -2, the top index is 2, and u = x^2 / 2."""
+        assert _zsolve([[], [], [1]], [1]) == ([0, 0, 1], 2)
+
+    def test_right_hand_side_below_the_top(self):
+        """W(x^2, u) = 1: the x^0 row has no pivot, so there is no solution."""
+        assert _zsolve([[0, -2], [0, 0, 1]], [1]) is None
+        assert solve_wronskian_equation(X * X, ONE) is None
+
+    def test_constant_y(self):
+        """W(3, u) = 3 u' = x: the indicial root is 0 and u = x^2 / 6."""
+        assert _zsolve([[], [3]], [0, 1]) == ([0, 0, 1], 6)
+        fam = solve_wronskian_equation(Poly([3]), X)
+        assert fam == (Poly([0, 0, Fraction(1, 6)]), Poly([3]))
+
+    def test_rescale_by_a_large_pivot(self):
+        """W(P x + 1, u) = 1 with P = 2^61 - 1: the pivot -P does not divide
+        1, so U, S and the residual are scaled by P, and u = -1/P."""
+        P = 2 ** 61 - 1
+        assert _zsolve([[-P], [1, P]], [1]) == ([-1], P)
+        assert solve_wronskian_equation(Poly([1, P]), ONE).base == Poly([Fraction(-1, P)])
+        y = Poly([1, 0, P])
+        assert _zsolve([[0, -2 * P], [1, 0, P]], [0, 1]) == ([-1], 2 * P)
+        v = Poly([Fraction(1, P), 3])
+        assert solve_wronskian_equation(y, y * v.deriv() - y.deriv() * v).base == v
+
+    def test_one_solver(self, monkeypatch):
+        """The Wronskian equation and the kernel both go through `_zsolve`."""
+        calls = count_calls(monkeypatch, poly, "_zsolve")
+        solve_wronskian_equation(X, ONE)
+        assert len(calls) == 1
+        assert _kernel([[], [], [1]]).basis == (X, ONE)
+        assert len(calls) == 3  # one per indicial root, 1 and 0
 
 
 class TestDPInvariance:

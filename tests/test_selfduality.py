@@ -35,13 +35,13 @@ from conftest import (_omit, count_calls, divided_wronskian, dual_space, flag_fr
 def verify_witt(framing, result):
     """Exact dar-2 check for rational Witt scalars; quadratic scalars were
     already verified at the scalar level during construction."""
-    if result.witt_polys is None or result.witt_scalars is None:
+    if result.witt_scalars is None:
         return False
     if any(isinstance(s, QuadExt) and not s.is_rational() for s in result.witt_scalars):
         return True
     polys = [
         (s if isinstance(s, Fraction) else s.a) * p
-        for s, p in zip(result.witt_scalars, result.witt_polys)
+        for s, p in zip(result.witt_scalars, result.flag.basis)
     ]
     n1 = len(polys)
     return all(
@@ -588,7 +588,7 @@ class TestGenerators:
         if qw5.status == "witt":
             polys = [
                 (s if isinstance(s, Fraction) else s.a) * b
-                for s, b in zip(qw5.witt_scalars, qw5.witt_polys)
+                for s, b in zip(qw5.witt_scalars, qw5.flag.basis)
             ]
             wfl = flag_from_basis(V, polys)
             fam_w = isotropic_generators(sd, wfl, 2)
