@@ -25,8 +25,7 @@ from .fundamental import fundamental_space, generating_morphism, verify_dp
 from .poly import poly_sqrt
 from .reproduction import is_fertile
 from .roots import fold_weight_B, fold_weight_C, root_data
-from .selfduality import (IsotropicFamily, QuasiWittResult, SelfdualSpace, framing_of,
-                          is_isotropic)
+from .selfduality import IsotropicFamily, QuasiWittResult, SelfdualSpace, is_isotropic
 
 
 def fold(y: TupleY, kind: str) -> TupleY:
@@ -128,7 +127,7 @@ def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
     pia = folded_instance(pi)
     space = fundamental_space(pia, fold(y, pi.rd.kind))
     # gram raises NotSelfdual unless V = V+, and rejects a form of the wrong parity
-    return SelfdualSpace(space, framing_of(space, pia.points))
+    return SelfdualSpace(space, pia.ts)
 
 
 class IsotropicSampleReport(NamedTuple):

@@ -44,7 +44,7 @@ from .fundamental import (
 from .poly import Poly, identity_suite
 from .reproduction import explore_population, immediate_descendants, is_fertile, weyl_degree_map
 from .roots import _ENUM_RANK_CAP, dominant_representative
-from .selfduality import SelfdualSpace, framing_of, quasi_witt_basis
+from .selfduality import SelfdualSpace, quasi_witt_basis
 
 
 class Report:
@@ -193,7 +193,7 @@ def cmd_fundamental(args) -> int:
     rep.add("inf-exp", f"exponents at infinity: {got_inf}", got_inf == want_inf)
     rep.add("ram-a", f"a(inf) = {schubert_index_infinity(space, d)}")
     rep.add("pluecker", "sum of ramification codimensions",
-            pluecker_check(space, finite_exps, d))
+            pluecker_check(space, finite_exps))
     # flag_from_tuple raises NotInImage unless y_1 lies in the space and beta(F) = y
     flag_from_tuple(space, y, pi.ts)
     rep.add("pol-crit", "generating morphism round trip")
@@ -219,7 +219,7 @@ def cmd_selfdual(args) -> int:
             return rep.emit()
         space = fundamental_space(pi, y)
         try:
-            sd = SelfdualSpace(space, framing_of(space, pi.points))
+            sd = SelfdualSpace(space, pi.ts)
         except NotSelfdual:
             rep.add("selfdual", f"dim {space.dim} space selfdual: False")
             return rep.emit()

@@ -214,11 +214,10 @@ def schubert_index_infinity(space: PolySpace, d: int) -> tuple[int, ...]:
     return tuple(d - (n1 - 1) + i - degs[i] for i in range(n1))
 
 
-def pluecker_check(space: PolySpace, finite_exps, d: int | None = None) -> bool:
-    """Sum of ramification codimensions equals dim Gr(N+1, C_d[x]), given
-    the space's `exponents` at each finite point."""
-    if d is None:
-        d = max(space.degrees())
+def pluecker_check(space: PolySpace, finite_exps) -> bool:
+    """Sum of ramification codimensions equals dim Gr(N+1, C_d[x]), d the
+    top degree of the space, given its `exponents` at each finite point."""
+    d = max(space.degrees())
     n1 = space.dim
     total = sum(sum(schubert_index_finite(e)) for e in finite_exps)
     total += sum(schubert_index_infinity(space, d))

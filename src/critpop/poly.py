@@ -637,7 +637,8 @@ def t_ladder(ts: tuple[Poly, ...]) -> tuple[Poly, ...]:
     """(L_0, ..., L_{m+1}), m = len(ts), with L_i = prod_{j<i} T_j^(i-j)
     (1-based j): the divisor of an i-row divided Wronskian and, times y_i,
     the ladder W(u_1..u_i) of a fundamental space; L_{i+1} = L_i T_1...T_i.
-    Memoized: an instance or a framing keeps one ts for all its Wronskians."""
+    Memoized: an instance keeps one ts, which is also the framing of its
+    selfdual spaces, for all its Wronskians."""
     out, tp = [ONE, ONE], ONE
     for t in ts:
         tp = tp * t

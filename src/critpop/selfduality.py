@@ -1,17 +1,18 @@
 """Selfduality, the canonical bilinear form and isotropic flags.
 
-A framing is the tuple T_1..T_N built from the exponent gaps of the space
-at its finite ramification points, with prod_j T_j^(N+1-j) matching the
-Wronskian of a basis; it has the type of `ProblemInstance.ts` and is
-passed to `divided_wronskians` and `generating_morphism` as it is.  For a
-selfdual space the pairing (u, v) = W+(u, w_1..w_N), where
-v = W+(w_1..w_N), is evaluated exactly.  A `SelfdualSpace` holds the space,
-its framing and its Gram matrix, computed once when it is built.  `gram`
-is the one selfduality certificate: one Laplace expansion gives the full
-and the N+1 omitted divided Wronskians, one elimination gives the
-coordinates of every basis vector in the omitted ones, and it raises
-`NotSelfdual` unless the space equals its dual.  `quasi_witt_basis` takes
-its prefix and omitted Wronskians from one expansion too.
+The framing of a fundamental space is the `ts` of its instance (for B/C,
+of the folded instance): T_1..T_N with W(V) = const L_{N+1}, L_{N+1} =
+prod_j T_j^(N+1-j) the top of `poly.t_ladder`.  It is passed to
+`divided_wronskians` and `generating_morphism` as it is.  For a selfdual
+space the pairing (u, v) = W+(u, w_1..w_N), where v = W+(w_1..w_N), is
+evaluated exactly.  A `SelfdualSpace` holds the space, its framing and its
+Gram matrix, computed once when it is built.  `gram` is the one
+selfduality certificate: one Laplace expansion gives the full and the N+1
+omitted divided Wronskians, the full one a nonzero constant exactly when
+W(V) ~ L_{N+1}, one elimination gives the coordinates of every basis
+vector in the omitted ones, and it raises `NotSelfdual` unless the space
+equals its dual.  `quasi_witt_basis` takes its prefix and omitted
+Wronskians from one expansion too.
 
 The isotropic layer runs over Z.  The Gram matrix is integer numerators
 over one denominator, the layout of `Poly`, and so is every coordinate
@@ -37,9 +38,8 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import ConstructionFailed, NotConstant, NotSelfdual
-from .fundamental import Flag, PolySpace, degree_flag, exponents
-from .poly import (ONE, ZERO, Poly, QVec, _qvec, divided_wronskians, solve_combination, t_ladder,
-                   wronskian)
+from .fundamental import Flag, PolySpace, degree_flag
+from .poly import ZERO, Poly, QVec, _qvec, divided_wronskians, solve_combination
 
 
 # -- scalars in a quadratic extension -----------------------------------------
@@ -120,33 +120,6 @@ def _iroot(m: int, e: int) -> int:
         x = y
 
 
-# -- framings ------------------------------------------------------------------
-
-
-def framing_of(space: PolySpace, points) -> tuple[Poly, ...]:
-    """T_1..T_N of a space from its exponent gaps at the given finite points.
-
-    Points where every gap is zero contribute nothing.  The framing must
-    reproduce the Wronskian of the basis, so a point list that misses a
-    ramification point is rejected.
-    """
-    w = wronskian(list(space.basis))
-    if w.is_zero():
-        raise ConstructionFailed("degenerate space")
-    n = space.dim - 1
-    ts = [ONE] * n
-    for z in sorted(points):
-        e = exponents(space, z)
-        for i in range(n):
-            gap = e[i + 1] - e[i] - 1
-            if gap:
-                ts[i] = ts[i] * Poly([-z, 1]) ** gap
-    ts = tuple(ts)
-    if t_ladder(ts)[-1].monic() != w.monic():
-        raise ConstructionFailed("framing does not reproduce the Wronskian")
-    return ts
-
-
 # -- canonical bilinear form ---------------------------------------------------
 
 
@@ -220,11 +193,13 @@ def gram(space: PolySpace, framing: tuple[Poly, ...]) -> GramMatrix:
 
 
 class SelfdualSpace:
-    """A selfdual space with its framing and canonical form.
+    """A selfdual space with its framing, the instance's `ts`, and its
+    canonical form.
 
     The Gram matrix is computed once, when the object is built, and so
-    certifies the space selfdual; every isotropy test and
-    anti-diagonalization reads its integer rows through `gv`.
+    certifies the space selfdual and its Wronskian ~ L_{N+1} of the
+    framing; every isotropy test and anti-diagonalization reads its integer
+    rows through `gv`.
     """
 
     def __init__(self, space: PolySpace, framing: tuple[Poly, ...]):

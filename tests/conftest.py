@@ -366,6 +366,20 @@ def flag_from_basis(space, basis):
     return Flag(space, tuple(canon))
 
 
+def random_flag(rng, space, tries=100):
+    """The flag of a random basis of the space, its coordinates drawn in
+    [-3, 3] row by row until `flag_from_basis` accepts them.  Fails the
+    test after `tries` draws: a wrong space rejects every basis."""
+    n1 = space.dim
+    for _ in range(tries):
+        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n1)] for _ in range(n1)]
+        try:
+            return flag_from_basis(space, [space.member(QVec.of(row)) for row in rows])
+        except ValueError:
+            continue
+    raise AssertionError(f"no basis of the space accepted in {tries} draws")
+
+
 def reduce_flag(basis):
     """Each element reduced by `_reduce` against its predecessors and made
     monic: the reference for `flag_from_basis` on an independent basis."""

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -27,13 +26,13 @@ from critpop.fundamental import (
     pluecker_check,
     verify_dp,
 )
-from critpop.poly import ONE, Poly, QVec, identity_suite, poly_sqrt
+from critpop.poly import ONE, Poly, identity_suite, poly_sqrt
 from critpop.reproduction import explore_population, is_fertile, weyl_degree_map
 from critpop.roots import dominant_representative, shifted_action
 from critpop.schubert import lr_expand, population_count_report
 from critpop.selfduality import is_isotropic, quasi_witt_basis
-from conftest import (bruhat_index, flag_from_basis, hook_content_dim, instance, is_selfdual,
-                      perm_to_weyl, random_generic_tuple, seeded_points)
+from conftest import (bruhat_index, hook_content_dim, instance, is_selfdual, perm_to_weyl,
+                      random_flag, random_generic_tuple, seeded_points)
 
 
 def report(num, name, ok):
@@ -155,21 +154,9 @@ def test_06_round_trip_and_bruhat():
         lam_t, _ = dominant_representative(
             pi.rd, weight_at_infinity(pi, member.tuple_y)
         )
-        n1 = V.dim
         base = [sum(w[i] for w in pi.weights) for i in range(pi.rd.rank)]
         for _ in range(50):
-            while True:
-                try:
-                    flag = flag_from_basis(
-                        V,
-                        [
-                            V.member(QVec.of([Fraction(rng.randint(-3, 3)) for _ in range(n1)]))
-                            for _ in range(n1)
-                        ],
-                    )
-                    break
-                except ValueError:
-                    continue
+            flag = random_flag(rng, V)
             tup = generating_morphism(flag.basis, ts)
             back = flag_from_tuple(V, tup, ts)
             ok = ok and back.basis == flag.basis

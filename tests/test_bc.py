@@ -166,6 +166,10 @@ class TestFundamentalSpaces:
         assert is_selfdual(sd.space, sd.framing)
         assert sd.gm.is_skew()
 
+    def test_framing_is_folded_instance_ts(self):
+        sd = bc_fundamental_space(B2, (ONE, ONE))
+        assert sd.framing is folded_instance(B2).ts
+
     def test_c2_selfdual_symmetric(self):
         sd = bc_fundamental_space(C2, (ONE, ONE))
         assert sd.dim == 5

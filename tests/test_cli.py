@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpop
-from critpop import cli, core, fundamental, reproduction, roots, selfduality
+from critpop import cli, core, fundamental, poly, reproduction, roots, selfduality
 from critpop.cli import main
 from critpop.poly import ONE, Poly
 from conftest import count_calls
@@ -355,6 +355,25 @@ class TestSelfdual:
         for argv in jobs:
             assert run([*argv, "--seed", "0"]) == 0
         assert len(ops) >= len(jobs) and None not in ops
+
+    def test_space_expanded_once(self, tmp_path, monkeypatch, capsys):
+        """The echelon basis of the selfdual space is expanded once, by
+        `gram`: the framing is the instance's `ts`, not derived from a second
+        Wronskian of the basis.  On C3w the quasi-Witt basis differs from the
+        echelon one, so `quasi_witt_basis` expands another basis."""
+        cfg = write_cfg(tmp_path, "c3w.json", STRESS[2][1])
+        spaces = count_calls(monkeypatch, selfduality, "gram")
+        minors = count_calls(monkeypatch, poly, "wronskian_minors")
+        assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
+        (space, _), = spaces
+        assert sum(tuple(gs) == space.basis for gs, _ in minors) == 1
+
+    def test_type_a_framing_is_instance_ts(self, sl3_cfg, monkeypatch, capsys):
+        built = count_calls(monkeypatch, fundamental, "fundamental_space")
+        sds = count_calls(monkeypatch, selfduality, "quasi_witt_basis")
+        assert run(["selfdual", "--config", sl3_cfg]) == 0
+        ((pi, _),), ((sd,),) = built, sds
+        assert sd.framing is pi.ts
 
     def test_folded_instance_built_once(self, tmp_path, monkeypatch, capsys):
         # the folded instance is cached across runs, so only repeats are counted

@@ -28,13 +28,13 @@ from critpop.fundamental import (
 )
 from critpop import poly
 from critpop.bc import bc_fundamental_space, fold, folded_instance
-from critpop.poly import ONE, X, Poly, QVec, _zpoly, _zsolve, wronskian
+from critpop.poly import ONE, X, Poly, _zpoly, _zsolve, wronskian
 from critpop.reproduction import (explore_population, immediate_descendants,
                                   solve_wronskian_equation)
 from critpop.roots import dominant_representative, shifted_action
 from conftest import (A3W, A3W_686, bruhat_index, count_calls, euclid_gcd, flag_from_basis,
-                      fraction_solve_combination, instance, perm_to_weyl, random_monic,
-                      reduce_flag, reduce_span, reversal_exponents, sibling_fundamental_space,
+                      fraction_solve_combination, instance, perm_to_weyl, random_flag,
+                      random_monic, reduce_flag, reduce_span, reversal_exponents, sibling_fundamental_space,
                       span, wronskian_flag_from_tuple)
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
@@ -535,19 +535,8 @@ class TestGeneratingMorphism:
         ):
             V = fundamental_space(pi, y)
             ts = t_polys(pi)
-            n1 = V.dim
             for _ in range(25):
-                while True:
-                    mat = [
-                        [Fraction(rng.randint(-3, 3)) for _ in range(n1)]
-                        for _ in range(n1)
-                    ]
-                    try:
-                        basis = [V.member(QVec.of(row)) for row in mat]
-                        flag = flag_from_basis(V, basis)
-                        break
-                    except ValueError:
-                        continue
+                flag = random_flag(rng, V)
                 tup = generating_morphism(flag.basis, ts)
                 back = flag_from_tuple(V, tup, ts)
                 assert back.basis == flag.basis
@@ -595,16 +584,7 @@ class TestBruhat:
         V = fundamental_space(SL3, (X, Poly([-2, 0, 1])))
         ts = t_polys(SL3)
         for _ in range(10):
-            while True:
-                try:
-                    basis = [
-                        V.member(QVec.of([Fraction(rng.randint(-3, 3)) for _ in range(3)]))
-                        for _ in range(3)
-                    ]
-                    flag = flag_from_basis(V, basis)
-                    break
-                except ValueError:
-                    continue
+            flag = random_flag(rng, V)
             tup = generating_morphism(flag.basis, ts)
             w, levels = bruhat_index(V, flag)
             lvec = tuple(int(p.degree) for p in tup)
@@ -624,14 +604,7 @@ class TestFlagOracle:
         for pi, y in ((SL3, (X, Poly([-2, 0, 1]))), (SL2, (Poly([-1, 1]),))):
             V, ts = fundamental_space(pi, y), t_polys(pi)
             for _ in range(25):
-                while True:
-                    rows = [[Fraction(rng.randint(-3, 3)) for _ in range(V.dim)]
-                            for _ in range(V.dim)]
-                    try:
-                        flag = flag_from_basis(V, [V.member(QVec.of(row)) for row in rows])
-                        break
-                    except ValueError:
-                        continue
+                flag = random_flag(rng, V)
                 tup = generating_morphism(flag.basis, ts)
                 assert flag_from_tuple(V, tup, ts) == wronskian_flag_from_tuple(V, tup, ts) == flag
 

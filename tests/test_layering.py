@@ -1,7 +1,9 @@
 """`critpop.fundamental` builds the fundamental space and its flags from
 the operator of a tuple alone, so it imports nothing from
 `critpop.reproduction`: the reproduction walk stays a client of the type-A
-machinery, never a part of it."""
+machinery, never a part of it.  `critpop.selfduality` frames a space by its
+instance's T-polynomials, so it does not import `exponents` to derive a
+framing from the space again."""
 
 import ast
 from pathlib import Path
@@ -42,3 +44,7 @@ def test_guard_sees_every_import_form():
                  "import critpop.reproduction"):
         assert from_reproduction(line), line
     assert not from_reproduction("from .poly import reproduction_free\nimport reproduction")
+
+
+def test_selfduality_derives_no_framing_from_exponents():
+    assert "critpop.fundamental.exponents" not in imported((SRC / "selfduality.py").read_text())

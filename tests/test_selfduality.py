@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from critpop import poly
-from critpop.bc import bc_fundamental_space
-from critpop.core import t_polys
+from critpop.bc import bc_fundamental_space, fold, folded_instance
 from critpop.fundamental import degree_flag, fundamental_space, generating_morphism
-from critpop.poly import ONE, X, Poly, QVec, poly_sqrt, solve_combination, wronskian
+from critpop.poly import (ONE, X, Poly, QVec, divided_wronskians, poly_sqrt, solve_combination,
+                          wronskian)
 from critpop.reproduction import explore_population
-from critpop.errors import ConstructionFailed, NotSelfdual, SquareRootMissing
+from critpop.errors import NotConstant, NotDivisible, NotSelfdual, SquareRootMissing
 from critpop.selfduality import (
     IsotropicFamily,
     QuadExt,
@@ -20,7 +20,6 @@ from critpop.selfduality import (
     _witt_scalars,
     SelfdualSpace,
     antidiagonal_basis,
-    framing_of,
     gram,
     is_isotropic,
     isotropic_generators,
@@ -29,7 +28,8 @@ from critpop.selfduality import (
     sqrt_scalar,
 )
 from conftest import (_omit, count_calls, divided_wronskian, dual_space, flag_from_basis,
-                      fraction_solve_combination, instance, is_selfdual, quad_square, span)
+                      fraction_solve_combination, instance, is_selfdual, quad_square,
+                      seeded_points, span)
 
 
 def verify_witt(framing, result):
@@ -249,44 +249,50 @@ class TestWittScalars:
 
 
 class TestFraming:
-    def test_monomials(self):
-        fr = framing_of(monomial_space(4), ())
-        assert all(t == ONE for t in fr)
-
-    def test_sl2_space(self):
-        fr = framing_of(V2, SL2.points)
-        assert fr == (Poly([0, -2, 1]),)
-
-    def test_unramified_points_dropped(self):
-        fr = framing_of(V2, (Fraction(5), Fraction(2), Fraction(0)))
-        assert fr == framing_of(V2, SL2.points)
-
-    def test_missing_point_rejected(self):
-        with pytest.raises(ConstructionFailed, match="does not reproduce the Wronskian"):
-            framing_of(V2, (Fraction(0),))
-
-    def test_matches_instance_ts(self):
-        V = fundamental_space(SL2, (Poly([-1, 1]),))
-        fr = framing_of(V, SL2.points)
-        assert list(fr) == t_polys(SL2)
+    def test_instance_ts_frame_member_spaces(self):
+        """W(V) ~ L_{N+1} of the instance's `ts`, so that `ts` frames V: the
+        full divided Wronskian is a nonzero constant on the fundamental
+        space of every member of seeded A populations and of B/C
+        populations folded to the A side."""
+        rng = random.Random(30)
+        cases = []
+        for code in ("A1", "A2", "A3"):
+            for _ in range(2):
+                npts = rng.randint(1, 2)
+                weights = [tuple(rng.randint(0, 2) for _ in range(int(code[1:])))
+                           for _ in range(npts)]
+                cases.append((instance(code, weights, [str(p) for p in seeded_points(rng, npts)]),
+                              None))
+        cases += [(instance(*FOLDED[code]), code[0]) for code in ("B2", "C2", "B3", "C3w")]
+        count = 0
+        for pi, kind in cases:
+            atlas = explore_population(pi, (ONE,) * pi.rd.rank, 4, seed=rng.randint(0, 99))
+            pia = folded_instance(pi) if kind else pi
+            for member in atlas.members.values():
+                y = fold(member.tuple_y, kind) if kind else member.tuple_y
+                V = fundamental_space(pia, y)
+                (w,) = divided_wronskians(V.basis, [(1 << V.dim) - 1], pia.ts)
+                assert not w.is_zero() and w.degree == 0
+                count += 1
+        assert count > 50
 
 
 class TestDualSpace:
     def test_monomials_selfdual(self):
         for n1 in (2, 3, 4, 5):
             V = monomial_space(n1)
-            fr = framing_of(V, ())
+            fr = (ONE,) * (n1 - 1)
             assert dual_space(V, fr) == V
             assert is_selfdual(V, fr)
 
     def test_dim2_selfdual(self):
-        fr = framing_of(V2, SL2.points)
+        fr = SL2.ts
         assert dual_space(V2, fr) == V2
         assert is_selfdual(V2, fr)
 
     def test_degree_gap_reject(self):
         V = span([ONE, X, Poly([0, 0, 0, 1])])
-        assert not is_selfdual(V, framing_of(V, (Fraction(0),)))
+        assert not is_selfdual(V, (ONE, X))
 
     def test_double_dual_on_population_spaces(self):
         # duals of fundamental spaces of seeded rank-2 instances
@@ -300,8 +306,7 @@ class TestDualSpace:
             atlas = explore_population(pi, (ONE, ONE), 3, seed=rng.randint(0, 99))
             member = next(m for m in atlas.members.values() if m.generic)
             V = fundamental_space(pi, member.tuple_y)
-            fr = framing_of(V, pi.points)
-            dual_space(V, fr)  # asserts V++ == V internally
+            dual_space(V, pi.ts)  # asserts V++ == V internally
             count += 1
             if count >= 20:
                 break
@@ -310,36 +315,44 @@ class TestDualSpace:
 
 class TestGram:
     def test_dim2_skew(self):
-        gm = gram(V2, framing_of(V2, SL2.points))
+        gm = gram(V2, SL2.ts)
         assert gm.entries == ((0, -1), (1, 0))
         assert gm.is_skew()
 
     def test_dim3_antidiagonal(self):
         V = monomial_space(3)
-        gm = gram(V, framing_of(V, ()))
+        gm = gram(V, (ONE,) * (V.dim - 1))
         assert gm.is_symmetric()
         assert gm.entries[0][2] != 0 and gm.entries[0][0] == 0
 
     def test_parity_battery(self):
         for n1 in (2, 3, 4, 5, 6):
             V = monomial_space(n1)
-            gm = gram(V, framing_of(V, ()))
+            gm = gram(V, (ONE,) * (V.dim - 1))
             assert gm.is_skew() if n1 % 2 == 0 else gm.is_symmetric()
+
+    def test_rejects_a_wrong_framing(self):
+        """`gram` certifies W(V) ~ L_{N+1} of its framing: W(V2) = x(x - 2),
+        so a framing missing the point 2 leaves a quotient of positive
+        degree, and one with a factor too many does not divide."""
+        with pytest.raises(NotConstant):
+            gram(V2, (X,))
+        with pytest.raises(NotDivisible):
+            gram(V2, (X * SL2.ts[0],))
 
     def test_certificate_matches_reference(self):
         """Building a SelfdualSpace raises NotSelfdual exactly where the
         independent V = V+ computation finds the space not selfdual."""
-        spaces = [(monomial_space(n1), ()) for n1 in (2, 3, 4)]
-        spaces.append((span([ONE, X, Poly([0, 0, 0, 1])]), (Fraction(0),)))
+        spaces = [(monomial_space(n1), (ONE,) * (n1 - 1)) for n1 in (2, 3, 4)]
+        spaces.append((span([ONE, X, Poly([0, 0, 0, 1])]), (ONE, X)))
         for code, weights, points in [
             ("A2", [], []), ("A2", [(1, 0)], ["0"]), ("A2", [(1, 0), (0, 1)], ["0", "1"]),
             ("A3", [(0, 1, 0)], ["0"]), ("A3", [(1, 0, 0), (0, 0, 1)], ["0", "1"]),
         ]:
             pi = instance(code, weights, points)
-            spaces.append((fundamental_space(pi, (ONE,) * pi.rd.rank), pi.points))
+            spaces.append((fundamental_space(pi, (ONE,) * pi.rd.rank), pi.ts))
         verdicts = []
-        for V, points in spaces:
-            fr = framing_of(V, points)
+        for V, fr in spaces:
             try:
                 SelfdualSpace(V, fr)
                 certified = True
@@ -353,7 +366,7 @@ class TestGram:
     def test_one_elimination(self, monkeypatch):
         """All coordinate vectors come from one solve, not one per vector."""
         V = monomial_space(5)
-        fr = framing_of(V, ())
+        fr = (ONE,) * (V.dim - 1)
         calls = count_calls(monkeypatch, poly, "solve_linear")
         gram(V, fr)
         assert len(calls) == 1
@@ -406,7 +419,7 @@ class TestQuasiWitt:
     def test_monomial_ratios(self):
         for n1 in (2, 3, 4, 5):
             V = monomial_space(n1)
-            sd = SelfdualSpace(V, framing_of(V, ()))
+            sd = SelfdualSpace(V, (ONE,) * (V.dim - 1))
             qw = quasi_witt_basis(sd)
             assert all(a != 0 for a in qw.ratios)
             assert is_isotropic(sd, [V.coords(p) for p in qw.flag.basis])
@@ -418,8 +431,8 @@ class TestQuasiWitt:
         canonical one, so the sampler starts from them as they are: the
         folded spaces and the selfdual SL3 space of the ones tuple."""
         if name == "A2":
-            V = fundamental_space(instance("A2"), (ONE, ONE))
-            sd = SelfdualSpace(V, framing_of(V, ()))
+            pi = instance("A2")
+            sd = SelfdualSpace(fundamental_space(pi, (ONE, ONE)), pi.ts)
         else:
             sd = folded_space(name)
         qw = quasi_witt_basis(sd)
@@ -427,14 +440,14 @@ class TestQuasiWitt:
         assert qw.flag == flag_from_basis(sd.space, qw.flag.basis)
 
     def test_dim2_any_flag_isotropic(self):
-        sd = SelfdualSpace(V2, framing_of(V2, SL2.points))
+        sd = SelfdualSpace(V2, SL2.ts)
         fl = flag_from_basis(V2, [Poly([-1, 1, 1]), Poly([0, 0, 1])])
         assert is_isotropic(sd, [V2.coords(p) for p in fl.basis])
 
     def test_witt_normalization_exact(self):
         for n1 in (2, 3, 4, 5):
             V = monomial_space(n1)
-            fr = framing_of(V, ())
+            fr = (ONE,) * (V.dim - 1)
             qw = quasi_witt_basis(SelfdualSpace(V, fr))
             assert qw.status in ("witt", "witt-quadratic", "quasi")
             if qw.status == "witt":
@@ -444,7 +457,7 @@ class TestQuasiWitt:
         # a basis with the mirrored relation spans the predicted omitted
         # Wronskian ladder
         V = monomial_space(4)
-        fr = framing_of(V, ())
+        fr = (ONE,) * (V.dim - 1)
         q = list(V.basis)
         n1 = 4
         ws = [
@@ -459,7 +472,7 @@ class TestQuasiWitt:
 class TestIsotropy:
     def test_symmetric_iff_isotropic(self):
         V = monomial_space(4)
-        sd = SelfdualSpace(V, framing_of(V, ()))
+        sd = SelfdualSpace(V, (ONE,) * (V.dim - 1))
         ts = sd.framing
         rng = random.Random(6)
         seen_symmetric = seen_asymmetric = 0
@@ -482,7 +495,7 @@ class TestIsotropy:
 
     def test_antidiagonal_basis_structure(self):
         V = monomial_space(5)
-        sd = SelfdualSpace(V, framing_of(V, ()))
+        sd = SelfdualSpace(V, (ONE,) * (V.dim - 1))
         qw = quasi_witt_basis(sd)
         u, g = antidiagonal_basis(sd, qw.flag)
         for a in range(5):
@@ -496,7 +509,7 @@ class TestGenerators:
     @pytest.mark.parametrize("n1", [4, 5, 6])
     def test_families_stay_isotropic_and_symmetric(self, n1):
         V = monomial_space(n1)
-        sd = SelfdualSpace(V, framing_of(V, ()))
+        sd = SelfdualSpace(V, (ONE,) * (V.dim - 1))
         qw = quasi_witt_basis(sd)
         k = n1 // 2
         for direction in range(1, k + 1):
@@ -543,7 +556,7 @@ class TestGenerators:
     def test_wronskian_identity_side_directions(self):
         # W(y_i(x,c), dy_i/dc) proportional to T_i y_{i-1} y_{i+1}
         V = monomial_space(4)
-        sd = SelfdualSpace(V, framing_of(V, ()))
+        sd = SelfdualSpace(V, (ONE,) * (V.dim - 1))
         fr = sd.framing
         qw = quasi_witt_basis(sd)
         fam = isotropic_generators(sd, qw.flag, 1)
@@ -559,7 +572,7 @@ class TestGenerators:
     def test_middle_direction_square_rhs(self):
         # dim 2N at i = k: the right-hand side involves (y_{k-1})^2
         V = monomial_space(4)
-        sd = SelfdualSpace(V, framing_of(V, ()))
+        sd = SelfdualSpace(V, (ONE,) * (V.dim - 1))
         fr = sd.framing
         qw = quasi_witt_basis(sd)
         fam = isotropic_generators(sd, qw.flag, 2)
@@ -574,7 +587,7 @@ class TestGenerators:
 
     def test_middle_square_odd(self):
         V = monomial_space(5)
-        sd = SelfdualSpace(V, framing_of(V, ()))
+        sd = SelfdualSpace(V, (ONE,) * (V.dim - 1))
         fr = sd.framing
         qw = quasi_witt_basis(sd)
         fam = isotropic_generators(sd, qw.flag, 2)
