@@ -6,17 +6,18 @@ canonical polynomial text form (space-separated rationals, lowest degree
 first).  Every report line that certifies a named fact carries a
 machine-greppable tag such as [ind-thm] or [wr-u-lem].  Exit code 0 means
 every asserted check passed and 1 that some check failed.  Exit code 2
-means the run was refused or cut short, by a bad input (a `CritpopError`)
-or by a closed stdout (`BrokenPipeError`, e.g. under `| head`), and comes
-with a one-line `[error]` message on stderr instead of a traceback.
+means the run was refused or cut short, by a bad command line, a bad input
+(a `CritpopError`) or a closed stdout (`BrokenPipeError`, e.g. under
+`| head`), and comes with one `[error]` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from . import bc as bcmod
 from .core import (
@@ -288,58 +289,81 @@ def cmd_identities(args) -> int:
     return rep.emit()
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="critpop")
-    sub = ap.add_subparsers(dest="command", required=True)
-    options = {
-        "--config": dict(required=True),
-        "--seed": dict(type=int, default=0),
-        "--max-degree": dict(type=int, default=8),
-        "--output": dict(default=None),
-        "--samples": dict(type=int, default=5),
-        "--trials": dict(type=int, default=100),
-    }
-    # each subcommand declares only the options it reads, plus --format;
-    # fundamental and count accept --seed so one seed can go to every job
-    commands = [
-        ("verify", cmd_verify, "genericity + criterion on a supplied tuple",
-         ("--config",)),
-        ("populate", cmd_populate, "explore a population and write the atlas",
-         ("--config", "--seed", "--max-degree", "--output")),
-        ("fundamental", cmd_fundamental, "fundamental space, exponents, ramification",
-         ("--config", "--seed")),
-        ("selfdual", cmd_selfdual, "dual space, Gram matrix, isotropic flags",
-         ("--config", "--seed", "--samples")),
-        ("count", cmd_count, "multiplicity bounds and rank-one exact counts",
-         ("--config", "--seed", "--max-degree")),
-        ("identities", cmd_identities, "appendix Wronskian identity suite",
-         ("--seed", "--trials")),
-    ]
-    for name, func, help_text, opts in commands:
-        p = sub.add_parser(name, help=help_text)
-        for opt in opts:
-            p.add_argument(opt, **options[opt])
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        p.set_defaults(func=func)
-    sub.choices["count"].set_defaults(max_degree=None)  # read at rank 1 only, default 8
-    return ap
+# The command line as data: each option's type (int, str or its choices) and
+# default; each subcommand's function, help line and the options it reads
+# besides --format (fundamental and count take --seed for one seed per job).
+OPTIONS = {"--config": (str, None), "--seed": (int, 0), "--max-degree": (int, 8),
+           "--output": (str, None), "--samples": (int, 5), "--trials": (int, 100),
+           "--format": (("table", "json"), "table")}
+COMMANDS = {
+    "verify": (cmd_verify, "genericity + criterion on a supplied tuple", ("--config",)),
+    "populate": (cmd_populate, "explore a population and write the atlas",
+                 ("--config", "--seed", "--max-degree", "--output")),
+    "fundamental": (cmd_fundamental, "fundamental space, exponents, ramification",
+                    ("--config", "--seed")),
+    "selfdual": (cmd_selfdual, "dual space, Gram matrix, isotropic flags",
+                 ("--config", "--seed", "--samples")),
+    "count": (cmd_count, "multiplicity bounds and rank-one exact counts",
+              ("--config", "--seed", "--max-degree")),
+    "identities": (cmd_identities, "appendix Wronskian identity suite", ("--seed", "--trials")),
+}
+
+
+def _usage_error(prog: str, msg: str):
+    print(f"[error] usage: {prog}: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def parse_args(argv):
+    """The subcommand and option values of a `critpop` command line.  As with
+    argparse, an option is given as `--name value`, `--name=value` or by a
+    unique prefix of its name, and the last value wins.  -h or --help anywhere
+    prints the table and exits 0; a bad line prints one [error] line, exits 2."""
+    if any(tok == "-h" or tok[2:] and "--help".startswith(tok) for tok in argv):
+        print("usage: critpop <command> [options]; --config is required where read\n")
+        for cmd, (_, line, opts) in COMMANDS.items():
+            print(f"  {cmd:<12} {line}\n{'':15}" + " ".join(
+                f"{opt} {OPTIONS[opt][1]}".removesuffix(" None") for opt in (*opts, "--format")))
+        raise SystemExit(0)
+    if not argv or argv[0] not in COMMANDS:
+        _usage_error("critpop", f"expected a command from {', '.join(COMMANDS)}")
+    prog, (func, _, opts), rest = f"critpop {argv[0]}", COMMANDS[argv[0]], list(argv[1:])
+    values = {opt: OPTIONS[opt][1] for opt in (*opts, "--format")}
+    if argv[0] == "count":
+        values["--max-degree"] = None  # read at rank 1 only, default 8
+    while rest:
+        key, eq, val = rest.pop(0).partition("=")
+        hits = [opt for opt in values if opt.startswith(key)] if key[2:] else []
+        if len(hits) != 1:
+            _usage_error(prog, f"unknown or ambiguous {key!r}; options: {', '.join(values)}")
+        opt, kind = hits[0], OPTIONS[hits[0]][0]
+        if not eq:  # as in argparse, "-", a negative number or text with a space is a value
+            if not rest or re.fullmatch(r"-(?!\d*\.?\d+\Z)[^ ]+", rest[0]):
+                _usage_error(prog, f"{opt} expects one value")
+            val = rest.pop(0)
+        try:  # int() and the index in a tuple of choices raise ValueError on a bad value
+            values[opt] = kind(val) if kind in (int, str) else kind[kind.index(val)]
+        except ValueError:
+            _usage_error(prog, f"{opt} expects {getattr(kind, '__name__', kind)}, got {val!r}")
+    if values.get("--config", "") is None:  # read but not given
+        _usage_error(prog, "--config is required")
+    return SimpleNamespace(command=argv[0], func=func,
+                           **{opt[2:].replace("-", "_"): v for opt, v in values.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         rc = args.func(args)
         sys.stdout.flush()
         return rc
-    except BrokenPipeError as exc:
-        # the reader closed stdout: point it at devnull, so that the flush
-        # at interpreter shutdown cannot raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"[error] {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except CritpopError as exc:
+    except (BrokenPipeError, CritpopError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader closed stdout: point it at devnull, so that the
+            # flush at interpreter shutdown cannot raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"[error] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

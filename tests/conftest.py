@@ -55,12 +55,15 @@ def random_monic(rng, deg):
     return Poly([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(deg)] + [1])
 
 
-def random_generic_tuple(rng, pi, max_deg=3):
-    """Seeded generic tuple for the instance (retrying until generic)."""
-    while True:
+def random_generic_tuple(rng, pi, max_deg=3, tries=100):
+    """Seeded generic tuple for the instance, drawn until `is_generic`
+    accepts one.  Fails the test after `tries` draws: a broken genericity
+    test rejects every tuple."""
+    for _ in range(tries):
         y = monic_tuple(random_monic(rng, rng.randint(0, max_deg)) for _ in range(pi.rd.rank))
         if is_generic(pi, y)[0]:
             return y
+    raise AssertionError(f"no generic tuple in {tries} draws")
 
 
 @pytest.fixture

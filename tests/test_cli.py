@@ -672,6 +672,152 @@ def test_unread_option_rejected(sl2_cfg, tmp_path, command, option):
     assert exc.value.code == 2
 
 
+# the options each subcommand reads
+READS = {
+    "verify": ["--config", "--format"],
+    "populate": ["--config", "--seed", "--max-degree", "--output", "--format"],
+    "fundamental": ["--config", "--seed", "--format"],
+    "selfdual": ["--config", "--seed", "--samples", "--format"],
+    "count": ["--config", "--seed", "--max-degree", "--format"],
+    "identities": ["--seed", "--trials", "--format"],
+}
+
+# (argv, the values argparse parsed from it): each subcommand's minimal line,
+# where every value but --config is a default, and a line that sets every
+# option it reads; then the other forms of an option: --name=value, a unique
+# prefix, the last value winning, and values that start with "-" or that
+# int() reads
+PARSED = [
+    (["verify", "--config", "c.json"], {"config": "c.json", "format": "table"}),
+    (["verify", "--config", "c.json", "--format", "json"], {"config": "c.json", "format": "json"}),
+    (["populate", "--config", "c.json"],
+     {"config": "c.json", "seed": 0, "max_degree": 8, "output": None, "format": "table"}),
+    (["populate", "--config", "c.json", "--seed", "3", "--max-degree", "2", "--output", "a.json",
+      "--format", "json"],
+     {"config": "c.json", "seed": 3, "max_degree": 2, "output": "a.json", "format": "json"}),
+    (["fundamental", "--config", "c.json"], {"config": "c.json", "seed": 0, "format": "table"}),
+    (["fundamental", "--config", "c.json", "--seed", "3", "--format", "json"],
+     {"config": "c.json", "seed": 3, "format": "json"}),
+    (["selfdual", "--config", "c.json"],
+     {"config": "c.json", "seed": 0, "samples": 5, "format": "table"}),
+    (["selfdual", "--config", "c.json", "--seed", "3", "--samples", "2", "--format", "json"],
+     {"config": "c.json", "seed": 3, "samples": 2, "format": "json"}),
+    (["count", "--config", "c.json"],
+     {"config": "c.json", "seed": 0, "max_degree": None, "format": "table"}),
+    (["count", "--config", "c.json", "--seed", "3", "--max-degree", "2", "--format", "json"],
+     {"config": "c.json", "seed": 3, "max_degree": 2, "format": "json"}),
+    (["identities"], {"seed": 0, "trials": 100, "format": "table"}),
+    (["identities", "--seed", "3", "--trials", "2", "--format", "json"],
+     {"seed": 3, "trials": 2, "format": "json"}),
+    (["populate", "--config=c.json", "--seed=3", "--max-degree=2", "--output=a.json",
+      "--format=json"],
+     {"config": "c.json", "seed": 3, "max_degree": 2, "output": "a.json", "format": "json"}),
+    (["populate", "--conf", "c.json", "--se", "3", "--m=2", "--o", "a.json", "--f", "json"],
+     {"config": "c.json", "seed": 3, "max_degree": 2, "output": "a.json", "format": "json"}),
+    (["selfdual", "--config", "a.json", "--samples", "2", "--config=c.json", "--sa", "4"],
+     {"config": "c.json", "seed": 0, "samples": 4, "format": "table"}),
+    (["selfdual", "--config", "c.json", "--sa", "-1", "--seed", "+7"],
+     {"config": "c.json", "seed": 7, "samples": -1, "format": "table"}),
+    (["populate", "--config", "-", "--output", "-", "--max-degree", "1_0"],
+     {"config": "-", "seed": 0, "max_degree": 10, "output": "-", "format": "table"}),
+    (["identities", "--trials", " 2 ", "--seed=-3"], {"seed": -3, "trials": 2, "format": "table"}),
+]
+
+# lines that argparse refused, too: no command, an unknown or misplaced one;
+# a missing --config or value; a bad int or --format; an ambiguous prefix
+# (--s: --seed or --samples); a stray word, option or "--"; a value that
+# looks like an option; --help given a value
+REJECTED = [
+    [], ["bogus"], ["ver", "--config", "c.json"], ["--config", "c.json", "verify"],
+    ["verify"], ["verify", "--config"], ["verify", "--config", "--format", "json"],
+    ["populate", "--config", "c.json", "--seed", "x"], ["identities", "--seed="],
+    ["populate", "--config", "c.json", "--max-degree=1.5"],
+    ["verify", "--config", "c.json", "--format", "xml"],
+    ["selfdual", "--config", "c.json", "--s", "1"],
+    ["verify", "--config", "c.json", "extra"], ["populate", "--config", "c.json", "--bogus", "1"],
+    ["verify", "--config", "c.json", "-x"], ["verify", "--config", "c.json", "--"],
+    ["identities", "--trials", "--seed", "1"], ["populate", "--config", "-5."],
+    ["verify", "--help=1"],
+]
+
+OPTION_NAMES = ["--config", "--seed", "--max-degree", "--output", "--samples", "--trials",
+                "--format", "--help"]
+JUNK = st.sampled_from(["-", "--", "-x", "x", "json", "-1.5", "a b", "", "="]) | st.text(max_size=3)
+CLI_TOKENS = st.one_of(
+    st.sampled_from(list(READS)),
+    st.sampled_from(OPTION_NAMES),
+    st.sampled_from(OPTION_NAMES).flatmap(lambda opt: st.integers(2, len(opt)).map(
+        lambda n: opt[:n])),
+    st.builds("{}={}".format, st.sampled_from(OPTION_NAMES), st.integers(-3, 9) | JUNK),
+    st.integers(-3, 9).map(str),
+    JUNK,
+)
+
+
+@pytest.fixture(scope="module")
+def sl2_path(tmp_path_factory):
+    return write_cfg(tmp_path_factory.mktemp("cli"), "sl2.json", dict(A1, tuple=["-1 1"]))
+
+
+def cli_env():
+    src = str(Path(critpop.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv, values", PARSED)
+    def test_parsed_values(self, argv, values):
+        args = cli.parse_args(argv)
+        assert args.command == argv[0] and args.func is getattr(cli, f"cmd_{argv[0]}")
+        assert {k: v for k, v in vars(args).items() if k not in ("command", "func")} == values
+
+    @pytest.mark.parametrize("argv", REJECTED)
+    def test_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("[error] ") and err.count("\n") == 1
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.sampled_from(["verify", "identities"]), st.lists(CLI_TOKENS, max_size=6))
+    def test_fuzz(self, sl2_path, command, tokens):
+        """Any line of commands, options, prefixes, ints and junk ends in exit
+        0, 1 or 2, or in SystemExit 0 (--help) or 2 (a bad line), never in
+        another exception.  The cheap fixed options go last and win."""
+        fixed = ["--config", sl2_path] if command == "verify" else ["--trials", "1"]
+        try:
+            assert run([command, *tokens, *fixed]) in (0, 1, 2)
+        except SystemExit as exc:
+            assert exc.code in (0, 2)
+
+    def test_loads_no_argparse(self, sl2_path):
+        """A run parses its line without argparse, whose first use costs more
+        than an A1 `verify`, and so without the gettext it imports."""
+        code = ("import sys, critpop.cli\n"
+                f"critpop.cli.main(['verify', '--config', {sl2_path!r}])\n"
+                "print([m for m in ('argparse', 'gettext') if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=cli_env(), timeout=60)
+        assert proc.stdout.splitlines()[-1:] == ["[]"], proc.stderr
+
+    @pytest.mark.parametrize("command", [None, *READS])
+    def test_help(self, command):
+        """`critpop --help` names every command and `critpop <command> --help`
+        every option that command reads."""
+        argv = [sys.executable, "-m", "critpop.cli", *([command] if command else []), "--help"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=cli_env(), timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert all(name in proc.stdout for name in (READS if command is None else READS[command]))
+
+    def test_bad_option_one_line(self):
+        proc = subprocess.run([sys.executable, "-m", "critpop.cli", "populate", "--bogus", "1"],
+                              capture_output=True, text=True, env=cli_env(), timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("[error]") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+
 POINTS = ["0", "1", "-1", "1/2"]
 COEFFS = st.sampled_from([-1, 0, 1, 2])
 
