@@ -60,11 +60,11 @@ class Report:
 
     def emit(self) -> int:
         if self.fmt == "json":
-            print(json.dumps({"ok": self.ok, "lines": self.lines}, sort_keys=True, indent=2))
+            text = json.dumps({"ok": self.ok, "lines": self.lines}, sort_keys=True, indent=2) + "\n"
         else:
-            for ln in self.lines:
-                status = "PASS" if ln["pass"] else "FAIL"
-                print(f"[{ln['tag']}] {ln['text']} : {status}")
+            text = "".join(f"[{ln['tag']}] {ln['text']} : {'PASS' if ln['pass'] else 'FAIL'}\n"
+                           for ln in self.lines)
+        sys.stdout.write(text)  # one write: unbuffered, `print` makes two per line
         return 0 if self.ok else 1
 
 

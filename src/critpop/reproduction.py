@@ -15,9 +15,8 @@ Weyl element, in one sweep.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from math import lcm
+from json.encoder import encode_basestring_ascii as _q
 from typing import NamedTuple
 
 from .core import (
@@ -31,7 +30,7 @@ from .core import (
 from .errors import (ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile,
                      NotGeneric)
 from .poly import Poly, _zderiv, _zscaled, _zsolve
-from .roots import enumerate_weyl, shifted_action
+from .roots import enumerate_weyl, reflect
 
 RETRY_CAP = 64
 
@@ -120,27 +119,35 @@ class PopulationAtlas:
         return sorted(self.members)
 
     def to_json(self, seed: int, max_degree: int, code: str) -> str:
-        payload = {
-            "schema": "atlas-v1",
-            "root_system": code,
-            "weights": [list(w) for w in self.pi.weights],
-            "points": [str(z) for z in self.pi.points],
-            "seed": seed,
-            "max_degree": max_degree,
-            "members": {
-                ",".join(map(str, l)): {
-                    "tuple": [p.to_text() for p in m.tuple_y],
-                    "path": [[d, c] for d, c in m.path],
-                    "generic": m.generic,
-                }
-                for l, m in sorted(self.members.items())
-            },
-            "edges": [
-                [",".join(map(str, a)), d, ",".join(map(str, b))]
-                for a, d, b in sorted(self.edges)
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        """`json.dumps(payload, sort_keys=True, indent=2)` of the `atlas-v1`
+        payload, written in schema order: member keys sort as strings
+        ("14,14" before "7,0"), edges as tuples; strings escape as json's."""
+        members = []
+        for k, m in sorted((",".join(map(str, l)), m) for l, m in self.members.items()):
+            path = [f'[\n          {d},\n          {_q(c)}\n        ]' for d, c in m.path]
+            tup = _block([_q(p.to_text()) for p in m.tuple_y], 6)
+            members.append(f'"{k}": {{\n      "generic": {"true" if m.generic else "false"},\n'
+                           f'      "path": {_block(path, 6)},\n      "tuple": {tup}\n    }}')
+        edges = [f'[\n      "{",".join(map(str, a))}",\n      {d},\n      '
+                 f'"{",".join(map(str, b))}"\n    ]' for a, d, b in sorted(self.edges)]
+        return _block([
+            f'"edges": {_block(edges, 2)}',
+            f'"max_degree": {max_degree}',
+            f'"members": {_block(members, 2, "{}")}',
+            f'"points": {_block([_q(str(z)) for z in self.pi.points], 2)}',
+            f'"root_system": {_q(code)}',
+            '"schema": "atlas-v1"',
+            f'"seed": {seed}',
+            f'"weights": {_block([_block(list(map(str, w)), 4) for w in self.pi.weights], 2)}',
+        ], 0, "{}") + "\n"
+
+
+def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """Items as `json.dumps(indent=2)` lays out an array or object at depth `indent`."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (indent + 2)
+    return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{' ' * indent}{brackets[1]}"
 
 
 def _certified(pi: ProblemInstance, cand: TupleY, changed: int | None) -> bool:
@@ -235,19 +242,22 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
 def weyl_degree_map(pi: ProblemInstance, lam_inf, max_degree: int):
     """{l: w} over the degree vectors 0 <= l <= cap with
     sum Lambda_s - sum l_i alpha_i = w . lam_inf, from one sweep of W; the
-    first w in enumeration order (a shortest one) names each l."""
+    first w in enumeration order (a shortest one) names each l.  For
+    w = s_j u, u the tail of w's word and met earlier, w(lam_inf + rho) is
+    one reflection of u(lam_inf + rho), and l_j grows by <u(lam_inf + rho),
+    alpha_j^vee> (the degree law); l(e) not integral gives the empty map."""
     rd = pi.rd
-    r = rd.rank
-    base = [sum(lam[i] for lam in pi.weights) for i in range(r)]
-    # l = (1/D) M (base - w . lam_inf): the inverse of the Cartan system,
-    # solved once per unit vector, scaled by its common denominator D
-    cols = [rd.root_combination_of(tuple(int(k == j) for k in range(r))) for j in range(r)]
-    den = lcm(*(c.denominator for col in cols for c in col))
-    inv = [[int(col[i] * den) for col in cols] for i in range(r)]
+    base = [sum(lam[i] for lam in pi.weights) for i in range(rd.rank)]
+    l0 = rd.root_combination_of(tuple(b - c for b, c in zip(base, lam_inf)))
+    if any(c.denominator != 1 for c in l0):
+        return {}
+    images = {(): (tuple(c + 1 for c in lam_inf), tuple(map(int, l0)))}
     out = {}
-    for w in enumerate_weyl(f"{rd.kind}{r}"):
-        img = shifted_action(rd, w, lam_inf)
-        num = [sum(row[j] * (base[j] - img[j]) for j in range(r)) for row in inv]
-        if all(v % den == 0 and 0 <= v <= max_degree * den for v in num):
-            out.setdefault(tuple(v // den for v in num), w)
+    for w in enumerate_weyl(f"{rd.kind}{rd.rank}"):
+        if w.word:
+            j, (v, l) = w.word[0], images[w.word[1:]]
+            images[w.word] = (reflect(rd, j, v), l[:j] + (l[j] + v[j],) + l[j + 1:])
+        l = images[w.word][1]
+        if all(0 <= c <= max_degree for c in l):
+            out.setdefault(l, w)
     return out

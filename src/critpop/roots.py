@@ -100,10 +100,10 @@ def root_data(code: str) -> RootData:
 
 class WeylElement:
     """A Weyl group element as the word s_{word[0]} ... s_{word[-1]} in the
-    simple reflections (0-based); `apply` reflects by the last letter first.
-    `==` and `hash` read the root data and the word, and equal elements may
-    carry different words: compare them by w(rho) or w^-1(rho), which
-    determine w because the regular weight rho has a trivial stabilizer."""
+    simple reflections (0-based), acting by the last letter first.  `==`
+    and `hash` read the root data and the word, and equal elements may carry
+    different words: compare them by w(rho) or w^-1(rho), which determine w
+    because the regular weight rho has a trivial stabilizer."""
 
     __slots__ = ("rd", "word")
 
@@ -116,11 +116,6 @@ class WeylElement:
 
     def __hash__(self):
         return hash((self.rd, self.word))
-
-    def apply(self, lam: Weight) -> Weight:
-        for i in reversed(self.word):
-            lam = reflect(self.rd, i, lam)
-        return lam
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return WeylElement(self.rd, self.word + other.word)
@@ -137,13 +132,6 @@ def generator(rd: RootData, i: int) -> WeylElement:
 def reflect(rd: RootData, i: int, lam: Weight) -> Weight:
     """s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i, 0-based i."""
     return tuple(lam[j] - rd.cartan[j][i] * lam[i] for j in range(rd.rank))
-
-
-def shifted_action(rd: RootData, w: WeylElement, lam: Weight) -> Weight:
-    """w . lambda = w(lambda + rho) - rho."""
-    shifted = tuple(c + 1 for c in lam)
-    img = w.apply(shifted)
-    return tuple(c - 1 for c in img)
 
 
 def dominant_representative(rd: RootData, lam: Weight):
@@ -175,8 +163,10 @@ _RANK_CAP = 512  # bound on the rank a config names; `verify` is quadratic in it
 
 @lru_cache(maxsize=None)
 def enumerate_weyl(code: str) -> tuple[WeylElement, ...]:
-    """All Weyl elements (BFS by length, so words are reduced), keyed by
-    w^-1(rho): (w s_i)^-1(rho) = s_i(w^-1(rho)) is one reflection per edge."""
+    """All Weyl elements, each by its shortlex-least reduced word, in shortlex
+    order (BFS by length), keyed by w^-1(rho): (w s_i)^-1(rho) = s_i(w^-1(rho))
+    is one reflection per edge.  A word's tail word[1:] is again shortlex-least
+    (a smaller tail would give a smaller whole), so it names an earlier element."""
     rd = root_data(code)
     if rd.rank > _ENUM_RANK_CAP:
         raise ValueError(f"Weyl enumeration capped at rank {_ENUM_RANK_CAP}")

@@ -11,7 +11,7 @@ from critpop.fundamental import Flag, PolySpace, generating_morphism
 from critpop.poly import (ONE, ZERO, Poly, QVec, _zrref, _zscaled, divided_wronskians, gcd,
                           solve_combination, t_ladder, wronskian_minors, wronskian_rows)
 from critpop.reproduction import _sample_generic, immediate_descendants
-from critpop.roots import WeylElement, root_data
+from critpop.roots import WeylElement, reflect, root_data
 
 
 def instance(code, weights=(), points=()):
@@ -464,6 +464,19 @@ def bruhat_index(space, flag):
     pos_of_degree = {d: k + 1 for k, d in enumerate(space.degrees())}
     levels = tuple(int(p.degree) for p in flag.basis)
     return tuple(pos_of_degree[d] for d in levels), levels
+
+
+def weyl_apply(w, lam):
+    """w(lambda) for the word w = s_{word[0]} ... s_{word[-1]}, reflecting
+    by the last letter first."""
+    for i in reversed(w.word):
+        lam = reflect(w.rd, i, lam)
+    return lam
+
+
+def shifted_action(rd, w, lam):
+    """w . lambda = w(lambda + rho) - rho."""
+    return tuple(c - 1 for c in weyl_apply(w, tuple(c + 1 for c in lam)))
 
 
 def perm_to_weyl(rd, perm):

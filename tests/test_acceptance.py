@@ -28,11 +28,11 @@ from critpop.fundamental import (
 )
 from critpop.poly import ONE, Poly, identity_suite, poly_sqrt
 from critpop.reproduction import explore_population, is_fertile, weyl_degree_map
-from critpop.roots import dominant_representative, shifted_action
+from critpop.roots import dominant_representative
 from critpop.schubert import lr_expand, population_count_report
 from critpop.selfduality import is_isotropic, quasi_witt_basis
 from conftest import (bruhat_index, hook_content_dim, instance, is_selfdual, perm_to_weyl,
-                      random_flag, random_generic_tuple, seeded_points)
+                      random_flag, random_generic_tuple, seeded_points, shifted_action)
 
 
 def report(num, name, ok):

@@ -133,10 +133,12 @@ class TestPopulate:
 
     def test_one_weyl_sweep(self, sl3_cfg, monkeypatch, capsys):
         """The prediction and the six member labels come from one pass over
-        the six elements of W(A2)."""
-        calls = count_calls(monkeypatch, roots, "shifted_action")
+        the six elements of W(A2): one reflection for each element but the
+        identity, which each word's tail reaches from an earlier one."""
+        roots.enumerate_weyl("A2")  # cached: its own reflections are not counted
+        calls = count_calls(monkeypatch, reproduction, "reflect")
         assert run(["populate", "--config", sl3_cfg, "--max-degree", "2"]) == 0
-        assert len(calls) == 6
+        assert len(calls) == 5
         out = capsys.readouterr().out
         assert "[member] l=(0, 0) w=e tuple=(1, 1) : PASS" in out
         assert "[member] l=(2, 2) w=s1 s2 s1 " in out
@@ -864,6 +866,40 @@ def test_bench_layers_resolve():
                 assert attr in vars(getattr(mod, cls_name)), f"{mod_name}.{fn_name}"
             else:
                 assert callable(getattr(mod, fn_name, None)), f"{mod_name}.{fn_name}"
+
+
+# the configs of the benchmark's six `populate` jobs
+A3_WEIGHTED = {"root_system": "A3", "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+               "points": ["0", "1", "3"]}
+BENCH_POPULATE = {
+    "A4": {"root_system": "A4", "weights": [], "points": []},
+    "B3": {"root_system": "B3", "weights": [], "points": []},
+    "C3": {"root_system": "C3", "weights": [], "points": []},
+    "A3w": A3_WEIGHTED,
+    "B3w": {"root_system": "B3", "weights": [[1, 0, 0], [0, 0, 1]], "points": ["0", "1"]},
+    "C3w": {"root_system": "C3", "weights": [[0, 1, 0], [1, 0, 0]], "points": ["0", "-1"]},
+}
+
+
+def test_populate_matches_bench_golden(tmp_path, monkeypatch, capsys):
+    """The six seed-0 `populate` jobs, run in process under the benchmark's
+    relative paths (the table prints the atlas path), write the atlas and
+    print the table whose SHA-256 digests `bench/golden.json` pins."""
+    golden = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
+                        .read_text(encoding="utf-8"))
+    assert golden["seed"] == 0
+    monkeypatch.chdir(tmp_path)
+    for sub in ("configs", "atlas"):
+        (tmp_path / ".bench_run" / sub).mkdir(parents=True)
+    for name, cfg in BENCH_POPULATE.items():
+        config, atlas = f".bench_run/configs/{name}.json", f".bench_run/atlas/{name}.json"
+        Path(config).write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["populate", "--config", config, "--max-degree", "8", "--output", atlas,
+                     "--seed", "0", "--format", "table"]) == 0
+        want = golden["jobs"][f"populate-{name}"]
+        assert hashlib.sha256(Path(atlas).read_bytes()).hexdigest() == want["atlas"], name
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == want["stdout"], name
 
 
 def test_traced_run_records_layers(tmp_path):

@@ -31,11 +31,11 @@ from critpop.bc import bc_fundamental_space, fold, folded_instance
 from critpop.poly import ONE, X, Poly, _zpoly, _zsolve, wronskian
 from critpop.reproduction import (explore_population, immediate_descendants,
                                   solve_wronskian_equation)
-from critpop.roots import dominant_representative, shifted_action
+from critpop.roots import dominant_representative
 from conftest import (A3W, A3W_686, bruhat_index, count_calls, euclid_gcd, flag_from_basis,
                       fraction_solve_combination, instance, perm_to_weyl, random_flag,
                       random_monic, reduce_flag, reduce_span, reversal_exponents, sibling_fundamental_space,
-                      span, wronskian_flag_from_tuple)
+                      shifted_action, span, wronskian_flag_from_tuple)
 
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
 SL3 = instance("A2")

@@ -1,6 +1,8 @@
 import itertools
 import json
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +20,8 @@ from critpop.core import (
 from critpop.errors import NotFertile, NotGeneric
 from critpop.poly import ONE, X, Poly, solve_combination, wronskian
 from critpop.reproduction import (
+    AtlasMember,
+    PopulationAtlas,
     explore_population,
     immediate_descendants,
     is_fertile,
@@ -25,8 +29,8 @@ from critpop.reproduction import (
     solve_wronskian_equation,
     weyl_degree_map,
 )
-from critpop.roots import dominant_representative, shifted_action
-from conftest import A3W, A3W_686, instance
+from critpop.roots import dominant_representative, enumerate_weyl
+from conftest import A3W, A3W_686, instance, shifted_action
 
 SL3 = instance("A2")
 SL2 = instance("A1", [(1,), (1,)], ["0", "2"])
@@ -331,3 +335,131 @@ def test_walk_gcd_budget(monkeypatch):
     for pi, cap in WALKS[:6]:
         explore_population(pi, (ONE,) * pi.rd.rank, cap)
     assert 0 < len(calls) <= 800
+
+
+def reference_to_json(atlas, seed, max_degree, code):
+    """The `atlas-v1` text through `json.dumps`, which `to_json` writes
+    directly."""
+    payload = {
+        "schema": "atlas-v1",
+        "root_system": code,
+        "weights": [list(w) for w in atlas.pi.weights],
+        "points": [str(z) for z in atlas.pi.points],
+        "seed": seed,
+        "max_degree": max_degree,
+        "members": {
+            ",".join(map(str, l)): {
+                "tuple": [p.to_text() for p in m.tuple_y],
+                "path": [[d, c] for d, c in m.path],
+                "generic": m.generic,
+            }
+            for l, m in sorted(atlas.members.items())
+        },
+        "edges": [
+            [",".join(map(str, a)), d, ",".join(map(str, b))]
+            for a, d, b in sorted(atlas.edges)
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def reference_weyl_degree_map(pi, lam_inf, max_degree):
+    """The prediction element by element: each word applied to lam_inf + rho
+    letter by letter, then l read off through the inverse Cartan matrix,
+    scaled by its common denominator."""
+    rd = pi.rd
+    r = rd.rank
+    base = [sum(lam[i] for lam in pi.weights) for i in range(r)]
+    cols = [rd.root_combination_of(tuple(int(k == j) for k in range(r))) for j in range(r)]
+    den = lcm(*(c.denominator for col in cols for c in col))
+    inv = [[int(col[i] * den) for col in cols] for i in range(r)]
+    out = {}
+    for w in enumerate_weyl(f"{rd.kind}{r}"):
+        img = shifted_action(rd, w, lam_inf)
+        num = [sum(row[j] * (base[j] - img[j]) for j in range(r)) for row in inv]
+        if all(v % den == 0 and 0 <= v <= max_degree * den for v in num):
+            out.setdefault(tuple(v // den for v in num), w)
+    return out
+
+
+# the benchmark walks, two A2 atlases whose two-digit degrees sort
+# differently as strings ("14,14" before "7,0") and as tuples, and the root
+# alone (empty path, no edges, no weights)
+WRITER_CASES = [(pi, cap) for pi, cap in WALKS[:6]] + [
+    (instance("A2", [(4, 4), (4, 4)], ["0", "1"]), 20),
+    (instance("A2", [(5, 0), (0, 5), (1, 1)], ["0", "1", "3"]), 20),
+    (SL3, 0),
+]
+
+
+class TestAtlasWriter:
+    @pytest.mark.parametrize("pi, cap", WRITER_CASES, ids=[
+        "A4", "B3", "C3", "A3w", "B3w", "C3w", "A2-44-44", "A2-50-05-11", "root"])
+    def test_matches_json_dumps(self, pi, cap):
+        atlas = explore_population(pi, (ONE,) * pi.rd.rank, cap)
+        code = f"{pi.rd.kind}{pi.rd.rank}"
+        assert atlas.to_json(3, cap, code) == reference_to_json(atlas, 3, cap, code)
+
+    def test_string_order_of_members(self):
+        pi, cap = WRITER_CASES[7]
+        text = explore_population(pi, (ONE, ONE), cap).to_json(0, cap, "A2")
+        assert list(json.loads(text)["members"]) == [
+            "0,0", "0,7", "14,14", "14,7", "7,0", "7,14"]
+
+    def test_escapes_as_json(self):
+        """A non-ASCII root-system name is written as json escapes it, and a
+        member with an empty path, an empty atlas and a non-generic member
+        are written as `json.dumps` writes them."""
+        atlas = PopulationAtlas(SL3)
+        assert atlas.to_json(0, 1, "A2") == reference_to_json(atlas, 0, 1, "A2")
+        atlas.members[(0, 0)] = AtlasMember((ONE, ONE), (), False)
+        text = atlas.to_json(0, 1, "A\u0663")
+        assert '"root_system": "A\\u0663"' in text and '"path": []' in text
+        assert text == reference_to_json(atlas, 0, 1, "A\u0663")
+        assert json.loads(text)["root_system"] == "A\u0663"
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_atlases(self, data):
+        """Hand-built atlases: degree vectors of one to three digits, random
+        paths, flags and edges, against `json.dumps`."""
+        degrees = st.tuples(st.integers(0, 120), st.integers(0, 120))
+        weights = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                     max_size=2))
+        pi = instance("A2", weights, ["0", "-1/2"][:len(weights)])
+        atlas = PopulationAtlas(pi)
+        steps = st.tuples(st.integers(0, 1), st.sampled_from(["base", "0", "-1/2", "3"]))
+        polys = st.sampled_from([ONE, X, Poly([Fraction(-1, 3), 0, 1])])
+        for l in data.draw(st.lists(degrees, max_size=6, unique=True)):
+            atlas.members[l] = AtlasMember(data.draw(st.tuples(polys, polys)),
+                                           tuple(data.draw(st.lists(steps, max_size=3))),
+                                           data.draw(st.booleans()))
+        for a, i, b in data.draw(st.lists(st.tuples(degrees, st.integers(0, 1), degrees),
+                                          max_size=4)):
+            atlas.edges.add((a, i, b))
+        seed, cap = data.draw(st.integers(0, 99)), data.draw(st.integers(0, 200))
+        assert atlas.to_json(seed, cap, "A2") == reference_to_json(atlas, seed, cap, "A2")
+
+
+@pytest.mark.parametrize("code", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4"])
+def test_weyl_degree_map_matches_reference(code):
+    """The tail sweep names the same degree vectors by the same words as
+    applying every word letter by letter, on a sample of a weight box
+    (dominant, non-dominant and off the root lattice) and of the lattice
+    points base - sum l_i alpha_i with l in a box."""
+    rng = random.Random(code)
+    r = int(code[1:])
+    pi = instance(code, [tuple(rng.randint(0, 2) for _ in range(r))], ["0"])
+    base = pi.weights[0]
+    samples = 25 if r < 4 else 8
+    nonempty = 0
+    for _ in range(samples):
+        lam = tuple(rng.randint(-3, 4) for _ in range(r))
+        l = tuple(rng.randint(-2, 6) for _ in range(r))
+        on_lattice = tuple(b - c for b, c in zip(base, pi.rd.root_coroot_coords(l)))
+        for lam_inf in (lam, on_lattice):
+            cap = rng.choice((0, 3, 8))
+            got = weyl_degree_map(pi, lam_inf, cap)
+            assert got == reference_weyl_degree_map(pi, lam_inf, cap)
+            nonempty += bool(got)
+    assert nonempty
