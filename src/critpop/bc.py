@@ -131,7 +131,6 @@ def bc_fundamental_space(pi: ProblemInstance, y: TupleY) -> SelfdualSpace:
 
 
 class IsotropicSampleReport(NamedTuple):
-    samples: int
     generic_hits: int
     operator_checks: int
     all_symmetric: bool
@@ -186,9 +185,9 @@ def bc_population_as_isotropic_flags(
         all_critical = all_critical and crit
         if op_checks < 3:
             # the B/C operator displays are the type-A operator of the folded tuple
-            if not verify_dp(folded_instance(pi), [sd.space], fold(native, kind)):
+            if not verify_dp(folded_instance(pi), sd.space, fold(native, kind)):
                 raise ConstructionFailed("B/C operator does not annihilate the space")
             op_checks += 1
     if hits < samples:
         raise ConstructionFailed("could not sample enough generic isotropic flags")
-    return IsotropicSampleReport(samples, hits, op_checks, all_symmetric, all_critical)
+    return IsotropicSampleReport(hits, op_checks, all_symmetric, all_critical)

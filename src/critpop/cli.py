@@ -131,13 +131,11 @@ def cmd_populate(args) -> int:
     rep = Report(args.format)
     if pi.rd.rank > _ENUM_RANK_CAP:  # the prediction enumerates the Weyl group
         raise InvalidInstance(f"populate supports rank at most {_ENUM_RANK_CAP}")
-    atlas = explore_population(pi, y0, args.max_degree, args.seed)
-    lam0 = weight_at_infinity(pi, y0)
-    dom = dominant_representative(pi.rd, lam0)
-    if dom is None:
+    atlas = explore_population(pi, y0, args.max_degree)
+    lam_dom = dominant_representative(pi.rd, weight_at_infinity(pi, y0))
+    if lam_dom is None:
         rep.add("on-wall", "weight at infinity lies on a shifted wall", False)
         return rep.emit()
-    lam_dom, _ = dom
     weyl = weyl_degree_map(pi, lam_dom, args.max_degree)
     reached = set(atlas.members)
     rep.add(
@@ -147,7 +145,7 @@ def cmd_populate(args) -> int:
     )
     for l in atlas.degree_vectors():
         w = weyl.get(l)
-        word = "none" if w is None else " ".join(f"s{i + 1}" for i in w.word) or "e"
+        word = "none" if w is None else " ".join(f"s{i + 1}" for i in w) or "e"
         rep.add("member", f"l={l} w={word} tuple={_fmt_tuple(atlas.members[l].tuple_y)}",
                 w is not None)
     # explore_population raises unless every generic member passes the
@@ -202,7 +200,7 @@ def cmd_fundamental(args) -> int:
     descendants = [y[:i] + (immediate_descendants(pi, y, i).base,) + y[i + 1:]
                    for i in range(pi.rd.rank)]
     rep.add("ind-thm", "factored operator annihilates the space",
-            all(verify_dp(pi, [space], desc) for desc in descendants))
+            all(verify_dp(pi, space, desc) for desc in descendants))
     rep.add("first-coor", "y_1 lies in the space")
     return rep.emit()
 
@@ -273,7 +271,7 @@ def cmd_count(args) -> int:
         if dom is None:
             rep.add("on-wall", "weight at infinity on a wall: no critical points", True)
             return rep.emit()
-        bound = multiplicity_bound(pi, dom[0])
+        bound = multiplicity_bound(pi, dom)
         rep.add("estimate", f"multiplicity bound {bound}")
     return rep.emit()
 
@@ -283,7 +281,7 @@ def cmd_identities(args) -> int:
     try:
         result = identity_suite(args.seed, args.trials)
         rep.add("wronskian-identities",
-                f"{result.trials} trials, checks {result.checks}", result.passed)
+                f"{result.trials} trials, checks {result.checks}")
     except IdentityViolated as exc:
         rep.add("wronskian-identities", str(exc), False)
     return rep.emit()

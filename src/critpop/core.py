@@ -20,6 +20,7 @@ critical one, and return the verdict of the full test.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 from .errors import InvalidInstance, NotGeneric
@@ -31,8 +32,10 @@ TupleY = tuple[Poly, ...]
 
 
 class ProblemInstance:
-    """Dominant weights at distinct marked points, with T_1..T_N in `ts`.
-    `==` and `hash` read the root data, weights and points."""
+    """Dominant weights at distinct marked points, with T_1..T_N in `ts`,
+    the integer forms q x - p of the points p/q in `lins` and their product
+    over Z[x] in `lin_prod`.  `==` and `hash` read the root data, weights
+    and points."""
 
     def __init__(self, rd: RootData, weights: tuple[Weight, ...], points: tuple[Fraction, ...]):
         if len(weights) != len(points):
@@ -49,6 +52,8 @@ class ProblemInstance:
             raise InvalidInstance(f"deg T_i is capped at {_T_DEGREE_CAP}, got {deg}")
         self.rd, self.weights, self.points = rd, weights, points
         self.ts: tuple[Poly, ...] = tuple(t_polys(self))
+        self.lins = tuple((-z.numerator, z.denominator) for z in points)
+        self.lin_prod = tuple(reduce(_zmul, self.lins, [1]))
 
     def __eq__(self, other):
         return type(other) is ProblemInstance and (
@@ -124,8 +129,7 @@ def is_generic(pi: ProblemInstance, y: TupleY, changed: int | None = None) -> tu
     every other test reads unchanged coordinates and passed, so the verdict
     and the first failure, hence the reason, are those of the full test.
     """
-    a, r = pi.rd.cartan, pi.rd.rank
-    lins = [[-z.numerator, z.denominator] for z in pi.points]
+    a, r, lins = pi.rd.cartan, pi.rd.rank, pi.lins
     zs = [_zpoly(p) for p in y]
     for i in range(len(y)) if changed is None else (changed,):
         zp = zs[i]
@@ -184,11 +188,7 @@ def heine_stieltjes_test(pi: ProblemInstance, y: TupleY, changed: int | None = N
     ok, reason = is_generic(pi, y, changed)
     if not ok:
         raise NotGeneric(reason)
-    a, r = pi.rd.cartan, pi.rd.rank
-    lins = [[-z.numerator, z.denominator] for z in pi.points]
-    base = [1]
-    for lin in lins:
-        base = _zmul(base, lin)
+    a, r, lins = pi.rd.cartan, pi.rd.rank, pi.lins
     zs = [_zpoly(p) for p in y]
     for i, zi in enumerate(zs):
         if changed not in (None, i) and not a[i][changed]:
@@ -196,7 +196,7 @@ def heine_stieltjes_test(pi: ProblemInstance, y: TupleY, changed: int | None = N
         if len(zi) == 1:
             continue  # a constant divides everything
         linked = [j for j in range(r) if j != i and a[i][j] != 0]
-        f = base
+        f = pi.lin_prod
         for j in linked:
             f = _zmul(f, zs[j])
         terms = [(lam[i] * lin[1], _zquo(f, lin))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from math import lcm, perm
-from typing import NamedTuple
 
 from .core import (
     ProblemInstance,
@@ -34,9 +33,9 @@ from .core import (
     weight_at_infinity,
 )
 from .errors import ConstructionFailed, NotInImage
-from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zgcd, _zimage, _zindicial, _zmul,
-                   _zpoly, _zprimitive, _zquo, _zrref, _zscaled, _zsolve, _zsub,
-                   divided_wronskians, t_ladder, wronskian_rows)
+from .poly import (ONE, Poly, QVec, _qvec, _zderiv, _zimage, _zindicial, _zmul, _zpoly,
+                   _zquo, _zrref, _zscaled, _zsolve, _zsub, divided_wronskians, t_ladder,
+                   wronskian_rows)
 from .roots import dominant_representative
 
 
@@ -90,22 +89,6 @@ class PolySpace:
         """The basis numerators scaled to their common denominator d, and d."""
         d = lcm(*(b.den for b in self.basis))
         return [[c * (d // b.den) for c in b.num] for b in self.basis], d
-
-
-class Flag(NamedTuple):
-    """Full flag of a PolySpace as a canonical adjusted basis.
-
-    basis[i] spans F_{i+1} modulo F_i; each element is reduced against the
-    echelon span of its predecessors and normalized monic.
-    """
-
-    space: PolySpace
-    basis: tuple[Poly, ...]
-
-
-def degree_flag(space: PolySpace) -> Flag:
-    """The distinguished flag by increasing degree: the echelon basis."""
-    return Flag(space, space.basis[::-1])
 
 
 # -- fundamental space --------------------------------------------------------
@@ -184,10 +167,9 @@ def expected_exponents_finite(pi: ProblemInstance, s: int) -> list[int]:
 
 def expected_exponents_infinity(pi: ProblemInstance, y: TupleY) -> list[int]:
     """Closed form l~_1, l~_1 + (L~inf+rho, a_1), ... from the dominant member."""
-    dom = dominant_representative(pi.rd, weight_at_infinity(pi, y))
-    if dom is None:
+    lam_tilde = dominant_representative(pi.rd, weight_at_infinity(pi, y))
+    if lam_tilde is None:
         raise ConstructionFailed("weight at infinity lies on a wall")
-    lam_tilde, _ = dom
     base = [sum(w[i] for w in pi.weights) for i in range(pi.rd.rank)]
     combo = pi.rd.root_combination_of(
         tuple(base[i] - lam_tilde[i] for i in range(pi.rd.rank))
@@ -237,11 +219,12 @@ def generating_morphism(basis, ts) -> TupleY:
                  divided_wronskians(basis[:n], [(1 << i) - 1 for i in range(1, n + 1)], ts))
 
 
-def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
-    """The unique flag with beta(F) = y.  F_k is the kernel of the
-    `_operator` of y_1..y_k (Frobenius-Polya), a prefix of D_y, of
-    dimension k and inside the space, and flag element k is the echelon
-    element of F_k of the degree that F_{k-1} lacks, monic and reduced."""
+def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> tuple[Poly, ...]:
+    """The unique flag F with beta(F) = y, as its adapted basis: element k
+    spans F_k modulo F_{k-1}.  F_k is the kernel of the `_operator` of
+    y_1..y_k (Frobenius-Polya), a prefix of D_y, of dimension k and inside
+    the space, and element k is the echelon element of F_k of the degree
+    that F_{k-1} lacks, monic and reduced."""
     n = space.dim - 1
     y = monic_tuple(y)
     if len(y) != n:
@@ -257,30 +240,17 @@ def flag_from_tuple(space: PolySpace, y: TupleY, ts) -> Flag:
     basis.append(next(b for b in space.basis if b.degree not in old))
     if not all(map(space.contains, basis[:-1])):
         raise NotInImage("the flag of y leaves the space")
-    flag = Flag(space, tuple(basis))
-    if generating_morphism(flag.basis, ts) != y:
+    if generating_morphism(basis, ts) != y:
         raise NotInImage("reconstructed flag does not map back to the tuple")
-    return flag
+    return tuple(basis)
 
 
-def verify_dp(pi: ProblemInstance, spaces, member: TupleY | None = None) -> bool:
-    """Operator invariance: all spaces coincide as reduced spaces, and the
-    operator built from a member annihilates the common space.
-
-    The operator is the `_operator` of (member, 1), applied to each
-    echelon basis vector by `_apply_factored_operator`.
-    """
-    spaces = list(spaces)
-    if not spaces:
-        return True
-    first = spaces[0]
-    if any(sp != first for sp in spaces[1:]):
-        return False
-    if member is not None:
-        op = _operator(pi.ts, (*member, ONE))
-        return op is not None and all(_apply_factored_operator(op, u).is_zero()
-                                      for u in first.basis)
-    return True
+def verify_dp(pi: ProblemInstance, space: PolySpace, member: TupleY) -> bool:
+    """Operator invariance: the operator built from a member, the
+    `_operator` of (member, 1), annihilates the space, checked on each
+    echelon basis vector by `_apply_factored_operator`."""
+    op = _operator(pi.ts, (*member, ONE))
+    return op is not None and all(_apply_factored_operator(op, u).is_zero() for u in space.basis)
 
 
 @lru_cache(maxsize=256)
@@ -316,18 +286,13 @@ def _operator(ts: tuple[Poly, ...], y: TupleY) -> tuple[tuple[int, ...], ...] | 
 
 
 def _apply_factored_operator(op, u: Poly) -> Poly:
-    """The numerator of L u for a full operator of `_operator`.
-
-    Forms sum_j n_j u^(j), divides out its gcd with the denominator n_{N+1}
-    and makes it primitive: the reduced numerator of L u up to a nonzero
-    rational scalar, so it is zero iff L annihilates u.
-    """
+    """sum_j n_j u^(j) for an operator L = (1/n_k) sum_j n_j d^j of
+    `_operator`, on the primitive integer associate of u: n_k L u up to a
+    nonzero rational scalar, so it is zero iff L annihilates u."""
     num, z = [], _zpoly(u)
     for n in op:
         if not z:
             break
         num = _zsub(num, _zmul(n, z))
         z = _zderiv(z)
-    if not num:
-        return Poly()
-    return _zscaled(_zprimitive(_zquo(num, _zgcd(num, op[-1]))), 1)
+    return _zscaled(num, 1)

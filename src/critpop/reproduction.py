@@ -9,8 +9,8 @@ bookkept by degree vector, is a population atlas.  `explore_population`
 certifies each member as it stores it, so callers need not check the
 members again; a child of a generic member is certified only on what its
 step changed (`changed` in `core.heine_stieltjes_test`).  `weyl_degree_map`
-names the degree vectors that the shifted Weyl orbit predicts, each with its
-Weyl element, in one sweep.
+names the degree vectors that the shifted Weyl orbit predicts, each with the
+word of its Weyl element, in one sweep.
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ def _sample_generic(pi: ProblemInstance, y: TupleY, i: int, fam: DescendantFamil
     )
 
 
-def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
-                       seed: int = 0) -> PopulationAtlas:
+def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int) -> PopulationAtlas:
     """Breadth-first closure over degree vectors, capped componentwise.
 
     Certifies every member it stores: a generic member passes the
@@ -191,8 +190,7 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
     is certified with `changed = i` and gets the verdict of the full test;
     y0 and the children of a non-generic member get the full test.
     Deterministic: directions are visited in order and parameters are drawn
-    from the canonical sequence.  The seed is recorded for provenance; the
-    walk itself does not consume randomness.
+    from the canonical sequence, so the walk consumes no randomness.
     """
     y0 = monic_tuple(y0)
     l0 = degree_vector(y0)
@@ -240,10 +238,10 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int,
 
 
 def weyl_degree_map(pi: ProblemInstance, lam_inf, max_degree: int):
-    """{l: w} over the degree vectors 0 <= l <= cap with
-    sum Lambda_s - sum l_i alpha_i = w . lam_inf, from one sweep of W; the
-    first w in enumeration order (a shortest one) names each l.  For
-    w = s_j u, u the tail of w's word and met earlier, w(lam_inf + rho) is
+    """{l: w}, w a word of `enumerate_weyl`, over the degree vectors
+    0 <= l <= cap with sum Lambda_s - sum l_i alpha_i = w . lam_inf, from
+    one sweep of W; the first w in enumeration order (a shortest one) names
+    each l.  For w = s_j u, u the tail w[1:] and met earlier, w(lam_inf + rho) is
     one reflection of u(lam_inf + rho), and l_j grows by <u(lam_inf + rho),
     alpha_j^vee> (the degree law); l(e) not integral gives the empty map."""
     rd = pi.rd
@@ -254,10 +252,10 @@ def weyl_degree_map(pi: ProblemInstance, lam_inf, max_degree: int):
     images = {(): (tuple(c + 1 for c in lam_inf), tuple(map(int, l0)))}
     out = {}
     for w in enumerate_weyl(f"{rd.kind}{rd.rank}"):
-        if w.word:
-            j, (v, l) = w.word[0], images[w.word[1:]]
-            images[w.word] = (reflect(rd, j, v), l[:j] + (l[j] + v[j],) + l[j + 1:])
-        l = images[w.word][1]
+        if w:
+            j, (v, l) = w[0], images[w[1:]]
+            images[w] = (reflect(rd, j, v), l[:j] + (l[j] + v[j],) + l[j + 1:])
+        l = images[w][1]
         if all(0 <= c <= max_degree for c in l):
             out.setdefault(l, w)
     return out

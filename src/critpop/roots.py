@@ -10,9 +10,10 @@ The pairing convention <alpha_j, alpha_i^vee> = a_ij is derived from these
 two identities; `root_data`, the one constructor of `RootData`, asserts
 the B/C scalar-product tables against it.
 
-A Weyl group element is a word in the simple reflections, and `reflect` is
-the one encoding of s_i.  Elements are told apart by where they send rho:
-rho is regular, so its stabilizer is trivial.
+A Weyl group element is a word in the simple reflections, a tuple of
+0-based indices acting by the last letter first, and `reflect` is the one
+encoding of s_i.  Equal elements may have different words; they are told
+apart by where they send rho: rho is regular, so its stabilizer is trivial.
 """
 
 from __future__ import annotations
@@ -98,61 +99,28 @@ def root_data(code: str) -> RootData:
 # -- Weyl group --------------------------------------------------------------
 
 
-class WeylElement:
-    """A Weyl group element as the word s_{word[0]} ... s_{word[-1]} in the
-    simple reflections (0-based), acting by the last letter first.  `==`
-    and `hash` read the root data and the word, and equal elements may carry
-    different words: compare them by w(rho) or w^-1(rho), which determine w
-    because the regular weight rho has a trivial stabilizer."""
-
-    __slots__ = ("rd", "word")
-
-    def __init__(self, rd: RootData, word: tuple[int, ...]):
-        self.rd = rd
-        self.word = word
-
-    def __eq__(self, other):
-        return type(other) is WeylElement and (self.rd, self.word) == (other.rd, other.word)
-
-    def __hash__(self):
-        return hash((self.rd, self.word))
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(self.rd, self.word + other.word)
-
-
-def identity_element(rd: RootData) -> WeylElement:
-    return WeylElement(rd, ())
-
-
-def generator(rd: RootData, i: int) -> WeylElement:
-    return WeylElement(rd, (i,))
-
-
 def reflect(rd: RootData, i: int, lam: Weight) -> Weight:
     """s_i(lambda) = lambda - <lambda, alpha_i^vee> alpha_i, 0-based i."""
     return tuple(lam[j] - rd.cartan[j][i] * lam[i] for j in range(rd.rank))
 
 
-def dominant_representative(rd: RootData, lam: Weight):
+def dominant_representative(rd: RootData, lam: Weight) -> Weight | None:
     """Walk lambda + rho into the dominant chamber.
 
-    Returns (dominant_weight, w) with w . lambda dominant, or None when
-    lambda + rho lies on a reflection wall of the shifted action.  Each
-    reflection lengthens w, so the walk takes at most l(w0) steps, the
-    number of positive roots.
+    Returns the dominant weight w . lambda of the shifted orbit of lambda,
+    or None when lambda + rho lies on a reflection wall of the shifted
+    action.  Each reflection lengthens the w walked so far, so the walk
+    takes at most l(w0) steps, the number of positive roots.
     """
     longest = rd.rank * (rd.rank + 1) // 2 if rd.kind == "A" else rd.rank**2
     cur = tuple(c + 1 for c in lam)
-    w = identity_element(rd)
     for _ in range(longest + 1):
         if any(c == 0 for c in cur):
             return None
         neg = next((i for i, c in enumerate(cur) if c < 0), None)
         if neg is None:
-            return tuple(c - 1 for c in cur), w
+            return tuple(c - 1 for c in cur)
         cur = reflect(rd, neg, cur)
-        w = generator(rd, neg) * w
     raise ConstructionFailed(f"dominant walk exceeded l(w0) = {longest} steps")
 
 
@@ -162,10 +130,11 @@ _RANK_CAP = 512  # bound on the rank a config names; `verify` is quadratic in it
 
 
 @lru_cache(maxsize=None)
-def enumerate_weyl(code: str) -> tuple[WeylElement, ...]:
-    """All Weyl elements, each by its shortlex-least reduced word, in shortlex
-    order (BFS by length), keyed by w^-1(rho): (w s_i)^-1(rho) = s_i(w^-1(rho))
-    is one reflection per edge.  A word's tail word[1:] is again shortlex-least
+def enumerate_weyl(code: str) -> tuple[tuple[int, ...], ...]:
+    """All Weyl elements as their shortlex-least reduced words (0-based
+    letters, s_{word[0]} ... s_{word[-1]}), in shortlex order (BFS by
+    length), keyed by w^-1(rho): (w s_i)^-1(rho) = s_i(w^-1(rho)) is one
+    reflection per edge.  A word's tail word[1:] is again shortlex-least
     (a smaller tail would give a smaller whole), so it names an earlier element."""
     rd = root_data(code)
     if rd.rank > _ENUM_RANK_CAP:
@@ -181,7 +150,7 @@ def enumerate_weyl(code: str) -> tuple[WeylElement, ...]:
                     seen[k] = word + (i,)
                     nxt.append((word + (i,), k))
         frontier = sorted(nxt)
-    return tuple(WeylElement(rd, w) for w in sorted(seen.values(), key=lambda w: (len(w), w)))
+    return tuple(sorted(seen.values(), key=lambda w: (len(w), w)))
 
 
 # -- foldings into the A series ----------------------------------------------

@@ -20,8 +20,8 @@ vector in the echelon basis (a `QVec`).  `SelfdualSpace.gv` forms G v
 once per vector; a pairing is then one integer dot product, with the sign
 and the zeros of the value, and `form` divides it out only where a value
 is wanted.  `is_isotropic` tests those dot products for zero.
-`antidiagonal_basis` adjusts a flag's basis by integer corrections and
-reads its anti-diagonal values g_j once.  A generator move
+`antidiagonal_basis` adjusts a flag's adapted basis by integer corrections
+and reads its anti-diagonal values g_j once.  A generator move
 (`IsotropicFamily.deformed_basis`) keeps the basis anti-diagonal with the
 same g_j, so they are carried from move to move and a move evaluates no
 form; `space.member` makes polynomials only where a Wronskian needs them.
@@ -38,7 +38,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .errors import ConstructionFailed, NotConstant, NotSelfdual
-from .fundamental import Flag, PolySpace, degree_flag
+from .fundamental import PolySpace
 from .poly import ZERO, Poly, QVec, _qvec, divided_wronskians, solve_combination
 
 
@@ -238,11 +238,12 @@ def is_isotropic(sd: SelfdualSpace, u) -> bool:
 
 
 class QuasiWittResult(NamedTuple):
-    """`base` and `g` are `antidiagonal_basis` of `flag`, kept for the sampler."""
+    """The quasi-Witt basis q_1..q_{N+1}: its ratios and Witt scalars, and
+    `base` and `g`, the `antidiagonal_basis` of the degree flag, kept for
+    the sampler; `sd.space.member` maps `base` back to polynomials."""
 
-    flag: Flag
     ratios: tuple[Fraction, ...]  # a_i with W+(q_1..q_i) = a_i W+(q_1..q_{N+1-i})
-    witt_scalars: tuple | None  # Fraction or QuadExt per element of flag.basis
+    witt_scalars: tuple | None  # Fraction or QuadExt per q_i
     base: list  # coordinate vectors of q_1..q_{N+1}
     g: QVec  # g_j = (q_j, q_{N+2-j})
 
@@ -267,7 +268,7 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     element.  Clearing only subtracts lower-degree vectors, so q is canonical.
     """
     n1, full = sd.dim, (1 << sd.dim) - 1
-    u, g = antidiagonal_basis(sd, degree_flag(sd.space))
+    u, g = antidiagonal_basis(sd, sd.space.basis[::-1])
     q = [sd.space.member(v) for v in u][::-1]
     # W+(q_1..q_i) for i < N+1, then W+ of q without q_i for i <= N
     ws = divided_wronskians(q, [(1 << i) - 1 for i in range(n1)]
@@ -292,8 +293,7 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
         if gammas[i] != gammas[n1 - 1 - i]:
             raise ConstructionFailed("asymmetric Witt constants")
     scalars = _witt_scalars(gammas)
-    return QuasiWittResult(Flag(sd.space, tuple(q)), tuple(ratios),
-                           None if scalars is None else tuple(scalars),
+    return QuasiWittResult(tuple(ratios), None if scalars is None else tuple(scalars),
                            u[::-1], QVec(g.num[::-1], g.den))
 
 
@@ -333,8 +333,9 @@ def _axpy(x: QVec, p: int, q: int, y: QVec) -> QVec:
     return _qvec([s * a + t * b for a, b in zip(x.num, y.num)], q * x.den * y.den)
 
 
-def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> tuple[list, QVec]:
-    """Adjust the flag basis within its flag so the form is anti-diagonal:
+def antidiagonal_basis(sd: SelfdualSpace, basis) -> tuple[list, QVec]:
+    """Adjust a basis adapted to a flag (element k spans F_k modulo F_{k-1})
+    within that flag so the form is anti-diagonal:
     (u_a, u_b) = 0 unless the 1-based indices satisfy a + b = N + 2.
     Returns the coordinate vectors in the echelon basis and the
     anti-diagonal values g_j = (u_j, u_{N+2-j}), read once here; raises
@@ -342,7 +343,7 @@ def antidiagonal_basis(sd: SelfdualSpace, flag: Flag) -> tuple[list, QVec]:
     The pairings are integer numerators (see `SelfdualSpace.gv`), whose
     positive scales enter each correction through the vectors' dens."""
     n1 = sd.dim
-    u = [sd.space.coords(p) for p in flag.basis]
+    u = [sd.space.coords(p) for p in basis]
     gu = [sd.gv(v) for v in u]
 
     def val(a: int, b: int) -> int:
@@ -414,9 +415,9 @@ class IsotropicFamily(NamedTuple):
         return u
 
 
-def isotropic_generators(sd: SelfdualSpace, flag: Flag, direction: int) -> IsotropicFamily:
-    """Build the degree-`direction` generator family through an isotropic flag."""
+def isotropic_generators(sd: SelfdualSpace, basis, direction: int) -> IsotropicFamily:
+    """The degree-`direction` generator family through the isotropic flag of `basis`."""
     k = sd.dim // 2
     if not 1 <= direction <= k:
         raise ValueError(f"direction must be in 1..{k}")
-    return IsotropicFamily(direction, *antidiagonal_basis(sd, flag))
+    return IsotropicFamily(direction, *antidiagonal_basis(sd, basis))

@@ -7,11 +7,11 @@ import pytest
 
 from critpop.core import ProblemInstance, is_generic, monic_tuple
 from critpop.errors import ConstructionFailed, NotDivisible, NotInImage
-from critpop.fundamental import Flag, PolySpace, generating_morphism
+from critpop.fundamental import PolySpace, generating_morphism
 from critpop.poly import (ONE, ZERO, Poly, QVec, _zrref, _zscaled, divided_wronskians, gcd,
                           solve_combination, t_ladder, wronskian_minors, wronskian_rows)
 from critpop.reproduction import _sample_generic, immediate_descendants
-from critpop.roots import WeylElement, reflect, root_data
+from critpop.roots import reflect, root_data
 
 
 def instance(code, weights=(), points=()):
@@ -355,9 +355,9 @@ def span(polys) -> PolySpace:
 
 
 def flag_from_basis(space, basis):
-    """The canonical `Flag` of an independent basis inside the space:
-    element i is the row of span(basis[:i+1]) of the degree that basis[i]
-    adds to span(basis[:i])."""
+    """The canonical adapted basis of the flag of an independent basis
+    inside the space: element i is the row of span(basis[:i+1]) of the
+    degree that basis[i] adds to span(basis[:i])."""
     canon, part = [], span([])
     for u in basis:
         if not space.contains(u):
@@ -366,11 +366,12 @@ def flag_from_basis(space, basis):
         if part.dim == len(old):
             raise ValueError("flag basis is dependent")
         canon.append(next(b for b in part.basis if b.degree not in old))
-    return Flag(space, tuple(canon))
+    return tuple(canon)
 
 
 def random_flag(rng, space, tries=100):
-    """The flag of a random basis of the space, its coordinates drawn in
+    """The flag of a random basis of the space, as its `flag_from_basis`
+    adapted basis, the coordinates drawn in
     [-3, 3] row by row until `flag_from_basis` accepts them.  Fails the
     test after `tries` draws: a wrong space rejects every basis."""
     n1 = space.dim
@@ -459,28 +460,29 @@ def bruhat_index(space, flag):
 
     Returns (w, degs) where w is 1-based one-line notation: w_j is the
     level of the degree flag first containing the j-th flag step, and
-    degs[j] the matching realized degree (a `Flag` basis is reduced).
+    degs[j] the matching realized degree (a canonical adapted basis, as
+    `flag_from_basis` gives, is reduced).
     """
     pos_of_degree = {d: k + 1 for k, d in enumerate(space.degrees())}
-    levels = tuple(int(p.degree) for p in flag.basis)
+    levels = tuple(int(p.degree) for p in flag)
     return tuple(pos_of_degree[d] for d in levels), levels
 
 
-def weyl_apply(w, lam):
-    """w(lambda) for the word w = s_{word[0]} ... s_{word[-1]}, reflecting
-    by the last letter first."""
-    for i in reversed(w.word):
-        lam = reflect(w.rd, i, lam)
+def weyl_apply(rd, w, lam):
+    """w(lambda) for the word w = s_{w[0]} ... s_{w[-1]}, reflecting by the
+    last letter first."""
+    for i in reversed(w):
+        lam = reflect(rd, i, lam)
     return lam
 
 
 def shifted_action(rd, w, lam):
     """w . lambda = w(lambda + rho) - rho."""
-    return tuple(c - 1 for c in weyl_apply(w, tuple(c + 1 for c in lam)))
+    return tuple(c - 1 for c in weyl_apply(rd, w, tuple(c + 1 for c in lam)))
 
 
-def perm_to_weyl(rd, perm):
-    """A_N Weyl element of a 1-based one-line permutation.
+def perm_to_weyl(perm):
+    """A reduced word of the A_N Weyl element of a 1-based one-line permutation.
 
     Simple transpositions (i, i+1) correspond to the generating
     reflections, so a bubble-sort decomposition gives a reduced word.
@@ -495,7 +497,7 @@ def perm_to_weyl(rd, perm):
                 p[j], p[j + 1] = p[j + 1], p[j]
                 swaps.append(j)
                 changed = True
-    return WeylElement(rd, tuple(swaps))
+    return tuple(swaps)
 
 
 def _perm_mul(p, q):
@@ -539,7 +541,7 @@ def folded_weyl_embed(kind, rank, w):
     else:
         raise ValueError("kind must be B or C")
     img = tuple(range(m))
-    for i in w.word:
+    for i in w:
         img = _perm_mul(img, gens[i])
     return img
 
@@ -619,6 +621,6 @@ def wronskian_flag_from_tuple(space, y, ts):
     if len(us) != space.dim:
         raise NotInImage("flag reconstruction did not complete")
     flag = flag_from_basis(space, us)
-    if generating_morphism(flag.basis, ts) != y:
+    if generating_morphism(flag, ts) != y:
         raise NotInImage("reconstructed flag does not map back to the tuple")
     return flag

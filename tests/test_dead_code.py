@@ -4,7 +4,9 @@ outside its own definition, or a place in the benchmark's traced layers
 (`bench/spans.py` `LAYERS`).  A method counts as referenced only through
 an attribute (`x.name`): a bare local name that happens to match it is no
 use of it.  Test-only helpers live in `tests/`.  Every name a module
-imports is read in it, except the re-exports of `__init__.py`."""
+imports is read in it, except the re-exports of `__init__.py`, and every
+parameter of a function or method is read in its body, except `self` and
+the parameters of dunder methods, whose signatures Python fixes."""
 
 import ast
 from pathlib import Path
@@ -117,3 +119,39 @@ def test_guard_sees_an_unread_import():
                      "from math import gcd as igcd, lcm\nx = lcm(2, 3)\nigcd = 4\n")
     assert unread_imports(tree) == ["os", "igcd"]
     assert unread_imports(ast.parse("import os.path\nprint(os.sep)\n")) == []
+
+
+def unread_parameters(tree: ast.AST, prefix: str) -> list[str]:
+    """"prefix.Class.function.parameter" for each parameter of a function or
+    method, nested ones included, that its body never reads; `self` and the
+    parameters of dunder methods are exempt."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        name = getattr(node, "name", None)
+        qual = prefix if name is None else f"{prefix}.{name}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and not (name.startswith("__") and name.endswith("__")):
+            a = node.args
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{qual}.{p.arg}" for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                                  *filter(None, (a.vararg, a.kwarg)))
+                    if p.arg != "self" and p.arg not in read]
+        out += unread_parameters(node, qual)
+    return out
+
+
+def test_every_parameter_is_read():
+    assert [q for p in sorted(SRC.glob("*.py"))
+            for q in unread_parameters(ast.parse(p.read_text()), p.stem)] == []
+
+
+def test_guard_sees_an_unread_parameter():
+    tree = ast.parse("class C:\n    def __init__(self, a):\n        pass\n\n"
+                     "    def m(self, b, c=0, *args, d, **kw):\n        return b + d\n\n"
+                     "def f(x, y=1):\n    def g(z):\n        return x\n    return g\n")
+    assert unread_parameters(tree, "m") == ["m.C.m.c", "m.C.m.args", "m.C.m.kw", "m.f.y",
+                                            "m.f.g.z"]
+    # a default or an annotation is no read, and a write is none either
+    tree = ast.parse("def f(a: int = 0, b=None):\n    b = a\n    return a\n")
+    assert unread_parameters(tree, "m") == ["m.f.b"]

@@ -478,7 +478,6 @@ class TestIdentitySuite:
 
     def test_runs_clean(self):
         rep = identity_suite(seed=1, trials=25)
-        assert rep.passed
         assert all(v == 25 for v in rep.checks.values())
 
     def test_rejects_bad_trials(self):

@@ -9,7 +9,7 @@ from critpop.bc import folded_instance
 from critpop.core import ProblemInstance
 from critpop.poly import Poly
 from critpop.reproduction import PopulationAtlas
-from critpop.roots import RootData, WeylElement, generator, root_data
+from critpop.roots import RootData, root_data
 from critpop.selfduality import QuadExt
 from conftest import quad_square, span
 
@@ -47,16 +47,6 @@ def test_root_data_by_value():
     rd = root_data("C3")
     assert_equal_values(rd, RootData(rd.kind, rd.rank, rd.cartan, rd.d))
     assert rd != root_data("B3")
-
-
-def test_weyl_element_by_rd_and_word():
-    rd = root_data("A2")
-    w = generator(rd, 0) * generator(rd, 1)
-    assert_equal_values(w, WeylElement(rd, (0, 1)))
-    assert w != WeylElement(rd, (1, 0)) and w != WeylElement(root_data("A3"), (0, 1))
-    assert not isinstance(w, tuple)
-    with pytest.raises(TypeError):
-        w + w
 
 
 def test_quad_ext_products():

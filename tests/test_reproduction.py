@@ -158,7 +158,7 @@ class TestDescendants:
 
     def test_involution(self, rng):
         # a descendant's family in the same direction contains the parent
-        atlas = explore_population(SL3, (ONE, ONE), 2, seed=1)
+        atlas = explore_population(SL3, (ONE, ONE), 2)
         for l, member in atlas.members.items():
             y = member.tuple_y
             for i in range(2):
@@ -174,48 +174,46 @@ class TestDescendants:
 
 class TestExploration:
     def test_sl3_golden(self):
-        atlas = explore_population(SL3, (ONE, ONE), 2, seed=0)
+        atlas = explore_population(SL3, (ONE, ONE), 2)
         assert set(atlas.members) == {(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)}
         y1, y2 = atlas.members[(2, 2)].tuple_y
         assert y1[1] * y2[1] == 2 * y1[0] * y2[2] + 2 * y1[2] * y2[0]
 
     def test_members_critical(self):
-        atlas = explore_population(SL3, (ONE, ONE), 2, seed=0)
+        atlas = explore_population(SL3, (ONE, ONE), 2)
         for member in atlas.members.values():
             if member.generic:
                 assert heine_stieltjes_test(SL3, member.tuple_y)
             assert is_fertile(SL3, member.tuple_y)
 
     def test_degree_change_law(self):
-        atlas = explore_population(SL3, (ONE, ONE), 2, seed=0)
+        atlas = explore_population(SL3, (ONE, ONE), 2)
         rd = SL3.rd
         for a, i, b in atlas.edges:
             if a == b:
                 continue
             la = weight_at_infinity(SL3, atlas.members[a].tuple_y)
             lb = weight_at_infinity(SL3, atlas.members[b].tuple_y)
-            from critpop.roots import generator, reflect
-
-            assert shifted_action(rd, generator(rd, i), la) == lb
+            assert shifted_action(rd, (i,), la) == lb
 
     def test_sl2_orbit(self):
-        atlas = explore_population(SL2, (Poly([-1, 1]),), 4, seed=0)
+        atlas = explore_population(SL2, (Poly([-1, 1]),), 4)
         assert set(atlas.members) == {(1,), (2,)}
 
     def test_b2_c2_counts(self):
         for code in ("B2", "C2"):
             pi = instance(code)
-            atlas = explore_population(pi, (ONE, ONE), 8, seed=0)
+            atlas = explore_population(pi, (ONE, ONE), 8)
             assert len(atlas.members) == 8
 
     def test_intersecting_populations_coincide(self):
-        base = explore_population(SL3, (ONE, ONE), 2, seed=0)
+        base = explore_population(SL3, (ONE, ONE), 2)
         for l in ((1, 0), (2, 2)):
-            other = explore_population(SL3, base.members[l].tuple_y, 2, seed=5)
+            other = explore_population(SL3, base.members[l].tuple_y, 2)
             assert set(other.members) == set(base.members)
 
     def test_weyl_orbit_prediction(self):
-        atlas = explore_population(SL3, (ONE, ONE), 2, seed=0)
+        atlas = explore_population(SL3, (ONE, ONE), 2)
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
         assert set(weyl_degree_map(SL3, lam0, 2)) == set(atlas.members)
 
@@ -223,12 +221,12 @@ class TestExploration:
 class TestDegreeVectorToWeyl:
     def test_identity(self):
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
-        assert weyl_degree_map(SL3, lam0, 2)[(0, 0)].word == ()
+        assert weyl_degree_map(SL3, lam0, 2)[(0, 0)] == ()
 
     def test_longest(self):
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
         w = weyl_degree_map(SL3, lam0, 2).get((2, 2))
-        assert w is not None and len(w.word) == 3
+        assert w is not None and len(w) == 3
 
     def test_cone_violation(self):
         lam0 = weight_at_infinity(SL3, (ONE, ONE))
@@ -236,8 +234,8 @@ class TestDegreeVectorToWeyl:
 
 
 def test_atlas_json_deterministic():
-    a1 = explore_population(SL3, (ONE, ONE), 2, seed=9).to_json(9, 2, "A2")
-    a2 = explore_population(SL3, (ONE, ONE), 2, seed=9).to_json(9, 2, "A2")
+    a1 = explore_population(SL3, (ONE, ONE), 2).to_json(9, 2, "A2")
+    a2 = explore_population(SL3, (ONE, ONE), 2).to_json(9, 2, "A2")
     assert a1 == a2
     payload = json.loads(a1)
     assert payload["schema"] == "atlas-v1"
