@@ -6,24 +6,25 @@ the tests cross-check them against a brute-force weight-multiplicity
 oracle (Kostka counts fed through an alternating Weyl sum).  The rank-one
 count reads the distinct critical polynomials off a lex Groebner basis in
 shape position.  It works on integer polynomials over Z (dicts of exponent
-tuples) with a fraction-free Buchberger algorithm.  The bad locus (the
-discriminant times y at the marked points of weight 0) is computed once the
-coefficients of y are polynomials in the separating variable t, in Q[t] on
-`Poly`, and reduced modulo the eliminant.  The tests compare the count with
-sympy's Groebner bases and discriminants; no module of the library imports
-sympy.
+tuples) with a fraction-free Buchberger algorithm.  The bad locus, where
+a critical candidate y has a multiple root or vanishes at a marked point,
+is y at the marked points: a solution of the criterion has exponents 0 and
+m_s + 1 at z_s and none other than 0 and 1 elsewhere.  It is computed once
+the coefficients of y are polynomials in the separating variable t, in
+Q[t] on `Poly`, and reduced modulo the eliminant.  The tests compare the
+count with sympy's Groebner bases and with the bad locus built on sympy's
+discriminant; no module of the library imports sympy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd as igcd
 from math import perm
 from operator import add, sub
 
 from .core import ProblemInstance, _lambda_inf
-from .poly import ONE, ZERO, Poly, gcd
+from .poly import ONE, ZERO, Poly, _zquo, gcd
 from .roots import Weight
 
 Partition = tuple[int, ...]
@@ -226,30 +227,6 @@ def _groebner(polys: list[dict]) -> list[dict]:
                   key=max, reverse=True)
 
 
-def _discriminant(c: list[Poly]) -> Poly:
-    """Res_x(y, y') up to sign for y = c_l x^l + ... + c_0 with c_l = 1 and
-    coefficients c = [c_0, ..., c_l] in Q[t]: the Sylvester determinant by
-    Bareiss's elimination over the domain Q[t], each step an exact division
-    by the last pivot.  ZERO if a column has no pivot."""
-    l, ys = len(c) - 1, c[::-1]
-    dys = [(l - i) * p for i, p in enumerate(ys[:-1])]
-    n = 2 * l - 1
-    rows = [[ZERO] * i + ys + [ZERO] * (n - l - 1 - i) for i in range(l - 1)]
-    rows += [[ZERO] * i + dys + [ZERO] * (n - l - i) for i in range(l)]
-    last = ONE
-    for k in range(n - 1):
-        r = next((r for r in range(k, n) if rows[r][k]), None)
-        if r is None:
-            return ZERO
-        rows[k], rows[r] = rows[r], rows[k]
-        p = rows[k]
-        for row in rows[k + 1:]:
-            for j in range(k + 1, n):
-                row[j] = (p[k] * row[j] - row[k] * p[j]).exact_div(last)
-        last = p[k]
-    return rows[-1][-1]
-
-
 def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     """Exact number of degree-l critical polynomials of a rank-one instance.
 
@@ -264,13 +241,22 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     The system is built over Z in the integer polynomials above, never in a
     Fraction: y = x^l + a_{l-1} x^{l-1} + ... + a_0, and the system is read
     off the remainder of f y'' - g y' by the monic y, with f and g cleared
-    of denominators (each equation changes by one constant factor).  The
-    bad locus is the discriminant of y times y(z) at each marked point z of
-    weight 0; `_shape_count` takes it in Q[t] after the substitution
-    a_i = g_i(t).  At a marked point z_s of weight m_s != 0,
-    f y'' - g y' = q y with y(z_s) = 0 gives g(z_s) y'(z_s) = 0, where
-    f(z_s) = 0 and g(z_s) = m_s prod_{r != s} (z_s - z_r) != 0; so y has a
-    double root at z_s and the discriminant already vanishes there.
+    of denominators (each equation changes by one constant factor); f and g
+    are read off the instance's forms q_s x - p_s as in
+    `core.heine_stieltjes_test`.
+
+    The bad locus is y(z_s) at every marked point z_s, which `_shape_count`
+    takes in Q[t] after the substitution a_i = g_i(t).  A solution of
+    f y'' - g y' = q y, with f = prod_s (q_s x - p_s) and
+    g/f = sum_s m_s/(x - z_s), has a multiple root exactly where it
+    vanishes at a marked point of nonzero weight.  Off the marked points
+    f != 0, so a root of multiplicity k >= 2 would leave f y'' with order
+    k - 2 at it and g y' - q y with order >= k - 1.  At z_s the exponents
+    of the equation are 0 and m_s + 1, the (Lambda_s + rho, alpha) of rank
+    one (the indicial equation; Ince, *Ordinary Differential Equations*
+    (1926), ch. XVI): a root there has multiplicity m_s + 1.  So the
+    discriminant of y times y at the points of weight 0 vanishes exactly
+    where y does at some marked point.
     """
     if pi.rd.rank != 1:
         raise ValueError("exact counting is rank-one only")
@@ -279,12 +265,11 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     # y = x^l + sum a_i x^i, f and g over Z in the variables x, a_0..a_{l-1}, t
     one, a = (0,) * (l + 1), _variables(l)
     y = {(l, *one): 1} | {(i, *a[i]): 1 for i in range(l)}
-    unit, lins = {(0, *one): 1}, [{(1, *one): z.denominator, (0, *one): -z.numerator}
-                                  for z in pi.points]  # den x - num
-    f, g = reduce(_mul, lins, unit), {}
-    for s, (lam, z) in enumerate(zip(pi.weights, pi.points)):
-        _add_term_times(g, lam[0] * z.denominator, (0, *one),
-                        reduce(_mul, lins[:s] + lins[s + 1:], unit))
+    g = [0] * (len(pi.lin_prod) - 1)
+    for lam, lin in zip(pi.weights, pi.lins):
+        for k, v in enumerate(_zquo(pi.lin_prod, lin)):
+            g[k] += lam[0] * lin[1] * v
+    f, g = ({(k, *one): c for k, c in enumerate(p) if c} for p in (pi.lin_prod, g))
     dy, ddy = ({(i - k, *m): perm(i, k) * c for (i, *m), c in y.items() if i >= k} for k in (1, 2))
     rem = _mul(f, ddy)
     _add_term_times(rem, -1, (0, *one), _mul(g, dy))
@@ -292,23 +277,23 @@ def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
     system = [p for i in range(l) if (p := {m[1:]: c for m, c in rem.items() if m[0] == i})]
     if not system:
         raise ValueError("degenerate criterion system")
-    zeros = [z for lam, z in zip(pi.weights, pi.points) if not lam[0]]
     for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
-        got = _shape_count(system, zeros, lam)
+        got = _shape_count(system, pi.points, lam)
         if got is not None:
             return got
     raise ValueError("no separating linear form found")
 
 
-def _shape_count(system: list[dict], zeros: list[Fraction], lam: int) -> int | None:
+def _shape_count(system: list[dict], points: tuple[Fraction, ...], lam: int) -> int | None:
     """Distinct good points of a zero-dimensional system via a shape-position
     eliminant in the separating form t = a_{l-1} + lam * (a_0 + 2 a_1 + ...).
 
     `system` holds integer polynomials in a_0..a_{l-1}, t that do not
     involve t; shape position is read off exponent vectors.  Once every a_i
     is g_i(t) modulo the eliminant, the bad locus is taken in Q[t]: the
-    discriminant of y_t = x^l + g_{l-1}(t) x^{l-1} + ... + g_0(t), times
-    y_t(z) at each z in `zeros`, each product reduced modulo the eliminant.
+    product of y_t(z) = z^l + g_{l-1}(t) z^{l-1} + ... + g_0(t) over the z
+    in `points`, each product reduced modulo the eliminant (why this is the
+    bad locus: see `count_critical_sl2`).
     """
     l = len(next(iter(system[0]))) - 1
     one, a = (0,) * (l + 1), _variables(l)
@@ -340,8 +325,8 @@ def _shape_count(system: list[dict], zeros: list[Fraction], lam: int) -> int | N
     if len(subs) != l:
         return None
     c = [subs[i] for i in range(l)] + [ONE]
-    bad_t = _discriminant(c) % elim
-    for z in zeros:
+    bad_t = ONE
+    for z in points:
         bad_t = bad_t * sum((ci * z**i for i, ci in enumerate(c)), ZERO) % elim
     elim_sf = elim.exact_div(gcd(elim, elim.deriv()))
     return elim_sf.degree - gcd(elim_sf, bad_t).degree

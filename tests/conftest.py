@@ -1,4 +1,3 @@
-import math
 import random
 import sys
 from fractions import Fraction
@@ -31,16 +30,6 @@ A3W_686 = tuple(Poly.from_text(t) for t in (
 def divided_wronskian(us, ts):
     """Wronskian of us divided exactly by prod_{j<i} T_j^(i-j), i = len(us)."""
     return divided_wronskians(us, [(1 << len(us)) - 1], ts)[0]
-
-
-def substituted(bad):
-    """A stand-in for `schubert._discriminant` that returns a fixed bad locus:
-    the integer polynomial `bad` of `schubert`, {exponents of a_0..a_{l-1},
-    t: int} free of t, at a_i = c_i, monomial by monomial."""
-    def at(c):
-        return sum((n * math.prod((c[i] ** e for i, e in enumerate(m[:-1]) if e), start=ONE)
-                    for m, n in bad.items()), ZERO)
-    return at
 
 
 def seeded_points(rng, n):

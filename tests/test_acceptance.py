@@ -4,12 +4,14 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from critpop.bc import bc_critical_test, bc_fundamental_space, bc_population_as_isotropic_flags
 from critpop.cli import main as cli_main
 from critpop.core import (
+    degree_vector,
     heine_stieltjes_test,
     is_generic,
     monic_tuple,
@@ -27,7 +29,8 @@ from critpop.fundamental import (
     verify_dp,
 )
 from critpop.poly import ONE, Poly, identity_suite, poly_sqrt
-from critpop.reproduction import explore_population, is_fertile, weyl_degree_map
+from critpop.reproduction import (explore_population, immediate_descendants, is_fertile,
+                                  weyl_degree_map)
 from critpop.roots import dominant_representative
 from critpop.schubert import lr_expand, population_count_report
 from critpop.selfduality import is_isotropic, quasi_witt_basis
@@ -40,16 +43,30 @@ def report(num, name, ok):
     assert ok, f"criterion {num} ({name}) failed"
 
 
+def top_cell_samples(pi, atlas, cs):
+    """Members of the atlas's top degree vector drawn from the family of an
+    edge into it, `immediate_descendants(...).member(c)` at each c in `cs`,
+    made monic; the generic ones of that degree are kept."""
+    top = max(atlas.members)
+    src, i = min((a, i) for a, i, b in atlas.edges if b == top)
+    y = atlas.members[src].tuple_y
+    fam = immediate_descendants(pi, y, i)
+    out = []
+    for c in cs:
+        cand = monic_tuple(y[:i] + (fam.member(Fraction(c)),) + y[i + 1:])
+        if degree_vector(cand) == top and is_generic(pi, cand)[0]:
+            out.append(cand)
+    return out
+
+
 def test_01_sl3_golden():
     t0 = time.time()
     pi = instance("A2")
     atlas = explore_population(pi, (ONE, ONE), 2)
     ok = set(atlas.members) == {(0, 0), (1, 0), (0, 1), (1, 2), (2, 1), (2, 2)}
     # every sampled degree-(2,2) member satisfies the displayed relation
-    samples = [atlas.members[(2, 2)].tuple_y]
-    for _ in range(3):
-        other = explore_population(pi, (ONE, ONE), 2)
-        samples.append(other.members[(2, 2)].tuple_y)
+    samples = [atlas.members[(2, 2)].tuple_y, *top_cell_samples(pi, atlas, (1, 2, -3))]
+    ok = ok and len(set(samples)) == len(samples) == 4
     for y1, y2 in samples:
         ok = ok and y1[1] * y2[1] == 2 * y1[0] * y2[2] + 2 * y1[2] * y2[0]
     elapsed = time.time() - t0
@@ -105,25 +122,13 @@ def _population_battery():
 def test_04_dp_invariance():
     ok = True
     for pi, atlas in _population_battery():
-        spaces = []
-        member_for_op = None
-        for member in atlas.members.values():
-            if not member.generic:
-                continue
-            spaces.append(fundamental_space(pi, member.tuple_y))
-            member_for_op = member.tuple_y
-        extra = 0
-        if len(spaces) < 5:
-            # resample extra members of the top cell to reach five
-            top = max(atlas.members)
-            for _ in range(3):
-                alt = explore_population(pi, next(iter(atlas.members.values())).tuple_y,
-                                         max(max(l) for l in atlas.members))
-                m = alt.members[top]
-                if m.generic:
-                    spaces.append(fundamental_space(pi, m.tuple_y))
-                    extra += 1
-        ok = ok and len(spaces) >= 5
+        members = [m.tuple_y for m in atlas.members.values() if m.generic]
+        member_for_op = members[-1]
+        if len(members) < 5:
+            # sample distinct extra members of the top cell to reach five
+            members += top_cell_samples(pi, atlas, (2, 3, -2, 5))
+        ok = ok and len(set(members)) == len(members) >= 5
+        spaces = [fundamental_space(pi, y) for y in members]
         ok = ok and len(set(spaces)) == 1 and verify_dp(pi, spaces[0], member_for_op)
     report(4, "fundamental space independent of the member (>=5 each)", ok)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpop
-from critpop import cli, core, fundamental, poly, reproduction, roots, selfduality
+from critpop import bc, cli, core, fundamental, poly, reproduction, roots, selfduality
 from critpop.cli import main
 from critpop.poly import ONE, Poly
 from conftest import count_calls
@@ -327,6 +327,26 @@ class TestSelfdual:
         assert run(["selfdual", "--config", cfg, "--samples", "5"]) == 0
         assert calls and len(calls) == len(set(calls))
 
+    @pytest.mark.parametrize("code, digest", [("B2", "9d297736fa8d5654"),
+                                              ("C2", "def2c4b089bf7450"),
+                                              ("B3", "8778364c963d12b3")], ids=["B2", "C2", "B3"])
+    def test_sampler_start_flag(self, tmp_path, monkeypatch, capsys, code, digest):
+        """The tuples the B/C sampler pushes through the generating morphism
+        in a seed-0 `selfdual --samples 5` run: they depend on the flag the
+        sweeps start from, which the printed report does not show.  The
+        digest is the first 16 hex digits of the SHA-256 of their text, one
+        tuple a line."""
+        cfg = write_cfg(tmp_path, f"{code}.json", {"root_system": code, "weights": [],
+                                                   "points": []})
+        sampled = []
+        morphism = bc.generating_morphism
+        monkeypatch.setattr(bc, "generating_morphism",
+                            lambda *args: sampled.append(morphism(*args)) or sampled[-1])
+        assert run(["selfdual", "--config", cfg, "--samples", "5", "--seed", "0"]) == 0
+        text = "".join(" | ".join(p.to_text() for p in tup) + "\n" for tup in sampled)
+        assert len(sampled) >= 5
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("name, cfg, digest", STRESS, ids=[job[0] for job in STRESS])
     def test_rank_four_stress_output(self, tmp_path, name, cfg, digest):
         """`--samples 5` on the stress instances in a fresh interpreter prints
@@ -415,8 +435,9 @@ class TestCount:
 
     def test_high_degree_count(self, tmp_path):
         """A1 [[8],[8]] at 0,1 with the default --max-degree 8 counts every
-        degree up to l = 8 within the timeout: the bad locus is taken in
-        Q[t], never expanded over the coefficients of the candidate."""
+        degree up to l = 8 within the timeout, one critical polynomial each:
+        the bad locus is y at the two marked points, taken in Q[t] and never
+        expanded over the coefficients of the candidate."""
         cfg = write_cfg(tmp_path, "count.json",
                         {"root_system": "A1", "weights": [[8], [8]], "points": ["0", "1"]})
         src = str(Path(critpop.__file__).resolve().parents[1])
@@ -424,9 +445,8 @@ class TestCount:
         proc = subprocess.run([sys.executable, "-m", "critpop.cli", "count", "--config", cfg],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert len(lines) == 9 and all(
-            s.startswith(f"[estimate] l={l}: ") and s.endswith(" : PASS") for l, s in enumerate(lines))
+        assert proc.stdout.splitlines() == [
+            f"[estimate] l={l}: exact 1 <= bound 1 : PASS" for l in range(9)]
 
     def test_huge_max_degree(self, tmp_path):
         """The rank-1 loop stops at the first negative weight, so its time

@@ -6,7 +6,9 @@ an attribute (`x.name`): a bare local name that happens to match it is no
 use of it.  Test-only helpers live in `tests/`.  Every name a module
 imports is read in it, except the re-exports of `__init__.py`, and every
 parameter of a function or method is read in its body, except `self` and
-the parameters of dunder methods, whose signatures Python fixes."""
+the parameters of dunder methods, whose signatures Python fixes.  Every
+top-level function of `tests/conftest.py`, fixtures included, is read by a
+test module or by a conftest function that one reads."""
 
 import ast
 from pathlib import Path
@@ -155,3 +157,49 @@ def test_guard_sees_an_unread_parameter():
     # a default or an annotation is no read, and a write is none either
     tree = ast.parse("def f(a: int = 0, b=None):\n    b = a\n    return a\n")
     assert unread_parameters(tree, "m") == ["m.f.b"]
+
+
+def names_read(nodes) -> set[str]:
+    """Names loaded, attributes read and parameters named in `nodes`: a
+    test reads a fixture by naming it as a parameter."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.arg):
+                out.add(n.arg)
+    return out
+
+
+def unread_conftest(conftest: ast.Module, modules: list[ast.Module]) -> list[str]:
+    """The top-level functions and classes of `conftest` that no module of
+    `modules` reads, neither directly nor through a conftest definition
+    that is read, nor through conftest's own top-level statements."""
+    defs = {node.name: node for node in conftest.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    read = names_read(modules) | names_read(n for n in conftest.body if n not in defs.values())
+    todo = list(read & defs.keys())
+    while todo:
+        new = names_read([defs[todo.pop()]]) & defs.keys() - read
+        read |= new
+        todo += new
+    return sorted(defs.keys() - read)
+
+
+def test_every_conftest_function_is_read():
+    tests = ROOT / "tests"
+    modules = [ast.parse(p.read_text()) for p in sorted(tests.glob("test_*.py"))]
+    assert unread_conftest(ast.parse((tests / "conftest.py").read_text()), modules) == []
+
+
+def test_guard_sees_an_unread_conftest_function():
+    conftest = ast.parse("import pytest\n\ndef substituted(bad):\n    return bad\n\n"
+                         "def helper(n):\n    return n\n\ndef used(n):\n    return helper(n)\n\n"
+                         "def built(n):\n    return n\n\nK = built(1)\n\n"
+                         "@pytest.fixture\ndef rng():\n    return 0\n\n"
+                         "@pytest.fixture\ndef unused_fixture():\n    return 0\n")
+    module = ast.parse("from conftest import used\n\ndef test_a(rng):\n    assert used(rng) == 0\n")
+    assert unread_conftest(conftest, [module]) == ["substituted", "unused_fixture"]

@@ -16,7 +16,7 @@ from critpop.errors import CritpopError
 from critpop.fundamental import (exponents, fundamental_space, schubert_index_finite,
                                  schubert_index_infinity)
 from critpop.core import weight_at_infinity
-from critpop.poly import ONE, ZERO, Poly
+from critpop.poly import ONE, Poly
 from critpop.reproduction import explore_population
 from critpop.roots import dominant_representative
 from critpop.schubert import (
@@ -26,7 +26,7 @@ from critpop.schubert import (
     population_count_report,
     weight_to_partition,
 )
-from conftest import A3W, hook_content_dim, instance, seeded_points, substituted
+from conftest import A3W, hook_content_dim, instance, seeded_points
 
 
 # Test-only entry points: the ramification dictionaries (checked against
@@ -308,10 +308,18 @@ def expr_shape_count(system, coeffs, bad, lam, expand=False):
     return elim_sf.degree() - elim_sf.gcd(bad_t).degree()
 
 
+def sympy_bad_locus(coeffs, points):
+    """sympy's discriminant of y = x^l + a_{l-1} x^{l-1} + ... + a_0 in x,
+    times y at each of `points`."""
+    x = sympy.Symbol("x")
+    y = x**len(coeffs) + sum(c * x**i for i, c in enumerate(coeffs))
+    return sympy.discriminant(y, x) * sympy.prod([y.subs(x, sympy.Rational(z)) for z in points])
+
+
 @pytest.fixture
 def shape_log(monkeypatch):
     """Runs `_shape_count` and the expanding reference, on the expressions
-    of its system and of sympy's discriminant times y at its `zeros`, on
+    of its system and of sympy's discriminant times y at its `points`, on
     every separating form the count tries, asserts they agree, and logs
     (arguments, result).  The wrapper's `__wrapped__` is the unwrapped
     `_shape_count`."""
@@ -319,14 +327,13 @@ def shape_log(monkeypatch):
     new = schubert._shape_count
 
     @functools.wraps(new)
-    def both(system, zeros, lam):
-        got = new(system, zeros, lam)
-        coeffs, x = gens_of(len(next(iter(system[0]))) - 1)[:-1], sympy.Symbol("x")
-        y = x**len(coeffs) + sum(c * x**i for i, c in enumerate(coeffs))
-        bad = sympy.discriminant(y, x) * sympy.prod([y.subs(x, sympy.Rational(z)) for z in zeros])
+    def both(system, points, lam):
+        got = new(system, points, lam)
+        coeffs = gens_of(len(next(iter(system[0]))) - 1)[:-1]
+        bad = sympy_bad_locus(coeffs, points)
         exprs = [as_expr(p) for p in system]
         assert got == expr_shape_count(exprs, coeffs, bad, lam, expand=True), lam
-        log.append(((system, zeros, lam), got))
+        log.append(((system, points, lam), got))
         return got
 
     monkeypatch.setattr(schubert, "_shape_count", both)
@@ -566,23 +573,8 @@ def integer_systems(draw):
     return n, draw(st.lists(poly, min_size=1, max_size=3))
 
 
-@st.composite
-def monic_in_t(draw):
-    """[c_0, ..., c_{l-1}, 1] for l = 1..5: the coefficients of a monic y in
-    Q[t][x], each c_i of degree <= 2 in t with coefficients in -3..3 over 1
-    or 2."""
-    l = draw(st.integers(1, 5))
-    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
-    return draw(st.lists(st.lists(coeff, max_size=3).map(Poly), min_size=l, max_size=l)) + [ONE]
-
-
-def as_t_expr(p, t):
-    """The sympy expression of a `Poly` in the symbol t."""
-    return sum((sympy.Rational(p[k]) * t**k for k in range(len(p.num))), sympy.S(0))
-
-
 class TestIntegerBasis:
-    """The count's private Groebner basis and discriminant against sympy's."""
+    """The count's private Groebner basis against sympy's."""
 
     @settings(deadline=None, max_examples=80)
     @given(integer_systems())
@@ -594,23 +586,6 @@ class TestIntegerBasis:
         gens = sympy.symbols(f"v0:{n}")
         want = sympy.groebner([as_expr(p, gens) for p in polys], *gens, order="lex")
         assert schubert._groebner(polys) == [primitive_terms(e, gens) for e in want.exprs]
-
-    @settings(deadline=None)
-    @given(monic_in_t())
-    # y = (x - t)^2 (x + 1) has a double root for every t
-    @example([Poly([0, 0, 1]), Poly([0, -2, 1]), Poly([1, -2]), ONE])
-    @example([ZERO, ZERO, ZERO, ONE])  # y = x^3: column 3 has no pivot
-    @example([ZERO, Poly([0, 1]), ZERO, ONE])  # y = x^3 + t x: -4 t^3, with a row swap
-    @example([Poly([3, -1, 1]), ONE])  # l = 1: a constant
-    def test_discriminant_matches_sympy(self, c):
-        """Res_x(y, y') over Q[t] is sympy's disc(y) up to a nonzero rational
-        factor, and ZERO exactly where sympy's is 0."""
-        x, t = sympy.symbols("x t")
-        y = sum(as_t_expr(p, t) * x**i for i, p in enumerate(c))
-        want = sympy.Poly(sympy.discriminant(y, x), t, domain=sympy.QQ)
-        got = sympy.Poly(as_t_expr(schubert._discriminant(c), t), t, domain=sympy.QQ)
-        assert got.is_zero == want.is_zero
-        assert got * want.LC() == want * got.LC()
 
 
 class TestExactCounts:
@@ -696,23 +671,27 @@ class TestExactCounts:
         assert sum(c for _, c in checked) == 59
 
     def test_zero_weight_points(self):
-        """y at a marked point of weight 0 stays in the bad locus: with the
-        discriminant alone these counts read 2, 3 and 6."""
+        """y at a marked point of weight 0 stays in the bad locus: with y at
+        the points of nonzero weight alone, which has the zeros of the
+        discriminant, these counts read 2, 3 and 6."""
         pi = instance("A1", [(2,), (1,), (0,)], ["0", "1", "3"])
         assert count_critical_sl2(pi, 1) == 1
         pi = instance("A1", [(1,)] * 4 + [(0,)], ["0", "1", "3", "-2", "1/2"])
         assert [count_critical_sl2(pi, l) for l in (1, 2)] == [2, 2]
 
     def test_matches_full_product_bad_locus(self, monkeypatch):
-        """Passing every marked point as `zeros`, so that the bad locus is
-        the discriminant times y at every marked point, changes no count on
-        any separating form tried: a seeded A1 battery of 2-5 points with
+        """The bad locus y at every marked point gives the count of sympy's
+        discriminant of y times y at the points of weight 0 on every
+        separating form tried: a seeded A1 battery of 2-5 points with
         weights 0-2, l <= 2."""
         new, tried = schubert._shape_count, []
 
-        def both(system, zeros, lam):
-            got = new(system, zeros, lam)
-            assert new(system, list(pi.points), lam) == got, (pi, l, lam)
+        def both(system, points, lam):
+            got = new(system, points, lam)
+            coeffs = gens_of(len(next(iter(system[0]))) - 1)[:-1]
+            bad = sympy_bad_locus(coeffs, [z for w, z in zip(pi.weights, points) if not w[0]])
+            exprs = [as_expr(p) for p in system]
+            assert got == expr_shape_count(exprs, coeffs, bad, lam), (pi, l, lam)
             tried.append(got)
             return got
 
@@ -727,19 +706,19 @@ class TestExactCounts:
         assert len(tried) >= len(counts) == 26
         assert sum(zero for _, zero in counts) == 17 and sum(c for c, _ in counts) == 52
 
-    def test_repeated_eliminant_root(self, shape_log, monkeypatch):
+    def test_repeated_eliminant_root(self, shape_log):
         # the eliminant (t+2)^2 (t+4) is not squarefree, and the bad locus
         # vanishes at both of its roots
         pi = instance("A1", [(3,), (1,), (1,)], ["0", "1", "2"])
         assert count_critical_sl2(pi, 2) == 0
         assert [(args[2], got) for args, got in shape_log] == [(0, 0)]
-        # other bad loci on the same system: a root is counted once, and
-        # removed once it is bad (at lam = 0 the separating form is a1)
-        system, zeros, _ = shape_log[0][0]
-        one, a1 = (0, 0, 0), (0, 1, 0)
-        for bad, want in (({one: 1}, 2), ({a1: 1, one: 2}, 1), ({a1: 1, one: 4}, 1)):
-            monkeypatch.setattr(schubert, "_discriminant", substituted(bad))
-            assert schubert._shape_count.__wrapped__(system, zeros, 0) == want
+        # fewer points on the same system: a root is counted once, and
+        # removed once y vanishes at one of the points there
+        system, points, _ = shape_log[0][0]
+        assert points == pi.points
+        for some, want in (([], 2), ([1], 1), ([2], 1), ([0, 1, 2], 0)):
+            some = tuple(Fraction(z) for z in some)
+            assert schubert._shape_count.__wrapped__(system, some, 0) == want
 
     def test_separating_form_retry(self, shape_log):
         # lam = 0, 1, 2 do not separate the points, so lam = 3 is used
