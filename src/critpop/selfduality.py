@@ -25,99 +25,22 @@ and reads its anti-diagonal values g_j once.  A generator move
 (`IsotropicFamily.deformed_basis`) keeps the basis anti-diagonal with the
 same g_j, so they are carried from move to move and a move evaluates no
 form; `space.member` makes polynomials only where a Wronskian needs them.
-Witt normalization is attempted over Q and over a single quadratic
-extension; otherwise the basis is reported as quasi-Witt with its mirror
-ratios.
+Witt normalization is attempted over Q.  Where its scalars are not
+rational, the basis is reported as quasi-Witt with its mirror ratios, and
+the status names the one case (dimension 6) in which they lie in a single
+quadratic extension.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, prod
+from math import prod
 from operator import mul
 from typing import NamedTuple
 
 from .errors import ConstructionFailed, NotConstant, NotSelfdual
 from .fundamental import PolySpace
 from .poly import ZERO, Poly, QVec, _qvec, divided_wronskians, solve_combination
-
-
-# -- scalars in a quadratic extension -----------------------------------------
-
-
-class QuadExt:
-    """a + b*sqrt(d) with rational a, b and integer d not a perfect square."""
-
-    def __init__(self, a: Fraction, b: Fraction, d: int):
-        self.a, self.b, self.d = a, b, d
-
-    def __eq__(self, other):
-        return type(other) is QuadExt and (self.a, self.b, self.d) == (other.a, other.b, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.d))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(self.a * other, self.b * other, self.d)
-        assert self.d == other.d
-        return QuadExt(
-            self.a * other.a + self.b * other.b * self.d,
-            self.a * other.b + self.b * other.a,
-            self.d,
-        )
-
-    __rmul__ = __mul__
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __repr__(self):
-        return f"({self.a}+{self.b}*sqrt({self.d}))"
-
-
-def sqrt_scalar(q: Fraction):
-    """Exact sqrt of a nonzero rational: Fraction when perfect, else QuadExt."""
-    if q == 0:
-        return Fraction(0)
-    sign = 1 if q > 0 else -1
-    mag = abs(q)
-    n, d = mag.numerator, mag.denominator
-    sn, sd = isqrt(n), isqrt(d)
-    if sign == 1 and sn * sn == n and sd * sd == d:
-        return Fraction(sn, sd)
-    # sqrt(q) = sqrt(sign * n * d) / d
-    return QuadExt(Fraction(0), Fraction(1, d), sign * n * d)
-
-
-def nth_root_scalar(q: Fraction, e: int) -> Fraction | None:
-    """Exact rational e-th root of q, if one exists."""
-    if e == 0:
-        return Fraction(1) if q == 1 else None
-    if e == 1:
-        return q
-    sign = 1
-    if q < 0:
-        if e % 2 == 0:
-            return None
-        sign, q = -1, -q
-
-    rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
-    if rn**e != q.numerator or rd**e != q.denominator:
-        return None
-    return sign * Fraction(rn, rd)
-
-
-def _iroot(m: int, e: int) -> int:
-    """floor(m^(1/e)) for m >= 0 by integer Newton steps, as math.isqrt does."""
-    if m < 2:
-        return m
-    x = 1 << -(-m.bit_length() // e)  # 2^ceil(bits/e) exceeds the root
-    while True:
-        y = ((e - 1) * x + m // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
 
 
 # -- canonical bilinear form ---------------------------------------------------
@@ -243,23 +166,25 @@ class QuasiWittResult(NamedTuple):
     the sampler; `sd.space.member` maps `base` back to polynomials."""
 
     ratios: tuple[Fraction, ...]  # a_i with W+(q_1..q_i) = a_i W+(q_1..q_{N+1-i})
-    witt_scalars: tuple | None  # Fraction or QuadExt per q_i
+    witt_scalars: tuple[Fraction, ...] | None  # rational beta_i per q_i, if they exist
     base: list  # coordinate vectors of q_1..q_{N+1}
     g: QVec  # g_j = (q_j, q_{N+2-j})
 
     @property
     def status(self) -> str:
-        if self.witt_scalars is None:
-            return "quasi"
-        if any(isinstance(s, QuadExt) and not s.is_rational() for s in self.witt_scalars):
-            return "witt-quadratic"
-        return "witt"
+        """`witt` when the Witt scalars are rational.  Otherwise B^e has a
+        nonzero right-hand side with no rational root (see `_witt_scalars`):
+        in dimension 6, the one dimension with e = 2, B lies in Q(sqrt d)
+        and the status is `witt-quadratic`; elsewhere it is `quasi`."""
+        if self.witt_scalars is not None:
+            return "witt"
+        return "witt-quadratic" if len(self.base) == 6 else "quasi"
 
 
 def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     """Decreasing-degree basis satisfying the mirrored relation
-    W+(q_1..q_i) = a_i W+(q_1..q_{N+1-i}), plus opportunistic exact Witt
-    normalization over Q or one quadratic extension.
+    W+(q_1..q_i) = a_i W+(q_1..q_{N+1-i}), plus exact Witt normalization
+    when its scalars are rational.
 
     The basis is the anti-diagonalized degree flag, highest degree first:
     every element pairs to zero with everything except its mirror partner,
@@ -292,36 +217,66 @@ def quasi_witt_basis(sd: SelfdualSpace) -> QuasiWittResult:
     for i in range(n1):
         if gammas[i] != gammas[n1 - 1 - i]:
             raise ConstructionFailed("asymmetric Witt constants")
-    scalars = _witt_scalars(gammas)
-    return QuasiWittResult(tuple(ratios), None if scalars is None else tuple(scalars),
-                           u[::-1], QVec(g.num[::-1], g.den))
+    return QuasiWittResult(tuple(ratios), _witt_scalars(gammas), u[::-1],
+                           QVec(g.num[::-1], g.den))
 
 
-def _witt_scalars(gammas: list[Fraction]):
-    """beta_i beta_{N+2-i} = B gamma_i with prod beta_j = B.
+def _witt_scalars(gammas: list[Fraction]) -> tuple[Fraction, ...] | None:
+    """Rational beta_i with beta_i beta_{N+2-i} = B gamma_i and
+    prod beta_j = B, or None.
 
-    Setting beta_i = 1 on the first half forces B^(k-1) = 1/prod_{i<=k}
-    gamma_i in even dimension 2k and B^(2k-1) = 1/prod_all gamma_i in odd
-    dimension 2k+1; the remaining scalars follow rationally from B, the
-    odd middle one last.  A square root outside Q is taken in Q(sqrt d).
+    Setting beta_i = 1 on the first half forces B^e = 1/prod_{i<=k} gamma_i
+    with e = k-1 in even dimension 2k and B^e = 1/prod_all gamma_i with
+    e = 2k-1 in odd dimension 2k+1; the remaining scalars follow rationally
+    from B, the odd middle one last.  None when B has no rational root.
+    The right-hand side is never 0, and e = 2 only in dimension 6 (2k-1 is
+    odd), so there a None means B is a square root outside Q.
     """
     n1 = len(gammas)
     k = n1 // 2
     e = k - 1 if n1 % 2 == 0 else 2 * k - 1
     rhs = Fraction(1) / prod(gammas if n1 % 2 else gammas[:k])
     b = nth_root_scalar(rhs, e)
-    if b is None and e == 2:
-        b = sqrt_scalar(rhs)
     if b is None:
         return None
-    betas: list = [Fraction(1)] * n1
+    betas = [Fraction(1)] * n1
     for i in range(k):
         betas[n1 - 1 - i] = b * gammas[i]
     if n1 % 2:
         betas[k] = b / prod(betas[:k] + betas[k + 1:])
         if betas[k] ** 2 != b * gammas[k]:
             raise ConstructionFailed("middle Witt scalar inconsistent")
-    return betas
+    return tuple(betas)
+
+
+def nth_root_scalar(q: Fraction, e: int) -> Fraction | None:
+    """Exact rational e-th root of q, if one exists."""
+    if e == 0:
+        return Fraction(1) if q == 1 else None
+    if e == 1:
+        return q
+    sign = 1
+    if q < 0:
+        if e % 2 == 0:
+            return None
+        sign, q = -1, -q
+
+    rn, rd = _iroot(q.numerator, e), _iroot(q.denominator, e)
+    if rn**e != q.numerator or rd**e != q.denominator:
+        return None
+    return sign * Fraction(rn, rd)
+
+
+def _iroot(m: int, e: int) -> int:
+    """floor(m^(1/e)) for m >= 0 by integer Newton steps, as math.isqrt does."""
+    if m < 2:
+        return m
+    x = 1 << -(-m.bit_length() // e)  # 2^ceil(bits/e) exceeds the root
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 # -- isotropic one-parameter generators -----------------------------------------

@@ -429,12 +429,6 @@ def is_selfdual(space, framing):
         return False
 
 
-def quad_square(q):
-    """q * q for a `QuadExt` q, as a Fraction when it is rational, else None."""
-    sq = q * q
-    return sq.a if sq.b == 0 else None
-
-
 def _omit(items, i):
     return [items[k] for k in range(len(items)) if k != i]
 

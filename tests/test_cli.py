@@ -312,6 +312,21 @@ class TestSelfdual:
             assert line in out
         assert not calls
 
+    @pytest.mark.parametrize("cfg, digest", [
+        ({"root_system": "A5", "weights": [], "points": []}, "41dc4294cc8c0d38"),
+        ({"root_system": "A5", "weights": [[0, 1, 0, 1, 0], [1, 0, 0, 0, 1]],
+          "points": ["0", "-1"]}, "faf54769b275e634"),
+    ], ids=["A5", "A5w"])
+    def test_type_a_dim6_selfdual(self, tmp_path, capsys, cfg, digest):
+        """Dimension 6 is the one dimension where the Witt scalars need a
+        square root: the seed-0 stdout is pinned (first 16 hex digits of its
+        SHA-256), and its `[witt]` line reads `witt`."""
+        assert run(["selfdual", "--config", write_cfg(tmp_path, "a5.json", cfg),
+                    "--seed", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "[witt] normalization status: witt : PASS" in out.splitlines()
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
     def test_type_a_not_selfdual(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "a2w.json",
                         {"root_system": "A2", "weights": [[1, 0]], "points": ["0"]})

@@ -1,17 +1,12 @@
 """Value semantics of the records that caches and span notes key on, and the
-operators and containers of the records that are not tuples."""
-
-from fractions import Fraction
-
-import pytest
+containers of the records that are not tuples."""
 
 from critpop.bc import folded_instance
 from critpop.core import ProblemInstance
 from critpop.poly import Poly
 from critpop.reproduction import PopulationAtlas
 from critpop.roots import RootData, root_data
-from critpop.selfduality import QuadExt
-from conftest import quad_square, span
+from conftest import span
 
 B2_CFG = {"root_system": "B2", "weights": [[1, 0], [0, 1]], "points": ["0", "1/2"]}
 
@@ -47,17 +42,6 @@ def test_root_data_by_value():
     rd = root_data("C3")
     assert_equal_values(rd, RootData(rd.kind, rd.rank, rd.cartan, rd.d))
     assert rd != root_data("B3")
-
-
-def test_quad_ext_products():
-    q = QuadExt(Fraction(1), Fraction(1, 2), 2)
-    assert_equal_values(q, QuadExt(Fraction(1), Fraction(1, 2), 2))
-    assert 2 * q == q * 2 == QuadExt(Fraction(2), Fraction(1), 2)
-    assert q * q == QuadExt(Fraction(3, 2), Fraction(1), 2)
-    assert quad_square(q) is None and quad_square(QuadExt(Fraction(0), Fraction(1), 2)) == 2
-    assert not isinstance(q, tuple) and q != (q.a, q.b, q.d)
-    with pytest.raises(TypeError):
-        q + q
 
 
 def test_population_atlases_share_no_containers():

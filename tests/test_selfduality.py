@@ -15,7 +15,7 @@ from critpop.reproduction import explore_population
 from critpop.errors import NotConstant, NotDivisible, NotSelfdual, SquareRootMissing
 from critpop.selfduality import (
     IsotropicFamily,
-    QuadExt,
+    QuasiWittResult,
     _axpy,
     _witt_scalars,
     SelfdualSpace,
@@ -25,11 +25,10 @@ from critpop.selfduality import (
     isotropic_generators,
     nth_root_scalar,
     quasi_witt_basis,
-    sqrt_scalar,
 )
 from conftest import (_omit, count_calls, divided_wronskian, dual_space, flag_from_basis,
-                      fraction_solve_combination, instance, is_selfdual, quad_square,
-                      seeded_points, span)
+                      fraction_solve_combination, instance, is_selfdual, seeded_points,
+                      span)
 
 
 def qw_basis(sd, qw):
@@ -38,16 +37,12 @@ def qw_basis(sd, qw):
 
 
 def verify_witt(sd, result):
-    """Exact dar-2 check for rational Witt scalars; quadratic scalars were
-    already verified at the scalar level during construction."""
+    """Exact dar-2 check of the Witt basis beta_i q_i: its i-omitted divided
+    Wronskian is its i-th element.  False when there are no Witt scalars,
+    which are rational whenever they exist (status `witt`)."""
     if result.witt_scalars is None:
         return False
-    if any(isinstance(s, QuadExt) and not s.is_rational() for s in result.witt_scalars):
-        return True
-    polys = [
-        (s if isinstance(s, Fraction) else s.a) * p
-        for s, p in zip(result.witt_scalars, qw_basis(sd, result))
-    ]
+    polys = [s * p for s, p in zip(result.witt_scalars, qw_basis(sd, result))]
     n1 = len(polys)
     return all(
         divided_wronskian(_omit(polys, n1 - i), sd.framing) == polys[i - 1]
@@ -173,18 +168,6 @@ V2 = span([Poly([-1, 1]), Poly([0, 0, 1])])
 
 
 class TestScalars:
-    def test_sqrt(self):
-        assert sqrt_scalar(Fraction(9, 4)) == Fraction(3, 2)
-        r = sqrt_scalar(Fraction(2))
-        assert isinstance(r, QuadExt) and quad_square(r) == 2
-        r = sqrt_scalar(Fraction(-4))
-        assert isinstance(r, QuadExt) and quad_square(r) == -4
-        assert quad_square(sqrt_scalar(Fraction(8, 3))) == Fraction(8, 3)
-
-    def test_sqrt_of_large_prime(self):
-        p = 2**127 - 1  # prime: a squarefree split by trial division needs ~2^63 steps
-        assert quad_square(sqrt_scalar(Fraction(p))) == p
-
     def test_nth_root(self):
         assert nth_root_scalar(Fraction(27, 8), 3) == Fraction(3, 2)
         assert nth_root_scalar(Fraction(-27), 3) == -3
@@ -194,11 +177,9 @@ class TestScalars:
     def test_nth_root_beyond_float_range(self):
         assert nth_root_scalar(Fraction(3**699), 3) == 3**233
         assert nth_root_scalar(Fraction(3**700), 3) is None
-
-
-def _pair(s):
-    """A scalar of Q or Q(sqrt d) as (rational part, sqrt part)."""
-    return (s.a, s.b) if isinstance(s, QuadExt) else (s, 0)
+        p = 2**127 - 1  # prime, so it has no rational square root
+        assert nth_root_scalar(Fraction(p), 2) is None
+        assert nth_root_scalar(Fraction(p**2), 2) == p
 
 
 def assert_witt_relations(gammas, betas):
@@ -208,31 +189,35 @@ def assert_witt_relations(gammas, betas):
     for beta in betas:
         big_b = beta * big_b
     for i in range(n1):
-        assert _pair(betas[i] * betas[n1 - 1 - i]) == _pair(big_b * gammas[i])
+        assert betas[i] * betas[n1 - 1 - i] == big_b * gammas[i]
+
+
+def witt_status(gammas, betas):
+    """The status of a quasi-Witt result of dimension len(gammas) with Witt
+    scalars betas; `status` reads nothing else."""
+    return QuasiWittResult((), betas, [None] * len(gammas), None).status
 
 
 class TestWittScalars:
-    @pytest.mark.parametrize("gammas, want", [
-        ((1, 1), (1, 1)),
-        ((2, 2), None),  # B^0 = 1 but 1/gamma_1 = 1/2
-        ((2, 3, 2), (1, Fraction(1, 2), Fraction(1, 6))),  # odd middle scalar
-        ((2, 1, 1, 1, 2), None),  # B^3 = 1/4 has no rational root
-        ((1, 1, 2, 2, 1, 1), (1, 1, 1, QuadExt(Fraction(0), Fraction(1), 2),
-                              QuadExt(Fraction(0), Fraction(1, 2), 2),
-                              QuadExt(Fraction(0), Fraction(1, 2), 2))),  # B^2 = 1/2
-    ], ids=["n2-rational", "n2-none", "n3-middle", "n5-none", "n6-quadratic"])
-    def test_pinned(self, gammas, want):
+    @pytest.mark.parametrize("gammas, want, status", [
+        ((1, 1), (1, 1), "witt"),
+        ((2, 2), None, "quasi"),  # B^0 = 1 but 1/gamma_1 = 1/2
+        ((2, 3, 2), (1, Fraction(1, 2), Fraction(1, 6)), "witt"),  # odd middle scalar
+        ((2, 1, 1, 1, 2), None, "quasi"),  # B^3 = 1/4 has no rational root
+        ((1, 1, 2, 2, 1, 1), None, "witt-quadratic"),  # B^2 = 1/2
+        ((1, 1, -1, -1, 1, 1), None, "witt-quadratic"),  # B^2 = -1
+    ], ids=["n2-rational", "n2-none", "n3-middle", "n5-none", "n6-quadratic", "n6-negative"])
+    def test_pinned(self, gammas, want, status):
         gammas = [Fraction(g) for g in gammas]
         betas = _witt_scalars(gammas)
-        if want is None:
-            assert betas is None
-            return
-        assert tuple(betas) == want
-        assert_witt_relations(gammas, betas)
+        assert betas == want and witt_status(gammas, betas) == status
+        if want is not None:
+            assert_witt_relations(gammas, betas)
 
     def test_seeded_battery(self):
         """Symmetric gamma lists for n1 = 2..7: every result satisfies the
-        relations, and each kind of result occurs."""
+        relations, the scalars are missing at n1 = 6 exactly when B^2 has no
+        rational root, and each kind of result occurs."""
         rng = random.Random(15)
         kinds = set()
         for _ in range(600):
@@ -241,16 +226,14 @@ class TestWittScalars:
                              rng.choice((1, 1, 2, 4, 9))) for _ in range((n1 + 1) // 2)]
             gammas = half + half[: n1 // 2][::-1]
             betas = _witt_scalars(gammas)
-            if betas is None:
-                kinds.add((n1 % 2, "none"))
-                continue
-            quadratic = any(isinstance(b, QuadExt) and not b.is_rational() for b in betas)
-            assert quadratic == (n1 == 6 and nth_root_scalar(1 / (half[0] * half[1] * half[2]),
-                                                             2) is None)
-            kinds.add((n1 % 2, "quadratic" if quadratic else "rational"))
-            assert_witt_relations(gammas, betas)
-        assert kinds == {(0, "none"), (0, "rational"), (0, "quadratic"),
-                         (1, "none"), (1, "rational")}
+            if n1 == 6:
+                assert (betas is None) == (nth_root_scalar(1 / (half[0] * half[1] * half[2]),
+                                                           2) is None)
+            kinds.add((n1 % 2, witt_status(gammas, betas)))
+            if betas is not None:
+                assert_witt_relations(gammas, betas)
+        assert kinds == {(0, "quasi"), (0, "witt"), (0, "witt-quadratic"),
+                         (1, "quasi"), (1, "witt")}
 
 
 class TestFraming:
@@ -453,14 +436,11 @@ class TestQuasiWitt:
         assert is_isotropic(sd, [V2.coords(p) for p in fl])
 
     def test_witt_normalization_exact(self):
-        for n1 in (2, 3, 4, 5):
+        for n1 in range(2, 9):
             V = monomial_space(n1)
-            fr = (ONE,) * (V.dim - 1)
-            sd = SelfdualSpace(V, fr)
+            sd = SelfdualSpace(V, (ONE,) * (V.dim - 1))
             qw = quasi_witt_basis(sd)
-            assert qw.status in ("witt", "witt-quadratic", "quasi")
-            if qw.status == "witt":
-                assert verify_witt(sd, qw)
+            assert qw.status == "witt" and verify_witt(sd, qw)
 
     def test_suf_self_membership(self):
         # a basis with the mirrored relation spans the predicted omitted
@@ -608,10 +588,7 @@ class TestGenerators:
         assert wr.monic() == rhs.monic()
         qw5 = quasi_witt_basis(sd)
         if qw5.status == "witt":
-            polys = [
-                (s if isinstance(s, Fraction) else s.a) * b
-                for s, b in zip(qw5.witt_scalars, qw_basis(sd, qw5))
-            ]
+            polys = [s * b for s, b in zip(qw5.witt_scalars, qw_basis(sd, qw5))]
             wfl = flag_from_basis(V, polys)
             fam_w = isotropic_generators(sd, wfl, 2)
             p2, q2, wr2 = middle_square_data(sd, fam_w)
