@@ -4,27 +4,26 @@ population counts, and exact critical-point counts at rank one.
 LR expansions are computed by explicit lattice-word tableau enumeration;
 the tests cross-check them against a brute-force weight-multiplicity
 oracle (Kostka counts fed through an alternating Weyl sum).  The rank-one
-count reads the distinct critical polynomials off a lex Groebner basis in
-shape position.  It works on integer polynomials over Z (dicts of exponent
-tuples) with a fraction-free Buchberger algorithm.  The bad locus, where
-a critical candidate y has a multiple root or vanishes at a marked point,
-is y at the marked points: a solution of the criterion has exponents 0 and
-m_s + 1 at z_s and none other than 0 and 1 elsewhere.  It is computed once
-the coefficients of y are polynomials in the separating variable t, in
-Q[t] on `Poly`, and reduced modulo the eliminant.  The tests compare the
-count with sympy's Groebner bases and with the bad locus built on sympy's
-discriminant; no module of the library imports sympy.
+count is linear algebra on the Bethe algebra B: the Gaudin operators on
+the singular vectors of the weight at infinity, whose dimension is the LR
+bound, give the criterion's q over B (Mukhin-Tarasov-Varchenko: B is the
+coordinate ring of the intersection of Schubert cells of the paper's last
+theorem).  From q follow the monic y over B, the bad element b = the
+product of y at the marked points, and the count, the rank of the trace
+form Tr(b x x') on B.  Every step works on integer matrices through
+`_zrref`, and three run-time checks guard it (see `count_critical_sl2`).
+The tests compare the count with sympy's Groebner bases; no module of the
+library imports sympy.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as igcd
-from math import perm
-from operator import add, sub
+from math import lcm
+from operator import mul, sub
 
 from .core import ProblemInstance, _lambda_inf
-from .poly import ONE, ZERO, Poly, _zquo, gcd
+from .errors import ConstructionFailed
+from .poly import _zmul, _zquo, _zrref
 from .roots import Weight
 
 Partition = tuple[int, ...]
@@ -116,220 +115,200 @@ def multiplicity_bound(pi_a: ProblemInstance, lam_inf: Weight) -> int:
 
 
 # -- exact rank-one counting ------------------------------------------------------
-# Integer polynomials in Z[a_0, ..., a_{l-1}, t], with x in front while the
-# criterion is built: {exponent tuple: int} with no zero coefficients, {} for
-# zero.  Lex order with x > a_0 > ... > a_{l-1} > t is tuple order, so the
-# leading monomial of p is max(p).
+# A d x d matrix is one row-major list of d*d ints.  The count reads only
+# ranks and vanishing, so every operator below is an integer multiple of the
+# one it stands for.
 
 
-def _variables(l: int) -> list[tuple[int, ...]]:
-    """The exponents of a_0, ..., a_{l-1} and t."""
-    return [(0,) * i + (1,) + (0,) * (l - i) for i in range(l + 1)]
+def _matmul(a: list[int], b: list[int], d: int) -> list[int]:
+    cols = [b[j::d] for j in range(d)]
+    return [sum(map(mul, a[i:i + d], c)) for i in range(0, d * d, d) for c in cols]
 
 
-def _divides(m, n) -> bool:
-    return all(a <= b for a, b in zip(m, n))
+def _singular_q(ms: list[int], lins: list[tuple[int, int]], f: list[int], l: int):
+    """(d, den, qs): d = dim Sing, for the weight-(M - 2l) singular vectors
+    of V_{m_1} x ... x V_{m_n}, and qs[k], k = 0..n-2, the x^k coefficient
+    of 2 den q(x) on Sing, den > 0, for f = prod_s lins[s].
+
+    V_m has the basis v_0..v_m, f v_j = v_{j+1}, e v_j = j(m - j + 1)
+    v_{j-1}, h v_j = (m - 2j) v_j; the weight space has the basis of the j
+    with sum j_s = l.  Sing is the kernel of e = sum_s e_s, one `_zrref`,
+    with a singular vector's entries at the free columns as coordinates
+    (den times the kernel basis is integral).  q is summed in pairs,
+    sum_{s<r} (Omega_sr - m_s m_r/2) f(x)/((x - z_s)(x - z_r)), with
+    Omega_sr = e_s f_r + f_s e_r + h_s h_r/2: 1/((x - z_s)(x - z_r)) =
+    (1/(x - z_s) - 1/(x - z_r))/(z_s - z_r), so no z_s - z_r divides, and
+    the x^(n-1) coefficient sum_s (H_s - c_s) = 0 cancels pair by pair.
+    Over Z, f/((x - z_s)(x - z_r)) is q_s q_r f/(lins[s] lins[r]) for the
+    forms q x - p."""
+    tuples = [()]
+    for m in ms:
+        tuples = [t + (j,) for t in tuples for j in range(min(m, l - sum(t)) + 1)]
+    tuples = [t for t in tuples if sum(t) == l]
+    index = {t: i for i, t in enumerate(tuples)}
+    e_rows: dict = {}
+    for i, t in enumerate(tuples):
+        for s, j in enumerate(t):
+            if j:
+                row = e_rows.setdefault(t[:s] + (j - 1,) + t[s + 1:], [0] * len(tuples))
+                row[i] = j * (ms[s] - j + 1)
+    rows, pivots = _zrref(list(e_rows.values()))
+    free = {c: k for k, c in enumerate(c for c in range(len(tuples)) if c not in pivots)}
+    d, den = len(free), lcm(*(r[p] for r, p in zip(rows, pivots)))
+    basis = [(k, {c: den} | {p: -row[c] * (den // row[p]) for row, p in zip(rows, pivots) if row[c]})
+             for c, k in free.items()]
+    qs = [[0] * (d * d) for _ in range(len(f) - 2)]
+    for s, r in ((s, r) for r in range(len(ms)) for s in range(r)):
+        op = [0] * (d * d)  # (2 Omega_sr - m_s m_r) den on Sing
+        for k, vec in basis:
+            for i, v in vec.items():
+                t = tuples[i]
+                # h_s h_r, and -m_s m_r for the pair's share of c_s and c_r
+                out = [(i, ((ms[s] - 2 * t[s]) * (ms[r] - 2 * t[r]) - ms[s] * ms[r]) * v)]
+                for a, b in ((s, r), (r, s)):  # 2 e_a f_b
+                    if t[a] and t[b] < ms[b]:
+                        u = list(t)
+                        u[a], u[b] = t[a] - 1, t[b] + 1
+                        out.append((index[tuple(u)], 2 * t[a] * (ms[a] - t[a] + 1) * v))
+                for u, w in out:
+                    if u in free:
+                        op[free[u] * d + k] += w
+        coeffs = _zquo(_zquo(f, lins[s]), lins[r])
+        for qk, ck in zip(qs, coeffs):
+            if ck := ck * lins[s][1] * lins[r][1]:
+                qk[:] = [x + ck * y for x, y in zip(qk, op)]
+    return d, den, qs
 
 
-def _add_term_times(p: dict, c: int, d, q: dict):
-    """p += c m q for the monomial m with exponents d, in place."""
-    for m, v in q.items():
-        k = tuple(map(add, m, d))
-        w = p.get(k, 0) + c * v
-        if w:
-            p[k] = w
-        else:
-            p.pop(k, None)
+def _cyclic_words(gens: list[list[int]], d: int) -> list[list[int]]:
+    """Words X_1 = 1, X_2, ... in `gens` (d x d matrices that commute) with
+    X_i v a basis of Q^d for one v = (1, t, ..., t^(d-1)), t < d^2; raises
+    `ConstructionFailed` if there is none.
 
-
-def _mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for d, c in p.items():
-        _add_term_times(out, c, d, q)
-    return out
-
-
-def _normal_form(p: dict, basis: list[tuple[tuple, dict]]) -> dict:
-    """The primitive normal form of p modulo `basis`, pairs (lm(g), g) of
-    primitive polynomials with positive leading coefficients, fraction-free:
-    a term c m with lm(g) | m is cancelled as (lc(g)/k) p - (c/k) (m/lm(g)) g,
-    k = gcd(c, lc(g))."""
-    p, done = dict(p), {}
-    while p:
-        m = max(p)
-        c = p[m]
-        hit = next((h for h in basis if _divides(h[0], m)), None)
-        if hit is None:
-            done[m] = p.pop(m)
-            continue
-        lm, g = hit
-        k = igcd(c, g[lm])
-        if g[lm] != k:
-            s = g[lm] // k
-            p = {n: s * v for n, v in p.items()}
-            done = {n: s * v for n, v in done.items()}
-        _add_term_times(p, -(c // k), tuple(map(sub, m, lm)), g)
-    if done:  # over its content, with a positive leading coefficient
-        g = igcd(*done.values()) if done[max(done)] > 0 else -igcd(*done.values())
-        done = {n: c // g for n, c in done.items()}
-    return done
-
-
-def _groebner(polys: list[dict]) -> list[dict]:
-    """The reduced lex Groebner basis of the ideal of `polys`, each element
-    primitive with a positive leading coefficient, by Buchberger's algorithm
-    with normal selection (smallest lcm first) and the Gebauer-Moller
-    product and chain criteria (J. Symb. Comp. 6 (1988)); [1] for the unit
-    ideal.  The reduced basis over Q is unique, and so is its primitive form."""
-    gs: list[tuple[tuple, dict]] = []  # (lm, g) found; `active` indexes the basis
-    active: list[int] = []
-    pairs: dict[tuple[int, int], tuple] = {}  # (i, j) -> lcm of their leading monomials
-
-    def add(p: dict) -> bool:
-        """Reduce p and, unless it is 0, update the basis and the pairs (a
-        pair is coprime if its lcm has the degree of the product); True once
-        the basis is [1]."""
-        h = _normal_form(p, [gs[i] for i in active])
-        if not h:
-            return False
-        lh = max(h)
-        if not any(lh):
-            gs[:], active[:] = [(lh, h)], [0]
-            return True
-        lms = [gs[g][0] for g in active]
-        new, kept = [(g, lm, tuple(map(max, lh, lm))) for g, lm in zip(active, lms)], []
-        for i, (g, lm, L) in enumerate(new):  # a coprime pair stays here to block others
-            if (sum(L) == sum(lh) + sum(lm)
-                    or not any(_divides(M, L) for *_, M in new[i + 1:] + kept)):
-                kept.append((g, lm, L))
-        for (i, j), L in list(pairs.items()):  # the chain criterion on the old pairs
-            if _divides(lh, L) and all(tuple(map(max, gs[x][0], lh)) != L for x in (i, j)):
-                del pairs[i, j]
-        gs.append((lh, h))
-        pairs.update(((g, len(gs) - 1), L) for g, lm, L in kept if sum(L) != sum(lh) + sum(lm))
-        active[:] = [g for g, lm in zip(active, lms) if not _divides(lh, lm)] + [len(gs) - 1]
-        return False
-
-    if any(add(p) for p in polys if p):
-        return [gs[0][1]]
-    while pairs:
-        (i, j), L = min(pairs.items(), key=lambda kv: kv[::-1])
-        del pairs[i, j]
-        (lf, f), (lg, g) = gs[i], gs[j]
-        k = igcd(f[lf], g[lg])
-        s: dict = {}
-        _add_term_times(s, g[lg] // k, tuple(map(sub, L, lf)), f)
-        _add_term_times(s, -(f[lf] // k), tuple(map(sub, L, lg)), g)
-        if add(s):
-            return [gs[0][1]]
-    basis = [gs[i] for i in active]
-    return sorted((_normal_form(g, [b for b in basis if b[1] is not g]) for _, g in basis),
-                  key=max, reverse=True)
+    Each new X v is some generator times an earlier one; the closure under
+    the generators is the span of every word on v.  If Q^d is a cyclic
+    module of the algebra the generators span, its cyclic vectors are its
+    units: v avoids each of the <= d maximal ideals, proper subspaces that
+    each hold at most d - 1 points of the moment curve (Vandermonde), so
+    one of the first d^2 values of t works."""
+    eye = [int(i % (d + 1) == 0) for i in range(d * d)]
+    for t in range(d * d):
+        vecs, words = [[t**i for i in range(d)]], [eye]
+        echelon = vecs[:]  # the span of vecs, reduced
+        for w, x in zip(vecs, words):  # both grow while the closure runs
+            if len(vecs) == d:
+                return words
+            for gen in gens:
+                u = [sum(map(mul, gen[i:i + d], w)) for i in range(0, d * d, d)]
+                if len(rows := _zrref(echelon + [u])[0]) > len(echelon):
+                    echelon = rows
+                    vecs.append(u)
+                    words.append(_matmul(gen, x, d))
+    raise ConstructionFailed("no cyclic vector: Sing is not the regular module")
 
 
 def count_critical_sl2(pi: ProblemInstance, l: int) -> int:
-    """Exact number of degree-l critical polynomials of a rank-one instance.
+    """Exact number of degree-l critical polynomials of a rank-one instance
+    with weights m_s, for 2l <= M = sum_s m_s: monic y of degree l with
+    simple roots, none at a marked point, that solve f y'' - g y' = q y for
+    a polynomial q, f = prod_s (x - z_s) and g/f = sum_s m_s/(x - z_s) over
+    the points of nonzero weight (as in `core.heine_stieltjes_test`).
 
-    The divisibility criterion is a zero-dimensional polynomial system in
-    the coefficients of a monic degree-l polynomial.  Its lex Groebner
-    basis must be in shape position (true for generic marked points):
-    every coordinate is then a polynomial in the last one, and distinct
-    critical polynomials are counted by gcd arithmetic on the squarefree
-    eliminant, discarding the locus where the candidate has a multiple
-    root or vanishes at a marked point.
+    The theorem relied on (E. Mukhin, V. Tarasov, A. Varchenko, "Schubert
+    calculus and representations of the general linear group", J. Amer.
+    Math. Soc. 22 (2009), 909-940, stated for gl_N): for distinct z_s and
+    polynomial gl_N weights Lambda_s, Lambda, the Bethe algebra acting on
+    the singular vectors of weight Lambda in the tensor product of the
+    V_{Lambda_s}(z_s) is isomorphic to the algebra of functions on the
+    scheme-theoretic intersection of the Schubert cells of N-planes in
+    C[x] with ramification Lambda_s at z_s and Lambda at infinity; a point
+    is the kernel of the universal differential operator there.  Here
+    N = 2, Lambda_s = (m_s, 0) and Lambda = (M - l, l): the singular vectors
+    are Sing, the kernel of e = sum_s e_s on the sl2 weight space of weight
+    M - 2l, and the algebra B is generated by 1 and the Gaudin operators
+    H_s = sum_{r != s} Omega_sr/(z_s - z_r).  With c_s = sum_{r != s}
+    m_s m_r/(2 (z_s - z_r)), the universal operator is d^2 - (g/f) d - q/f
+    for q(x) = sum_s (H_s - c_s) f(x)/(x - z_s): on a Bethe vector,
+    H_s - c_s = -m_s y'(z_s)/y(z_s) = q(z_s)/f'(z_s) (Reshetikhin-Varchenko
+    1995).  A point is the plane of a monic y of degree l and a solution of
+    degree M + 1 - l, the intersection of the paper's last theorem, and its
+    y is a critical polynomial exactly where it is good.  Four exact steps:
 
-    The system is built over Z in the integer polynomials above, never in a
-    Fraction: y = x^l + a_{l-1} x^{l-1} + ... + a_0, and the system is read
-    off the remainder of f y'' - g y' by the monic y, with f and g cleared
-    of denominators (each equation changes by one constant factor); f and g
-    are read off the instance's forms q_s x - p_s as in
-    `core.heine_stieltjes_test`.
+    1. Sing and q over B (`_singular_q`).  Check 1: q's x^(n-2)
+       coefficient, sum_{s<r} (Omega_sr - m_s m_r/2) on Sing, is
+       -l(M - l + 1), as the Casimirs of V_(M - 2l) and the V_{m_s} make it
+       and the criterion's top coefficient needs.  Its x^(n-1) coefficient
+       is 0 by the pairing in `_singular_q`.
+    2. y over B, top-down: the x^(k+n-2) coefficient of f y'' - g y' - q y
+       fixes a_k with the pivot I(k) - I(l) = (l - k)(M - l - k + 1) > 0,
+       I(k) = k(k - 1) - Mk; fraction-free, each pivot multiplies the
+       coefficients found so far.  Check 2: the n - 2 equations below
+       x^(n-2) vanish on Sing.
+    3. A basis of B: words in q's coefficients on a vector v
+       (`_cyclic_words`).  Check 3, the certificate: if they span Sing,
+       a -> a v is injective (B is commutative and faithful on Sing), so
+       dim B = dim Sing and Sing is B's regular module, with B's trace.
+    4. b = prod_s y(z_s) over every marked point; points of weight 0 enter
+       only here.  A solution has simple roots off the points of nonzero
+       weight (f != 0 there, and y(x0) = y'(x0) = 0 forces y = 0), and
+       exponents 0 and m_s + 1 at z_s (the indicial equation; Ince,
+       *Ordinary Differential Equations* (1926), ch. XVI), so b vanishes
+       exactly at the bad points.  The count is the number of points of B
+       where b != 0, the rank of Hermite's trace form Tr(b X_i X_j)
+       (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, *Using Algebraic
+       Geometry*, ch. 2 sec. 5): one `_zrref`.
 
-    The bad locus is y(z_s) at every marked point z_s, which `_shape_count`
-    takes in Q[t] after the substitution a_i = g_i(t).  A solution of
-    f y'' - g y' = q y, with f = prod_s (q_s x - p_s) and
-    g/f = sum_s m_s/(x - z_s), has a multiple root exactly where it
-    vanishes at a marked point of nonzero weight.  Off the marked points
-    f != 0, so a root of multiplicity k >= 2 would leave f y'' with order
-    k - 2 at it and g y' - q y with order >= k - 1.  At z_s the exponents
-    of the equation are 0 and m_s + 1, the (Lambda_s + rho, alpha) of rank
-    one (the indicial equation; Ince, *Ordinary Differential Equations*
-    (1926), ch. XVI): a root there has multiplicity m_s + 1.  So the
-    discriminant of y times y at the points of weight 0 vanishes exactly
-    where y does at some marked point.
+    A failed check raises `ConstructionFailed`.
     """
     if pi.rd.rank != 1:
         raise ValueError("exact counting is rank-one only")
+    pts = [(lam[0], lin) for lam, lin in zip(pi.weights, pi.lins) if lam[0]]
+    ms, lins = [m for m, _ in pts], [lin for _, lin in pts]
+    big_m, n = sum(ms), len(pts)
+    if 2 * l > big_m:
+        raise ValueError("exact counting needs 2l <= M")
     if l == 0:
         return 1
-    # y = x^l + sum a_i x^i, f and g over Z in the variables x, a_0..a_{l-1}, t
-    one, a = (0,) * (l + 1), _variables(l)
-    y = {(l, *one): 1} | {(i, *a[i]): 1 for i in range(l)}
-    g = [0] * (len(pi.lin_prod) - 1)
-    for lam, lin in zip(pi.weights, pi.lins):
-        for k, v in enumerate(_zquo(pi.lin_prod, lin)):
-            g[k] += lam[0] * lin[1] * v
-    f, g = ({(k, *one): c for k, c in enumerate(p) if c} for p in (pi.lin_prod, g))
-    dy, ddy = ({(i - k, *m): perm(i, k) * c for (i, *m), c in y.items() if i >= k} for k in (1, 2))
-    rem = _mul(f, ddy)
-    _add_term_times(rem, -1, (0, *one), _mul(g, dy))
-    rem = _normal_form(rem, [(max(y), y)])  # y is monic in x, the first variable
-    system = [p for i in range(l) if (p := {m[1:]: c for m, c in rem.items() if m[0] == i})]
-    if not system:
-        raise ValueError("degenerate criterion system")
-    for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
-        got = _shape_count(system, pi.points, lam)
-        if got is not None:
-            return got
-    raise ValueError("no separating linear form found")
+    f, g = [1], [0] * n
+    for lin in lins:
+        f = _zmul(f, lin)
+    for m, lin in pts:
+        for k, v in enumerate(_zquo(f, lin)):
+            g[k] += m * lin[1] * v
+    d, den, qs = _singular_q(ms, lins, f, l)
+    if not d:
+        return 0
+    eye = [int(i % (d + 1) == 0) for i in range(d * d)]
+    if qs[n - 2] != [-2 * den * f[n] * l * (big_m - l + 1) * x for x in eye]:
+        raise ConstructionFailed("q's x^(n-2) coefficient is not -l(M - l + 1)")
 
+    def at(p: list[int], k: int) -> int:
+        return p[k] if 0 <= k < len(p) else 0
 
-def _shape_count(system: list[dict], points: tuple[Fraction, ...], lam: int) -> int | None:
-    """Distinct good points of a zero-dimensional system via a shape-position
-    eliminant in the separating form t = a_{l-1} + lam * (a_0 + 2 a_1 + ...).
-
-    `system` holds integer polynomials in a_0..a_{l-1}, t that do not
-    involve t; shape position is read off exponent vectors.  Once every a_i
-    is g_i(t) modulo the eliminant, the bad locus is taken in Q[t]: the
-    product of y_t(z) = z^l + g_{l-1}(t) z^{l-1} + ... + g_0(t) over the z
-    in `points`, each product reduced modulo the eliminant (why this is the
-    bad locus: see `count_critical_sl2`).
-    """
-    l = len(next(iter(system[0]))) - 1
-    one, a = (0,) * (l + 1), _variables(l)
-    sep = {a[l]: 1, a[l - 1]: -1} | {a[i]: -lam * (i + 1) for i in range(l - 1) if lam}
-    gb = _groebner([*system, sep])
-    if gb == [{one: 1}]:
-        return 0  # inconsistent system: no critical polynomial of this degree
-    univ = [p for p in gb if not any(any(m[:l]) for m in p)]
-    if len(univ) != 1:
-        return None
-
-    def in_t(p: dict) -> Poly:  # p involves t alone
-        return Poly([p.get((*one[:l], k), 0) for k in range(max((m[l] for m in p), default=0) + 1)])
-
-    elim, subs = in_t(univ[0]), {}
-    for p in gb:
-        if p is univ[0]:
-            continue
-        head = {i for m in p for i in range(l) if m[i]}
-        if len(head) != 1:
-            return None
-        (h,) = head
-        # linear in a_h with a constant coefficient: one term involves a_h,
-        # and it is c a_h
-        lin = [(m, c) for m, c in p.items() if m[h]]
-        if len(lin) != 1 or sum(lin[0][0]) != 1:
-            return None
-        subs[h] = in_t({m: c for m, c in p.items() if not m[h]}) * Fraction(-1, lin[0][1])
-    if len(subs) != l:
-        return None
-    c = [subs[i] for i in range(l)] + [ONE]
-    bad_t = ONE
-    for z in points:
-        bad_t = bad_t * sum((ci * z**i for i, ci in enumerate(c)), ZERO) % elim
-    elim_sf = elim.exact_div(gcd(elim, elim.deriv()))
-    return elim_sf.degree - gcd(elim_sf, bad_t).degree
+    a = {l: eye}  # x^i -> its coefficient in B, times one positive integer
+    for big_n in range(l + n - 3, -1, -1):
+        rest = [0] * (d * d)  # the x^big_n coefficient of 2 den (f y'' - g y' - q y)
+        for i, ai in a.items():
+            if c := 2 * den * (i * (i - 1) * at(f, big_n - i + 2) - i * at(g, big_n - i + 1)):
+                rest = [x + c * y for x, y in zip(rest, ai)]
+            if big_n >= i:
+                rest = list(map(sub, rest, _matmul(qs[big_n - i], ai, d)))
+        k = big_n - n + 2
+        if k >= 0:
+            pivot = 2 * den * f[n] * (l - k) * (big_m - l - k + 1)
+            a = {i: [pivot * x for x in ai] for i, ai in a.items()}
+            a[k] = [-x for x in rest]
+        elif any(rest):
+            raise ConstructionFailed(f"y over the Bethe algebra misses x^{big_n}")
+    words = _cyclic_words(qs[:n - 2], d)
+    entries = list(zip(*(a[k] for k in range(l + 1))))
+    b = eye
+    for p, q in pi.lins:  # q^l y(-p/q) for the form q x + p
+        powers = [(-p) ** k * q ** (l - k) for k in range(l + 1)]
+        b = _matmul(b, [sum(map(mul, powers, e)) for e in entries], d)
+    cols = [[v for j in range(d) for v in x[j::d]] for x in words]  # transposed
+    form = [[sum(map(mul, bx, xt)) for xt in cols] for bx in (_matmul(b, x, d) for x in words)]
+    return len(_zrref(form)[1])
 
 
 def population_count_report(pi: ProblemInstance, l: int):

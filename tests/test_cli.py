@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import critpop
-from critpop import bc, cli, core, fundamental, poly, reproduction, roots, selfduality
+from critpop import bc, cli, core, fundamental, poly, reproduction, roots, schubert, selfduality
 from critpop.cli import main
 from critpop.poly import ONE, Poly
 from conftest import count_calls
@@ -463,6 +463,52 @@ class TestCount:
         assert proc.stdout.splitlines() == [
             f"[estimate] l={l}: exact 1 <= bound 1 : PASS" for l in range(9)]
 
+    def test_six_point_count(self, tmp_path):
+        """A1 [[1]] x 6 at 0,1,3,-2,1/2,5 counts every degree up to l = 3,
+        and each count reaches its bound."""
+        cfg = write_cfg(tmp_path, "count.json", {"root_system": "A1", "weights": [[1]] * 6,
+                                                 "points": ["0", "1", "3", "-2", "1/2", "5"]})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "critpop.cli", "count", "--config", cfg,
+                               "--max-degree", "3"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"[estimate] l={l}: exact {c} <= bound {c} : PASS" for l, c in enumerate((1, 5, 9, 5))]
+
+    def test_four_double_points_digest(self, tmp_path):
+        """The default-degree stdout of A1 [[2]] x 4 at 0,1,3,-2, l <= 4
+        (exact 1, 3, 6, 6, 3, each its bound)."""
+        cfg = write_cfg(tmp_path, "count.json", {"root_system": "A1", "weights": [[2]] * 4,
+                                                 "points": ["0", "1", "3", "-2"]})
+        src = str(Path(critpop.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "critpop.cli", "count", "--config", cfg],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest()[:16] == "7e783e799f8ee814"
+
+    def test_failed_bethe_check(self, tmp_path, capsys, monkeypatch):
+        """A Bethe check that fails ends the run with exit 2 and one
+        `[error] ConstructionFailed` line, with no traceback: here one entry
+        of q's x^0 coefficient is off by one, so y over the Bethe algebra
+        leaves a nonzero equation."""
+        real = schubert._singular_q
+
+        def broken(*args):
+            d, den, qs = real(*args)
+            qs[0][0] += 1
+            return d, den, qs
+
+        monkeypatch.setattr(schubert, "_singular_q", broken)
+        cfg = write_cfg(tmp_path, "count.json", {"root_system": "A1", "weights": [[1]] * 5,
+                                                 "points": ["0", "1", "3", "-2", "1/2"]})
+        assert run(["count", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("[error] ConstructionFailed: y over the Bethe algebra misses x^")
+
     def test_huge_max_degree(self, tmp_path):
         """The rank-1 loop stops at the first negative weight, so its time
         does not grow with the digits of --max-degree."""
@@ -520,7 +566,7 @@ class TestCount:
         assert proc.stdout == "[]\n"
 
     def test_count_builds_no_expressions(self):
-        """The count works on its own integer polynomials: the l = 1, 2 counts
+        """The count works on its own integer matrices: the l = 1, 2 counts
         on A1x5 leave sympy unloaded, and with it sympy.tensor.tensor, which
         the first sum of two sympy expressions imports (in Add.flatten)."""
         src = str(Path(critpop.__file__).resolve().parents[1])
@@ -538,7 +584,8 @@ class TestCount:
 
     @pytest.mark.parametrize("weight", [2, 3])
     def test_sl2_inconsistent_system(self, tmp_path, capsys, weight):
-        # at l = 1 the criterion system has Groebner basis [1]: no critical point
+        # at l = 1 the singular space is 0 (the criterion system has Groebner
+        # basis [1]): no critical point
         cfg = write_cfg(tmp_path, "count.json",
                         {"root_system": "A1", "weights": [[weight]], "points": ["0"]})
         assert run(["count", "--config", cfg, "--max-degree", "3"]) == 0

@@ -3,9 +3,12 @@ the operator of a tuple alone, so it imports nothing from
 `critpop.reproduction`: the reproduction walk stays a client of the type-A
 machinery, never a part of it.  `critpop.selfduality` frames a space by its
 instance's T-polynomials, so it does not import `exponents` to derive a
-framing from the space again."""
+framing from the space again.  The library imports the standard library
+alone, at module level and inside functions: sympy and the other test
+dependencies stay in `tests/`."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "critpop"
@@ -48,3 +51,21 @@ def test_guard_sees_every_import_form():
 
 def test_selfduality_derives_no_framing_from_exponents():
     assert "critpop.fundamental.exponents" not in imported((SRC / "selfduality.py").read_text())
+
+
+def outside_stdlib(source: str) -> set[str]:
+    """The top names of the absolute modules a source imports, anywhere in
+    it, that are neither in the standard library nor `critpop` itself."""
+    return {n.split(".")[0] for n in imported(source)} - set(sys.stdlib_module_names) - {"critpop"}
+
+
+def test_src_imports_the_stdlib_alone():
+    found = {p.name: got for p in sorted(SRC.glob("*.py")) if (got := outside_stdlib(p.read_text()))}
+    assert found == {}
+
+
+def test_stdlib_guard_sees_function_level_imports():
+    source = "import math\nfrom . import poly\n\ndef count():\n    import sympy\n"
+    assert outside_stdlib(source) == {"sympy"}
+    assert outside_stdlib("def f():\n    from numpy.linalg import matrix_rank\n") == {"numpy"}
+    assert outside_stdlib("from .poly import _zrref\nfrom operator import mul\n") == set()

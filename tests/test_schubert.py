@@ -1,18 +1,15 @@
-import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from critpop import schubert
-from critpop.errors import CritpopError
+from critpop.errors import ConstructionFailed, CritpopError
 from critpop.fundamental import (exponents, fundamental_space, schubert_index_finite,
                                  schubert_index_infinity)
 from critpop.core import weight_at_infinity
@@ -129,10 +126,15 @@ def lr_coefficient(lam, mu, nu) -> int:
     return exp.get(tuple(x for x in nu if x), 0)
 
 
+# the separating forms t = a_{l-1} + lam (a_0 + 2 a_1 + ...) the references try
+SEPARATING_FORMS = (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17)
+
+
 def ring_count_critical_sl2(pi, l):
     """Reference for `count_critical_sl2` on sympy's sparse polynomial rings
-    over QQ (`sympy.polys.rings`, `groebnertools.groebner`): the same
-    criterion system, bad locus and separating forms."""
+    over QQ (`sympy.polys.rings`, `groebnertools.groebner`): the criterion
+    system of `expr_count_critical_sl2`, its separating forms, and the bad
+    locus sympy's discriminant of y times y at the points of weight 0."""
     if pi.rd.rank != 1:
         raise ValueError("exact counting is rank-one only")
     if l == 0:
@@ -157,7 +159,7 @@ def ring_count_critical_sl2(pi, l):
     for lam, z in zip(pi.weights, zs):
         if not lam[0]:
             bad *= y.evaluate(x, z)
-    for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
+    for lam in SEPARATING_FORMS:
         got = ring_shape_count(system, bad, lam)
         if got is not None:
             return got
@@ -165,8 +167,8 @@ def ring_count_critical_sl2(pi, l):
 
 
 def ring_shape_count(system, bad, lam: int) -> int | None:
-    """Reference for `schubert._shape_count` in the lex ring
-    QQ[a_0..a_{l-1}, t_sep]: sympy's Groebner basis and QQ[t] arithmetic."""
+    """`expr_shape_count` in the lex ring QQ[a_0..a_{l-1}, t_sep]: sympy's
+    Groebner basis and QQ[t] arithmetic."""
     from sympy.polys.groebnertools import groebner
 
     S = bad.ring
@@ -215,33 +217,18 @@ def ring_shape_count(system, bad, lam: int) -> int | None:
     return elim_sf.degree() - elim_sf.gcd(bad_t).degree()
 
 
-def gens_of(l):
-    """The symbols a_0..a_{l-1}, t_sep of the count's integer polynomials."""
-    return [*sympy.symbols(f"a0:{l}"), sympy.Symbol("t_sep")]
+def sympy_bad_locus(coeffs, points):
+    """sympy's discriminant of y = x^l + a_{l-1} x^{l-1} + ... + a_0 in x,
+    times y at each of `points`."""
+    x = sympy.Symbol("x")
+    y = x**len(coeffs) + sum(c * x**i for i, c in enumerate(coeffs))
+    return sympy.discriminant(y, x) * sympy.prod([y.subs(x, sympy.Rational(z)) for z in points])
 
 
-def as_expr(p, gens=None):
-    """The sympy expression of a nonzero integer polynomial of `schubert`,
-    {exponent tuple: int}, in `gens` (by default a_0..a_{l-1}, t_sep)."""
-    gens = gens or gens_of(len(next(iter(p))) - 1)
-    return sympy.Add(*(c * sympy.Mul(*(v**e for v, e in zip(gens, m))) for m, c in p.items()))
-
-
-def primitive_terms(expr, gens):
-    """{exponent tuple: int} of expr times the rational that makes it
-    primitive over Z with a positive lex-leading coefficient."""
-    terms = {m: Fraction(str(c)) for m, c in sympy.Poly(expr, *gens).as_dict().items()}
-    d = math.lcm(*(c.denominator for c in terms.values()))
-    g = math.gcd(*(int(c * d) for c in terms.values()))
-    g = g if terms[max(terms)] > 0 else -g
-    return {m: int(c * d) // g for m, c in terms.items()}
-
-
-def expr_count_critical_sl2(pi, l):
-    """Reference for `count_critical_sl2`: the same criterion system, bad
-    locus and separating forms, built as sympy expressions."""
-    if l == 0:
-        return 1
+def expr_system(pi, l):
+    """(system, coeffs): the criterion system of a monic y of degree l >= 1
+    as sympy expressions in its coefficients a_0..a_{l-1}, the remainder of
+    f y'' - g y' by y."""
     x = sympy.Symbol("x")
     f = sympy.prod([x - sympy.Rational(z) for z in pi.points])
     g = sympy.S(0)
@@ -253,19 +240,30 @@ def expr_count_critical_sl2(pi, l):
     rem = sympy.rem(num, y, x)
     system = [e for i in range(l)
               if (e := sympy.expand(sympy.Poly(rem, x).coeff_monomial(x**i))) != 0]
-    bad = sympy.discriminant(sympy.Poly(y, x))
-    for z in pi.points:
-        bad = bad * y.subs(x, sympy.Rational(z))
-    for lam in (0, 1, 2, 3, 5, 7, -1, -2, 11, 13, -3, 17):
-        got = expr_shape_count(system, coeffs, sympy.expand(bad), lam)
+    return system, coeffs
+
+
+def expr_count_critical_sl2(pi, l, points=None, expand=False):
+    """Reference for `count_critical_sl2`: `expr_system`, its lex basis in
+    shape position on the first separating form that works, and the bad
+    locus `sympy_bad_locus` at `points` (by default every marked point),
+    reduced modulo the eliminant one product at a time or, with `expand`,
+    expanded first."""
+    if l == 0:
+        return 1
+    system, coeffs = expr_system(pi, l)
+    bad = sympy.expand(sympy_bad_locus(coeffs, pi.points if points is None else points))
+    for lam in SEPARATING_FORMS:
+        got = expr_shape_count(system, coeffs, bad, lam, expand)
         if got is not None:
             return got
     raise ValueError("no separating linear form found")
 
 
 def expr_shape_count(system, coeffs, bad, lam, expand=False):
-    """Reference for `schubert._shape_count` on sympy expressions: the same
-    lex basis and branches.  The bad locus is evaluated in QQ[t] modulo the
+    """The distinct points of `system` off the zeros of `bad`, read off the
+    lex basis in the separating form of `lam`, or None if that basis is not
+    in shape position.  The bad locus is evaluated in QQ[t] modulo the
     eliminant one product at a time or, with `expand`, expanded as an
     expression in t before it is reduced."""
     t = sympy.Symbol("t_sep")
@@ -306,38 +304,6 @@ def expr_shape_count(system, coeffs, bad, lam, expand=False):
         bad_t += term
     elim_sf = elim.sqf_part()
     return elim_sf.degree() - elim_sf.gcd(bad_t).degree()
-
-
-def sympy_bad_locus(coeffs, points):
-    """sympy's discriminant of y = x^l + a_{l-1} x^{l-1} + ... + a_0 in x,
-    times y at each of `points`."""
-    x = sympy.Symbol("x")
-    y = x**len(coeffs) + sum(c * x**i for i, c in enumerate(coeffs))
-    return sympy.discriminant(y, x) * sympy.prod([y.subs(x, sympy.Rational(z)) for z in points])
-
-
-@pytest.fixture
-def shape_log(monkeypatch):
-    """Runs `_shape_count` and the expanding reference, on the expressions
-    of its system and of sympy's discriminant times y at its `points`, on
-    every separating form the count tries, asserts they agree, and logs
-    (arguments, result).  The wrapper's `__wrapped__` is the unwrapped
-    `_shape_count`."""
-    log = []
-    new = schubert._shape_count
-
-    @functools.wraps(new)
-    def both(system, points, lam):
-        got = new(system, points, lam)
-        coeffs = gens_of(len(next(iter(system[0]))) - 1)[:-1]
-        bad = sympy_bad_locus(coeffs, points)
-        exprs = [as_expr(p) for p in system]
-        assert got == expr_shape_count(exprs, coeffs, bad, lam, expand=True), lam
-        log.append(((system, points, lam), got))
-        return got
-
-    monkeypatch.setattr(schubert, "_shape_count", both)
-    return log
 
 
 class TestLR:
@@ -563,29 +529,18 @@ class TestRamification:
             convert_ramification(d=1, point_kind="finite", a=(3, 0))
 
 
-@st.composite
-def integer_systems(draw):
-    """(n, polys): 1-3 integer polynomials in 2-3 variables of degree <= 2,
-    each with 1-4 terms and coefficients in -3..3."""
-    n = draw(st.integers(2, 3))
-    monoms = st.sampled_from([m for m in product(range(3), repeat=n) if sum(m) <= 2])
-    poly = st.dictionaries(monoms, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
-    return n, draw(st.lists(poly, min_size=1, max_size=3))
+class TestCyclicWords:
+    """The basis of the Bethe algebra: words on a cyclic vector taken from
+    the moment curve (1, t, ..., t^(d-1))."""
 
+    def test_moment_curve_search(self):
+        # diag(1, 2): (1, 0) at t = 0 spans an eigenline, (1, 1) at t = 1 is cyclic
+        assert schubert._cyclic_words([[1, 0, 0, 2]], 2) == [[1, 0, 0, 1], [1, 0, 0, 2]]
 
-class TestIntegerBasis:
-    """The count's private Groebner basis against sympy's."""
-
-    @settings(deadline=None, max_examples=80)
-    @given(integer_systems())
-    @example((2, [{(1, 0): 1}, {(1, 0): 1, (0, 0): -1}]))  # x, x - 1: inconsistent
-    @example((3, [{(0, 2, 0): 1, (1, 0, 0): -1}, {(0, 0, 2): 1, (0, 1, 0): -1},
-                  {(1, 0, 0): 2, (0, 0, 1): -1}]))
-    def test_groebner_matches_sympy(self, system):
-        n, polys = system
-        gens = sympy.symbols(f"v0:{n}")
-        want = sympy.groebner([as_expr(p, gens) for p in polys], *gens, order="lex")
-        assert schubert._groebner(polys) == [primitive_terms(e, gens) for e in want.exprs]
+    def test_missing_cyclic_vector(self):
+        # the scalars span no module of dimension 2 from one vector
+        with pytest.raises(ConstructionFailed, match="no cyclic vector"):
+            schubert._cyclic_words([[3, 0, 0, 3]], 2)
 
 
 class TestExactCounts:
@@ -615,17 +570,20 @@ class TestExactCounts:
         pi = instance("A1", [(1,)], ["0"])
         assert population_count_report(pi, 2) == (0, 0)
 
-    def test_matches_expand_reference(self, shape_log):
-        rng = random.Random(5)
+    def test_matches_expand_reference(self):
+        """The count equals the expression count with its bad locus expanded
+        in t before it is reduced: a seeded A1 battery of 2-4 points with
+        weights 1-2, l <= 2."""
+        rng, counts = random.Random(5), []
         for _ in range(8):
             n = rng.randint(2, 4)
             ws = [(rng.randint(1, 2),) for _ in range(n)]
             pi = instance("A1", ws, [str(z) for z in seeded_points(rng, n)])
             for l in (1, 2):
                 if sum(w[0] for w in ws) >= 2 * l:
-                    count_critical_sl2(pi, l)
-        # 17 separating forms tried, two of which did not separate
-        assert len(shape_log) == 17 and [got for _, got in shape_log].count(None) == 2
+                    counts.append(count_critical_sl2(pi, l))
+                    assert counts[-1] == expr_count_critical_sl2(pi, l, expand=True), (pi, l)
+        assert (len(counts), sum(counts)) == (15, 33)
 
     def test_matches_expr_reference(self):
         """The count equals the ring count and the count built on sympy
@@ -671,61 +629,59 @@ class TestExactCounts:
         assert sum(c for _, c in checked) == 59
 
     def test_zero_weight_points(self):
-        """y at a marked point of weight 0 stays in the bad locus: with y at
-        the points of nonzero weight alone, which has the zeros of the
-        discriminant, these counts read 2, 3 and 6."""
-        pi = instance("A1", [(2,), (1,), (0,)], ["0", "1", "3"])
-        assert count_critical_sl2(pi, 1) == 1
-        pi = instance("A1", [(1,)] * 4 + [(0,)], ["0", "1", "3", "-2", "1/2"])
-        assert [count_critical_sl2(pi, l) for l in (1, 2)] == [2, 2]
+        """y at a marked point of weight 0 stays in b.  Two instances mark a
+        critical point with weight 0: 2/3, the one of [[2], [1]] at 0, 1, and
+        1/2, one of the three of [[1]] x 4 at 0, 1, 3, -2 at l = 1; with b at
+        the points of nonzero weight alone they read [1] and [3, 2].  Every
+        rotation of the points runs, so each point also comes first."""
+        for ws, pts, want in (([(2,), (1,), (0,)], ["0", "1", "3"], [1]),
+                              ([(2,), (1,), (0,)], ["0", "1", "2/3"], [0]),
+                              ([(1,)] * 4 + [(0,)], ["0", "1", "3", "-2", "1/2"], [2, 2])):
+            for k in range(len(pts)):
+                pi = instance("A1", ws[k:] + ws[:k], pts[k:] + pts[:k])
+                assert [count_critical_sl2(pi, l) for l in range(1, len(want) + 1)] == want
 
-    def test_matches_full_product_bad_locus(self, monkeypatch):
-        """The bad locus y at every marked point gives the count of sympy's
-        discriminant of y times y at the points of weight 0 on every
-        separating form tried: a seeded A1 battery of 2-5 points with
-        weights 0-2, l <= 2."""
-        new, tried = schubert._shape_count, []
-
-        def both(system, points, lam):
-            got = new(system, points, lam)
-            coeffs = gens_of(len(next(iter(system[0]))) - 1)[:-1]
-            bad = sympy_bad_locus(coeffs, [z for w, z in zip(pi.weights, points) if not w[0]])
-            exprs = [as_expr(p) for p in system]
-            assert got == expr_shape_count(exprs, coeffs, bad, lam), (pi, l, lam)
-            tried.append(got)
-            return got
-
-        monkeypatch.setattr(schubert, "_shape_count", both)
+    def test_matches_full_product_bad_locus(self):
+        """b, y at every marked point, gives the count of the bad locus of
+        sympy's discriminant of y times y at the points of weight 0: a
+        seeded A1 battery of 2-5 points with weights 0-2, l <= 2."""
         rng, counts = random.Random(14), []  # (count, a weight is 0)
         for n in (2, 3, 4, 5) * 5:
             ws = [(rng.randint(0, 2),) for _ in range(n)]
             pi = instance("A1", ws, [str(z) for z in seeded_points(rng, n)])
+            zeros = [z for w, z in zip(ws, pi.points) if not w[0]]
             for l in (1, 2):
                 if sum(w[0] for w in ws) >= 2 * l:
                     counts.append((count_critical_sl2(pi, l), (0,) in ws))
-        assert len(tried) >= len(counts) == 26
+                    assert counts[-1][0] == expr_count_critical_sl2(pi, l, zeros), (pi, l)
+        assert len(counts) == 26
         assert sum(zero for _, zero in counts) == 17 and sum(c for c, _ in counts) == 52
 
-    def test_repeated_eliminant_root(self, shape_log):
-        # the eliminant (t+2)^2 (t+4) is not squarefree, and the bad locus
-        # vanishes at both of its roots
+    def test_repeated_eliminant_root(self):
+        """B is one point, and b vanishes there.  The references' eliminant
+        (t+2)^2 (t+4) is not squarefree, and y vanishes at a marked point at
+        both of its roots: each root is counted once, and removed once y
+        vanishes at one of the points there."""
         pi = instance("A1", [(3,), (1,), (1,)], ["0", "1", "2"])
-        assert count_critical_sl2(pi, 2) == 0
-        assert [(args[2], got) for args, got in shape_log] == [(0, 0)]
-        # fewer points on the same system: a root is counted once, and
-        # removed once y vanishes at one of the points there
-        system, points, _ = shape_log[0][0]
-        assert points == pi.points
+        assert population_count_report(pi, 2) == (0, 1)
+        assert expr_count_critical_sl2(pi, 2) == ring_count_critical_sl2(pi, 2) == 0
+        system, coeffs = expr_system(pi, 2)
+        x = sympy.Symbol("x")
+        y = x**2 + coeffs[1] * x + coeffs[0]
         for some, want in (([], 2), ([1], 1), ([2], 1), ([0, 1, 2], 0)):
-            some = tuple(Fraction(z) for z in some)
-            assert schubert._shape_count.__wrapped__(system, some, 0) == want
+            bad = sympy.expand(sympy.prod([y.subs(x, z) for z in some]))
+            assert expr_shape_count(system, coeffs, bad, 0) == want, some
 
-    def test_separating_form_retry(self, shape_log):
-        # lam = 0, 1, 2 do not separate the points, so lam = 3 is used
+    def test_separating_form_retry(self):
+        """lam = 0, 1, 2 do not separate the points of the references'
+        system, so they count on lam = 3; the count reads no separating
+        form."""
         pi = instance("A1", [(1,)] * 4, ["0", "1", "-1", "2"])
-        assert count_critical_sl2(pi, 2) == 2
-        assert [(args[2], got) for args, got in shape_log] == [
-            (0, None), (1, None), (2, None), (3, 2)]
+        assert count_critical_sl2(pi, 2) == 2 == expr_count_critical_sl2(pi, 2)
+        system, coeffs = expr_system(pi, 2)
+        bad = sympy.expand(sympy_bad_locus(coeffs, pi.points))
+        assert [expr_shape_count(system, coeffs, bad, lam) for lam in SEPARATING_FORMS[:4]] == [
+            None, None, None, 2]
 
     def test_degree_zero(self):
         pi = instance("A1", [(1,), (1,)], ["0", "2"])

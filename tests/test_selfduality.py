@@ -586,13 +586,12 @@ class TestGenerators:
         y1 = tuple_at(sd, fam, Fraction(0))[0]
         rhs = fr[1] * y1
         assert wr.monic() == rhs.monic()
-        qw5 = quasi_witt_basis(sd)
-        if qw5.status == "witt":
-            polys = [s * b for s, b in zip(qw5.witt_scalars, qw_basis(sd, qw5))]
-            wfl = flag_from_basis(V, polys)
-            fam_w = isotropic_generators(sd, wfl, 2)
-            p2, q2, wr2 = middle_square_data(sd, fam_w)
-            assert wr2.monic() == (fr[1] * tuple_at(sd, fam_w, Fraction(0))[0]).monic()
-            # middle_square_data verifies the square at c = 1, 2, 3 only
-            for c in (Fraction(1, 2), Fraction(-1)):
-                assert tuple_at(sd, fam_w, c)[1] == (p2 + c * q2) ** 2
+        assert qw.status == "witt"
+        polys = [s * b for s, b in zip(qw.witt_scalars, qw_basis(sd, qw))]
+        wfl = flag_from_basis(V, polys)
+        fam_w = isotropic_generators(sd, wfl, 2)
+        p2, q2, wr2 = middle_square_data(sd, fam_w)
+        assert wr2.monic() == (fr[1] * tuple_at(sd, fam_w, Fraction(0))[0]).monic()
+        # middle_square_data verifies the square at c = 1, 2, 3 only
+        for c in (Fraction(1, 2), Fraction(-1)):
+            assert tuple_at(sd, fam_w, c)[1] == (p2 + c * q2) ** 2
