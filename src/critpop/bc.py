@@ -43,19 +43,11 @@ def fold(y: TupleY, kind: str) -> TupleY:
 
 def unfold(folded: TupleY, kind: str) -> TupleY:
     """Inverse of fold; exact, with a square root on the C middle pair."""
-    m = len(folded)
+    if folded != folded[::-1]:
+        raise ConstructionFailed("folded tuple is not symmetric")
+    n = (len(folded) + 1) // 2
     if kind == "B":
-        n = (m + 1) // 2
-        for i in range(m):
-            if folded[i] != folded[m - 1 - i]:
-                raise ConstructionFailed("folded tuple is not symmetric")
         return folded[:n]
-    n = m // 2
-    for i in range(n - 1):
-        if folded[i] != folded[m - 1 - i]:
-            raise ConstructionFailed("folded tuple is not symmetric")
-    if folded[n - 1] != folded[n]:
-        raise ConstructionFailed("middle pair differs")
     root = poly_sqrt(folded[n - 1])
     if root is None:
         raise SquareRootMissing("C-type middle coordinate is not a square")

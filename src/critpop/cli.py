@@ -3,12 +3,16 @@
 Configs are JSON: {"root_system": "A2", "weights": [[1,0], ...],
 "points": ["0", "1/2", ...], "tuple": ["1 1", ...]}. Tuples use the
 canonical polynomial text form (space-separated rationals, lowest degree
-first).  Every report line that certifies a named fact carries a
-machine-greppable tag such as [ind-thm] or [wr-u-lem].  Exit code 0 means
-every asserted check passed and 1 that some check failed.  Exit code 2
-means the run was refused or cut short, by a bad command line, a bad input
-(a `CritpopError`) or a closed stdout (`BrokenPipeError`, e.g. under
-`| head`), and comes with one `[error]` line on stderr, never a traceback.
+first).  `main` reads the config, instance and tuple (the ones tuple when
+none is given) once for each command that reads --config, so each refuses
+a malformed tuple; a root-system kind outside the command's `COMMANDS`
+kinds gets one [usage] FAIL line.  Every report line that certifies a
+named fact carries a machine-greppable tag such as [ind-thm] or
+[wr-u-lem].  Exit code 0 means every asserted check passed and 1 that some
+check failed.  Exit code 2 means the run was refused or cut short, by a bad
+command line, a bad input (a `CritpopError`) or a closed stdout
+(`BrokenPipeError`, e.g. under `| head`), and comes with one `[error]` line
+on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -98,17 +102,14 @@ def _fmt_tuple(y) -> str:
     return "(" + ", ".join(str(p) for p in y) + ")"
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    pi = ProblemInstance.from_config(cfg)
-    y = _tuple_from_config(cfg, pi)
-    rep = Report(args.format)
+def cmd_verify(args):
+    pi, y, rep = args.pi, args.y, args.report
     # one genericity test: the criterion raises NotGeneric with the reason
     try:
         crit = (heine_stieltjes_test if pi.rd.kind == "A" else bcmod.bc_criterion)(pi, y)
     except NotGeneric as exc:
         rep.add("generic", f"tuple {_fmt_tuple(y)}: {exc}", False)
-        return rep.emit()
+        return
     rep.add("generic", f"tuple {_fmt_tuple(y)}: generic")
     if pi.rd.kind == "A":
         rep.add("deg-2-lem", f"divisibility criterion on {_fmt_tuple(y)}", crit)
@@ -121,21 +122,17 @@ def cmd_verify(args) -> int:
         rep.add("bc-critical", f"B/C criterion on {_fmt_tuple(y)}", crit)
         rep.add("fold-equiv", "criticality transfers through folding",
                 bcmod.fold_equivalence(pi, y, crit))
-    return rep.emit()
 
 
-def cmd_populate(args) -> int:
-    cfg = _load_config(args.config)
-    pi = ProblemInstance.from_config(cfg)
-    y0 = _tuple_from_config(cfg, pi)
-    rep = Report(args.format)
+def cmd_populate(args):
+    pi, y0, rep = args.pi, args.y, args.report
     if pi.rd.rank > _ENUM_RANK_CAP:  # the prediction enumerates the Weyl group
         raise InvalidInstance(f"populate supports rank at most {_ENUM_RANK_CAP}")
     atlas = explore_population(pi, y0, args.max_degree)
     lam_dom = dominant_representative(pi.rd, weight_at_infinity(pi, y0))
     if lam_dom is None:
         rep.add("on-wall", "weight at infinity lies on a shifted wall", False)
-        return rep.emit()
+        return
     weyl = weyl_degree_map(pi, lam_dom, args.max_degree)
     reached = set(atlas.members)
     rep.add(
@@ -158,27 +155,20 @@ def cmd_populate(args) -> int:
         check_separating(pi, lvec),
     )
     if args.output:
-        text = atlas.to_json(args.seed, args.max_degree, cfg["root_system"])
+        text = atlas.to_json(args.seed, args.max_degree, args.cfg["root_system"])
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise InvalidInstance(f"cannot write atlas: {exc}") from exc
         rep.add("atlas", f"wrote {args.output}")
-    return rep.emit()
 
 
-def cmd_fundamental(args) -> int:
-    cfg = _load_config(args.config)
-    pi = ProblemInstance.from_config(cfg)
-    y = _tuple_from_config(cfg, pi)
-    rep = Report(args.format)
-    if pi.rd.kind != "A":
-        rep.add("usage", "fundamental expects a type-A instance", False)
-        return rep.emit()
+def cmd_fundamental(args):
+    pi, y, rep = args.pi, args.y, args.report
     if not heine_stieltjes_test(pi, y):
         rep.add("deg-2-lem", f"{_fmt_tuple(y)} is not critical", False)
-        return rep.emit()
+        return
     space = fundamental_space(pi, y)
     rep.add("wr-u-lem", f"basis {[str(b) for b in space.basis]}")
     d = max(space.degrees())
@@ -202,26 +192,22 @@ def cmd_fundamental(args) -> int:
     rep.add("ind-thm", "factored operator annihilates the space",
             all(verify_dp(pi, space, desc) for desc in descendants))
     rep.add("first-coor", "y_1 lies in the space")
-    return rep.emit()
 
 
-def cmd_selfdual(args) -> int:
-    cfg = _load_config(args.config)
-    pi = ProblemInstance.from_config(cfg)
-    y = _tuple_from_config(cfg, pi)
-    rep = Report(args.format)
+def cmd_selfdual(args):
+    pi, y, rep = args.pi, args.y, args.report
     if args.samples < 1:
         raise InvalidInstance("--samples must be at least 1")
     if pi.rd.kind == "A":
         if not heine_stieltjes_test(pi, y):
             rep.add("deg-2-lem", f"{_fmt_tuple(y)} is not critical", False)
-            return rep.emit()
+            return
         space = fundamental_space(pi, y)
         try:
             sd = SelfdualSpace(space, pi.ts)
         except NotSelfdual:
             rep.add("selfdual", f"dim {space.dim} space selfdual: False")
-            return rep.emit()
+            return
         rep.add("selfdual", f"dim {space.dim} space selfdual: True")
     else:
         sd = bcmod.bc_fundamental_space(pi, y)
@@ -243,19 +229,13 @@ def cmd_selfdual(args) -> int:
         rep.add("cor-so" if pi.rd.kind == "B" else "cor-sp",
                 f"{report.generic_hits} isotropic flag samples unfold to critical tuples",
                 report.all_critical and report.all_symmetric)
-    return rep.emit()
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     # imported here: no other subcommand reads `schubert`, so start-up skips it
     from .schubert import multiplicity_bound, population_count_report
 
-    cfg = _load_config(args.config)
-    pi = ProblemInstance.from_config(cfg)
-    rep = Report(args.format)
-    if pi.rd.kind != "A":
-        rep.add("usage", "count expects a type-A instance", False)
-        return rep.emit()
+    pi, rep = args.pi, args.report
     if args.max_degree is not None and (args.max_degree < 0 or pi.rd.rank > 1):
         raise InvalidInstance("--max-degree must be at least 0 and is read at rank 1 only")
     if pi.rd.rank == 1:
@@ -265,45 +245,40 @@ def cmd_count(args) -> int:
             exact, bound = population_count_report(pi, l)
             rep.add("estimate", f"l={l}: exact {exact} <= bound {bound}", exact <= bound)
     else:
-        y = _tuple_from_config(cfg, pi)
-        lam_inf = weight_at_infinity(pi, y)
-        dom = dominant_representative(pi.rd, lam_inf)
+        dom = dominant_representative(pi.rd, weight_at_infinity(pi, args.y))
         if dom is None:
             rep.add("on-wall", "weight at infinity on a wall: no critical points", True)
-            return rep.emit()
-        bound = multiplicity_bound(pi, dom)
-        rep.add("estimate", f"multiplicity bound {bound}")
-    return rep.emit()
+            return
+        rep.add("estimate", f"multiplicity bound {multiplicity_bound(pi, dom)}")
 
 
-def cmd_identities(args) -> int:
-    rep = Report(args.format)
+def cmd_identities(args):
     try:
         result = identity_suite(args.seed, args.trials)
-        rep.add("wronskian-identities",
-                f"{result.trials} trials, checks {result.checks}")
+        args.report.add("wronskian-identities", f"{result.trials} trials, checks {result.checks}")
     except IdentityViolated as exc:
-        rep.add("wronskian-identities", str(exc), False)
-    return rep.emit()
+        args.report.add("wronskian-identities", str(exc), False)
 
 
 # The command line as data: each option's type (int, str or its choices) and
-# default; each subcommand's function, help line and the options it reads
-# besides --format (fundamental and count take --seed for one seed per job).
+# default; each subcommand's function, help line, the options it reads
+# besides --format (fundamental and count take --seed for one seed per job)
+# and the root-system kinds it accepts.
 OPTIONS = {"--config": (str, None), "--seed": (int, 0), "--max-degree": (int, 8),
            "--output": (str, None), "--samples": (int, 5), "--trials": (int, 100),
            "--format": (("table", "json"), "table")}
 COMMANDS = {
-    "verify": (cmd_verify, "genericity + criterion on a supplied tuple", ("--config",)),
+    "verify": (cmd_verify, "genericity + criterion on a supplied tuple", ("--config",), "ABC"),
     "populate": (cmd_populate, "explore a population and write the atlas",
-                 ("--config", "--seed", "--max-degree", "--output")),
+                 ("--config", "--seed", "--max-degree", "--output"), "ABC"),
     "fundamental": (cmd_fundamental, "fundamental space, exponents, ramification",
-                    ("--config", "--seed")),
+                    ("--config", "--seed"), "A"),
     "selfdual": (cmd_selfdual, "dual space, Gram matrix, isotropic flags",
-                 ("--config", "--seed", "--samples")),
+                 ("--config", "--seed", "--samples"), "ABC"),
     "count": (cmd_count, "multiplicity bounds and rank-one exact counts",
-              ("--config", "--seed", "--max-degree")),
-    "identities": (cmd_identities, "appendix Wronskian identity suite", ("--seed", "--trials")),
+              ("--config", "--seed", "--max-degree"), "A"),
+    "identities": (cmd_identities, "appendix Wronskian identity suite", ("--seed", "--trials"),
+                   "ABC"),
 }
 
 
@@ -319,13 +294,13 @@ def parse_args(argv):
     prints the table and exits 0; a bad line prints one [error] line, exits 2."""
     if any(tok == "-h" or tok[2:] and "--help".startswith(tok) for tok in argv):
         print("usage: critpop <command> [options]; --config is required where read\n")
-        for cmd, (_, line, opts) in COMMANDS.items():
+        for cmd, (_, line, opts, _) in COMMANDS.items():
             print(f"  {cmd:<12} {line}\n{'':15}" + " ".join(
                 f"{opt} {OPTIONS[opt][1]}".removesuffix(" None") for opt in (*opts, "--format")))
         raise SystemExit(0)
     if not argv or argv[0] not in COMMANDS:
         _usage_error("critpop", f"expected a command from {', '.join(COMMANDS)}")
-    prog, (func, _, opts), rest = f"critpop {argv[0]}", COMMANDS[argv[0]], list(argv[1:])
+    prog, (func, _, opts, _), rest = f"critpop {argv[0]}", COMMANDS[argv[0]], list(argv[1:])
     values = {opt: OPTIONS[opt][1] for opt in (*opts, "--format")}
     if argv[0] == "count":
         values["--max-degree"] = None  # read at rank 1 only, default 8
@@ -352,7 +327,17 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        rc = args.func(args)
+        rep = args.report = Report(args.format)
+        kinds = COMMANDS[args.command][3]
+        if "config" in vars(args):
+            cfg = args.cfg = _load_config(args.config)
+            args.pi = ProblemInstance.from_config(cfg)
+            args.y = _tuple_from_config(cfg, args.pi)
+        if "pi" in vars(args) and args.pi.rd.kind not in kinds:
+            rep.add("usage", f"{args.command} expects a type-{kinds} instance", False)
+        else:
+            args.func(args)
+        rc = rep.emit()
         sys.stdout.flush()
         return rc
     except (BrokenPipeError, CritpopError) as exc:

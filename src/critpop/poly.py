@@ -228,9 +228,6 @@ class Poly:
 
     @staticmethod
     def from_text(text: str) -> "Poly":
-        text = text.strip()
-        if text == "0":
-            return ZERO
         return Poly([parse_rational(tok) for tok in text.split()])
 
     def __repr__(self) -> str:

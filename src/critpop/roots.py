@@ -134,8 +134,12 @@ def enumerate_weyl(code: str) -> tuple[tuple[int, ...], ...]:
     """All Weyl elements as their shortlex-least reduced words (0-based
     letters, s_{word[0]} ... s_{word[-1]}), in shortlex order (BFS by
     length), keyed by w^-1(rho): (w s_i)^-1(rho) = s_i(w^-1(rho)) is one
-    reflection per edge.  A word's tail word[1:] is again shortlex-least
-    (a smaller tail would give a smaller whole), so it names an earlier element."""
+    reflection per edge.  A word's tail word[1:] and its head word[:-1] are
+    again shortlex-least (a smaller one would give a smaller whole), so the
+    tail names an earlier element and the head is a parent in the previous
+    level.  Parents are visited in lex order and letters in ascending order,
+    so each level is generated in lex order, the first word found for an
+    element is its least, and `seen` fills in shortlex order: no sort."""
     rd = root_data(code)
     if rd.rank > _ENUM_RANK_CAP:
         raise ValueError(f"Weyl enumeration capped at rank {_ENUM_RANK_CAP}")
@@ -149,8 +153,8 @@ def enumerate_weyl(code: str) -> tuple[tuple[int, ...], ...]:
                 if k not in seen:
                     seen[k] = word + (i,)
                     nxt.append((word + (i,), k))
-        frontier = sorted(nxt)
-    return tuple(sorted(seen.values(), key=lambda w: (len(w), w)))
+        frontier = nxt
+    return tuple(seen.values())
 
 
 # -- foldings into the A series ----------------------------------------------

@@ -14,7 +14,7 @@ from critpop.bc import (
     unfold,
 )
 from critpop.core import heine_stieltjes_test, is_generic, monic_tuple, weight_at_infinity
-from critpop.errors import ConstructionFailed, NotFertile, NotGeneric
+from critpop.errors import ConstructionFailed, NotFertile, NotGeneric, SquareRootMissing
 from critpop.fundamental import fundamental_space
 from critpop.poly import ONE, X, Poly, QVec, wronskian
 from critpop.reproduction import (explore_population, immediate_descendants, is_fertile,
@@ -105,6 +105,15 @@ class TestFolding:
     def test_unfold_rejects_asymmetric(self):
         with pytest.raises(ConstructionFailed):
             unfold((X, ONE, ONE), "B")
+
+    @pytest.mark.parametrize("folded, error", [
+        ((X, ONE, ONE, ONE), ConstructionFailed),  # the outer pair differs
+        ((ONE, X, X * X, ONE), ConstructionFailed),  # the middle pair differs
+        ((ONE, X, X, ONE), SquareRootMissing),  # a symmetric middle that is not a square
+    ], ids=["outer-pair", "middle-pair", "middle-not-square"])
+    def test_unfold_c_rejects(self, folded, error):
+        with pytest.raises(error):
+            unfold(folded, "C")
 
     def test_folded_instance_weights(self):
         pib = instance("B2", [(1, 0)], ["0"])

@@ -732,6 +732,38 @@ class TestInvalidInput:
         assert len(err) == 1 and err[0].startswith("[error] InvalidInstance")
 
 
+class TestPreamble:
+    """`main` reads the config, instance and tuple once and gates the
+    root-system kind from the command table."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("code", ["B2", "C2"])
+    @pytest.mark.parametrize("command", ["fundamental", "count"])
+    def test_kind_gate(self, tmp_path, capsys, command, code, fmt):
+        cfg = write_cfg(tmp_path, "cfg.json", {"root_system": code, "weights": [], "points": []})
+        assert run([command, "--config", cfg, "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        text = f"{command} expects a type-A instance"
+        if fmt == "table":
+            assert out == f"[usage] {text} : FAIL\n"
+        else:
+            assert json.loads(out) == {"ok": False,
+                                       "lines": [{"tag": "usage", "text": text, "pass": False}]}
+        assert err == ""
+
+    @pytest.mark.parametrize("cfg", [
+        {"root_system": "A1", "weights": [[1]] * 4, "points": ["0", "1", "3", "-2"],
+         "tuple": ["junk"]},
+        dict(B2, tuple=["junk", "1"]),
+    ], ids=["A1x4", "B2"])
+    def test_count_refuses_malformed_tuple(self, tmp_path, capsys, cfg):
+        """As every other config command does, whatever the rank or kind."""
+        assert run(["count", "--config", write_cfg(tmp_path, "cfg.json", cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("[error] InvalidInstance: bad polynomial text: ")
+
+
 class TestIdentities:
     def test_runs(self, capsys):
         assert run(["identities", "--seed", "3", "--trials", "10"]) == 0

@@ -109,6 +109,15 @@ def test_weyl_group_sizes():
     assert len(enumerate_weyl("C4")) == 2**4 * 24
 
 
+@pytest.mark.parametrize("code", [*(f"A{r}" for r in range(1, 6)),
+                                  *(f"{k}{r}" for k in "BC" for r in range(2, 6))])
+def test_words_in_shortlex_order(code):
+    """The enumeration sorts nothing: its words come out distinct and in
+    shortlex order."""
+    words = enumerate_weyl(code)
+    assert list(words) == sorted(set(words), key=lambda w: (len(w), w))
+
+
 def _ref_gen_matrix(rd, i):
     """Matrix of s_i acting on coroot coordinate vectors."""
     r = rd.rank
