@@ -145,8 +145,8 @@ def cmd_populate(args):
         word = "none" if w is None else " ".join(f"s{i + 1}" for i in w) or "e"
         rep.add("member", f"l={l} w={word} tuple={_fmt_tuple(atlas.members[l].tuple_y)}",
                 w is not None)
-    # explore_population raises unless every generic member passes the
-    # criterion and every member is fertile in every direction
+    # explore_population raises unless every member is fertile in every
+    # direction, and a generic fertile member passes the criterion
     rep.add("duplicate-thm", "every stored member is critical/fertile")
     lvec = degree_vector(y0)
     rep.add(

@@ -12,9 +12,9 @@ tuple represents a critical point.
 `is_generic`, `heine_stieltjes_test` and `wronskian_rhs` run over Z[x], in
 the integer section of `poly`: the first two decide properties that hold
 up to a scalar, so they make no rational at all, and `wronskian_rhs`
-applies one rational scale at the end.  Given `changed = i`, the first two
-test only what reads y_i, for a tuple one reproduction step from a generic
-critical one, and return the verdict of the full test.
+applies one rational scale at the end.  Given `changed = i`, `is_generic`
+tests only what reads y_i, for a tuple one reproduction step from a generic
+one, and returns the verdict of the full test.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def wronskian_rhs(pi: ProblemInstance, y: TupleY, i: int) -> Poly:
     return _zscaled(acc, den)
 
 
-def heine_stieltjes_test(pi: ProblemInstance, y: TupleY, changed: int | None = None) -> bool:
+def heine_stieltjes_test(pi: ProblemInstance, y: TupleY) -> bool:
     """Exact divisibility criterion: y represents a critical point iff
     F_i y_i'' - G_i y_i' is divisible by y_i for every direction i, where
     G_i / F_i is the logarithmic derivative of T_i prod_j y_j^(-a_ij).
@@ -177,22 +177,15 @@ def heine_stieltjes_test(pi: ProblemInstance, y: TupleY, changed: int | None = N
 
     Scaling a factor leaves the logarithmic derivative alone and scaling
     y_i only scales the numerator, so a zero pseudo-remainder of
-    F_i Y_i'' - G_i Y_i' by Y_i decides divisibility.
-
-    With `changed = i`, y must be a generic critical tuple except in
-    coordinate i (one reproduction step): genericity is tested as in
-    `is_generic`, and only the directions that read y_i, {i} and the j with
-    a_ji != 0, are tested, since every other direction passed on the same
-    data.  Verdict and `NotGeneric` are those of the full test.
+    F_i Y_i'' - G_i Y_i' by Y_i decides divisibility.  Raises `NotGeneric`,
+    with the reason of `is_generic`, on a non-generic tuple.
     """
-    ok, reason = is_generic(pi, y, changed)
+    ok, reason = is_generic(pi, y)
     if not ok:
         raise NotGeneric(reason)
     a, r, lins = pi.rd.cartan, pi.rd.rank, pi.lins
     zs = [_zpoly(p) for p in y]
     for i, zi in enumerate(zs):
-        if changed not in (None, i) and not a[i][changed]:
-            continue  # direction i reads no changed coordinate
         if len(zi) == 1:
             continue  # a constant divides everything
         linked = [j for j in range(r) if j != i and a[i][j] != 0]

@@ -6,9 +6,15 @@ of its answer only at the end; the solution set is a line {base + c*y}.
 Replacing a coordinate by a member of that line is the simple reproduction
 step; the breadth-first closure of these steps over all directions,
 bookkept by degree vector, is a population atlas.  `explore_population`
-certifies each member as it stores it, so callers need not check the
-members again; a child of a generic member is certified only on what its
-step changed (`changed` in `core.heine_stieltjes_test`).  `weyl_degree_map`
+certifies each member once, so callers need not check the members again:
+it tests genericity as it stores a member (a child of a generic member only
+on what its step changed, `changed` in `core.is_generic`), and criticality
+follows from the fertility solves that expand every member.  If u solves
+W(y_i, u) = R_i = T_i prod_{j != i} y_j^(-a_ij), then y_i'' R_i - y_i' R_i' =
+y_i (y_i'' u' - y_i' u''), and F_i (y_i'' R_i - y_i' R_i') =
+R_i (F_i y_i'' - G_i y_i') with G_i / F_i = R_i' / R_i; a generic y_i is
+coprime to R_i, so y_i divides F_i y_i'' - G_i y_i', the divisibility
+criterion of `core.heine_stieltjes_test`.  `weyl_degree_map`
 names the degree vectors that the shifted Weyl orbit predicts, each with the
 word of its Weyl element, in one sweep.
 """
@@ -24,11 +30,11 @@ from .core import (
     TupleY,
     degree_vector,
     heine_stieltjes_test,
+    is_generic,
     monic_tuple,
     wronskian_rhs,
 )
-from .errors import (ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile,
-                     NotGeneric)
+from .errors import ConstructionFailed, InvalidInstance, NonGenericExhausted, NotFertile
 from .poly import Poly, _zderiv, _zscaled, _zsolve
 from .roots import enumerate_weyl, reflect
 
@@ -39,7 +45,9 @@ def param_candidates():
     """The deterministic parameter sequence 0, 1, -1, 2, 1/2, -2, -1/2, ...
 
     Stern-Brocot levels, positives of a level in decreasing order, then
-    their negatives.
+    their negatives.  A level is the Calkin-Wilf children q + 1, q/(q + 1)
+    of the one before; that tree holds each positive rational once (Calkin,
+    Wilf, Amer. Math. Monthly 107 (2000)), so no value repeats.
     """
     yield Fraction(0)
     level = [Fraction(1)]
@@ -48,14 +56,7 @@ def param_candidates():
             yield q
         for q in level:
             yield -q
-        nxt = []
-        seen = set()
-        for q in level:
-            for cand in (q + 1, q / (q + 1)):
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        level = sorted(nxt, reverse=True)
+        level = sorted((c for q in level for c in (q + 1, q / (q + 1))), reverse=True)
 
 
 class DescendantFamily(NamedTuple):
@@ -150,28 +151,17 @@ def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{pad}{(',' + pad).join(items)}\n{' ' * indent}{brackets[1]}"
 
 
-def _certified(pi: ProblemInstance, cand: TupleY, changed: int | None) -> bool:
-    """Genericity of cand from one run of the criterion, which raises
-    `NotGeneric`; a generic cand that is not critical is `ConstructionFailed`."""
-    try:
-        if heine_stieltjes_test(pi, cand, changed):
-            return True
-    except NotGeneric:
-        return False
-    raise ConstructionFailed("generic descendant failed the criterion")
-
-
 def _sample_generic(pi: ProblemInstance, y: TupleY, i: int, fam: DescendantFamily,
                     want_degree: int, changed: int | None = None):
     """First parameter along the canonical sequence giving a generic member
-    of prescribed degree in direction i; checks the criterion on success,
-    passing `changed` on."""
+    of prescribed degree in direction i, `changed` passed on to `is_generic`;
+    the walk's expansion certifies its criticality (module docstring)."""
     for k, c in zip(range(RETRY_CAP), param_candidates()):
         cand_poly = fam.member(c)
         if cand_poly.is_zero() or cand_poly.degree != want_degree:
             continue
         cand = monic_tuple(y[:i] + (cand_poly,) + y[i + 1 :])
-        if _certified(pi, cand, changed):
+        if is_generic(pi, cand, changed)[0]:
             return cand, c
     raise NonGenericExhausted(
         f"no generic member of degree {want_degree} in direction {i + 1} "
@@ -182,15 +172,16 @@ def _sample_generic(pi: ProblemInstance, y: TupleY, i: int, fam: DescendantFamil
 def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int) -> PopulationAtlas:
     """Breadth-first closure over degree vectors, capped componentwise.
 
-    Certifies every member it stores: a generic member passes the
-    divisibility criterion when it is inserted, and every member, generic or
-    not, is expanded in every direction, which raises `ConstructionFailed`
-    if a Wronskian equation has no solution.  A child of a generic member,
-    which passed the criterion, differs from it only in coordinate i, so it
-    is certified with `changed = i` and gets the verdict of the full test;
-    y0 and the children of a non-generic member get the full test.
-    Deterministic: directions are visited in order and parameters are drawn
-    from the canonical sequence, so the walk consumes no randomness.
+    Certifies each member once.  y0 gets the divisibility criterion; every
+    other member gets `is_generic` as it is stored, with `changed = i` (the
+    verdict of the full test) for a child of a generic member in direction i.
+    Every member is then expanded in every direction, which raises
+    `ConstructionFailed` if a Wronskian equation has no solution; a generic
+    member solved in every direction is critical, since with u a solution in
+    direction i, y_i divides R_i (F_i y_i'' - G_i y_i') and is coprime to
+    R_i (module docstring).  Deterministic: directions are visited in order
+    and parameters are drawn from the canonical sequence, so the walk
+    consumes no randomness.
     """
     y0 = monic_tuple(y0)
     l0 = degree_vector(y0)
@@ -225,7 +216,7 @@ def explore_population(pi: ProblemInstance, y0: TupleY, max_degree: int) -> Popu
                         # unique low-degree member of the line
                         cand = monic_tuple(y[:i] + (fam.base,) + y[i + 1 :])
                         atlas.members[l_new] = AtlasMember(
-                            cand, member.path + ((i, "base"),), _certified(pi, cand, changed)
+                            cand, member.path + ((i, "base"),), is_generic(pi, cand, changed)[0]
                         )
                     else:
                         cand, c = _sample_generic(pi, y, i, fam, want, changed)

@@ -156,15 +156,25 @@ class TestPopulate:
         assert sum(ln.endswith(": FAIL") for ln in lines) == 2
 
     def test_walk_is_the_certificate(self, sl3_cfg, monkeypatch, capsys):
-        """A member the walk cannot certify stops the run; nothing after the
-        walk re-checks it into a report line."""
-        test = reproduction.heine_stieltjes_test
-        y0 = (ONE, ONE)
-        monkeypatch.setattr(reproduction, "heine_stieltjes_test",
-                            lambda pi, y, changed=None: y == y0 and test(pi, y, changed))
+        """A generic member that is not critical stops the run when the walk
+        expands it, since a generic tuple solved in every direction is
+        critical; nothing after the walk re-checks it into a report line.
+        The 7th family solved gets its base plus 1, x^2 - 1 in place of
+        x^2 - 2, which makes such a member."""
+        solve, calls = reproduction.solve_wronskian_equation, []
+
+        def perturbed(y, rhs):
+            calls.append(solve(y, rhs))
+            if len(calls) == 7:
+                return calls[-1]._replace(base=calls[-1].base + ONE)
+            return calls[-1]
+
+        monkeypatch.setattr(reproduction, "solve_wronskian_equation", perturbed)
         assert run(["populate", "--config", sl3_cfg, "--max-degree", "2"]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("[error] ConstructionFailed")
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "[error] ConstructionFailed: atlas member lost fertility"]
+        assert captured.out == "" and len(calls) > 7
 
     @pytest.mark.parametrize("code, digest", [("A5", "5a200e7d13d31693"),
                                               ("B4", "abe7f66bdec9cb07")])
@@ -334,6 +344,21 @@ class TestSelfdual:
         assert capsys.readouterr().out.splitlines() == [
             "[selfdual] dim 3 space selfdual: False : PASS"]
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_type_a_not_critical(self, tmp_path, capsys, fmt):
+        """On type A the tuple must be critical before its space is built: the
+        deg-2 lemma line fails and nothing else is reported."""
+        cfg = write_cfg(tmp_path, "a2w.json", {"root_system": "A2", "weights": [[1, 0]],
+                                                "points": ["0"], "tuple": ["2 1", "1"]})
+        assert run(["selfdual", "--config", cfg, "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        text = "(x + 2, 1) is not critical"
+        if fmt == "table":
+            assert out == f"[deg-2-lem] {text} : FAIL\n"
+        else:
+            assert json.loads(out) == {
+                "ok": False, "lines": [{"tag": "deg-2-lem", "text": text, "pass": False}]}
+
     def test_genericity_tested_once_per_tuple(self, tmp_path, monkeypatch, capsys):
         """The B/C criterion and the sampler read `NotGeneric` from one run
         of the criterion instead of testing genericity first."""
@@ -437,6 +462,21 @@ class TestCount:
             assert payload["ok"] is True
             line = {"tag": "estimate", "text": "l=1: exact 2 <= bound 2", "pass": True}
             assert line in payload["lines"]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_rank_two_on_a_wall(self, tmp_path, capsys, fmt):
+        """A rank-2 tuple whose weight at infinity lies on a wall has no
+        critical points, and that is the whole report."""
+        cfg = write_cfg(tmp_path, "a2.json", {"root_system": "A2", "weights": [], "points": [],
+                                              "tuple": ["0 1", "1 1"]})
+        assert run(["count", "--config", cfg, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        text = "weight at infinity on a wall: no critical points"
+        if fmt == "table":
+            assert out == f"[on-wall] {text} : PASS\n"
+        else:
+            assert json.loads(out) == {
+                "ok": True, "lines": [{"tag": "on-wall", "text": text, "pass": True}]}
 
     def test_max_degree_default(self, tmp_path, capsys):
         """Without --max-degree, rank 1 reads 8 and rank 2 gives its bound."""

@@ -109,11 +109,11 @@ class TestCriterion:
 
 
 
-def certify(pi, y, changed=None):
+def certify(pi, y):
     """The outcome of `heine_stieltjes_test`: the `NotGeneric` reason, or the
     verdict."""
     try:
-        return "critical", heine_stieltjes_test(pi, y, changed)
+        return "critical", heine_stieltjes_test(pi, y)
     except NotGeneric as exc:
         return "not generic", str(exc)
 
@@ -123,8 +123,9 @@ Y_X11 = (X, ONE, ONE)  # a generic critical A3 tuple (one step from y0)
 
 
 class TestChangedCoordinate:
-    """`changed = i` certifies one step from a generic critical tuple on what
-    the step changed, with the outcome of the full test."""
+    """`is_generic` with `changed = i` tests one step from a generic critical
+    tuple on what the step changed, with the verdict and reason of the full
+    test; the full criterion gives the outcome of each step."""
 
     @pytest.mark.parametrize("pi, parent, i, new, want", [
         (A3, Y_X11, 0, X * X, ("not generic", "y_1 has a multiple root")),
@@ -142,7 +143,7 @@ class TestChangedCoordinate:
     def test_matches_full_test(self, pi, parent, i, new, want):
         assert certify(pi, parent) == ("critical", True)
         y = parent[:i] + (new,) + parent[i + 1:]
-        assert certify(pi, y, i) == certify(pi, y) == want
+        assert certify(pi, y) == want
         ok = want[0] == "critical"
         assert is_generic(pi, y, i) == is_generic(pi, y) == (ok, "generic" if ok else want[1])
 

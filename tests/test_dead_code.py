@@ -6,7 +6,9 @@ an attribute (`x.name`): a bare local name that happens to match it is no
 use of it.  Test-only helpers live in `tests/`.  Every name a module
 imports is read in it, except the re-exports of `__init__.py`, and every
 parameter of a function or method is read in its body, except `self` and
-the parameters of dunder methods, whose signatures Python fixes.  Every
+the parameters of dunder methods, whose signatures Python fixes, and every
+parameter with a default is passed explicitly at one or more `src/` call
+sites, except the entry point's `argv`.  Every
 top-level function of `tests/conftest.py`, fixtures included, is read by a
 test module or by a conftest function that one reads."""
 
@@ -166,6 +168,72 @@ def test_guard_sees_an_unread_parameter():
     # a default or an annotation is no read, and a write is none either
     tree = ast.parse("def f(a: int = 0, b=None):\n    b = a\n    return a\n")
     assert unread_parameters(tree, "m") == ["m.f.b"]
+
+
+def defaulted_parameters(tree: ast.AST, prefix: str, cls: str | None = None):
+    """(qualified name, callee name, index, parameter) for each parameter
+    with a default of a function or method, nested ones included.  A
+    method's index counts from the parameter after `self`, since a call
+    binds that one, and the callee of `__init__` or `__new__` is its class;
+    a keyword-only parameter has index None."""
+    for node in ast.iter_child_nodes(tree):
+        name = getattr(node, "name", None)
+        qual = prefix if name is None else f"{prefix}.{name}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            pos = [*a.posonlyargs, *a.args]
+            bound = int(cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list))
+            callee = cls if name in ("__init__", "__new__") else name
+            for k in range(len(pos) - len(a.defaults), len(pos)):
+                yield qual, callee, k - bound, pos[k].arg
+            for p, d in zip(a.kwonlyargs, a.kw_defaults):
+                if d is not None:
+                    yield qual, callee, None, p.arg
+        yield from defaulted_parameters(node, qual, name if isinstance(node, ast.ClassDef)
+                                        else None)
+
+
+def dead_knobs(trees: dict[str, ast.Module], exempt: set[str] = frozenset()) -> list[str]:
+    """"module.function.parameter" for each parameter with a default that
+    no call in `trees` passes explicitly, by position or keyword; a call is
+    matched by the bare name it calls, and a `*` or `**` argument passes
+    every parameter of its kind."""
+    calls = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                calls.setdefault(name, []).append(n)
+
+    def passed(call, index, param):
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        return index is not None and (len(call.args) > index or any(
+            isinstance(x, ast.Starred) for x in call.args))
+
+    return [f"{qual}.{param}" for mod, tree in trees.items()
+            for qual, callee, index, param in defaulted_parameters(tree, mod)
+            if f"{qual}.{param}" not in exempt
+            and not any(passed(c, index, param) for c in calls.get(callee, []))]
+
+
+def test_every_default_is_passed():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert dead_knobs(trees, exempt={"cli.main.argv"}) == []
+
+
+def test_guard_sees_a_dead_knob():
+    tree = ast.parse("def f(a, b=1, *, c=2):\n    return a + b + c\n\n"
+                     "def g(x=0):\n    return x\n\n"
+                     "class C:\n    def __init__(self, n=0):\n        self.n = n\n\n"
+                     "    def m(self, k=1, j=2):\n        return k + j\n\n"
+                     "    @staticmethod\n    def s(v=0):\n        return v\n\n"
+                     "f(1, 2)\ng()\nC(3).m(4)\nC.s(5)\n")
+    assert dead_knobs({"m": tree}) == ["m.f.c", "m.g.x", "m.C.m.j"]
+    assert dead_knobs({"m": tree}, exempt={"m.g.x"}) == ["m.f.c", "m.C.m.j"]
+    calls = ast.parse("f(0, c=1)\ng(*[])\nC().m(**{})\n")
+    assert dead_knobs({"m": tree, "n": calls}) == []
 
 
 def names_read(nodes) -> set[str]:

@@ -17,7 +17,7 @@ from critpop.core import (
     weight_at_infinity,
     wronskian_rhs,
 )
-from critpop.errors import NotFertile, NotGeneric
+from critpop.errors import NotFertile
 from critpop.poly import ONE, X, Poly, solve_combination, wronskian
 from critpop.reproduction import (
     AtlasMember,
@@ -79,6 +79,13 @@ def polys(max_degree, coefficients=rationals):
 def test_param_sequence_prefix():
     got = list(itertools.islice(param_candidates(), 5))
     assert got == [0, 1, -1, 2, Fraction(1, 2)]
+
+
+def test_param_sequence_distinct():
+    """The Calkin-Wilf tree holds each positive rational once, so the
+    sequence repeats no value."""
+    got = list(itertools.islice(param_candidates(), 2000))
+    assert len(set(got)) == len(got)
 
 
 class TestSolver:
@@ -252,30 +259,20 @@ WALKS = [
 ]
 
 
-def spy_walk_criterion(monkeypatch, check_changed=True):
-    """Replace the walk's criterion by a spy that records (y, changed) for
-    every candidate and, for a step certified with `changed`, asserts the
-    verdict or `NotGeneric` reason of the full test, and the same genericity
-    verdict and reason."""
+def spy_walk_genericity(monkeypatch, check_changed=True):
+    """Replace the walk's genericity test by a spy that records (y, changed)
+    for every candidate and, for a step tested with `changed`, asserts the
+    verdict and reason of the full test."""
     calls = []
-
-    def outcome(pi, y, changed):
-        try:
-            return "critical", core.heine_stieltjes_test(pi, y, changed)
-        except NotGeneric as exc:
-            return "not generic", str(exc)
 
     def spy(pi, y, changed=None):
         calls.append((y, changed))
-        got = outcome(pi, y, changed)
+        got = core.is_generic(pi, y, changed)
         if check_changed and changed is not None:
-            assert got == outcome(pi, y, None)
-            assert core.is_generic(pi, y, changed) == core.is_generic(pi, y)
-        if got[0] == "not generic":
-            raise NotGeneric(got[1])
-        return got[1]
+            assert got == core.is_generic(pi, y)
+        return got
 
-    monkeypatch.setattr(reproduction, "heine_stieltjes_test", spy)
+    monkeypatch.setattr(reproduction, "is_generic", spy)
     return calls
 
 
@@ -283,39 +280,62 @@ class TestStepCertification:
     @pytest.mark.parametrize("pi, cap", WALKS, ids=[
         "A4", "B3", "C3", "A3w", "B3w", "C3w", "A5", "B4"])
     def test_changed_matches_full_test(self, monkeypatch, pi, cap):
-        """Every candidate the walk certifies with `changed` gets the outcome
-        of the full test, and the atlas is the one the full test builds."""
-        calls = spy_walk_criterion(monkeypatch)
-        atlas = explore_population(pi, (ONE,) * pi.rd.rank, cap)
-        assert calls[0] == ((ONE,) * pi.rd.rank, None)
-        assert all(changed is not None for _, changed in calls[1:])
-        assert len(calls) >= len(atlas.members)
+        """Every candidate the walk tests with `changed` gets the genericity
+        verdict of the full test, the atlas is the one the full test builds,
+        and every generic member, solved in every direction by the walk,
+        passes the criterion that the walk does not run on it."""
+        y0 = (ONE,) * pi.rd.rank
+        calls = spy_walk_genericity(monkeypatch)
+        atlas = explore_population(pi, y0, cap)
+        assert all(changed is not None for _, changed in calls)
+        assert len(calls) >= len(atlas.members) - 1
+        monkeypatch.setattr(reproduction, "is_generic", lambda pi, y, changed: is_generic(pi, y))
+        full = explore_population(pi, y0, cap)
+        assert full.to_json(0, cap, "X") == atlas.to_json(0, cap, "X")
+        assert all(heine_stieltjes_test(pi, m.tuple_y)
+                   for m in atlas.members.values() if m.generic)
 
     def test_child_of_non_generic_member_gets_full_test(self, monkeypatch):
         """A member stored as non-generic passes `changed = None` to the
-        certification of each of its children."""
+        genericity test of each of its children."""
         y0 = explore_population(SL3, (ONE, ONE), 2).members[(2, 2)].tuple_y
         plain = explore_population(SL3, y0, 2)
         parent = plain.members[(2, 1)]
         children = [m.tuple_y for m in plain.members.values()
                     if m.path[:-1] == parent.path and len(m.path) == len(parent.path) + 1]
         assert children
-        calls = spy_walk_criterion(monkeypatch, check_changed=False)
-        spy = reproduction.heine_stieltjes_test
+        calls = spy_walk_genericity(monkeypatch, check_changed=False)
+        spy = reproduction.is_generic
 
         def fake(pi, y, changed=None):
             if y == parent.tuple_y:
                 calls.append((y, changed))
-                raise NotGeneric("made non-generic for the test")
+                return False, "made non-generic for the test"
             return spy(pi, y, changed)
 
-        monkeypatch.setattr(reproduction, "heine_stieltjes_test", fake)
+        monkeypatch.setattr(reproduction, "is_generic", fake)
         atlas = explore_population(SL3, y0, 2)
         assert not atlas.members[(2, 1)].generic
         changed = dict(calls)
         assert changed[parent.tuple_y] == 1
         assert all(changed[c] is None for c in children)
         assert any(v is not None for y, v in calls if y not in children)
+
+
+def test_criterion_runs_once_on_y0(monkeypatch):
+    """The walk runs the divisibility criterion on y0 alone: every other
+    member is certified by `is_generic` and the fertility solves."""
+    calls = []
+    test = reproduction.heine_stieltjes_test
+
+    def spy(pi, y):
+        calls.append(y)
+        return test(pi, y)
+
+    monkeypatch.setattr(reproduction, "heine_stieltjes_test", spy)
+    atlas = explore_population(A3W, (ONE, ONE, ONE), 8)
+    assert len(atlas.members) > 1
+    assert calls == [(ONE, ONE, ONE)]
 
 
 def test_walk_gcd_budget(monkeypatch):
